@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices of the DP engine (Sec. IV).
 
 Beyond the paper's own DP-vs-no-DP ablation (Table II), these isolate the
 individual mechanisms the DP engine is built from:

@@ -1,8 +1,8 @@
 """Micro-benchmarks of the core kernels.
 
 These time the individual stages the complexity discussion (Sec. IV-D)
-reasons about: URA shrinking, one segment DP, DTW matching, range-tree
-queries and full-board DRC.  Useful for catching performance regressions;
+reasons about: URA shrinking, one segment DP, DTW matching and full-board
+DRC.  Useful for catching performance regressions;
 they run with pytest-benchmark's normal calibration (they are fast).
 """
 
@@ -12,7 +12,7 @@ from repro.core import DPConfig, SegmentDP, ShrinkEnvironment
 from repro.core import ExtensionConfig, TraceExtender
 from repro.drc import check_board
 from repro.dtw import dtw_match, msdtw
-from repro.geometry import Point, PointRangeTree, Polyline, rectangle
+from repro.geometry import Point, Polyline, rectangle
 from repro.model import Board, DesignRules, Trace, via
 
 
@@ -23,7 +23,7 @@ def via_field_env() -> ShrinkEnvironment:
         x = 3.0 * k
         y = 6.0 + 4.0 * (k % 4)
         polys.append(rectangle(x, y, x + 2.0, y + 2.0))
-    return ShrinkEnvironment(polys)
+    return ShrinkEnvironment.from_polygons(polys)
 
 
 def test_bench_shrink_single_height(benchmark, via_field_env):
@@ -72,20 +72,6 @@ def test_bench_msdtw_multiscale(benchmark):
     q = [Point(i * 2.0, -1.0) for i in range(60)]
     result = benchmark(msdtw, p, q, [2.0, 4.0, 8.0])
     assert len(result.pairs) == 60
-
-
-def test_bench_range_tree_build_and_query(benchmark):
-    points = [Point((i * 37) % 199, (i * 53) % 211) for i in range(2000)]
-
-    def run():
-        tree = PointRangeTree(points)
-        total = 0
-        for k in range(50):
-            total += len(tree.query(k, k + 60, k, k + 60))
-        return total
-
-    total = benchmark(run)
-    assert total > 0
 
 
 def test_bench_full_board_drc(benchmark):

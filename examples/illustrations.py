@@ -24,7 +24,7 @@ def ura_shrinking() -> None:
     """An obstacle straddles the hat; show the URA before/after shrinking."""
     boundary = rectangle(-20, -30, 60, 30)
     obstacle = rectangle(16, 9, 24, 40)
-    env = ShrinkEnvironment([boundary, obstacle])
+    env = ShrinkEnvironment.from_polygons([boundary, obstacle])
     g = 2.0
     h = env.max_pattern_height(10, 30, g, 20.0, 1.0)
 

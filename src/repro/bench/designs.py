@@ -2,9 +2,10 @@
 
 The paper evaluates on the Allegro sample design (proprietary) and on a
 private "dummy" via-field design.  These generators rebuild both classes
-of workload with the published case statistics (DESIGN.md,
-"Substitutions"): group sizes, rule distances, spacing regimes, initial
-length spreads, and the decoupling artefacts of real differential pairs.
+of workload with the published case statistics of Sec. VI's Tables I
+and II — group sizes, rule distances, spacing regimes, initial length
+spreads — plus the decoupling artefacts of real differential pairs that
+Sec. V's MSDTW conversion exists to handle.
 Everything is deterministic — no randomness, so benches are reproducible.
 """
 
@@ -268,8 +269,8 @@ def make_msdtw_case() -> Tuple[Board, DifferentialPair]:
     Split corner nodes, a tiny pattern on one sub-trace, an obtuse bend,
     and a second Design Rule Area declaring a larger pair distance rule
     (exercising the multi-scale rule set of Alg. 3).  Restoration keeps a
-    constant pair gap — piecewise-DRA gap restoration is out of scope and
-    recorded as a limitation in DESIGN.md.
+    constant pair gap; restoring a gap that changes from one Design Rule
+    Area to the next is out of scope.
     """
     rules = DesignRules(dgap=4.0, dobs=2.0, dprotect=1.5)
     board = Board.with_rect_outline(-12.0, -35.0, 150.0, 60.0, rules=rules)

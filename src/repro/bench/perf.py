@@ -16,9 +16,8 @@ Phases
                ``exhaustive=True`` on a routed Table I board replicated
                to several sizes;
 ``extension``  the Alg. 1 extension loop on the Table II via-field
-               design — the incremental engine against the seed's
-               per-iteration-rebuild reference, with bit-exact
-               equivalence asserted on every routed coordinate;
+               design, with a sha256 ``digest`` of every routed float
+               that the guard compares against the committed baseline;
 ``session``    end-to-end :class:`~repro.api.RoutingSession` runs on
                Table I cases;
 ``server``     cold-vs-warm ``POST /route`` latency through a live
@@ -49,6 +48,7 @@ speed by the DTW reference recurrence.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -251,44 +251,39 @@ def _result_fingerprint(result: Any) -> Tuple[str, ...]:
     )
 
 
-def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any]]:
-    """Incremental engine vs. the per-iteration-rebuild reference.
+def _result_digest(result: Any) -> str:
+    """sha256 of :func:`_result_fingerprint`, one line per field."""
+    text = "\n".join(_result_fingerprint(result))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    ``extend_s``/``min_s`` time the engine the sessions actually run
-    (``auto``); ``reference_s`` re-times the seed loop in situ so
-    ``speedup`` compares like with like on this machine.  ``identical``
-    is the bit-exact equivalence gate (achieved length, iteration count,
-    and every routed coordinate compared by ``repr``) — the same
-    contract the dtw/drc phases assert for their fast paths.
+
+def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any]]:
+    """The Table II extension upper-bound run, timed per d_gap.
+
+    ``extend_s`` is the median and ``min_s`` the best repeat.  ``digest``
+    pins the routed answer bit for bit (achieved length, iteration and
+    pattern counts, every routed coordinate by ``repr``): the guard
+    fails when it differs from the committed baseline's, so a change
+    that got fast by changing the answer cannot pass as a speedup.
     """
     rows: List[Dict[str, Any]] = []
     for dgap in dgaps:
-        def run_once(engine: str, dgap: float = dgap):
+        def run_once(dgap: float = dgap):
             board, trace = make_table2_design(dgap)
             extender = _table2_extender(board, trace, use_dp=True)
-            extender.config.engine = engine
-            return extender.extension_upper_bound(trace), extender.resolved_engine()
+            return extender.extension_upper_bound(trace)
 
-        times, (result, engine) = _time_all(lambda: run_once("auto"), repeats)
-        ref_times, (ref_result, _) = _time_all(
-            lambda: run_once("reference"), repeats
-        )
-        extend_s = _median(times)
-        reference_s = _median(ref_times)
+        times, result = _time_all(run_once, repeats)
         rows.append(
             {
                 "dgap": dgap,
-                "engine": engine,
-                "extend_s": extend_s,
+                "extend_s": _median(times),
                 "min_s": min(times),
-                "reference_s": reference_s,
-                "speedup": reference_s / extend_s if extend_s > 0 else None,
                 "iterations": result.iterations,
                 "patterns": result.patterns_applied,
                 "achieved": result.achieved,
                 "stale_drops": result.stale_drops,
-                "identical": _result_fingerprint(result)
-                == _result_fingerprint(ref_result),
+                "digest": _result_digest(result),
             }
         )
     return rows
@@ -701,7 +696,9 @@ def run_perf(
     phases: Dict[str, Any] = {
         "dtw": _phase_dtw([64] if quick else [64, 128, 256], repeats),
         "drc": _phase_drc([1] if quick else [1, 2, 4], repeats),
-        "extension": _phase_extension([4.0] if quick else [2.5, 4.0], repeats),
+        # Both d_gaps even in quick mode: the guard checks every committed
+        # digest, and an upper-bound run is cheap next to the other phases.
+        "extension": _phase_extension([2.5, 4.0], repeats),
         "session": _phase_session([1] if quick else [1, 5], repeats),
         "server": _phase_server(8 if quick else 48, repeats),
         "server_faults": _phase_server_faults(
@@ -762,10 +759,8 @@ def run_perf(
         for row in phases["extension"]:
             print(
                 f"extension dgap={row['dgap']:.1f}  {row['extend_s']:.3f} s"
-                f"  reference {row['reference_s']:.3f} s"
-                f"  ({_fmt_speedup(row['speedup'])}, engine={row['engine']},"
-                f" identical={row['identical']},"
-                f" {row['iterations']} iterations, {row['patterns']} patterns)"
+                f"  ({row['iterations']} iterations, {row['patterns']} patterns,"
+                f" digest {row['digest'][:12]})"
             )
         for row in phases["extension_breakdown"]:
             over = row["overhead"]
@@ -889,9 +884,11 @@ def check_perf_guard(
 
     Returns a list of problems (empty = pass).  The guard watches the
     extension phase — the paper's core loop — on the dgap rows the two
-    payloads share, and also re-asserts the run's own equivalence flags
-    (an engine that got fast by changing the answer must fail here, not
-    just in the test suite).
+    payloads share: the median must not regress, and the routed-answer
+    ``digest`` must equal the baseline row's (an engine that got fast by
+    changing the answer must fail here, not just in the test suite).  A
+    baseline row without a digest fails too: it cannot vouch for the
+    answer.
 
     CI machines and the machine that committed the baseline run at
     different speeds, so raw medians can't be compared directly.  The
@@ -921,14 +918,18 @@ def check_perf_guard(
     if not cur_rows:
         problems.append("current payload has no extension phase")
     for row in cur_rows:
-        if row.get("identical") is False:
-            problems.append(
-                f"extension dgap={row['dgap']}: engines disagree "
-                "(identical=False)"
-            )
         base = base_rows.get(row["dgap"])
         if base is None:
             continue
+        if "digest" not in base:
+            problems.append(
+                f"extension dgap={row['dgap']}: baseline row has no digest"
+            )
+        elif row.get("digest") != base["digest"]:
+            problems.append(
+                f"extension dgap={row['dgap']}: digest {row.get('digest')} "
+                f"differs from baseline {base['digest']} (routed answer changed)"
+            )
         allowed = base["extend_s"] * machine_scale * max_ratio
         if row["extend_s"] > allowed:
             problems.append(

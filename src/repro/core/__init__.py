@@ -7,12 +7,7 @@ from .pattern import (
     patterns_to_chain,
 )
 from .ura import URA
-from .shrink import (
-    ShrinkEnvironment,
-    TOUCH_EPS,
-    VectorShrinkEnvironment,
-    vector_kernels_available,
-)
+from .shrink import ShrinkEnvironment, TOUCH_EPS
 from .scene import ClearanceScene
 from .dp import DPConfig, DPResult, SegmentDP
 from .extension import ExtensionConfig, ExtensionResult, TraceExtender
@@ -33,8 +28,6 @@ __all__ = [
     "URA",
     "ShrinkEnvironment",
     "TOUCH_EPS",
-    "VectorShrinkEnvironment",
-    "vector_kernels_available",
     "ClearanceScene",
     "DPConfig",
     "DPResult",

@@ -1,8 +1,8 @@
 """AiDT proxy — the Table I comparator.
 
 Allegro's Auto-interactive Delay Tune is closed source; this proxy stands
-in for it with the behaviour the paper contrasts against (DESIGN.md,
-"Substitutions"): a *gridded greedy* serpentine tuner that
+in for it with the behaviour the paper attributes to it in its Table I
+comparison (Sec. VI): a *gridded greedy* serpentine tuner that
 
 * uses a **uniform amplitude** per segment (probed once, then fixed),
   snapped to a routing grid — no per-foot height optimisation;
@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..geometry import Frame, Point, Polyline, offset_polyline
 from ..model import Board, DesignRules, DifferentialPair, MatchGroup, Trace
 from .baseline import FixedTrackConfig, FixedTrackMeander
-from .extension import ExtensionConfig
+from .extension import ExtensionConfig, _PathState
 from .pattern import Pattern, patterns_to_chain
 from .router import GroupReport, MemberReport
 
@@ -58,7 +58,8 @@ class _UniformAmplitudeMeander(FixedTrackMeander):
         dp_cfg = self._dp_config(seg, width, need)
         if dp_cfg is None:
             return None
-        envs = self._environments(path, index, width, dp_cfg)
+        self._ensure_fast_context()
+        envs = self._environments(_PathState(path), index, width, dp_cfg)
         step = dp_cfg.step
         w_steps = max(dp_cfg.w_min, int(round(max(self.rules.dprotect, step) / step)))
         pitch = w_steps + dp_cfg.k_gap

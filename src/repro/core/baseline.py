@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from ..geometry import Frame, Polygon
 from ..model import DesignRules, Obstacle, Trace
-from .extension import ExtensionConfig, ExtensionResult, TraceExtender
+from .extension import ExtensionConfig, ExtensionResult, TraceExtender, _PathState
 from .pattern import Pattern, patterns_to_chain
 
 
@@ -106,7 +106,8 @@ class FixedTrackMeander(TraceExtender):
         dp_cfg = self._dp_config(seg, width, need)
         if dp_cfg is None:
             return None
-        envs = self._environments(path, index, width, dp_cfg)
+        self._ensure_fast_context()
+        envs = self._environments(_PathState(path), index, width, dp_cfg)
         step = dp_cfg.step
         w_fixed = self.fixed.pattern_width or max(
             self.rules.dprotect, dp_cfg.w_min * step

@@ -94,7 +94,7 @@ class SegmentDP:
         self._height_cache: Dict[Tuple[int, int, int], float] = {}
         # Per-direction, per-point admissible height upper bound from arm
         # column nodes (prefilter; see ShrinkEnvironment.column_node_bound).
-        # The incremental engine computes these in one vectorized sweep and
+        # The extension loop computes these in one vectorized sweep and
         # injects them; built scalar-by-scalar otherwise.
         if col_bounds is not None:
             self._col_bound = col_bounds

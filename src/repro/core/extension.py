@@ -14,29 +14,18 @@ the URA may not intersect.  Segments adjacent to the one being extended
 are trimmed by ``2g`` at the shared node (their URA would otherwise make
 every node-foot pattern infeasible); a post-apply rollback check restores
 the trace whenever that approximation would let a cross-structure
-``d_gap`` conflict through (DESIGN.md, "Adjacent-segment URAs").
+``d_gap`` conflict through.
 
-Two engines implement the loop:
-
-* the **reference** engine — the seed implementation kept verbatim: every
-  iteration rebuilds the clearance environment by exhaustive scan and
-  addresses queue entries by rounded-coordinate segment keys.  Always
-  available; the equivalence oracle.
-* the **incremental** engine — persistent state across iterations: a
-  :class:`~repro.core.scene.ClearanceScene` answers the window queries
-  the exhaustive scan used to, a :class:`_PathState` keeps stable segment
-  handles (no rounded-key aliasing, stale handles invalidated at mutation
-  time) plus incremental per-segment length/bounds/rectangle caches, the
-  shrink environments are :class:`~repro.core.shrink.VectorShrinkEnvironment`
-  built from one batched local-frame transform, and a per-segment
-  feasibility prune skips the DP on segments that provably cannot hold
-  any pattern.  Produces bit-identical routed geometry
-  (``tests/core/test_engine_equivalence.py``); requires numpy
-  (:func:`~repro.core.shrink.vector_kernels_available`).
-
-``ExtensionConfig.engine`` selects: ``"auto"`` (incremental when the
-vector kernels are available, the default), ``"reference"``,
-``"incremental"`` (falls back to reference without numpy).
+The loop keeps persistent state across iterations: a
+:class:`~repro.core.scene.ClearanceScene` answers the clearance-window
+queries (obstacles and other traces near the segment), a
+:class:`_PathState` keeps stable segment handles plus incremental
+per-segment length/bounds/rectangle caches, both shrink environments of a
+segment come from one batched local-frame transform, and a per-segment
+feasibility prune skips the DP on segments that provably cannot hold any
+pattern.  ``tests/oracles/extension.py`` keeps the seed loop (full
+environment rebuild per iteration, rounded-coordinate queue keys) as the
+bit-exact equivalence oracle of ``tests/core/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .. import obs
 from ..drc.checker import segments_parallel_conflict
@@ -59,20 +50,9 @@ from ..geometry import (
 )
 from ..model import DesignRules, Obstacle, Trace
 from .dp import DPConfig, SegmentDP
-from .pattern import Pattern, chain_new_segments, patterns_to_chain
+from .pattern import Pattern, patterns_to_chain
 from .scene import ClearanceScene
-from .shrink import (
-    ShrinkEnvironment,
-    VectorShrinkEnvironment,
-    vector_kernels_available,
-)
-
-try:  # pragma: no cover - gated by vector_kernels_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-_KEY_DIGITS = 6
+from .shrink import ShrinkEnvironment
 
 
 @dataclass
@@ -102,9 +82,6 @@ class ExtensionConfig:
     mirrored_chevrons: bool = False
     #: See DPConfig.allow_plocal (ablation switch for connected patterns).
     allow_plocal: bool = True
-    #: Engine selection: "auto" | "reference" | "incremental" (see module
-    #: docstring).  Both engines produce bit-identical geometry.
-    engine: str = "auto"
 
 
 @dataclass
@@ -118,10 +95,9 @@ class ExtensionResult:
     iterations: int
     patterns_applied: int
     rollbacks: int
-    #: Queue entries that addressed a segment no longer in the path when
-    #: popped (reference engine: rounded-key lookup misses; incremental
-    #: engine: invalidated handles).  Organically 0 — the regression
-    #: surface of the stale-key bugfix.
+    #: Queue entries that addressed a segment no longer in the path
+    #: (invalidated handles).  Organically 0 — the regression surface of
+    #: the stale-key bugfix.
     stale_drops: int = 0
 
     @property
@@ -137,28 +113,19 @@ class ExtensionResult:
         return (self.target - self.achieved) / self.target
 
 
-def _segment_key(seg: Segment) -> Tuple[float, float, float, float]:
-    return (
-        round(seg.a.x, _KEY_DIGITS),
-        round(seg.a.y, _KEY_DIGITS),
-        round(seg.b.x, _KEY_DIGITS),
-        round(seg.b.y, _KEY_DIGITS),
-    )
-
-
 class _PathState:
-    """The incremental engine's mutable-path bookkeeping.
+    """The extension loop's mutable-path bookkeeping.
 
-    The reference engine addresses queue entries by rounded-coordinate
-    keys and re-derives everything else (segment objects, bounds, the
-    trace length) from the immutable :class:`Polyline` each time.  This
-    class keeps all of it as spliced parallel lists:
+    Instead of re-deriving segment objects, bounds and the trace length
+    from the immutable :class:`Polyline` after every splice, this class
+    keeps all of it as spliced parallel lists:
 
     * **handles** — each segment instance gets a stable integer handle;
       ``replace_segment`` splices shift positions, never handles.  The
       handle of the replaced segment is invalidated *at mutation time*,
       so a later pop cannot alias onto an unrelated segment the way two
-      rounded keys can collide (the stale-duplicate-key bug).
+      rounded-coordinate keys can collide (the stale-duplicate-key bug
+      of the seed loop).
     * **lengths** — per-segment lengths spliced alongside, holding the
       exact floats ``Polyline.length()`` sums; ``length()`` re-adds them
       left-to-right so the total stays bit-identical to a full
@@ -220,7 +187,7 @@ class _PathState:
         pts = self._rects[pos]
         if pts is None:
             poly = oriented_rectangle(self.segments[pos], half)
-            pts = _np.array([(p.x, p.y) for p in poly.points])
+            pts = np.array([(p.x, p.y) for p in poly.points])
             self._rects[pos] = pts
         return pts
 
@@ -282,8 +249,7 @@ class TraceExtender:
     ``scene`` lets the router share one :class:`ClearanceScene` across
     the extenders of a whole board (entries the member itself contributes
     are masked per query via ``scene_exclude``); without one, the
-    incremental engine indexes ``other_traces`` into a private scene on
-    first use.
+    extender indexes ``other_traces`` into a private scene on first use.
     """
 
     def __init__(
@@ -303,26 +269,11 @@ class TraceExtender:
         self.config = config or ExtensionConfig()
         xmin, ymin, xmax, ymax = area.bounds()
         self._area_diag = math.hypot(xmax - xmin, ymax - ymin)
-        # Segment-key -> index lookup for _locate, rebuilt whenever the
-        # path object changes (paths are immutable, so identity suffices).
-        self._seg_index_path: Optional[Polyline] = None
-        self._seg_index: Dict[Tuple[float, float, float, float], int] = {}
         self._scene = scene
         self._scene_exclude: FrozenSet[str] = frozenset(scene_exclude or ())
         self._area_pts = None  # numpy (k, 2) of area vertices, lazy
 
     # -- public API -----------------------------------------------------------
-
-    def resolved_engine(self) -> str:
-        """The engine :meth:`extend` will actually run."""
-        engine = self.config.engine
-        if engine not in ("auto", "reference", "incremental"):
-            raise ValueError(f"unknown extension engine {engine!r}")
-        if engine == "reference":
-            return "reference"
-        if not vector_kernels_available():
-            return "reference"
-        return "incremental"
 
     def extend(self, trace: Trace, target: float) -> ExtensionResult:
         """Meander ``trace`` toward ``target`` length (Alg. 1).
@@ -330,9 +281,90 @@ class TraceExtender:
         ``target=math.inf`` requests the extension *upper bound*: extend
         as much as the space allows (the Table II experiment).
         """
-        if self.resolved_engine() == "incremental":
-            return self._extend_incremental(trace, target)
-        return self._extend_reference(trace, target)
+        cfg = self.config
+        original = trace
+        path = trace.path.simplified()
+        if target < path.length() - cfg.tolerance:
+            raise ValueError(
+                f"target {target:.4f} below current length {path.length():.4f}"
+            )
+        self._ensure_fast_context()
+        state = _PathState(path)
+        queue: deque = deque(range(len(state.segments)))
+        ltrace = path.length()
+        iterations = 0
+        patterns_applied = 0
+        rollbacks = 0
+
+        h_min = max(self.rules.dprotect, 1e-6)
+        while queue and iterations < cfg.max_iterations:
+            need = target - ltrace
+            if need <= cfg.tolerance:
+                break
+            if need < 2.0 * h_min:
+                break  # below any legal pattern gain; chevron stage below
+            handle = queue.popleft()
+            index = state.pop_handle(handle)
+            if index is None:
+                continue
+            iterations += 1
+            obs.REGISTRY.inc("repro_extension_iterations_total")
+            # One span per DP attempt, attributed with the candidate count
+            # and stage timings (set inside _extend_segment via annotate)
+            # and the DTW calls the iteration triggered.  ``live`` gates
+            # the registry reads so the untraced hot loop never pays for
+            # them.
+            with obs.span("extension.iteration", iteration=iterations, need=need) as sp:
+                dtw_before = (
+                    obs.REGISTRY.value("repro_dtw_calls_total") if sp.live else 0.0
+                )
+                outcome = self._extend_segment(state, index, trace.width, need)
+                if sp.live:
+                    sp.set(
+                        dtw_calls=int(
+                            obs.REGISTRY.value("repro_dtw_calls_total") - dtw_before
+                        )
+                    )
+                if outcome is None:
+                    if sp.live:
+                        sp.set(applied=False, gain=0.0)
+                    continue
+                chain, applied = outcome
+                candidate = state.path.replace_segment(index, chain)
+                t_verify = perf_counter()
+                conflict = cfg.verify_after_apply and self._conflicts(
+                    candidate, index, len(chain), trace.width
+                )
+                if sp.live:
+                    sp.set(verify_s=perf_counter() - t_verify)
+                if conflict:
+                    rollbacks += 1
+                    if sp.live:
+                        sp.set(applied=False, gain=0.0, rollback=True)
+                    continue
+                queue.extend(state.commit(index, chain, candidate))
+                new_length = state.length()
+                if sp.live:
+                    sp.set(
+                        applied=True,
+                        patterns=len(applied),
+                        gain=new_length - ltrace,
+                    )
+                patterns_applied += len(applied)
+                ltrace = new_length
+
+        path = state.path
+        path, ltrace = self._finish_chevron(path, target, ltrace, trace.width)
+        return ExtensionResult(
+            trace=trace.with_path(path),
+            original=original,
+            target=target,
+            achieved=ltrace,
+            iterations=iterations,
+            patterns_applied=patterns_applied,
+            rollbacks=rollbacks,
+            stale_drops=state.stale_pops + state.stale_drops,
+        )
 
     def extension_upper_bound(self, trace: Trace) -> ExtensionResult:
         """Extend as far as the space allows (Eq. 20's ``l_extended``)."""
@@ -400,190 +432,10 @@ class TraceExtender:
             stale_drops=stale,
         )
 
-    # -- reference engine ---------------------------------------------------------
-
-    def _extend_reference(self, trace: Trace, target: float) -> ExtensionResult:
-        cfg = self.config
-        original = trace
-        path = trace.path.simplified()
-        if target < path.length() - cfg.tolerance:
-            raise ValueError(
-                f"target {target:.4f} below current length {path.length():.4f}"
-            )
-        queue: deque = deque(_segment_key(s) for s in path.segments())
-        ltrace = path.length()
-        iterations = 0
-        patterns_applied = 0
-        rollbacks = 0
-        stale = 0
-
-        h_min = max(self.rules.dprotect, 1e-6)
-        while queue and iterations < cfg.max_iterations:
-            need = target - ltrace
-            if need <= cfg.tolerance:
-                break
-            if need < 2.0 * h_min:
-                break  # below any legal pattern gain; chevron stage below
-            key = queue.popleft()
-            index = self._locate(path, key)
-            if index is None:
-                stale += 1
-                continue
-            iterations += 1
-            obs.REGISTRY.inc("repro_extension_iterations_total")
-            # The ROADMAP-requested per-iteration breakdown: one span per
-            # DP attempt, attributed with candidate count (set inside
-            # _extend_segment via annotate) and the DTW calls the
-            # iteration triggered.  ``live`` gates the registry reads so
-            # the untraced hot loop never pays for them.
-            with obs.span("extension.iteration", iteration=iterations, need=need) as sp:
-                dtw_before = (
-                    obs.REGISTRY.value("repro_dtw_calls_total") if sp.live else 0.0
-                )
-                outcome = self._extend_segment(path, index, trace.width, need)
-                if sp.live:
-                    sp.set(
-                        dtw_calls=int(
-                            obs.REGISTRY.value("repro_dtw_calls_total") - dtw_before
-                        )
-                    )
-                if outcome is None:
-                    if sp.live:
-                        sp.set(applied=False, gain=0.0)
-                    continue
-                chain, applied = outcome
-                candidate = path.replace_segment(index, chain)
-                t_verify = perf_counter()
-                conflict = cfg.verify_after_apply and self._conflicts(
-                    candidate, index, len(chain), trace.width
-                )
-                if sp.live:
-                    sp.set(verify_s=perf_counter() - t_verify)
-                if conflict:
-                    rollbacks += 1
-                    if sp.live:
-                        sp.set(applied=False, gain=0.0, rollback=True)
-                    continue
-                new_length = candidate.length()
-                if sp.live:
-                    sp.set(
-                        applied=True,
-                        patterns=len(applied),
-                        gain=new_length - ltrace,
-                    )
-                path = candidate
-                patterns_applied += len(applied)
-                ltrace = new_length
-                for seg in chain_new_segments(chain):
-                    queue.append(_segment_key(seg))
-
-        path, ltrace = self._finish_chevron(path, target, ltrace, trace.width)
-        return ExtensionResult(
-            trace=trace.with_path(path),
-            original=original,
-            target=target,
-            achieved=ltrace,
-            iterations=iterations,
-            patterns_applied=patterns_applied,
-            rollbacks=rollbacks,
-            stale_drops=stale,
-        )
-
-    # -- incremental engine ---------------------------------------------------------
-
-    def _extend_incremental(self, trace: Trace, target: float) -> ExtensionResult:
-        """The persistent-state engine: same loop, indexed lookups.
-
-        Every decision point mirrors :meth:`_extend_reference` on the
-        same floats — handle resolution replaces rounded-key lookup,
-        ``state.length()`` re-adds the spliced per-segment lengths the
-        full recompute would sum, and :meth:`_extend_segment_fast` builds
-        the identical local-frame environments from indexed queries.
-        """
-        cfg = self.config
-        original = trace
-        path = trace.path.simplified()
-        if target < path.length() - cfg.tolerance:
-            raise ValueError(
-                f"target {target:.4f} below current length {path.length():.4f}"
-            )
-        self._ensure_fast_context()
-        state = _PathState(path)
-        queue: deque = deque(range(len(state.segments)))
-        ltrace = path.length()
-        iterations = 0
-        patterns_applied = 0
-        rollbacks = 0
-
-        h_min = max(self.rules.dprotect, 1e-6)
-        while queue and iterations < cfg.max_iterations:
-            need = target - ltrace
-            if need <= cfg.tolerance:
-                break
-            if need < 2.0 * h_min:
-                break  # below any legal pattern gain; chevron stage below
-            handle = queue.popleft()
-            index = state.pop_handle(handle)
-            if index is None:
-                continue
-            iterations += 1
-            obs.REGISTRY.inc("repro_extension_iterations_total")
-            with obs.span("extension.iteration", iteration=iterations, need=need) as sp:
-                dtw_before = (
-                    obs.REGISTRY.value("repro_dtw_calls_total") if sp.live else 0.0
-                )
-                outcome = self._extend_segment_fast(state, index, trace.width, need)
-                if sp.live:
-                    sp.set(
-                        dtw_calls=int(
-                            obs.REGISTRY.value("repro_dtw_calls_total") - dtw_before
-                        )
-                    )
-                if outcome is None:
-                    if sp.live:
-                        sp.set(applied=False, gain=0.0)
-                    continue
-                chain, applied = outcome
-                candidate = state.path.replace_segment(index, chain)
-                t_verify = perf_counter()
-                conflict = cfg.verify_after_apply and self._conflicts(
-                    candidate, index, len(chain), trace.width
-                )
-                if sp.live:
-                    sp.set(verify_s=perf_counter() - t_verify)
-                if conflict:
-                    rollbacks += 1
-                    if sp.live:
-                        sp.set(applied=False, gain=0.0, rollback=True)
-                    continue
-                queue.extend(state.commit(index, chain, candidate))
-                new_length = state.length()
-                if sp.live:
-                    sp.set(
-                        applied=True,
-                        patterns=len(applied),
-                        gain=new_length - ltrace,
-                    )
-                patterns_applied += len(applied)
-                ltrace = new_length
-
-        path = state.path
-        path, ltrace = self._finish_chevron(path, target, ltrace, trace.width)
-        return ExtensionResult(
-            trace=trace.with_path(path),
-            original=original,
-            target=target,
-            achieved=ltrace,
-            iterations=iterations,
-            patterns_applied=patterns_applied,
-            rollbacks=rollbacks,
-            stale_drops=state.stale_pops + state.stale_drops,
-        )
-
     def _finish_chevron(
         self, path: Polyline, target: float, ltrace: float, width: float
     ) -> Tuple[Polyline, float]:
-        """Finishing stage shared by both engines.
+        """Finishing stage: close a sub-pattern residual with a chevron.
 
         A residual below 2*h_min cannot be closed by any legal convex
         pattern (each gains at least 2*d_protect), but a shallow obtuse
@@ -605,22 +457,6 @@ class TraceExtender:
         return path, ltrace
 
     # -- per-segment machinery ---------------------------------------------------
-
-    def _locate(self, path: Polyline, key) -> Optional[int]:
-        """Index of the segment with ``key`` in ``path``, or ``None``.
-
-        Queue entries outlive path edits, so lookups are frequent and
-        usually miss; a dict rebuilt once per path change replaces the
-        old linear rescan.  ``setdefault`` keeps the first occurrence,
-        matching the scan's behaviour on (degenerate) duplicate keys.
-        """
-        if path is not self._seg_index_path:
-            index: Dict[Tuple[float, float, float, float], int] = {}
-            for i in range(len(path.points) - 1):
-                index.setdefault(_segment_key(path.segment(i)), i)
-            self._seg_index = index
-            self._seg_index_path = path
-        return self._seg_index.get(key)
 
     def _dp_config(self, seg: Segment, width: float, need: float) -> Optional[DPConfig]:
         cfg = self.config
@@ -655,123 +491,29 @@ class TraceExtender:
             allow_plocal=cfg.allow_plocal,
         )
 
-    def _environments(
-        self, path: Polyline, index: int, width: float, dp_cfg: DPConfig
-    ) -> Dict[int, ShrinkEnvironment]:
-        """Local-frame shrink environments for both pattern directions."""
-        seg = path.segment(index)
-        world_polys = self._world_polygons(path, index, width, dp_cfg)
-        envs: Dict[int, ShrinkEnvironment] = {}
-        for direction in (1, -1):
-            frame = Frame.from_segment(seg, direction)
-            envs[direction] = ShrinkEnvironment(
-                [frame.polygon_to_local(p) for p in world_polys]
-            )
-        return envs
-
-    def _world_polygons(
-        self, path: Polyline, index: int, width: float, dp_cfg: DPConfig
-    ) -> List[Polygon]:
-        seg = path.segment(index)
-        g = dp_cfg.g
-        reach = dp_cfg.h_init + g
-        xmin, ymin, xmax, ymax = seg.bounds()
-        window = (xmin - reach, ymin - reach, xmax + reach, ymax + reach)
-
-        polys: List[Polygon] = [self.area]
-        inflation = max(0.0, self.rules.dobs + width / 2.0 - g)
-        for obstacle in self.obstacles:
-            if _bbox_hits(obstacle.bounds(), window):
-                polys.append(obstacle.inflated(inflation))
-        for other in self.other_traces:
-            half = (other.width + self.rules.dgap) / 2.0
-            for oseg in other.segments():
-                if oseg.is_degenerate():
-                    continue
-                if _bbox_hits(_inflate_bounds(oseg.bounds(), half), window):
-                    polys.append(oriented_rectangle(oseg, half))
-        polys.extend(self._self_polygons(path, index, g, window))
-        return polys
-
-    def _self_polygons(
-        self, path: Polyline, index: int, g: float, window
-    ) -> List[Polygon]:
-        """Clearance hulls of the trace's own other segments.
-
-        Neighbours sharing a node with the extended segment are trimmed by
-        ``2g`` at the shared end; shorter neighbours are dropped entirely
-        (the rollback check covers what the approximation misses).
-        """
-        out: List[Polygon] = []
-        n_segs = len(path.points) - 1
-        for j in range(n_segs):
-            if j == index:
-                continue
-            seg_j = path.segment(j)
-            if seg_j.is_degenerate():
-                continue
-            if j == index - 1:
-                seg_j = _trimmed(seg_j, at_end=True, amount=2.0 * g)
-            elif j == index + 1:
-                seg_j = _trimmed(seg_j, at_end=False, amount=2.0 * g)
-            if seg_j is None:
-                continue
-            if _bbox_hits(_inflate_bounds(seg_j.bounds(), g), window):
-                out.append(oriented_rectangle(seg_j, g))
-        return out
-
-    def _extend_segment(
-        self, path: Polyline, index: int, width: float, need: float
-    ) -> Optional[Tuple[List[Point], List[Pattern]]]:
-        seg = path.segment(index)
-        dp_cfg = self._dp_config(seg, width, need)
-        if dp_cfg is None:
-            return None
-        # DP size = candidate count of this iteration's span (no-op when
-        # tracing is off).
-        obs.annotate(candidates=dp_cfg.n, segment_length=seg.length())
-        t0 = perf_counter()
-        envs = self._environments(path, index, width, dp_cfg)
-        t1 = perf_counter()
-        dp = SegmentDP(dp_cfg, envs)
-        result = dp.run()
-        t2 = perf_counter()
-        obs.annotate(env_query_s=t1 - t0, dp_s=t2 - t1, pruned=False)
-        if result.gain <= self.config.min_extension_gain or not result.patterns:
-            return None
-        patterns = self._trim_to_need(result.patterns, need, envs, dp_cfg)
-        if not patterns:
-            return None
-        frames = {d: Frame.from_segment(seg, d) for d in (1, -1)}
-        chain = patterns_to_chain(seg, patterns, frames)
-        obs.annotate(trim_s=perf_counter() - t2)
-        if len(chain) < 3:
-            return None
-        return chain, patterns
-
-    # -- incremental environment assembly ----------------------------------------
+    # -- environment assembly ------------------------------------------------------
 
     def _ensure_fast_context(self) -> None:
-        """Build the lazy per-extender pieces of the incremental engine."""
+        """Build the lazy per-extender pieces: area vertices and scene."""
         if self._area_pts is None:
-            self._area_pts = _np.array([(p.x, p.y) for p in self.area.points])
+            self._area_pts = np.array([(p.x, p.y) for p in self.area.points])
         if self._scene is None:
             self._scene = ClearanceScene.from_context(
                 self.obstacles, self.other_traces
             )
 
-    def _environments_fast(
+    def _environments(
         self, state: _PathState, index: int, width: float, dp_cfg: DPConfig
-    ) -> Dict[int, VectorShrinkEnvironment]:
-        """Both-direction environments from one batched transform.
+    ) -> Dict[int, ShrinkEnvironment]:
+        """Local-frame shrink environments for both pattern directions.
 
-        Collects the exact polygon list :meth:`_world_polygons` assembles
-        (area, windowed obstacles, windowed other-trace hulls, windowed
-        self hulls — same order, same windowing floats, served from the
-        scene's index) as raw coordinate blocks, maps them through the
-        segment frame in one vectorized pass (the same IEEE expressions
-        :meth:`Frame.to_local` evaluates per point), and mirrors the -1
-        direction by negating y — exactly what the mirrored frame does.
+        Collects the world polygons the URA may not intersect — the area,
+        windowed obstacles and other-trace hulls (served from the scene's
+        index), then the windowed self hulls — as raw coordinate blocks,
+        maps them through the segment frame in one vectorized pass (the
+        same IEEE expressions :meth:`Frame.to_local` evaluates per point),
+        and mirrors the -1 direction by negating y — exactly what the
+        mirrored frame does.
         """
         seg = state.segments[index]
         g = dp_cfg.g
@@ -787,16 +529,16 @@ class TraceExtender:
         )
         self._collect_self_window(state, index, g, window, chunks, sizes)
 
-        pts = _np.concatenate(chunks, axis=0)
-        sizes_arr = _np.asarray(sizes)
+        pts = np.concatenate(chunks, axis=0)
+        sizes_arr = np.asarray(sizes)
         d = seg.direction()
         dx = pts[:, 0] - seg.a.x
         dy = pts[:, 1] - seg.a.y
         lx = dx * d.x + dy * d.y
         ly = -dx * d.y + dy * d.x
         return {
-            1: VectorShrinkEnvironment(lx, ly, sizes_arr),
-            -1: VectorShrinkEnvironment(lx, -ly, sizes_arr),
+            1: ShrinkEnvironment(lx, ly, sizes_arr),
+            -1: ShrinkEnvironment(lx, -ly, sizes_arr),
         }
 
     def _collect_self_window(
@@ -808,7 +550,12 @@ class TraceExtender:
         chunks: List[object],
         sizes: List[int],
     ) -> None:
-        """:meth:`_self_polygons` over the path state's cached geometry."""
+        """Clearance hulls of the trace's own other segments.
+
+        Neighbours sharing a node with the extended segment are trimmed by
+        ``2g`` at the shared end; shorter neighbours are dropped entirely
+        (the rollback check covers what the approximation misses).
+        """
         n_segs = len(state.segments)
         for j in range(n_segs):
             if j == index:
@@ -829,7 +576,7 @@ class TraceExtender:
                     and window[1] <= b[3] + g
                 ):
                     poly = oriented_rectangle(seg_j, g)
-                    chunks.append(_np.array([(p.x, p.y) for p in poly.points]))
+                    chunks.append(np.array([(p.x, p.y) for p in poly.points]))
                     sizes.append(4)
                 continue
             b = state.seg_bounds[j]
@@ -842,12 +589,13 @@ class TraceExtender:
                 chunks.append(state.rect_pts(j, g))
                 sizes.append(4)
 
-    def _extend_segment_fast(
+    def _extend_segment(
         self, state: _PathState, index: int, width: float, need: float
     ) -> Optional[Tuple[List[Point], List[Pattern]]]:
-        """:meth:`_extend_segment` over the persistent state.
+        """One DP attempt on segment ``index``: the chain to splice in and
+        its patterns, or ``None`` when the segment yields no gain.
 
-        Adds the whole-segment feasibility prune: a pattern at feet
+        Starts with the whole-segment feasibility prune: a pattern at feet
         ``(il, ir)`` needs height ``>= h_min``, and its height never
         exceeds ``min(col_bound[il], col_bound[ir])`` (the same admissible
         bound the DP's per-transition prune relies on) — so when no foot
@@ -860,8 +608,8 @@ class TraceExtender:
             return None
         obs.annotate(candidates=dp_cfg.n, segment_length=seg.length())
         t0 = perf_counter()
-        envs = self._environments_fast(state, index, width, dp_cfg)
-        xs = _np.arange(dp_cfg.n) * dp_cfg.step
+        envs = self._environments(state, index, width, dp_cfg)
+        xs = np.arange(dp_cfg.n) * dp_cfg.step
         col_bounds: Dict[int, List[float]] = {}
         feasible = False
         for direction in (1, -1):
@@ -1093,14 +841,6 @@ class TraceExtender:
 
 
 # -- small helpers ---------------------------------------------------------------------
-
-
-def _bbox_hits(b1, b2) -> bool:
-    return b1[0] <= b2[2] and b2[0] <= b1[2] and b1[1] <= b2[3] and b2[1] <= b1[3]
-
-
-def _inflate_bounds(b, margin: float):
-    return (b[0] - margin, b[1] - margin, b[2] + margin, b[3] + margin)
 
 
 def _trimmed(seg: Segment, at_end: bool, amount: float) -> Optional[Segment]:

@@ -12,7 +12,6 @@ meanders.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -21,7 +20,6 @@ from ..dtw import convert_pair, restore_pair
 from ..model import Board, DesignRules, DifferentialPair, MatchGroup, Trace
 from .extension import ExtensionConfig, TraceExtender
 from .scene import ClearanceScene
-from .shrink import vector_kernels_available
 
 
 @dataclass
@@ -105,15 +103,12 @@ class LengthMatchingRouter:
         # member's extender (the member itself is masked per query) and
         # kept in sync as members get rerouted — later members of a group
         # see their neighbours' meanders without any rebuild.  Built
-        # lazily on first use; stays None when the incremental extension
-        # engine is unavailable or disabled.
+        # lazily on first use.
         self._scene: Optional[ClearanceScene] = None
 
     # -- shared clearance scene ----------------------------------------------------
 
-    def _shared_scene(self) -> Optional[ClearanceScene]:
-        if self.config.extension.engine == "reference" or not vector_kernels_available():
-            return None
+    def _shared_scene(self) -> ClearanceScene:
         if self._scene is None:
             scene = ClearanceScene(self.board.obstacles)
             # Registration order mirrors _context_traces: board traces
@@ -364,20 +359,3 @@ class LengthMatchingRouter:
             rollbacks=rollbacks,
         )
 
-
-def group_tolerance(config: RouterConfig) -> float:
-    """The matching tolerance the router works to.
-
-    .. deprecated:: 1.1
-        The router now resolves one effective tolerance per group (see
-        :meth:`LengthMatchingRouter.match_group`); this helper only
-        reflects the engine default and is kept as a shim.
-    """
-    warnings.warn(
-        "group_tolerance() is deprecated; the router resolves the effective "
-        "tolerance per group (group.tolerance, or the explicit override "
-        "passed to match_group)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return config.extension.tolerance

@@ -1,8 +1,8 @@
 """Persistent clearance scene for the extension engine.
 
-``TraceExtender._world_polygons`` answers, per iteration, "which foreign
-geometry can the candidate meander touch?" — and the seed implementation
-answered it by scanning every obstacle and every segment of every other
+The extension loop asks, per iteration, "which foreign geometry can the
+candidate meander touch?" — and the seed implementation answered it by
+scanning every obstacle and every segment of every other
 trace each time, constructing fresh inflated hulls and clearance
 rectangles for every hit.  :class:`ClearanceScene` builds that answer's
 index once per board: obstacle bounding boxes and other-trace segment
@@ -17,7 +17,7 @@ flat vectorized mask over all boxes — so the mask *is* the index.  The
 grid keeps its role in the DRC, where queries are radius-local.)
 
 The scene is *exact*, not approximate: the mask evaluates the very float
-comparisons the exhaustive scan's ``_bbox_hits`` test did, so it selects
+comparisons the exhaustive scan's bounding-box test did, so it selects
 the same polygons in the same order (area handling stays with the
 extender; obstacles in board order; trace segments in context-trace
 order).  ``tests/core/test_scene.py`` pins this equivalence.
@@ -28,24 +28,18 @@ rerouted, so later members of a matching group query updated neighbours
 without any rebuild beyond re-concatenating the box arrays.
 
 Coordinates are also kept as numpy arrays so a window query can hand the
-extension engine ``(k, 2)`` blocks ready for the batched local-frame
-transform — the feed of
-:class:`~repro.core.shrink.VectorShrinkEnvironment`.  The scene therefore
-requires numpy (callers gate on
-:func:`~repro.core.shrink.vector_kernels_available`).
+extension loop ``(k, 2)`` blocks ready for the batched local-frame
+transform — the feed of :class:`~repro.core.shrink.ShrinkEnvironment`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry import Polygon, oriented_rectangle
 from ..model import Obstacle, Trace
-
-try:  # pragma: no cover - exercised via vector_kernels_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class _TraceEntry:
@@ -75,7 +69,7 @@ class _TraceEntry:
         pts = rows[si]
         if pts is None:
             poly = oriented_rectangle(self.segments[si], half)
-            pts = _np.array([(p.x, p.y) for p in poly.points])
+            pts = np.array([(p.x, p.y) for p in poly.points])
             rows[si] = pts
         return pts
 
@@ -90,16 +84,14 @@ class ClearanceScene:
     """
 
     def __init__(self, obstacles: Sequence[Obstacle] = ()):
-        if _np is None:  # pragma: no cover - callers gate on availability
-            raise RuntimeError("ClearanceScene requires numpy")
         self.obstacles = list(obstacles)
         self._entries: List[_TraceEntry] = []
         self._entry_by_name: Dict[str, int] = {}
         # Obstacle boxes never change: one (M, 4) array for the lifetime.
         self._ob_bounds = (
-            _np.array([o.bounds() for o in self.obstacles])
+            np.array([o.bounds() for o in self.obstacles])
             if self.obstacles
-            else _np.empty((0, 4))
+            else np.empty((0, 4))
         )
         # inflation -> per-obstacle (Polygon, (k, 2) array) caches.
         self._inflated: Dict[Tuple[int, float], Tuple[Polygon, object]] = {}
@@ -158,18 +150,18 @@ class ClearanceScene:
                 widths.append(entry.width)
                 degen.append(seg.is_degenerate())
         n = len(bounds)
-        self._seg_bounds = _np.array(bounds) if n else _np.empty((0, 4))
-        self._seg_entry = _np.array(entry_idx, dtype=_np.intp)
-        self._seg_index = _np.array(seg_idx, dtype=_np.intp)
-        self._seg_width = _np.array(widths)
-        self._seg_degen = _np.array(degen, dtype=bool)
+        self._seg_bounds = np.array(bounds) if n else np.empty((0, 4))
+        self._seg_entry = np.array(entry_idx, dtype=np.intp)
+        self._seg_index = np.array(seg_idx, dtype=np.intp)
+        self._seg_width = np.array(widths)
+        self._seg_degen = np.array(degen, dtype=bool)
         self._exclude_masks.clear()
         self._dirty = False
 
     def _exclude_mask(self, exclude: FrozenSet[str]):
         mask = self._exclude_masks.get(exclude)
         if mask is None:
-            mask = _np.zeros(len(self._seg_entry), dtype=bool)
+            mask = np.zeros(len(self._seg_entry), dtype=bool)
             for ei, entry in enumerate(self._entries):
                 if entry.name in exclude or (
                     entry.owner is not None and entry.owner in exclude
@@ -187,7 +179,7 @@ class ClearanceScene:
         cached = self._inflated.get(key)
         if cached is None:
             poly = self.obstacles[idx].inflated(inflation)
-            pts = _np.array([(p.x, p.y) for p in poly.points])
+            pts = np.array([(p.x, p.y) for p in poly.points])
             cached = (poly, pts)
             self._inflated[key] = cached
         return cached
@@ -207,7 +199,7 @@ class ClearanceScene:
             & (b[:, 1] <= window[3])
             & (window[1] <= b[:, 3])
         )
-        return _np.nonzero(hit)[0]
+        return np.nonzero(hit)[0]
 
     def _segment_hits(self, window, dgap: float, exclude: FrozenSet[str]):
         """(entry, segment, half) triplets hitting ``window``, in context
@@ -229,7 +221,7 @@ class ClearanceScene:
         )
         if exclude:
             hit &= ~self._exclude_mask(exclude)
-        idx = _np.nonzero(hit)[0]
+        idx = np.nonzero(hit)[0]
         return [
             (int(self._seg_entry[i]), int(self._seg_index[i]), float(half[i]))
             for i in idx
@@ -269,8 +261,9 @@ class ClearanceScene:
         """The window's world polygons as Polygon objects.
 
         The equivalence surface: this list must equal what the seed's
-        exhaustive ``_world_polygons`` scan produced for the same window
-        (minus the area and self polygons, which stay with the extender).
+        exhaustive world-polygon scan produced for the same window (minus
+        the area and self polygons, which stay with the extender); the
+        scan survives as ``tests/oracles/extension.py``.
         """
         out: List[Polygon] = []
         for idx in self._obstacle_hits(window):

@@ -27,48 +27,24 @@ rather than the Euclidean distance to the finite segment; the ordinate is
 never larger, so the result is conservative — a valid height is always
 DRC-clean.
 
-The module also owns the environment bookkeeping: node range tree
-(Sec. IV-D), edge buckets for O(1)-ish side queries, and the per-column
-node bound used by the DP as an admissible upper-bound prefilter.
-
-Two interchangeable backends implement that bookkeeping:
-
-* :class:`ShrinkEnvironment` — the pure-Python reference, built from
-  :class:`~repro.geometry.Polygon` objects exactly as the paper states it
-  (range tree and all).  Always available; the equivalence oracle.
-* :class:`VectorShrinkEnvironment` — the same queries over flat numpy
-  coordinate arrays, skipping the per-build range-tree construction that
-  dominated the extension loop's profile.  Query results are bit-identical
-  to the reference (``tests/core/test_shrink_fast.py`` enforces this in
-  the style of ``tests/dtw/test_dtw_fast.py``); only construction cost
-  differs.  Available when numpy is importable and ``REPRO_PURE_PYTHON``
-  is unset — :func:`vector_kernels_available`.
+The environment keeps the foreign geometry as flat numpy coordinate
+arrays: the ``P_check`` node query of Sec. IV-D is one vectorized box
+mask, side-line crossings are memoized per abscissa, and the per-column
+node bound the DP uses as an admissible upper-bound prefilter is one
+windowed-minimum sweep.  ``tests/oracles/shrink.py`` keeps the seed's
+polygon-and-range-tree implementation, and ``tests/core/test_shrink_fast.py``
+diffs the two bit for bit.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ..geometry import Point, Polygon, PointRangeTree
+import numpy as np
+
+from ..geometry import Point, Polygon
 from .ura import URA
-
-try:  # pragma: no cover - exercised via vector_kernels_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def vector_kernels_available() -> bool:
-    """True when the numpy-backed shrink/DP kernels can be used.
-
-    ``REPRO_PURE_PYTHON=1`` forces the pure-Python reference path even
-    with numpy installed — the switch CI's no-numpy leg and the
-    equivalence suite use to pin the fallback.
-    """
-    return _np is not None and not os.environ.get("REPRO_PURE_PYTHON")
 
 #: Strictness margin for inside/outside decisions: geometry touching a
 #: border exactly meets the clearance rule and must not trigger shrinking.
@@ -78,78 +54,124 @@ TOUCH_EPS = 1e-7
 class ShrinkEnvironment:
     """All foreign geometry of one segment extension, in the local frame.
 
-    ``polygons`` are everything the URA must not intersect: inflated
+    The polygons are everything the URA must not intersect: inflated
     obstacles, the routable-area boundary, clearance hulls of other traces
-    and of the trace's own non-adjacent segments.  The environment is
-    built once per (segment, direction) and queried O(n^2) times by the DP.
+    and of the trace's own non-adjacent segments.  ``xs``/``ys`` are their
+    concatenated vertex coordinates and ``sizes`` the per-polygon vertex
+    counts; :meth:`from_polygons` builds the arrays from
+    :class:`~repro.geometry.Polygon` objects.  The environment is built
+    once per (segment, direction) and queried O(n^2) times by the DP, so
+    construction is a handful of O(N) array ops.
+
+    Query results do not depend on evaluation order: the same float
+    expressions evaluate elementwise (IEEE-754 ops are deterministic per
+    element), the same strict/touching comparisons select candidates, and
+    reductions are plain minima.
     """
 
-    def __init__(self, polygons: Sequence[Polygon]):
-        self.polygons: List[Tuple[Point, ...]] = [tuple(p.points) for p in polygons]
-        nodes: List[Point] = []
-        node_poly: List[int] = []
-        edges: List[Tuple[Point, Point]] = []
-        edge_min_x: List[float] = []
-        edge_max_x: List[float] = []
-        for pid, pts in enumerate(self.polygons):
-            n = len(pts)
-            for i in range(n):
-                nodes.append(pts[i])
-                node_poly.append(pid)
-                a, b = pts[i], pts[(i + 1) % n]
-                edges.append((a, b))
-                edge_min_x.append(min(a.x, b.x))
-                edge_max_x.append(max(a.x, b.x))
-        self.nodes = nodes
-        self.node_poly = node_poly
-        self.edges = edges
-        self.tree = PointRangeTree(nodes)
-        # Edge interval index: edges sorted by xmin, with a running suffix
-        # check via sorted xmin + per-query xmax filter.  For the edge
-        # counts in play (hundreds), a bucket grid keeps side queries fast.
-        self._edge_order = sorted(range(len(edges)), key=lambda i: edge_min_x[i])
-        self._edge_min_sorted = [edge_min_x[i] for i in self._edge_order]
-        self._edge_max = edge_max_x
-        self._edge_min = edge_min_x
-        # Node index sorted by x for the column-bound prefilter.
-        self._nodes_by_x = sorted(range(len(nodes)), key=lambda i: nodes[i].x)
-        self._node_xs = [nodes[i].x for i in self._nodes_by_x]
+    def __init__(self, xs, ys, sizes):
+        self._xs = xs
+        self._ys = ys
+        self._sizes = sizes
+        ends = np.cumsum(sizes)
+        self._starts = ends - sizes
+        self._pid_of_node = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(xs)
+        # Edge i runs from vertex i to the next vertex of the same polygon,
+        # wrapping at polygon boundaries.
+        nxt = np.arange(1, n + 1)
+        if n:
+            nxt[ends - 1] = self._starts
+        self._bx = xs[nxt] if n else xs
+        self._by = ys[nxt] if n else ys
+        # Nodes sorted by x for the column-bound windowed minimum.
+        order = np.argsort(xs, kind="stable")
+        self._xs_sorted = xs[order]
+        ys_sorted = ys[order]
+        # Nodes at or below TOUCH_EPS never bound a column (strict
+        # interior rule); mask them to +inf once.
+        self._col_ys = np.where(ys_sorted > TOUCH_EPS, ys_sorted, np.inf)
+        self._poly_cache: Dict[int, Tuple[Point, ...]] = {}
+        # x -> lowest crossing ordinate of the side line at x (inf when
+        # none).  The crossing set does not depend on the current h_ob,
+        # so one evaluation serves every shrink of the environment.
+        self._side_memo: Dict[float, float] = {}
+
+    @classmethod
+    def from_polygons(cls, polygons: Sequence[Polygon]) -> "ShrinkEnvironment":
+        """An environment over local-frame :class:`Polygon` objects."""
+        xs = np.array([p.x for poly in polygons for p in poly.points], dtype=float)
+        ys = np.array([p.y for poly in polygons for p in poly.points], dtype=float)
+        sizes = np.array([len(poly.points) for poly in polygons], dtype=np.intp)
+        return cls(xs, ys, sizes)
+
+    # -- node and polygon access -------------------------------------------------
+
+    def _nodes_in_box(self, xmin, xmax, ymin, ymax):
+        """Node ids inside the closed box, in ascending id order.
+
+        Ascending order is the canonical candidate order of the shrink
+        fixpoint.
+        """
+        mask = (
+            (self._xs >= xmin)
+            & (self._xs <= xmax)
+            & (self._ys >= ymin)
+            & (self._ys <= ymax)
+        )
+        return np.nonzero(mask)[0]
+
+    def _poly_points(self, pid: int) -> Tuple[Point, ...]:
+        """Vertices of polygon ``pid`` as Point objects (cached)."""
+        pts = self._poly_cache.get(pid)
+        if pts is None:
+            s = int(self._starts[pid])
+            e = s + int(self._sizes[pid])
+            pts = tuple(
+                Point(float(x), float(y))
+                for x, y in zip(self._xs[s:e], self._ys[s:e])
+            )
+            self._poly_cache[pid] = pts
+        return pts
 
     # -- side crossings (Eq. 11) -------------------------------------------------
 
-    def _edges_spanning(self, x: float) -> List[int]:
-        """Edges whose x-interval contains ``x`` (candidates for crossing)."""
-        hi = bisect.bisect_right(self._edge_min_sorted, x)
-        return [
-            self._edge_order[k]
-            for k in range(hi)
-            if self._edge_max[self._edge_order[k]] >= x
-        ]
-
     def side_bound(self, x: float, h_ob: float) -> float:
         """Lowest ordinate at which an edge properly crosses the vertical
-        side line at ``x`` within (0, h_ob]; ``h_ob`` when none does.
+        side line at ``x`` within (TOUCH_EPS, h_ob); ``h_ob`` when none does.
 
         Only *strict* sign changes count: edges touching or running along
         the side line meet the clearance exactly and are legal.  Edges
         entering through a vertex on the line are caught by the node phase
-        (the vertex is a node inside the border).
+        (the vertex is a node inside the border).  With S(x) the crossing
+        minimum above TOUCH_EPS, the answer is S(x) when S(x) < h_ob and
+        h_ob otherwise — so S(x) memoizes across the many h_ob values the
+        DP probes at the same foot abscissas.
         """
-        best = h_ob
-        for idx in self._edges_spanning(x):
-            a, b = self.edges[idx]
-            dxa, dxb = a.x - x, b.x - x
-            if dxa > TOUCH_EPS and dxb > TOUCH_EPS:
-                continue
-            if dxa < -TOUCH_EPS and dxb < -TOUCH_EPS:
-                continue
-            if abs(dxa) <= TOUCH_EPS or abs(dxb) <= TOUCH_EPS:
-                continue  # touching / vertex-on-line: node phase handles it
-            t = dxa / (dxa - dxb)
-            y = a.y + (b.y - a.y) * t
-            if TOUCH_EPS < y < best:
-                best = y
-        return best
+        s = self._side_memo.get(x)
+        if s is None:
+            s = self._side_min(x)
+            self._side_memo[x] = s
+        return s if s < h_ob else h_ob
+
+    def _side_min(self, x: float) -> float:
+        dxa = self._xs - x
+        dxb = self._bx - x
+        # Strict sign changes only: both ends strictly on opposite sides.
+        keep = ((dxa > TOUCH_EPS) & (dxb < -TOUCH_EPS)) | (
+            (dxa < -TOUCH_EPS) & (dxb > TOUCH_EPS)
+        )
+        if not keep.any():
+            return math.inf
+        da = dxa[keep]
+        db = dxb[keep]
+        t = da / (da - db)
+        ay = self._ys[keep]
+        y = ay + (self._by[keep] - ay) * t
+        sel = y > TOUCH_EPS
+        if not sel.any():
+            return math.inf
+        return float(y[sel].min())
 
     # -- column node bound (DP prefilter) -----------------------------------------
 
@@ -162,44 +184,22 @@ class ShrinkEnvironment:
         hopeless exact shrinks.  Strict interior only, matching the
         shrinker's touching semantics.
         """
-        lo = bisect.bisect_left(self._node_xs, x - g + TOUCH_EPS)
-        hi = bisect.bisect_right(self._node_xs, x + g - TOUCH_EPS)
-        best = math.inf
-        for k in range(lo, hi):
-            y = self.nodes[self._nodes_by_x[k]].y
-            if y > TOUCH_EPS and y < best:
-                best = y
-        return best
+        return float(self.column_bounds(np.asarray([x]), g)[0])
 
-    def column_bounds(self, xs: Sequence[float], g: float) -> List[float]:
-        """:meth:`column_node_bound` for a batch of abscissas.
-
-        The DP calls this once per (segment, direction) for all ``n``
-        discretization points; the vector backend answers it in one
-        windowed-minimum sweep instead of ``n`` scalar queries.
-        """
-        return [self.column_node_bound(x, g) for x in xs]
-
-    # -- backend primitives (overridden by the vector backend) --------------------
-
-    def _nodes_in_box(
-        self, xmin: float, xmax: float, ymin: float, ymax: float
-    ) -> Sequence[int]:
-        """Node ids inside the closed box, in ascending id order.
-
-        Ascending order is the canonical candidate order of the shrink
-        fixpoint — independent of which index structure found the nodes,
-        so both backends seed the fixpoint identically.
-        """
-        return sorted(self.tree.query(xmin, xmax, ymin, ymax))
-
-    def _node_pid(self, nid: int) -> int:
-        """Owning polygon id of node ``nid``."""
-        return self.node_poly[nid]
-
-    def _poly_points(self, pid: int) -> Tuple[Point, ...]:
-        """Vertices of polygon ``pid`` as Point objects."""
-        return self.polygons[pid]
+    def column_bounds(self, xs, g: float):
+        """:meth:`column_node_bound` for a batch of abscissas, in one
+        windowed-minimum sweep."""
+        xs = np.asarray(xs)
+        lo = np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="left")
+        hi = np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="right")
+        if len(self._xs_sorted) == 0:
+            return np.full(len(xs), np.inf)
+        # minimum.reduceat over interleaved [lo, hi) pairs; the +inf
+        # sentinel keeps hi == len legal, empty windows are patched after.
+        arr = np.append(self._col_ys, np.inf)
+        idx = np.stack([lo, hi], axis=1).ravel()
+        mins = np.minimum.reduceat(arr, idx)[::2]
+        return np.where(lo < hi, mins, np.inf)
 
     # -- the full shrink (Alg. 2 + Eqs. 10-13) ---------------------------------------
 
@@ -240,14 +240,15 @@ class ShrinkEnvironment:
             return 0.0
 
         # Steps 2+3 — node checks against the (shrinking) outer and inner
-        # borders, iterated to the fixpoint.  P_check comes from the range
-        # tree exactly as in Sec. IV-D.
+        # borders, iterated to the fixpoint.  P_check is the closed-box
+        # node query of Sec. IV-D.
         candidate_ids = self._nodes_in_box(
             xl_out + TOUCH_EPS, xr_out - TOUCH_EPS, TOUCH_EPS, h_ob - TOUCH_EPS
         )
-        active: Dict[int, bool] = {}
-        for nid in candidate_ids:
-            active[self._node_pid(nid)] = True
+        # Owning polygons in ascending node-id order (first sighting wins).
+        active: Dict[int, bool] = dict.fromkeys(
+            self._pid_of_node[candidate_ids].tolist(), True
+        )
 
         changed = True
         while changed and active:
@@ -282,128 +283,3 @@ class ShrinkEnvironment:
 
         h = min(h_init, h_ob - g)
         return h if h >= h_min else 0.0
-
-
-class VectorShrinkEnvironment(ShrinkEnvironment):
-    """Numpy-backed shrink environment over flat coordinate arrays.
-
-    Built from the already-transformed local-frame coordinates of the
-    world polygons — ``xs``/``ys`` are the concatenated vertex arrays and
-    ``sizes`` the per-polygon vertex counts.  Construction is a handful of
-    O(N) array ops (the reference build's range tree alone is O(N log N)
-    with a large Python constant), which is what makes a fresh environment
-    per extension iteration affordable.
-
-    Every query matches :class:`ShrinkEnvironment` bit-for-bit: the same
-    float expressions evaluate elementwise (IEEE-754 ops are deterministic
-    per element), the same strict/touching comparisons select candidates,
-    and reductions are plain minima, which are order-independent.
-    """
-
-    def __init__(self, xs, ys, sizes):  # numpy arrays; no Polygon objects
-        if _np is None:  # pragma: no cover - callers gate on availability
-            raise RuntimeError("VectorShrinkEnvironment requires numpy")
-        self._xs = xs
-        self._ys = ys
-        self._sizes = sizes
-        ends = _np.cumsum(sizes)
-        self._starts = ends - sizes
-        self._pid_of_node = _np.repeat(_np.arange(len(sizes)), sizes)
-        n = len(xs)
-        # Edge i runs from vertex i to the next vertex of the same polygon
-        # (wrapping at polygon boundaries) — identical to the reference's
-        # ``pts[i] -> pts[(i + 1) % n]`` enumeration.
-        nxt = _np.arange(1, n + 1)
-        if n:
-            nxt[ends - 1] = self._starts
-        self._bx = xs[nxt] if n else xs
-        self._by = ys[nxt] if n else ys
-        # Nodes sorted by x for the column-bound windowed minimum.
-        order = _np.argsort(xs, kind="stable")
-        self._xs_sorted = xs[order]
-        ys_sorted = ys[order]
-        # Nodes at or below TOUCH_EPS never bound a column (strict
-        # interior rule); mask them to +inf once.
-        self._col_ys = _np.where(ys_sorted > TOUCH_EPS, ys_sorted, _np.inf)
-        self._poly_cache: Dict[int, Tuple[Point, ...]] = {}
-        # x -> lowest crossing ordinate of the side line at x (inf when
-        # none).  The crossing set does not depend on the current h_ob,
-        # so one evaluation serves every shrink of the environment.
-        self._side_memo: Dict[float, float] = {}
-
-    # -- backend primitives --------------------------------------------------------
-
-    def _nodes_in_box(self, xmin, xmax, ymin, ymax):
-        mask = (
-            (self._xs >= xmin)
-            & (self._xs <= xmax)
-            & (self._ys >= ymin)
-            & (self._ys <= ymax)
-        )
-        return _np.nonzero(mask)[0]
-
-    def _node_pid(self, nid: int) -> int:
-        return int(self._pid_of_node[nid])
-
-    def _poly_points(self, pid: int) -> Tuple[Point, ...]:
-        pts = self._poly_cache.get(pid)
-        if pts is None:
-            s = int(self._starts[pid])
-            e = s + int(self._sizes[pid])
-            pts = tuple(
-                Point(float(x), float(y))
-                for x, y in zip(self._xs[s:e], self._ys[s:e])
-            )
-            self._poly_cache[pid] = pts
-        return pts
-
-    # -- queries -------------------------------------------------------------------
-
-    def side_bound(self, x: float, h_ob: float) -> float:
-        # The reference accumulates min(h_ob, min crossing y in
-        # (TOUCH_EPS, h_ob)); with S(x) the global crossing minimum above
-        # TOUCH_EPS that is exactly S(x) when S(x) < h_ob and h_ob
-        # otherwise — so S(x) memoizes across the many h_ob values the
-        # DP probes at the same foot abscissas.
-        s = self._side_memo.get(x)
-        if s is None:
-            s = self._side_min(x)
-            self._side_memo[x] = s
-        return s if s < h_ob else h_ob
-
-    def _side_min(self, x: float) -> float:
-        dxa = self._xs - x
-        dxb = self._bx - x
-        # The scalar loop's skip rules (both strictly right, both strictly
-        # left, either endpoint touching the line) leave exactly the
-        # strict sign changes:
-        keep = ((dxa > TOUCH_EPS) & (dxb < -TOUCH_EPS)) | (
-            (dxa < -TOUCH_EPS) & (dxb > TOUCH_EPS)
-        )
-        if not keep.any():
-            return math.inf
-        da = dxa[keep]
-        db = dxb[keep]
-        t = da / (da - db)
-        ay = self._ys[keep]
-        y = ay + (self._by[keep] - ay) * t
-        sel = y > TOUCH_EPS
-        if not sel.any():
-            return math.inf
-        return float(y[sel].min())
-
-    def column_node_bound(self, x: float, g: float) -> float:
-        return float(self.column_bounds(_np.asarray([x]), g)[0])
-
-    def column_bounds(self, xs, g: float):
-        xs = _np.asarray(xs)
-        lo = _np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="left")
-        hi = _np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="right")
-        if len(self._xs_sorted) == 0:
-            return _np.full(len(xs), _np.inf)
-        # minimum.reduceat over interleaved [lo, hi) pairs; the +inf
-        # sentinel keeps hi == len legal, empty windows are patched after.
-        arr = _np.append(self._col_ys, _np.inf)
-        idx = _np.stack([lo, hi], axis=1).ravel()
-        mins = _np.minimum.reduceat(arr, idx)[::2]
-        return _np.where(lo < hi, mins, _np.inf)

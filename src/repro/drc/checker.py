@@ -3,8 +3,10 @@
 The checker is the library's ground-truth oracle: the router's unit and
 integration tests assert that every meandered result passes these checks,
 and the extension loop re-validates applied patterns against them
-(rollback on failure keeps the adjacent-URA approximation honest; see
-DESIGN.md).
+(rollback on failure keeps the adjacent-URA approximation honest: the
+extension loop trims the URAs of the segments next to the one it extends,
+which can let a cross-structure ``d_gap`` conflict through unless the
+applied result is re-checked).
 
 All clearances are *edge-to-edge*: a centreline measurement passes when it
 exceeds the rule plus the relevant copper half-widths.

@@ -99,7 +99,7 @@ def median_points(
 
 
 def virtual_rules_for(pair: DifferentialPair, base: DesignRules) -> DesignRules:
-    """The virtual DRC of a merged pair (DESIGN.md, "Virtual DRC").
+    """The virtual DRC of a merged pair (Sec. V-A).
 
     Clearances are edge-to-edge quantities; with the median's width set to
     the pair envelope (``r + w``) they carry over unchanged.  The

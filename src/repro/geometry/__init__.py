@@ -2,7 +2,7 @@
 
 Everything the router needs from a geometry engine, implemented from
 scratch: points, segments, polylines, simple polygons, segment-local
-frames, orthogonal range trees and composite operations (offsets,
+frames, spatial hashing and composite operations (offsets,
 clearances, rectilinear unions).
 """
 
@@ -25,7 +25,6 @@ from .polygon import (
     regular_polygon,
 )
 from .transform import Frame, Rotation, rotation_about
-from .rangequery import PointRangeTree, brute_force_range
 from .spatialhash import SegmentGrid, bounds_overlap
 from .ops import (
     cells_union_boundary,
@@ -62,8 +61,6 @@ __all__ = [
     "Frame",
     "Rotation",
     "rotation_about",
-    "PointRangeTree",
-    "brute_force_range",
     "SegmentGrid",
     "bounds_overlap",
     "cells_union_boundary",

@@ -190,8 +190,7 @@ class Polygon:
 
         Exact for convex polygons (all benchmark obstacles: pads, vias,
         rectangles).  For concave polygons the miter construction can
-        self-intersect, so callers guard with :meth:`is_convex`; DESIGN.md
-        records this limitation.
+        self-intersect, so callers guard with :meth:`is_convex`.
         """
         if margin == 0.0:
             return self

@@ -258,10 +258,3 @@ class TestToleranceResolution:
         result = RoutingSession(board, config).run()
         member = result.groups[0].members[0]
         assert member.length_after == pytest.approx(95.0, abs=1e-3)
-
-    def test_group_tolerance_shim_deprecated(self):
-        from repro.core import RouterConfig
-        from repro.core.router import group_tolerance
-
-        with pytest.warns(DeprecationWarning):
-            assert group_tolerance(RouterConfig()) == 1e-3

@@ -39,8 +39,10 @@ def make_dp(
         max_width_steps=max_width_steps,
     )
     envs = {
-        1: ShrinkEnvironment(list(polys)),
-        -1: ShrinkEnvironment([Polygon([p for p in poly.points]) for poly in polys]),
+        1: ShrinkEnvironment.from_polygons(list(polys)),
+        -1: ShrinkEnvironment.from_polygons(
+            [Polygon([p for p in poly.points]) for poly in polys]
+        ),
     }
     return SegmentDP(cfg, envs)
 

@@ -1,108 +1,31 @@
-"""Corpus-driven engine equivalence: incremental vs. reference, bit-exact.
+"""Corpus-driven engine equivalence: production vs. the seed loop, bit-exact.
 
-The incremental extension engine's contract is *bit-identical routed
-geometry*: for every registered scenario family and seed, an end-to-end
-session routed with ``engine="incremental"`` must produce the same
+The production extension engine's contract is *bit-identical routed
+geometry* to the seed loop it replaced: for every registered scenario
+family and seed, an end-to-end session routed with the production
+:class:`~repro.core.extension.TraceExtender` must produce the same
 status, the same achieved lengths (compared by ``repr`` — every bit of
-the float) and the same path coordinates as ``engine="reference"``, and
-the ``REPRO_PURE_PYTHON`` fallback must land on the same geometry again.
-This is the suite the module docstrings point at when they claim
-equivalence.
+the float) and the same path coordinates as the same session routed with
+the test-only :class:`oracles.extension.ReferenceTraceExtender`
+monkeypatched into the router.  ``tests/core/test_routing_digests.py``
+pins the same production runs against a frozen golden.
 """
 
 import pytest
 
-from repro.api import RoutingSession, SessionConfig
-from repro.core import vector_kernels_available
-from repro.scenarios import generate, scenario_names
-
-FAMILIES = [name for name in scenario_names() if name != "imported"]
-SEEDS = range(5)
-
-
-def route_digest(family, seed, engine):
-    """Status plus every routed trace's exact length and coordinates."""
-    board = generate(family, seed=seed)
-    config = SessionConfig.preset("fast")
-    config.extension.engine = engine
-    result = RoutingSession(board, config=config).run()
-    digest = {}
-    for trace in board.traces:
-        digest[trace.name] = (
-            repr(trace.length()),
-            tuple((repr(p.x), repr(p.y)) for p in trace.path.points),
-        )
-    for pair in board.pairs:
-        for trace in (pair.trace_p, pair.trace_n):
-            digest[trace.name] = (
-                repr(trace.length()),
-                tuple((repr(p.x), repr(p.y)) for p in trace.path.points),
-            )
-    return result.status, digest
-
-
-@pytest.mark.skipif(
-    not vector_kernels_available(),
-    reason="vector kernels disabled (REPRO_PURE_PYTHON)",
+import repro.core.router as router_mod
+from oracles.digests import (
+    SEEDS,
+    corpus_families,
+    production_route_digest,
+    route_digest,
 )
-@pytest.mark.parametrize("family", FAMILIES)
-def test_incremental_matches_reference_across_seeds(family):
-    for seed in SEEDS:
-        reference = route_digest(family, seed, "reference")
-        incremental = route_digest(family, seed, "incremental")
-        assert incremental == reference, (family, seed)
+from oracles.extension import ReferenceTraceExtender
 
 
-@pytest.mark.skipif(
-    not vector_kernels_available(),
-    reason="needs numpy available to compare against the fallback",
-)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_pure_python_fallback_matches_numpy(family, monkeypatch):
-    # ``auto`` resolves to the incremental engine with numpy and to the
-    # reference loop under REPRO_PURE_PYTHON=1 (the CI no-numpy leg);
-    # both resolutions must route identically.
-    for seed in SEEDS:
-        with_numpy = route_digest(family, seed, "auto")
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        without = route_digest(family, seed, "auto")
-        monkeypatch.delenv("REPRO_PURE_PYTHON")
-        assert without == with_numpy, (family, seed)
-
-
-def test_engine_names_validated():
-    from repro.core import ExtensionConfig, TraceExtender
-    from repro.model import DesignRules
-    from repro.geometry import Point, Polygon
-
-    area = Polygon([Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)])
-    extender = TraceExtender(
-        DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0),
-        area,
-        config=ExtensionConfig(engine="warp-drive"),
-    )
-    with pytest.raises(ValueError):
-        extender.resolved_engine()
-
-
-def test_auto_resolution(monkeypatch):
-    from repro.core import ExtensionConfig, TraceExtender
-    from repro.model import DesignRules
-    from repro.geometry import Point, Polygon
-
-    area = Polygon([Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)])
-    rules = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
-
-    def resolved(engine):
-        return TraceExtender(
-            rules, area, config=ExtensionConfig(engine=engine)
-        ).resolved_engine()
-
-    if vector_kernels_available():
-        assert resolved("auto") == "incremental"
-        assert resolved("incremental") == "incremental"
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-    # Without the kernels, every spelling degrades to the reference loop.
-    assert resolved("auto") == "reference"
-    assert resolved("incremental") == "reference"
-    assert resolved("reference") == "reference"
+@pytest.mark.parametrize("family", corpus_families())
+def test_incremental_matches_reference_across_seeds(family, monkeypatch):
+    production = [production_route_digest(family, seed) for seed in SEEDS]
+    monkeypatch.setattr(router_mod, "TraceExtender", ReferenceTraceExtender)
+    for seed, expected in zip(SEEDS, production):
+        assert route_digest(family, seed) == expected, (family, seed)

@@ -1,6 +1,6 @@
-"""White-box tests for the incremental engine's path state.
+"""White-box tests for the extension loop's path state.
 
-The stale-duplicate-key bug this PR fixes: the reference queue addresses
+The stale-duplicate-key bug of the seed loop: its queue addresses
 segments by coordinates rounded to 1e-6, so two distinct segments can
 share a key and a queued entry can silently alias onto geometry it never
 meant.  ``_PathState`` replaces keys with stable integer handles that
@@ -13,16 +13,13 @@ import math
 
 import pytest
 
-from repro.core.extension import (
-    ExtensionConfig,
-    TraceExtender,
-    _PathState,
-    _segment_key,
-)
+from oracles.extension import ReferenceTraceExtender, _segment_key
+from repro.core.extension import ExtensionConfig, TraceExtender, _PathState
 from repro.geometry import Point, Polygon, Polyline, Segment
 from repro.model import DesignRules, Trace
 
-pytest.importorskip("numpy")
+#: Engine name -> extender class: production, or the seed-loop oracle.
+EXTENDERS = {"incremental": TraceExtender, "reference": ReferenceTraceExtender}
 
 
 def make_state(xs=(0.0, 10.0, 20.0, 30.0)):
@@ -139,9 +136,7 @@ class TestNoWastedIterations:
             [Point(-20, -50), Point(120, -50), Point(120, 50), Point(-20, 50)]
         )
         trace = Trace("t", Polyline([Point(0, 0), Point(100, 0)]), width=1.0)
-        extender = TraceExtender(
-            rules, area, config=ExtensionConfig(engine=engine)
-        )
+        extender = EXTENDERS[engine](rules, area, config=ExtensionConfig())
         return extender.extend(trace, 260.0)
 
     @pytest.mark.parametrize("engine", ["reference", "incremental"])
@@ -183,11 +178,11 @@ class TestNoWastedIterations:
         trace = Trace("t", Polyline([Point(0, 0), Point(100, 0)]), width=1.0)
 
         def run(engine):
-            extender = TraceExtender(
+            extender = EXTENDERS[engine](
                 rules,
                 area,
                 obstacles=obstacles,
-                config=ExtensionConfig(engine=engine, max_iterations=60),
+                config=ExtensionConfig(max_iterations=60),
             )
             return extender.extend(trace, math.inf)
 

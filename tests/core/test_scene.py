@@ -1,7 +1,7 @@
 """ClearanceScene vs. the exhaustive world-polygon scan.
 
 The scene's window queries must reproduce the seed extender's
-``_world_polygons`` context scan *exactly* — same polygons, same floats,
+``_world_polygons`` context scan (``tests/oracles/extension.py``) *exactly* — same polygons, same floats,
 same order — under registration, exclusion and in-place trace updates.
 The oracle here is a verbatim reimplementation of that scan's context
 portion (obstacles + other-trace clearance rectangles; the area and the
@@ -12,16 +12,9 @@ import random
 
 import pytest
 
-from repro.core import ClearanceScene, vector_kernels_available
+from repro.core import ClearanceScene
 from repro.geometry import Point, Polygon, Polyline, Segment, oriented_rectangle
 from repro.model import Obstacle, Trace
-
-pytest.importorskip("numpy")
-
-pytestmark = pytest.mark.skipif(
-    not vector_kernels_available(),
-    reason="vector kernels disabled (REPRO_PURE_PYTHON)",
-)
 
 
 def _bbox_hits(b, window):

@@ -18,7 +18,7 @@ BIG = 50.0    # generous initial height
 
 
 def env_of(*polys) -> ShrinkEnvironment:
-    return ShrinkEnvironment(list(polys))
+    return ShrinkEnvironment.from_polygons(list(polys))
 
 
 def boundary(height: float = 40.0) -> Polygon:

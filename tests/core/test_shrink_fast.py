@@ -1,12 +1,13 @@
-"""Equivalence tests: vector shrink kernels vs. the reference environment.
+"""Equivalence tests: the numpy shrink environment vs. the seed oracle.
 
-:class:`VectorShrinkEnvironment` must be *bit-identical* to
-:class:`ShrinkEnvironment` — same side bounds, same column bounds, same
-shrink fixpoints, same tie resolution — over randomized polygon soups, in
-the style of ``tests/dtw/test_dtw_fast.py``.  The vector backend is built
-from the flat coordinate arrays the extension engine would hand it, so
-the tests exercise exactly the construction path the incremental engine
-uses.
+Production's :class:`repro.core.shrink.ShrinkEnvironment` must be
+*bit-identical* to the polygon-and-range-tree
+:class:`oracles.shrink.ShrinkEnvironment` — same side bounds, same column
+bounds, same shrink fixpoints, same tie resolution — over randomized
+polygon soups, in the style of ``tests/dtw/test_dtw_fast.py``.  The
+production environment is built from the flat coordinate arrays the
+extension loop would hand it, so the tests exercise exactly the
+construction path the loop uses.
 """
 
 import math
@@ -14,19 +15,11 @@ import random
 
 import pytest
 
-from repro.core import (
-    ShrinkEnvironment,
-    VectorShrinkEnvironment,
-    vector_kernels_available,
-)
+import numpy as np
+
+from oracles.shrink import ShrinkEnvironment as OracleShrinkEnvironment
+from repro.core import ShrinkEnvironment
 from repro.geometry import Point, Polygon
-
-np = pytest.importorskip("numpy")
-
-pytestmark = pytest.mark.skipif(
-    not vector_kernels_available(),
-    reason="vector kernels disabled (REPRO_PURE_PYTHON)",
-)
 
 
 def random_polygons(seed, n_polys=14, span=50.0):
@@ -68,11 +61,11 @@ def random_polygons(seed, n_polys=14, span=50.0):
 
 
 def both_envs(polys):
-    ref = ShrinkEnvironment(polys)
+    ref = OracleShrinkEnvironment(polys)
     xs = np.array([p.x for poly in polys for p in poly.points])
     ys = np.array([p.y for poly in polys for p in poly.points])
     sizes = np.array([len(poly.points) for poly in polys], dtype=np.intp)
-    return ref, VectorShrinkEnvironment(xs, ys, sizes)
+    return ref, ShrinkEnvironment(xs, ys, sizes)
 
 
 class TestSideBound:

@@ -1,9 +1,11 @@
-"""Unit tests for the Sec. IV-D range tree."""
+"""Unit tests for the Sec. IV-D range tree (the oracle shrink environment's
+node index, ``tests/oracles/rangequery.py``)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Point, PointRangeTree, brute_force_range
+from oracles.rangequery import PointRangeTree, brute_force_range
+from repro.geometry import Point
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 

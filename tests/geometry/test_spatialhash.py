@@ -2,8 +2,8 @@
 
 :class:`SegmentGrid` promises a *superset*: every indexed segment within
 ``radius`` of the probe must be reported (false positives are allowed —
-the DRC filters them with exact tests).  :class:`PointRangeTree` promises
-exact range reporting.  Both are validated against O(N) oracles on
+the DRC filters them with exact tests).  :class:`PointRangeTree` (the
+oracle shrink environment's node index) promises exact range reporting.  Both are validated against O(N) oracles on
 random inputs.
 """
 
@@ -11,13 +11,8 @@ import random
 
 import pytest
 
-from repro.geometry import (
-    Point,
-    PointRangeTree,
-    Segment,
-    SegmentGrid,
-    brute_force_range,
-)
+from oracles.rangequery import PointRangeTree, brute_force_range
+from repro.geometry import Point, Segment, SegmentGrid
 
 
 def random_segments(rng, n, span=60.0, max_len=9.0):

@@ -1,4 +1,8 @@
-"""Orthogonal range queries over polygon node points.
+"""Orthogonal range queries over polygon node points (test oracle).
+
+The oracle shrink environment (:mod:`oracles.shrink`) answers its
+``P_check`` queries with this tree, exactly as the paper states it; the
+production environment replaces it with one vectorized box mask.
 
 Implements the data structure of the paper's Sec. IV-D: a segment tree
 over the abscissa ranks of the node points, where every tree node stores
@@ -13,7 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Sequence, Tuple
 
-from .primitives import Point
+from repro.geometry import Point
 
 
 class PointRangeTree:
