@@ -20,7 +20,7 @@ import math
 import pytest
 
 from repro.bench.designs import make_table2_design
-from repro.core import ExtensionConfig, TraceExtender
+from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.geometry import Point, Polyline, rectangle
 from repro.model import DesignRules, Trace
 
@@ -29,7 +29,7 @@ CORRIDOR = rectangle(-5.0, -8.0, 105.0, 8.0)
 
 
 def _extender(**cfg) -> TraceExtender:
-    return TraceExtender(RULES, CORRIDOR, [], [], ExtensionConfig(**cfg))
+    return TraceExtender(RULES, CORRIDOR, config=ExtensionConfig(**cfg))
 
 
 def _trace() -> Trace:
@@ -84,7 +84,7 @@ def test_ablation_obstacle_enclosure(once):
 
     def run():
         full = TraceExtender(
-            RULES, area, vias, [], ExtensionConfig(**cfg)
+            RULES, area, ClearanceScene(vias), ExtensionConfig(**cfg)
         ).extension_upper_bound(trace).achieved
 
         original = ShrinkEnvironment.max_pattern_height
@@ -95,7 +95,7 @@ def test_ablation_obstacle_enclosure(once):
         ShrinkEnvironment.max_pattern_height = avoid_only
         try:
             avoid = TraceExtender(
-                RULES, area, vias, [], ExtensionConfig(**cfg)
+                RULES, area, ClearanceScene(vias), ExtensionConfig(**cfg)
             ).extension_upper_bound(trace).achieved
         finally:
             ShrinkEnvironment.max_pattern_height = original

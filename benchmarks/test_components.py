@@ -53,7 +53,7 @@ def test_bench_trace_extension(benchmark):
     trace = Trace("t", Polyline([Point(0, 0), Point(100, 0)]), width=1.0)
 
     def run():
-        ext = TraceExtender(rules, area, [], [], ExtensionConfig())
+        ext = TraceExtender(rules, area, config=ExtensionConfig())
         return ext.extend(trace, 150.0)
 
     result = benchmark(run)

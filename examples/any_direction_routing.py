@@ -46,7 +46,7 @@ def rotation_equivariance_demo() -> None:
     for deg in (0, 17, 45, 73, 133, 211):
         rot = rotation_about(Point(0, 0), math.radians(deg))
         trace = base.with_path(rot.apply_polyline(base.path))
-        ext = TraceExtender(rules, area, [], [], ExtensionConfig())
+        ext = TraceExtender(rules, area, config=ExtensionConfig())
         result = ext.extend(trace, target)
         print(f"  {deg:>3} deg: achieved {result.achieved:.6f} "
               f"({result.patterns_applied} patterns)")

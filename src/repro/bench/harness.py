@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from ..api import RoutingSession, SessionConfig
 from ..core import (
     AiDTProxy,
+    ClearanceScene,
     ExtensionConfig,
     FixedTrackMeander,
     TraceExtender,
@@ -134,8 +135,7 @@ def _table2_extender(board: Board, trace: Trace, use_dp: bool):
     return cls(
         rules=rules,
         area=area,
-        obstacles=board.obstacles,
-        other_traces=[],
+        scene=ClearanceScene(board.obstacles),
         config=ExtensionConfig(max_iterations=800),
     )
 

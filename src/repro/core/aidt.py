@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..geometry import Frame, Point, Polyline, offset_polyline
 from ..model import Board, DesignRules, DifferentialPair, MatchGroup, Trace
@@ -32,6 +32,7 @@ from .baseline import FixedTrackConfig, FixedTrackMeander
 from .extension import ExtensionConfig, _PathState
 from .pattern import Pattern, patterns_to_chain
 from .router import GroupReport, MemberReport
+from .scene import ClearanceScene
 
 
 @dataclass
@@ -58,7 +59,6 @@ class _UniformAmplitudeMeander(FixedTrackMeander):
         dp_cfg = self._dp_config(seg, width, need)
         if dp_cfg is None:
             return None
-        self._ensure_fast_context()
         envs = self._environments(_PathState(path), index, width, dp_cfg)
         step = dp_cfg.step
         w_steps = max(dp_cfg.w_min, int(round(max(self.rules.dprotect, step) / step)))
@@ -133,6 +133,9 @@ class AiDTProxy:
     def __init__(self, board: Board, config: Optional[AiDTConfig] = None):
         self.board = board
         self.config = config or AiDTConfig()
+        # The board context every member clears, built on first use and
+        # kept in sync as members get rerouted (as the router does).
+        self._scene: Optional[ClearanceScene] = None
 
     def match_group(self, group: MatchGroup) -> GroupReport:
         target = group.resolved_target()
@@ -148,25 +151,16 @@ class AiDTProxy:
 
     # -- members ---------------------------------------------------------------------
 
-    def _context(self, exclude: Sequence[str]) -> List[Trace]:
-        excluded = set(exclude)
-        out = [t for t in self.board.traces if t.name not in excluded]
-        for pair in self.board.pairs:
-            if pair.name in excluded:
-                continue
-            out.extend(
-                t for t in (pair.trace_p, pair.trace_n) if t.name not in excluded
-            )
-        return out
-
     def _meander(self, member_name: str, exclude, rules: DesignRules):
+        if self._scene is None:
+            self._scene = ClearanceScene.from_board(self.board)
         area = self.board.routable_areas.get(member_name, self.board.outline)
         return _UniformAmplitudeMeander(
             rules=rules,
             area=area,
-            obstacles=self.board.obstacles,
-            other_traces=self._context(exclude),
+            scene=self._scene,
             config=ExtensionConfig(),
+            exclude=exclude,
             fixed=FixedTrackConfig(tolerance=self.config.tolerance),
         )
 
@@ -176,6 +170,7 @@ class AiDTProxy:
         meander = self._meander(trace.name, [trace.name], rules)
         result = meander.extend(trace, target)
         self.board.replace_trace(result.trace)
+        self._scene.update_trace(result.trace)
         return MemberReport(
             name=trace.name,
             kind="trace",
@@ -215,6 +210,8 @@ class AiDTProxy:
             pair.trace_n.with_path(new_n.simplified()),
         )
         self.board.replace_pair(restored)
+        self._scene.update_trace(restored.trace_p)
+        self._scene.update_trace(restored.trace_n)
         return MemberReport(
             name=pair.name,
             kind="pair",

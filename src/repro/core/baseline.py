@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..geometry import Frame, Polygon
-from ..model import DesignRules, Obstacle, Trace
+from ..model import DesignRules, Trace
 from .extension import ExtensionConfig, ExtensionResult, TraceExtender, _PathState
 from .pattern import Pattern, patterns_to_chain
+from .scene import ClearanceScene
 
 
 @dataclass
@@ -54,12 +55,12 @@ class FixedTrackMeander(TraceExtender):
         self,
         rules: DesignRules,
         area: Polygon,
-        obstacles: Sequence[Obstacle] = (),
-        other_traces: Sequence[Trace] = (),
+        scene: Optional[ClearanceScene] = None,
         config: Optional[ExtensionConfig] = None,
+        exclude: Sequence[str] = (),
         fixed: Optional[FixedTrackConfig] = None,
     ):
-        super().__init__(rules, area, obstacles, other_traces, config)
+        super().__init__(rules, area, scene, config, exclude)
         self.fixed = fixed or FixedTrackConfig()
 
     def extend(self, trace: Trace, target: float) -> ExtensionResult:
@@ -106,7 +107,6 @@ class FixedTrackMeander(TraceExtender):
         dp_cfg = self._dp_config(seg, width, need)
         if dp_cfg is None:
             return None
-        self._ensure_fast_context()
         envs = self._environments(_PathState(path), index, width, dp_cfg)
         step = dp_cfg.step
         w_fixed = self.fixed.pattern_width or max(

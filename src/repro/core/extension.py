@@ -17,8 +17,9 @@ the trace whenever that approximation would let a cross-structure
 ``d_gap`` conflict through.
 
 The loop keeps persistent state across iterations: a
-:class:`~repro.core.scene.ClearanceScene` answers the clearance-window
-queries (obstacles and other traces near the segment), a
+:class:`~repro.core.scene.ClearanceScene`, the extender's only board
+context, answers the clearance-window queries (obstacles and other
+traces near the segment or near a chevron candidate), a
 :class:`_PathState` keeps stable segment handles plus incremental
 per-segment length/bounds/rectangle caches, both shrink environments of a
 segment come from one batched local-frame transform, and a per-segment
@@ -48,7 +49,7 @@ from ..geometry import (
     Segment,
     oriented_rectangle,
 )
-from ..model import DesignRules, Obstacle, Trace
+from ..model import DesignRules, Trace
 from .dp import DPConfig, SegmentDP
 from .pattern import Pattern, patterns_to_chain
 from .scene import ClearanceScene
@@ -241,37 +242,31 @@ class _PathState:
 class TraceExtender:
     """Extends one trace inside its routable area.
 
-    ``obstacles`` and ``other_traces`` are board context: everything the
-    meander must clear.  The extender never touches the other traces; the
-    caller (router) is responsible for giving each trace a consistent
-    view of its neighbours.
-
-    ``scene`` lets the router share one :class:`ClearanceScene` across
-    the extenders of a whole board (entries the member itself contributes
-    are masked per query via ``scene_exclude``); without one, the
-    extender indexes ``other_traces`` into a private scene on first use.
+    ``scene`` is the board context: the :class:`ClearanceScene` holding
+    every obstacle and every other trace the meander must clear (``None``
+    means an empty board).  The router shares one scene across the
+    extenders of a whole board; ``exclude`` names the entries the member
+    itself contributes (its trace, or its pair and sub-traces), which
+    every query masks.  The extender never touches the other traces; the
+    caller keeps the scene in sync as members get rerouted.
     """
 
     def __init__(
         self,
         rules: DesignRules,
         area: Polygon,
-        obstacles: Sequence[Obstacle] = (),
-        other_traces: Sequence[Trace] = (),
-        config: Optional[ExtensionConfig] = None,
         scene: Optional[ClearanceScene] = None,
-        scene_exclude: Optional[Sequence[str]] = None,
+        config: Optional[ExtensionConfig] = None,
+        exclude: Sequence[str] = (),
     ):
         self.rules = rules
         self.area = area
-        self.obstacles = list(obstacles)
-        self.other_traces = list(other_traces)
         self.config = config or ExtensionConfig()
         xmin, ymin, xmax, ymax = area.bounds()
         self._area_diag = math.hypot(xmax - xmin, ymax - ymin)
-        self._scene = scene
-        self._scene_exclude: FrozenSet[str] = frozenset(scene_exclude or ())
-        self._area_pts = None  # numpy (k, 2) of area vertices, lazy
+        self._area_pts = np.array([(p.x, p.y) for p in area.points])
+        self._scene = scene if scene is not None else ClearanceScene()
+        self._exclude: FrozenSet[str] = frozenset(exclude)
 
     # -- public API -----------------------------------------------------------
 
@@ -288,7 +283,6 @@ class TraceExtender:
             raise ValueError(
                 f"target {target:.4f} below current length {path.length():.4f}"
             )
-        self._ensure_fast_context()
         state = _PathState(path)
         queue: deque = deque(range(len(state.segments)))
         ltrace = path.length()
@@ -394,11 +388,9 @@ class TraceExtender:
         inner = TraceExtender(
             rules=_replace(self.rules, dprotect=self.rules.dprotect + 2.0 * dmiter),
             area=self.area,
-            obstacles=self.obstacles,
-            other_traces=self.other_traces,
-            config=self.config,
             scene=self._scene,
-            scene_exclude=self._scene_exclude,
+            config=self.config,
+            exclude=self._exclude,
         )
         result = inner.extend(trace, target)
         path = result.trace.path
@@ -493,15 +485,6 @@ class TraceExtender:
 
     # -- environment assembly ------------------------------------------------------
 
-    def _ensure_fast_context(self) -> None:
-        """Build the lazy per-extender pieces: area vertices and scene."""
-        if self._area_pts is None:
-            self._area_pts = np.array([(p.x, p.y) for p in self.area.points])
-        if self._scene is None:
-            self._scene = ClearanceScene.from_context(
-                self.obstacles, self.other_traces
-            )
-
     def _environments(
         self, state: _PathState, index: int, width: float, dp_cfg: DPConfig
     ) -> Dict[int, ShrinkEnvironment]:
@@ -525,7 +508,7 @@ class TraceExtender:
         sizes: List[int] = [len(self._area_pts)]
         inflation = max(0.0, self.rules.dobs + width / 2.0 - g)
         self._scene.collect_window(
-            chunks, sizes, window, self.rules.dgap, inflation, self._scene_exclude
+            chunks, sizes, window, self.rules.dgap, inflation, self._exclude
         )
         self._collect_self_window(state, index, g, window, chunks, sizes)
 
@@ -786,28 +769,41 @@ class TraceExtender:
         return None
 
     def _chevron_clear(self, chain: List[Point], width: float) -> bool:
-        """Obstacle/other-trace/area clearance for a chevron chain."""
-        from ..geometry import Segment as _Segment
+        """Obstacle/other-trace/area clearance for a chevron chain.
 
+        Only what the scene's box masks put within clearance reach of the
+        chain's bounding box gets the exact tests; box separation never
+        exceeds true distance, so the verdict is the whole-board one.
+        Zero-length trace rows stay in: a point still needs clearance.
+        """
         segs = [
-            _Segment(chain[i], chain[i + 1])
+            Segment(chain[i], chain[i + 1])
             for i in range(len(chain) - 1)
             if not chain[i].almost_equals(chain[i + 1], 1e-12)
         ]
         for p in chain:
             if not self.area.contains_point(p):
                 return False
-        for obstacle in self.obstacles:
-            required = self.rules.dobs + width / 2.0
+        xs = [p.x for p in chain]
+        ys = [p.y for p in chain]
+        box = (min(xs), min(ys), max(xs), max(ys))
+        scene = self._scene
+        dgap = self.rules.dgap
+        required = self.rules.dobs + width / 2.0
+        for idx in scene._obstacle_hits(_padded(box, required + 1e-9)):
+            polygon = scene.obstacles[idx].polygon
             for s in segs:
-                if obstacle.polygon.distance_to_segment(s) < required - 1e-9:
+                if polygon.distance_to_segment(s) < required - 1e-9:
                     return False
-        for other in self.other_traces:
-            required = self.rules.dgap + (width + other.width) / 2.0
-            for os in other.segments():
-                for s in segs:
-                    if s.distance_to_segment(os) < required - 1e-9:
-                        return False
+        # Each row's mask pad adds (w_o + dgap)/2 to this window's.
+        window = _padded(box, (dgap + width) / 2.0 + 1e-9)
+        for ei, si, _ in scene._segment_hits(window, dgap, self._exclude, True):
+            other = scene._entries[ei]
+            required = dgap + (width + other.width) / 2.0
+            os = other.segments[si]
+            for s in segs:
+                if s.distance_to_segment(os) < required - 1e-9:
+                    return False
         return True
 
     # -- rollback guard ---------------------------------------------------------------
@@ -841,6 +837,11 @@ class TraceExtender:
 
 
 # -- small helpers ---------------------------------------------------------------------
+
+
+def _padded(box, pad: float):
+    """``box`` grown by ``pad`` on every side."""
+    return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
 
 
 def _trimmed(seg: Segment, at_end: bool, amount: float) -> Optional[Segment]:

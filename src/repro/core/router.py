@@ -99,27 +99,18 @@ class LengthMatchingRouter:
     def __init__(self, board: Board, config: Optional[RouterConfig] = None):
         self.board = board
         self.config = config or RouterConfig()
-        # One clearance scene for the whole board, shared by every
-        # member's extender (the member itself is masked per query) and
-        # kept in sync as members get rerouted — later members of a group
-        # see their neighbours' meanders without any rebuild.  Built
-        # lazily on first use.
+        # One clearance scene for the whole board is every member's
+        # context: shared by every member's extender (the member itself
+        # is masked per query) and kept in sync as members get rerouted,
+        # so later members of a group see their neighbours' meanders
+        # without any rebuild.  Built lazily on first use.
         self._scene: Optional[ClearanceScene] = None
 
     # -- shared clearance scene ----------------------------------------------------
 
     def _shared_scene(self) -> ClearanceScene:
         if self._scene is None:
-            scene = ClearanceScene(self.board.obstacles)
-            # Registration order mirrors _context_traces: board traces
-            # first, then pair sub-traces (owner = the pair, so excluding
-            # a pair name masks both halves).
-            for trace in self.board.traces:
-                scene.add_trace(trace)
-            for pair in self.board.pairs:
-                scene.add_trace(pair.trace_p, owner=pair.name)
-                scene.add_trace(pair.trace_n, owner=pair.name)
-            self._scene = scene
+            self._scene = ClearanceScene.from_board(self.board)
         return self._scene
 
     def _scene_updated(self, *traces: Trace) -> None:
@@ -202,22 +193,6 @@ class LengthMatchingRouter:
     def _rules_for(self, trace: Trace) -> DesignRules:
         return self.board.rules.rules_for_points(trace.path.points)
 
-    def _context_traces(self, exclude: Sequence[str]) -> List[Trace]:
-        """Every other piece of copper the member must clear."""
-        excluded = set(exclude)
-        out: List[Trace] = [
-            t for t in self.board.traces if t.name not in excluded
-        ]
-        for pair in self.board.pairs:
-            if pair.name in excluded:
-                continue
-            out.extend(
-                t
-                for t in (pair.trace_p, pair.trace_n)
-                if t.name not in excluded
-            )
-        return out
-
     def _extender_for(
         self,
         member_name: str,
@@ -237,11 +212,9 @@ class LengthMatchingRouter:
         return TraceExtender(
             rules=rules,
             area=area,
-            obstacles=self.board.obstacles,
-            other_traces=self._context_traces(exclude),
-            config=ext_cfg,
             scene=self._shared_scene(),
-            scene_exclude=exclude,
+            config=ext_cfg,
+            exclude=exclude,
         )
 
     def _match_trace(

@@ -19,13 +19,17 @@ grid keeps its role in the DRC, where queries are radius-local.)
 The scene is *exact*, not approximate: the mask evaluates the very float
 comparisons the exhaustive scan's bounding-box test did, so it selects
 the same polygons in the same order (area handling stays with the
-extender; obstacles in board order; trace segments in context-trace
+extender; obstacles in board order; trace segments in registration
 order).  ``tests/core/test_scene.py`` pins this equivalence.
 
-The scene outlives a single extension: the router builds one per board,
-registers every trace, and calls :meth:`update_trace` as members get
-rerouted, so later members of a matching group query updated neighbours
-without any rebuild beyond re-concatenating the box arrays.
+The scene is also the extender's only board context.  Its registration
+rule — board traces in order, then each pair's two sub-traces owned by
+the pair — lives in :meth:`ClearanceScene.from_board`, and a member
+masks its own entries per query by name.  The scene outlives a single
+extension: the router builds one per board and calls
+:meth:`update_trace` as members get rerouted, so later members of a
+matching group query updated neighbours without any rebuild beyond
+re-concatenating the box arrays.
 
 Coordinates are also kept as numpy arrays so a window query can hand the
 extension loop ``(k, 2)`` blocks ready for the batched local-frame
@@ -39,7 +43,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import Polygon, oriented_rectangle
-from ..model import Obstacle, Trace
+from ..model import Board, Obstacle, Trace
 
 
 class _TraceEntry:
@@ -78,9 +82,9 @@ class ClearanceScene:
     """Vectorized, mutable board context for trace extension.
 
     ``obstacles`` is board context shared by every query; traces register
-    via :meth:`add_trace` (in context order — board traces first, then
-    pair sub-traces) and update in place via :meth:`update_trace`.  The
-    extended member itself is excluded per query by name.
+    via :meth:`add_trace` (:meth:`from_board` registers a whole board)
+    and update in place via :meth:`update_trace`.  The extended member
+    itself is excluded per query by name.
     """
 
     def __init__(self, obstacles: Sequence[Obstacle] = ()):
@@ -112,8 +116,7 @@ class ClearanceScene:
         """Register a context trace; returns its (stable) entry index.
 
         ``owner`` names the differential pair a sub-trace belongs to, so
-        excluding the pair name excludes both sub-traces — mirroring the
-        router's ``_context_traces`` filter.
+        excluding the pair name excludes both sub-traces.
         """
         if trace.name in self._entry_by_name:
             raise ValueError(f"trace {trace.name!r} already registered")
@@ -201,11 +204,14 @@ class ClearanceScene:
         )
         return np.nonzero(hit)[0]
 
-    def _segment_hits(self, window, dgap: float, exclude: FrozenSet[str]):
-        """(entry, segment, half) triplets hitting ``window``, in context
-        order — exactly the segments the exhaustive scan would rectangle
-        (its test: ``_bbox_hits(_inflate_bounds(seg.bounds(), half),
-        window)`` on non-degenerate segments of non-excluded traces)."""
+    def _segment_hits(
+        self, window, dgap: float, exclude: FrozenSet[str], degenerate: bool = False
+    ):
+        """(entry, segment, half) triplets hitting ``window``, in
+        registration order — exactly the segments the exhaustive scan
+        would rectangle (its test: ``_bbox_hits(_inflate_bounds(
+        seg.bounds(), half), window)`` on non-degenerate segments of
+        non-excluded traces).  ``degenerate`` keeps zero-length rows."""
         if self._dirty:
             self._rebuild()
         b = self._seg_bounds
@@ -217,8 +223,9 @@ class ClearanceScene:
             & (window[0] <= b[:, 2] + half)
             & (b[:, 1] - half <= window[3])
             & (window[1] <= b[:, 3] + half)
-            & ~self._seg_degen
         )
+        if not degenerate:
+            hit &= ~self._seg_degen
         if exclude:
             hit &= ~self._exclude_mask(exclude)
         idx = np.nonzero(hit)[0]
@@ -240,8 +247,8 @@ class ClearanceScene:
 
         ``chunks`` receives ``(k, 2)`` arrays, ``sizes`` the per-polygon
         vertex counts — obstacles first (board order), then other-trace
-        clearance rectangles (context order), matching the exhaustive
-        scan's polygon order exactly.
+        clearance rectangles (registration order), matching the
+        exhaustive scan's polygon order exactly.
         """
         for idx in self._obstacle_hits(window):
             _, pts = self._inflated_obstacle(int(idx), inflation)
@@ -282,8 +289,21 @@ class ClearanceScene:
     def from_context(
         cls, obstacles: Sequence[Obstacle], traces: Iterable[Trace]
     ) -> "ClearanceScene":
-        """A scene over a fixed context-trace list (extender-local use)."""
+        """A scene over explicit obstacle and context-trace lists."""
         scene = cls(obstacles)
         for t in traces:
             scene.add_trace(t)
+        return scene
+
+    @classmethod
+    def from_board(cls, board: Board) -> "ClearanceScene":
+        """Everything on ``board`` a member may have to clear: its
+        obstacles, its traces in board order, then each pair's
+        ``trace_p`` and ``trace_n`` owned by the pair."""
+        scene = cls(board.obstacles)
+        for trace in board.traces:
+            scene.add_trace(trace)
+        for pair in board.pairs:
+            scene.add_trace(pair.trace_p, owner=pair.name)
+            scene.add_trace(pair.trace_n, owner=pair.name)
         return scene

@@ -465,16 +465,3 @@ def _clearance_candidates(
                 elif tj > ti:
                     pair_cands.setdefault((ti, tj), set()).add((si, sj))
     return self_cands, pair_cands
-
-
-def _same_pair(board: Board, a: Trace, b: Trace) -> bool:
-    """Whether ``a`` and ``b`` are the two sub-traces of one pair.
-
-    Kept for external callers; :func:`check_board` precomputes the name
-    pairs once instead of rescanning ``board.pairs`` per trace pair.
-    """
-    for pair in board.pairs:
-        names = {pair.trace_p.name, pair.trace_n.name}
-        if a.name in names and b.name in names:
-            return True
-    return False

@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry import Point
 from ..obs.metrics import REGISTRY as _METRICS
 
@@ -174,9 +176,9 @@ def _dtw_match_banded(
 ) -> Optional[Tuple[List[MatchedPair], float]]:
     """Banded sweep over the certified corridor.
 
-    Returns ``None`` — run the full recurrence — when numpy is missing,
-    the rule is degenerate, or the corridor would cover too much of the
-    matrix to pay for its own bookkeeping.  A non-``None`` result is the
+    Returns ``None`` — run the full recurrence — when the rule is
+    degenerate or the corridor would cover too much of the matrix to pay
+    for its own bookkeeping.  A non-``None`` result is the
     reference matching: the corridor provably contains every cell of
     every optimal warp path (see :func:`_certified_window`).
     """
@@ -213,10 +215,6 @@ def _certified_window(
     width; on unstructured inputs it fattens and the coverage gate
     routes to the full sweep.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a baked-in extra
-        return None
     I, J = len(nodes_p), len(nodes_q)
     px = np.fromiter((pt.x for pt in nodes_p), dtype=float, count=I)
     py = np.fromiter((pt.y for pt in nodes_p), dtype=float, count=I)

@@ -55,16 +55,27 @@ class Board:
         return Board(outline=rectangle(xmin, ymin, xmax, ymax), rules=rs)
 
     def add_trace(self, trace: Trace) -> Trace:
-        if any(t.name == trace.name for t in self.traces):
+        if self._name_taken(trace.name):
             raise ValueError(f"duplicate trace name '{trace.name}'")
         self.traces.append(trace)
         return trace
 
     def add_pair(self, pair: DifferentialPair) -> DifferentialPair:
-        if any(p.name == pair.name for p in self.pairs):
-            raise ValueError(f"duplicate pair name '{pair.name}'")
+        names = (pair.name, pair.trace_p.name, pair.trace_n.name)
+        if len(set(names)) < 3 or any(self._name_taken(n) for n in names):
+            raise ValueError(
+                f"duplicate name in pair '{pair.name}' "
+                f"({pair.trace_p.name!r}, {pair.trace_n.name!r})"
+            )
         self.pairs.append(pair)
         return pair
+
+    def _name_taken(self, name: str) -> bool:
+        """Whether a trace, a pair or a pair sub-trace already uses
+        ``name`` — a board has one name space for all three."""
+        return any(t.name == name for t in self.traces) or any(
+            name in (p.name, p.trace_p.name, p.trace_n.name) for p in self.pairs
+        )
 
     def add_obstacle(self, obstacle: Obstacle) -> Obstacle:
         self.obstacles.append(obstacle)

@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.core import ExtensionConfig, FixedTrackConfig, FixedTrackMeander, TraceExtender
+from repro.core import (
+    ClearanceScene,
+    ExtensionConfig,
+    FixedTrackConfig,
+    FixedTrackMeander,
+    TraceExtender,
+)
 from repro.drc import check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, rectangle
 from repro.model import DesignRules, Trace, via
@@ -17,8 +23,7 @@ def baseline(obstacles=(), area=AREA, fixed=None) -> FixedTrackMeander:
     return FixedTrackMeander(
         rules=RULES,
         area=area,
-        obstacles=list(obstacles),
-        other_traces=[],
+        scene=ClearanceScene(obstacles),
         config=ExtensionConfig(),
         fixed=fixed or FixedTrackConfig(),
     )
@@ -58,7 +63,7 @@ class TestRigidity:
         # track router must stay strictly below it.
         vias = [via(Point(50, 6), 1.5)]
         dp_ub = TraceExtender(
-            RULES, AREA, vias, [], ExtensionConfig()
+            RULES, AREA, ClearanceScene(vias), ExtensionConfig()
         ).extension_upper_bound(straight())
         fixed_ub = baseline(obstacles=vias).extension_upper_bound(straight())
         assert fixed_ub.achieved < dp_ub.achieved
@@ -98,9 +103,12 @@ class TestAblationContrast:
         rules = board.rules.rules_for_points(trace.path.points)
         area = board.member_routable_area(trace)
         dp = TraceExtender(
-            rules, area, board.obstacles, [], ExtensionConfig(max_iterations=800)
+            rules,
+            area,
+            ClearanceScene(board.obstacles),
+            ExtensionConfig(max_iterations=800),
         ).extension_upper_bound(trace)
         fixed = FixedTrackMeander(
-            rules, area, board.obstacles, [], ExtensionConfig()
+            rules, area, ClearanceScene(board.obstacles), ExtensionConfig()
         ).extension_upper_bound(trace)
         assert dp.achieved > fixed.achieved * 1.5

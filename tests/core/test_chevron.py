@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import ExtensionConfig, TraceExtender
+from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.drc import check_obstacle_clearance, check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, offset_polyline, rectangle
 from repro.model import DesignRules, Trace, via
@@ -14,7 +14,12 @@ AREA = rectangle(-20.0, -40.0, 120.0, 40.0)
 
 
 def extender(obstacles=(), other=(), **cfg) -> TraceExtender:
-    return TraceExtender(RULES, AREA, list(obstacles), list(other), ExtensionConfig(**cfg))
+    return TraceExtender(
+        RULES,
+        AREA,
+        ClearanceScene.from_context(obstacles, other),
+        ExtensionConfig(**cfg),
+    )
 
 
 def straight(length=100.0) -> Trace:
@@ -81,17 +86,17 @@ class TestPlocalFlag:
     def test_plocal_increases_capacity(self):
         corridor = rectangle(-5.0, -8.0, 105.0, 8.0)
         with_p = TraceExtender(
-            RULES, corridor, [], [], ExtensionConfig()
+            RULES, corridor, config=ExtensionConfig()
         ).extension_upper_bound(straight())
         without = TraceExtender(
-            RULES, corridor, [], [], ExtensionConfig(allow_plocal=False)
+            RULES, corridor, config=ExtensionConfig(allow_plocal=False)
         ).extension_upper_bound(straight())
         assert with_p.achieved > without.achieved
 
     def test_no_plocal_means_no_shared_feet(self):
         corridor = rectangle(-5.0, -8.0, 105.0, 8.0)
         result = TraceExtender(
-            RULES, corridor, [], [], ExtensionConfig(allow_plocal=False)
+            RULES, corridor, config=ExtensionConfig(allow_plocal=False)
         ).extension_upper_bound(straight())
         # Without plocal no leg may cross the original axis (a crossing
         # leg only arises from two connected opposite patterns).

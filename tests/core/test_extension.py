@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import ExtensionConfig, TraceExtender
+from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.drc import check_obstacle_clearance, check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, rectangle
 from repro.model import DesignRules, Trace, via
@@ -17,8 +17,7 @@ def extender(obstacles=(), other=(), area=AREA, rules=RULES, **cfg) -> TraceExte
     return TraceExtender(
         rules=rules,
         area=area,
-        obstacles=list(obstacles),
-        other_traces=list(other),
+        scene=ClearanceScene.from_context(obstacles, other),
         config=ExtensionConfig(**cfg),
     )
 
@@ -56,8 +55,7 @@ class TestExactMatching:
         ext = TraceExtender(
             rules=rules,
             area=board.member_routable_area(trace),
-            obstacles=board.obstacles,
-            other_traces=[],
+            scene=ClearanceScene(board.obstacles),
             config=ExtensionConfig(max_iterations=800),
         )
         result = ext.extension_upper_bound(trace)

@@ -15,6 +15,7 @@ import pytest
 
 from oracles.extension import ReferenceTraceExtender, _segment_key
 from repro.core.extension import ExtensionConfig, TraceExtender, _PathState
+from repro.core.scene import ClearanceScene
 from repro.geometry import Point, Polygon, Polyline, Segment
 from repro.model import DesignRules, Trace
 
@@ -181,7 +182,7 @@ class TestNoWastedIterations:
             extender = EXTENDERS[engine](
                 rules,
                 area,
-                obstacles=obstacles,
+                scene=ClearanceScene(obstacles),
                 config=ExtensionConfig(max_iterations=60),
             )
             return extender.extend(trace, math.inf)

@@ -14,7 +14,7 @@ AREA = rectangle(-20.0, -40.0, 120.0, 40.0)
 
 
 def extender(rules=RULES) -> TraceExtender:
-    return TraceExtender(rules, AREA, [], [], ExtensionConfig())
+    return TraceExtender(rules, AREA, config=ExtensionConfig())
 
 
 def straight(length=100.0) -> Trace:

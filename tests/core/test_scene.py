@@ -6,15 +6,20 @@ same order — under registration, exclusion and in-place trace updates.
 The oracle here is a verbatim reimplementation of that scan's context
 portion (obstacles + other-trace clearance rectangles; the area and the
 trace's own segments stay with the extender and are out of scope).
+``TestFromBoard`` checks that :meth:`ClearanceScene.from_board` plus a
+member's exclusion set yields exactly the context list the router used
+to build per member.
 """
 
 import random
 
 import pytest
 
+from oracles.digests import corpus_families
 from repro.core import ClearanceScene
 from repro.geometry import Point, Polygon, Polyline, Segment, oriented_rectangle
-from repro.model import Obstacle, Trace
+from repro.model import Board, DifferentialPair, Obstacle, Trace
+from repro.scenarios import generate
 
 
 def _bbox_hits(b, window):
@@ -120,8 +125,7 @@ class TestQueryEquivalence:
         rng = random.Random(seed + 900)
         window = (-60.0, -60.0, 60.0, 60.0)
         # Excluding a sub-trace name drops it; excluding the owning pair
-        # name drops every sub-trace of that pair — the router's
-        # _context_traces filter, expressed as a query mask.
+        # name drops every sub-trace of that pair.
         for exclude in (
             frozenset({"t0"}),
             frozenset({"pair1"}),
@@ -224,3 +228,50 @@ class TestMutation:
                 scene.query_polygons(window, 4.0, 1.0),
                 fresh.query_polygons(window, 4.0, 1.0),
             )
+
+
+def context_traces(board, exclude):
+    """Every other piece of copper a member must clear, listed the way the
+    router did before the scene held the registration rule: board traces
+    in order, then each non-excluded pair's non-excluded sub-traces."""
+    excluded = set(exclude)
+    out = [t for t in board.traces if t.name not in excluded]
+    for pair in board.pairs:
+        if pair.name in excluded:
+            continue
+        out.extend(
+            t for t in (pair.trace_p, pair.trace_n) if t.name not in excluded
+        )
+    return out
+
+
+class TestFromBoard:
+    @pytest.mark.parametrize("family", corpus_families())
+    def test_matches_old_context_list_for_every_member(self, family):
+        board = generate(family, seed=0)
+        scene = ClearanceScene.from_board(board)
+        members = [(t.name, [t.name]) for t in board.traces] + [
+            (p.name, [p.name, p.trace_p.name, p.trace_n.name]) for p in board.pairs
+        ]
+        assert members
+        window = (-1e9, -1e9, 1e9, 1e9)
+        for name, exclude in members:
+            context = [(t, None) for t in context_traces(board, exclude)]
+            assert_same_polygons(
+                scene.query_polygons(window, 2.5, 0.75, frozenset(exclude)),
+                reference_polygons(
+                    board.obstacles, context, window, 2.5, 0.75, frozenset()
+                ),
+            )
+
+    def test_registration_order_and_owners(self):
+        obstacles, traces = random_board(5)
+        board = Board.with_rect_outline(-100, -100, 100, 100)
+        board.obstacles.extend(obstacles)
+        for trace, _ in traces[:3]:
+            board.add_trace(trace)
+        board.add_pair(DifferentialPair("d", traces[3][0], traces[4][0], rule=2.0))
+        scene = ClearanceScene.from_board(board)
+        assert scene.obstacles == board.obstacles
+        assert scene.trace_names() == ["t0", "t1", "t2", "t3", "t4"]
+        assert [e.owner for e in scene._entries] == [None, None, None, "d", "d"]

@@ -19,7 +19,12 @@ from repro.bench import (
     make_table1_case,
     make_table2_design,
 )
-from repro.core import ExtensionConfig, FixedTrackMeander, TraceExtender
+from repro.core import (
+    ClearanceScene,
+    ExtensionConfig,
+    FixedTrackMeander,
+    TraceExtender,
+)
 from repro.geometry import Point, Polyline
 from repro.region import apply_assignment, assign_regions
 
@@ -68,10 +73,13 @@ class TestTable2Pipeline:
             rules = board.rules.rules_for_points(trace.path.points)
             area = board.member_routable_area(trace)
             dp = TraceExtender(
-                rules, area, board.obstacles, [], ExtensionConfig(max_iterations=800)
+                rules,
+                area,
+                ClearanceScene(board.obstacles),
+                ExtensionConfig(max_iterations=800),
             ).extension_upper_bound(trace)
             fixed = FixedTrackMeander(
-                rules, area, board.obstacles, [], ExtensionConfig()
+                rules, area, ClearanceScene(board.obstacles), ExtensionConfig()
             ).extension_upper_bound(trace)
             results[dgap] = (dp.achieved, fixed.achieved)
         # DP wins at every d_gap, and its relative advantage grows as the
@@ -90,8 +98,7 @@ class TestTable2Pipeline:
             ext = TraceExtender(
                 rules,
                 board.member_routable_area(trace),
-                board.obstacles,
-                [],
+                ClearanceScene(board.obstacles),
                 ExtensionConfig(max_iterations=800),
             ).extension_upper_bound(trace)
             bounds.append(ext.achieved)

@@ -22,8 +22,6 @@ def free_extender() -> TraceExtender:
     return TraceExtender(
         rules=RULES,
         area=rectangle(-200, -200, 300, 300),
-        obstacles=[],
-        other_traces=[],
         config=ExtensionConfig(),
     )
 
@@ -92,8 +90,6 @@ class TestPairInvariants:
         ext = TraceExtender(
             rules=conv.virtual_rules,
             area=rectangle(-100, -100, 200, 100),
-            obstacles=[],
-            other_traces=[],
             config=ExtensionConfig(allow_node_feet=False),
         )
         extended = ext.extend(conv.median, conv.median.length() * factor)

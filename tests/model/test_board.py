@@ -37,6 +37,54 @@ class TestMembership:
         pair = b.add_pair(DifferentialPair("d", p, n, rule=2.0))
         assert b.pair_by_name("d") is pair
 
+    def test_pair_cannot_reuse_a_trace_name(self):
+        b = make_board()
+        b.add_trace(make_trace("bus0"))
+        p = Trace("px", Polyline([Point(0, 1), Point(10, 1)]), width=0.5)
+        n = Trace("bus0", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("P0", p, n, rule=2.0))
+        pn = Trace("pn", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("bus0", p, pn, rule=2.0))
+        assert b.pairs == []
+
+    def test_trace_cannot_reuse_a_pair_or_sub_trace_name(self):
+        b = make_board()
+        p = Trace("d_P", Polyline([Point(0, 1), Point(10, 1)]), width=0.5)
+        n = Trace("d_N", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        b.add_pair(DifferentialPair("d", p, n, rule=2.0))
+        for name in ("d", "d_P", "d_N"):
+            with pytest.raises(ValueError, match="duplicate"):
+                b.add_trace(make_trace(name))
+        assert b.traces == []
+
+    def test_pair_names_unique_across_pairs(self):
+        b = make_board()
+        p = Trace("d_P", Polyline([Point(0, 1), Point(10, 1)]), width=0.5)
+        n = Trace("d_N", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        b.add_pair(DifferentialPair("d", p, n, rule=2.0))
+        q = Trace("e_P", Polyline([Point(0, 5), Point(10, 5)]), width=0.5)
+        r = Trace("e_N", Polyline([Point(0, 3), Point(10, 3)]), width=0.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("e", q, n, rule=2.0))  # reuses d_N
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("d_P", q, r, rule=2.0))
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("d", q, r, rule=2.0))
+        b.add_pair(DifferentialPair("e", q, r, rule=2.0))
+        assert [pair.name for pair in b.pairs] == ["d", "e"]
+
+    def test_pair_sub_traces_must_differ(self):
+        b = make_board()
+        p = Trace("s", Polyline([Point(0, 1), Point(10, 1)]), width=0.5)
+        n = Trace("s", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("d", p, n, rule=2.0))
+        q = Trace("d", Polyline([Point(0, -1), Point(10, -1)]), width=0.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            b.add_pair(DifferentialPair("d", p, q, rule=2.0))
+
     def test_duplicate_group_rejected(self):
         b = make_board()
         b.add_group(MatchGroup("g", members=[b.add_trace(make_trace())]))

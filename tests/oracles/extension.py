@@ -10,9 +10,14 @@ polygon-based :class:`oracles.shrink.ShrinkEnvironment`, and addresses
 queue entries by rounded-coordinate segment keys.
 
 :class:`ReferenceTraceExtender` overrides :meth:`extend` (and therefore
-:meth:`extension_upper_bound`) with that loop and inherits everything
-both loops share — DP sizing, trimming, chevron finishing and the
-rollback check — from production.  ``tests/core/test_engine_equivalence.py``
+:meth:`extension_upper_bound`) with that loop, and the chevron clearance
+check with :func:`chevron_clear_scan`, the scan over every obstacle and
+every segment of every other trace it was before the scene served it.
+Everything else both loops share — DP sizing, trimming, chevron
+placement and the rollback check — comes from production.  Both scans
+read their context from the scene the extender is handed: its obstacles
+and its non-excluded registered traces, in registration order
+(:func:`scene_context`).  ``tests/core/test_engine_equivalence.py``
 routes the scenario corpus through both and compares every routed bit.
 """
 
@@ -20,14 +25,15 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.core.dp import DPConfig, SegmentDP
 from repro.core.extension import ExtensionResult, TraceExtender, _trimmed
 from repro.core.pattern import Pattern, chain_new_segments, patterns_to_chain
+from repro.core.scene import ClearanceScene
 from repro.geometry import Frame, Point, Polygon, Polyline, Segment, oriented_rectangle
-from repro.model import Trace
+from repro.model import Obstacle, Trace
 
 from .shrink import ShrinkEnvironment
 
@@ -43,6 +49,67 @@ def _segment_key(seg: Segment) -> Tuple[float, float, float, float]:
     )
 
 
+class _Registered:
+    """A scene entry read back through the ``Trace`` surface the scans use."""
+
+    def __init__(self, entry):
+        self.name = entry.name
+        self.width = entry.width
+        self._segments = entry.segments
+
+    def segments(self) -> List[Segment]:
+        return self._segments
+
+
+def scene_context(
+    scene: ClearanceScene, exclude: FrozenSet[str]
+) -> Tuple[List[Obstacle], List[_Registered]]:
+    """The obstacles and the non-excluded registered traces of ``scene``.
+
+    A trace is excluded when its name or its owning pair's name is in
+    ``exclude``; the rest keep registration order.
+    """
+    traces = [
+        _Registered(entry)
+        for entry in scene._entries
+        if not (
+            entry.name in exclude
+            or (entry.owner is not None and entry.owner in exclude)
+        )
+    ]
+    return list(scene.obstacles), traces
+
+
+def chevron_clear_scan(extender: TraceExtender, chain: List[Point], width: float) -> bool:
+    """Obstacle/other-trace/area clearance for a chevron chain.
+
+    The exhaustive check ``TraceExtender._chevron_clear`` ran before it
+    queried the scene: every obstacle and every segment of every other
+    trace, tested exactly.
+    """
+    obstacles, other_traces = scene_context(extender._scene, extender._exclude)
+    segs = [
+        Segment(chain[i], chain[i + 1])
+        for i in range(len(chain) - 1)
+        if not chain[i].almost_equals(chain[i + 1], 1e-12)
+    ]
+    for p in chain:
+        if not extender.area.contains_point(p):
+            return False
+    for obstacle in obstacles:
+        required = extender.rules.dobs + width / 2.0
+        for s in segs:
+            if obstacle.polygon.distance_to_segment(s) < required - 1e-9:
+                return False
+    for other in other_traces:
+        required = extender.rules.dgap + (width + other.width) / 2.0
+        for os in other.segments():
+            for s in segs:
+                if s.distance_to_segment(os) < required - 1e-9:
+                    return False
+    return True
+
+
 class ReferenceTraceExtender(TraceExtender):
     """:class:`TraceExtender` running the seed loop."""
 
@@ -55,6 +122,9 @@ class ReferenceTraceExtender(TraceExtender):
 
     def extend(self, trace: Trace, target: float) -> ExtensionResult:
         return self._extend_reference(trace, target)
+
+    def _chevron_clear(self, chain: List[Point], width: float) -> bool:
+        return chevron_clear_scan(self, chain, width)
 
     def _extend_reference(self, trace: Trace, target: float) -> ExtensionResult:
         cfg = self.config
@@ -182,12 +252,13 @@ class ReferenceTraceExtender(TraceExtender):
         xmin, ymin, xmax, ymax = seg.bounds()
         window = (xmin - reach, ymin - reach, xmax + reach, ymax + reach)
 
+        obstacles, other_traces = scene_context(self._scene, self._exclude)
         polys: List[Polygon] = [self.area]
         inflation = max(0.0, self.rules.dobs + width / 2.0 - g)
-        for obstacle in self.obstacles:
+        for obstacle in obstacles:
             if _bbox_hits(obstacle.bounds(), window):
                 polys.append(obstacle.inflated(inflation))
-        for other in self.other_traces:
+        for other in other_traces:
             half = (other.width + self.rules.dgap) / 2.0
             for oseg in other.segments():
                 if oseg.is_degenerate():

@@ -159,6 +159,31 @@ class TestValidation:
         assert status == 400
         assert "invalid board" in envelope["error"]["message"]
 
+    def test_pair_reusing_a_trace_name_is_400(self, app):
+        # A pair whose sub-trace shares a board trace's name used to reach
+        # the match stage and crash there (500); one name space per board
+        # turns it into a rejected document at the door.
+        board = Board.with_rect_outline(0, 0, 100, 45, RULES)
+        member = board.add_trace(
+            Trace("bus0", Polyline([Point(5, 15), Point(95, 15)]), width=1.0)
+        )
+        board.add_group(MatchGroup("bus", members=[member], target_length=115.0))
+        doc = board_to_dict(board)
+        sub_p = dict(doc["traces"][0], name="px")
+        sub_n = dict(
+            doc["traces"][0],
+            name="bus0",
+            path=[[x, y + 3.0] for x, y in doc["traces"][0]["path"]],
+        )
+        doc["pairs"] = [
+            {"name": "P0", "trace_p": sub_p, "trace_n": sub_n, "rule": 3.0}
+        ]
+        status, envelope = app.route({"board": doc, "preset": "fast"})
+        assert status == 400
+        assert envelope["kind"] == "error_response"
+        assert "invalid board" in envelope["error"]["message"]
+        assert "bus0" in envelope["error"]["message"]
+
     def test_non_dict_config_is_400(self, app):
         status, envelope = app.route(
             {"board": board_to_dict(good_board()), "config": "fast"}
