@@ -1,7 +1,7 @@
 """Benchmark harness — regenerates every table and figure of Sec. VI.
 
 Each ``run_*`` function returns the structured rows and prints the same
-columns the paper reports; ``python -m repro.bench.harness all`` rebuilds
+columns the paper reports; ``python -m repro bench all`` rebuilds
 everything, including the SVG figures under ``out/``.
 """
 
@@ -227,8 +227,7 @@ def run_bench(
     dgaps: Optional[Sequence[float]] = None,
     emit_json: bool = False,
 ) -> Dict[str, object]:
-    """Run the requested artefacts — the one backend behind both the
-    ``python -m repro bench`` subcommand and this module's legacy CLI.
+    """Run the requested artefacts — the backend of ``python -m repro bench``.
 
     Prints the rows as tables (or one JSON document when ``emit_json``)
     and returns the structured payload.
@@ -247,46 +246,3 @@ def run_bench(
     if emit_json:
         print(json.dumps(payload, indent=2))
     return payload
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Regenerate tables/figures — the legacy module entry point.
-
-    Kept as a shim so ``python -m repro.bench.harness`` and old imports
-    keep working; the real CLI lives in :mod:`repro.cli`.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's tables and figures."
-    )
-    parser.add_argument(
-        "what",
-        choices=["table1", "table2", "figures", "all"],
-        help="which artefact to regenerate",
-    )
-    parser.add_argument("--outdir", default="out", help="figure output directory")
-    parser.add_argument(
-        "--cases", type=int, nargs="+", default=None,
-        help="Table I cases to run (default: all)",
-    )
-    parser.add_argument(
-        "--dgaps", type=float, nargs="+", default=None,
-        help="Table II d_gap values to run (default: all)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="print rows as JSON instead of tables"
-    )
-    args = parser.parse_args(argv)
-    run_bench(
-        args.what,
-        outdir=args.outdir,
-        cases=args.cases,
-        dgaps=args.dgaps,
-        emit_json=args.json,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,18 +3,17 @@
 Times the library's hot paths over the synthetic bench designs at
 several size scales and writes ``BENCH_perf.json``: per-phase medians
 over repeats plus machine info.  The file is the performance trajectory's
-data point for this commit — CI uploads it as an artifact, and future
-PRs diff their numbers against it (no threshold gating yet; the file is
-the baseline).
+data point for this commit: CI uploads it as an artifact and guards
+each run against the committed copy (:func:`check_perf_guard`).
 
 Phases
 ------
-``dtw``        rolling-row and banded :func:`~repro.dtw.dtw_match`
-               against the dense reference recurrence, on jittered
-               parallel node sequences of growing length;
-``drc``        grid-indexed :func:`~repro.drc.check_board` against
-               ``exhaustive=True`` on a routed Table I board replicated
-               to several sizes;
+``dtw``        :func:`~repro.dtw.dtw_match` on jittered parallel node
+               sequences of growing length, with a sha256 ``digest`` of
+               the matching that the guard compares against the
+               committed baseline;
+``drc``        :func:`~repro.drc.check_board` on a routed Table I board
+               replicated to several sizes;
 ``extension``  the Alg. 1 extension loop on the Table II via-field
                design, with a sha256 ``digest`` of every routed float
                that the guard compares against the committed baseline;
@@ -43,7 +42,7 @@ a cProfile top-25 cumulative table for the match hot path next to the
 baseline, and :func:`run_perf_guard` (``bench --perf --guard``) fails a
 run whose extension median regresses more than :data:`GUARD_MAX_RATIO`
 against the committed ``BENCH_perf.json`` after normalizing machine
-speed by the DTW reference recurrence.
+speed by the frozen calibration kernel (:mod:`.calibration`).
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import RoutingSession, SessionConfig
 from ..drc import check_board
-from ..dtw import dtw_match, dtw_match_reference
+from ..dtw import dtw_match
 from ..geometry import Point, Polygon, Polyline
-from ..io import drc_report_to_dict
 from ..model import Board, Obstacle, Trace
+from .calibration import calibration_run
 from .designs import make_table1_case, make_table2_design
 from .harness import _table2_extender
 
@@ -194,25 +193,23 @@ def make_drc_board(scale: int) -> Board:
 # -- phases -----------------------------------------------------------------------------
 
 
+def _sha256_lines(lines: Sequence[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _matching_digest(matching: Tuple[List[Any], float]) -> str:
+    """sha256 of a DTW matching: every pair and the total cost, by ``repr``."""
+    pairs, total = matching
+    return _sha256_lines([f"{m.i},{m.j},{m.cost!r}" for m in pairs] + [repr(total)])
+
+
 def _phase_dtw(sizes: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
     for n in sizes:
         p, q = dtw_workload(n, _DTW_RULE, seed=n)
-        ref_s, ref = _time_repeats(lambda: dtw_match_reference(p, q), repeats)
-        roll_s, roll = _time_repeats(lambda: dtw_match(p, q), repeats)
-        band_s, band = _time_repeats(
-            lambda: dtw_match(p, q, band=_DTW_RULE), repeats
-        )
+        match_s, matching = _time_repeats(lambda: dtw_match(p, q), repeats)
         rows.append(
-            {
-                "nodes": n,
-                "reference_s": ref_s,
-                "rolling_s": roll_s,
-                "banded_s": band_s,
-                "speedup_rolling": ref_s / roll_s if roll_s > 0 else None,
-                "speedup_banded": ref_s / band_s if band_s > 0 else None,
-                "identical": ref == roll == band,
-            }
+            {"nodes": n, "match_s": match_s, "digest": _matching_digest(matching)}
         )
     return rows
 
@@ -221,11 +218,8 @@ def _phase_drc(scales: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
     for scale in scales:
         board = make_drc_board(scale)
-        fast_s, fast = _time_repeats(
+        check_s, report = _time_repeats(
             lambda: check_board(board, check_areas=False), repeats
-        )
-        ex_s, ex = _time_repeats(
-            lambda: check_board(board, check_areas=False, exhaustive=True), repeats
         )
         rows.append(
             {
@@ -233,11 +227,8 @@ def _phase_drc(scales: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
                 "traces": len(board.traces),
                 "segments": sum(len(t.segments()) for t in board.traces),
                 "obstacles": len(board.obstacles),
-                "fast_s": fast_s,
-                "exhaustive_s": ex_s,
-                "speedup": ex_s / fast_s if fast_s > 0 else None,
-                "identical": drc_report_to_dict(fast) == drc_report_to_dict(ex),
-                "violations": len(fast),
+                "check_s": check_s,
+                "violations": len(report),
             }
         )
     return rows
@@ -253,8 +244,7 @@ def _result_fingerprint(result: Any) -> Tuple[str, ...]:
 
 def _result_digest(result: Any) -> str:
     """sha256 of :func:`_result_fingerprint`, one line per field."""
-    text = "\n".join(_result_fingerprint(result))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256_lines(_result_fingerprint(result))
 
 
 def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any]]:
@@ -693,19 +683,33 @@ def run_perf(
     """
     repeats = 1 if quick else 3
     started = time.perf_counter()
-    phases: Dict[str, Any] = {
-        "dtw": _phase_dtw([64] if quick else [64, 128, 256], repeats),
-        "drc": _phase_drc([1] if quick else [1, 2, 4], repeats),
-        # Both d_gaps even in quick mode: the guard checks every committed
-        # digest, and an upper-bound run is cheap next to the other phases.
-        "extension": _phase_extension([2.5, 4.0], repeats),
-        "session": _phase_session([1] if quick else [1, 5], repeats),
-        "server": _phase_server(8 if quick else 48, repeats),
-        "server_faults": _phase_server_faults(
-            8 if quick else 48, samples=100 if quick else 400
-        ),
-    }
-    phases["extension_breakdown"] = _phase_extension_breakdown(
+    phases: Dict[str, Any] = {}
+    calibration: List[float] = []
+
+    def run_phase(name: str, phase: Callable[..., Any], *args: Any, **kwargs: Any):
+        # One yardstick run before every phase, and the minimum kept: a
+        # shared host slows down for seconds at a time, so samples spread
+        # across the bench give the min (the stable estimator of a
+        # CPU-bound cost) a quiet window that one burst often misses.
+        calibration.append(calibration_run())
+        phases[name] = phase(*args, **kwargs)
+
+    run_phase("dtw", _phase_dtw, [64] if quick else [64, 128, 256], repeats)
+    run_phase("drc", _phase_drc, [1] if quick else [1, 2, 4], repeats)
+    # Both d_gaps even in quick mode: the guard checks every committed
+    # digest, and an upper-bound run is cheap next to the other phases.
+    run_phase("extension", _phase_extension, [2.5, 4.0], repeats)
+    run_phase("session", _phase_session, [1] if quick else [1, 5], repeats)
+    run_phase("server", _phase_server, 8 if quick else 48, repeats)
+    run_phase(
+        "server_faults",
+        _phase_server_faults,
+        8 if quick else 48,
+        samples=100 if quick else 400,
+    )
+    run_phase(
+        "extension_breakdown",
+        _phase_extension_breakdown,
         4.0,
         # The overhead bound compares minima; more repeats tighten the
         # min without moving it, so the few-percent bound stops flaking.
@@ -716,11 +720,12 @@ def run_perf(
         ),
     )
     if scenarios:
-        phases["scenarios"] = _phase_scenarios(
-            [1, 2] if quick else [1, 2, 4, 8], repeats
+        run_phase(
+            "scenarios", _phase_scenarios, [1, 2] if quick else [1, 2, 4, 8], repeats
         )
     if not quick:
-        phases["batch"] = _phase_batch(repeats=1)
+        run_phase("batch", _phase_batch, repeats=1)
+    calibration_s = min(calibration)
     payload: Dict[str, Any] = {
         "version": PERF_FORMAT_VERSION,
         "kind": "BENCH_perf",
@@ -731,6 +736,7 @@ def run_perf(
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "cpu_count": os.cpu_count(),
+            "calibration_s": calibration_s,
         },
         "total_s": 0.0,
         "phases": phases,
@@ -742,19 +748,16 @@ def run_perf(
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if verbose:
+        print(f"machine   calibration {calibration_s*1e3:.2f} ms")
         for row in phases["dtw"]:
             print(
-                f"dtw       nodes={row['nodes']:>4}  ref {row['reference_s']*1e3:8.2f} ms"
-                f"  rolling {row['rolling_s']*1e3:8.2f} ms"
-                f"  banded {row['banded_s']*1e3:8.2f} ms"
-                f"  ({_fmt_speedup(row['speedup_banded'])}, identical={row['identical']})"
+                f"dtw       nodes={row['nodes']:>4}  {row['match_s']*1e3:8.2f} ms"
+                f"  digest {row['digest'][:12]}"
             )
         for row in phases["drc"]:
             print(
                 f"drc       scale={row['scale']}  segments={row['segments']:>5}"
-                f"  fast {row['fast_s']*1e3:8.2f} ms"
-                f"  exhaustive {row['exhaustive_s']*1e3:10.2f} ms"
-                f"  ({_fmt_speedup(row['speedup'])}, identical={row['identical']})"
+                f"  {row['check_s']*1e3:8.2f} ms  violations={row['violations']}"
             )
         for row in phases["extension"]:
             print(
@@ -867,12 +870,8 @@ def run_profile(
 GUARD_MAX_RATIO = 2.0
 
 
-def _dtw_reference_times(payload: Dict[str, Any]) -> Dict[int, float]:
-    return {
-        row["nodes"]: row["reference_s"]
-        for row in payload.get("phases", {}).get("dtw", ())
-        if row.get("reference_s")
-    }
+#: Rows whose routed-answer ``digest`` must equal the baseline's, by key.
+_DIGEST_PHASES = (("dtw", "nodes"), ("extension", "dgap"))
 
 
 def check_perf_guard(
@@ -882,62 +881,59 @@ def check_perf_guard(
 ) -> List[str]:
     """Compare a fresh perf run against the committed baseline.
 
-    Returns a list of problems (empty = pass).  The guard watches the
+    Returns a list of problems (empty = pass).  The guard times the
     extension phase — the paper's core loop — on the dgap rows the two
-    payloads share: the median must not regress, and the routed-answer
-    ``digest`` must equal the baseline row's (an engine that got fast by
-    changing the answer must fail here, not just in the test suite).  A
-    baseline row without a digest fails too: it cannot vouch for the
-    answer.
+    payloads share: the median must not regress.  On every dtw and
+    extension row the payloads share, the ``digest`` must equal the
+    baseline row's (code that got fast by changing the answer must fail
+    here, not just in the test suite).  A baseline row without a digest
+    fails too: it cannot vouch for the answer.
 
     CI machines and the machine that committed the baseline run at
-    different speeds, so raw medians can't be compared directly.  The
-    pure-Python DTW reference recurrence rides along in every payload as
-    the machine-speed proxy: it exercises the same interpreter doing the
-    same kind of float work, so the ratio of its times estimates the
-    hardware ratio, and each allowance is the baseline median scaled by
-    that proxy times ``max_ratio``.
+    different speeds, so raw medians can't be compared directly.  Every
+    payload records ``machine.calibration_s``, the time of a frozen
+    pure-Python float kernel that imports nothing from :mod:`repro`
+    (:mod:`.calibration`); the ratio of the two estimates the hardware
+    ratio, and each allowance is the baseline median scaled by it times
+    ``max_ratio``.
     """
     problems: List[str] = []
-    cur_ref = _dtw_reference_times(current)
-    base_ref = _dtw_reference_times(baseline)
-    common_nodes = sorted(set(cur_ref) & set(base_ref))
-    if common_nodes:
-        # The largest shared size has the least fixed-overhead noise.
-        n = common_nodes[-1]
-        machine_scale = cur_ref[n] / base_ref[n]
+    cur_cal = current.get("machine", {}).get("calibration_s")
+    base_cal = baseline.get("machine", {}).get("calibration_s")
+    if cur_cal and base_cal:
+        machine_scale = cur_cal / base_cal
     else:
-        problems.append("no shared dtw scale to normalize machine speed")
+        problems.append("no calibration_s in both payloads to normalize machine speed")
         machine_scale = 1.0
 
-    base_rows = {
-        row["dgap"]: row
-        for row in baseline.get("phases", {}).get("extension", ())
-    }
-    cur_rows = current.get("phases", {}).get("extension", ())
-    if not cur_rows:
+    if not current.get("phases", {}).get("extension"):
         problems.append("current payload has no extension phase")
-    for row in cur_rows:
-        base = base_rows.get(row["dgap"])
-        if base is None:
-            continue
-        if "digest" not in base:
-            problems.append(
-                f"extension dgap={row['dgap']}: baseline row has no digest"
-            )
-        elif row.get("digest") != base["digest"]:
-            problems.append(
-                f"extension dgap={row['dgap']}: digest {row.get('digest')} "
-                f"differs from baseline {base['digest']} (routed answer changed)"
-            )
-        allowed = base["extend_s"] * machine_scale * max_ratio
-        if row["extend_s"] > allowed:
-            problems.append(
-                f"extension dgap={row['dgap']}: median {row['extend_s']:.4f}s "
-                f"exceeds {allowed:.4f}s "
-                f"(baseline {base['extend_s']:.4f}s x machine "
-                f"{machine_scale:.2f} x ratio {max_ratio:.1f})"
-            )
+    for phase, key in _DIGEST_PHASES:
+        base_rows = {
+            row[key]: row for row in baseline.get("phases", {}).get(phase, ())
+        }
+        for row in current.get("phases", {}).get(phase, ()):
+            base = base_rows.get(row[key])
+            if base is None:
+                continue
+            label = f"{phase} {key}={row[key]}"
+            if "digest" not in base:
+                problems.append(f"{label}: baseline row has no digest")
+            elif row.get("digest") != base["digest"]:
+                problems.append(
+                    f"{label}: digest {row.get('digest')} "
+                    f"differs from baseline {base['digest']} (routed answer changed)"
+                )
+            if phase != "extension":
+                continue
+            allowed = base["extend_s"] * machine_scale * max_ratio
+            if row["extend_s"] > allowed:
+                problems.append(
+                    f"{label}: median {row['extend_s']:.4f}s "
+                    f"exceeds {allowed:.4f}s "
+                    f"(baseline {base['extend_s']:.4f}s x machine "
+                    f"{machine_scale:.2f} x ratio {max_ratio:.1f})"
+                )
     return problems
 
 

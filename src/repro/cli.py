@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--guard", default=None, metavar="BASELINE.json",
         help="with --perf: fail (exit 1) if the extension-phase median "
         "regresses more than 2x against this committed baseline "
-        "(machine speed normalized by the DTW reference times)",
+        "(machine speed normalized by the frozen calibration kernel)",
     )
     bench.add_argument(
         "--outdir", default=None,

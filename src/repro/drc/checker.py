@@ -11,19 +11,15 @@ applied result is re-checked).
 All clearances are *edge-to-edge*: a centreline measurement passes when it
 exceeds the rule plus the relevant copper half-widths.
 
-Two sweeps live behind :func:`check_board`:
-
-* the **grid-indexed fast path** (default) hashes every trace segment
-  into a :class:`~repro.geometry.SegmentGrid` sized by the largest
-  clearance in play and only runs exact distance tests on candidate
-  segment pairs the grid reports — near-linear in board size;
-* the **exhaustive path** (``exhaustive=True``) is the original
-  all-pairs sweep, kept as the cross-validation oracle.
-
-Both paths emit the identical violation set in the identical order: the
-grid's candidate list is a superset of every pair within clearance
-range, candidates are visited in the exhaustive sweep's index order, and
-the exact measurements use the same arithmetic (see PERFORMANCE.md).
+:func:`check_board` hashes every trace segment into a
+:class:`~repro.geometry.SegmentGrid` sized by the largest clearance in
+play and only runs exact distance tests on the candidate segment pairs
+the grid reports — near-linear in board size.  It emits the identical
+violation set, in the identical order, as the original all-pairs sweep
+kept in the test oracles: the grid's candidate list is a superset of
+every pair within clearance range, candidates are visited in the
+all-pairs index order, and the exact measurements use the same
+arithmetic (see PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -220,35 +216,27 @@ def check_obstacle_clearance(
     obstacles: Iterable[Obstacle],
     rules: DesignRules,
     report: Optional[DrcReport] = None,
-    prefilter: bool = False,
 ) -> DrcReport:
     """Flag copper closer than ``d_obs`` to any obstacle.
 
-    ``prefilter=True`` skips the exact polygon-distance tests for
-    segments whose bounding box already clears the obstacle's by the
-    required distance — the verdict is unchanged (bounding-box separation
-    never exceeds true distance) but dense via fields stop costing a
-    polygon sweep per far-away segment.
+    Segments whose bounding box already clears the obstacle's by the
+    required distance skip the exact polygon-distance test: bounding-box
+    separation never exceeds true distance, so a skipped segment can
+    neither hold the minimum of a violation nor tie with it, and dense
+    via fields stop costing a polygon sweep per far-away segment.
     """
     report = report if report is not None else DrcReport()
     required = rules.dobs + trace.width / 2.0
     segments = trace.segments()
-    seg_bounds: Optional[List[Tuple[float, float, float, float]]] = None
+    seg_bounds = [seg.bounds() for seg in segments]
     for obstacle in obstacles:
-        if prefilter:
-            if seg_bounds is None:
-                seg_bounds = [seg.bounds() for seg in segments]
-            ob = obstacle.bounds()
-            obox = (ob[0] - required, ob[1] - required, ob[2] + required, ob[3] + required)
-            near = [
-                seg
-                for seg, b in zip(segments, seg_bounds)
-                if bounds_overlap(b, obox)
-            ]
-            if not near:
-                continue
-        else:
-            near = segments
+        ob = obstacle.bounds()
+        obox = (ob[0] - required, ob[1] - required, ob[2] + required, ob[3] + required)
+        near = [
+            seg for seg, b in zip(segments, seg_bounds) if bounds_overlap(b, obox)
+        ]
+        if not near:
+            continue
         best = math.inf
         where: Optional[Point] = None
         for seg in near:
@@ -333,9 +321,7 @@ def check_pair_coupling(
     return report
 
 
-def check_board(
-    board: Board, check_areas: bool = True, exhaustive: bool = False
-) -> DrcReport:
+def check_board(board: Board, check_areas: bool = True) -> DrcReport:
     """Full-board DRC: every trace against every rule it is subject to.
 
     Rule resolution is per-trace via the most conservative DRA combination
@@ -345,10 +331,10 @@ def check_board(
     (Sec. V-A: such pairs "can still be legal in DRC and retained
     directly"), and intra-pair spacing is governed by the pair rule.
 
-    ``exhaustive=True`` runs the original all-pairs sweeps; the default
-    grid-indexed path reports the identical violation set (candidate
-    supersets + identical exact tests in identical order) in a fraction
-    of the time on large boards.
+    Only the grid-reported candidate segment pairs get exact tests; the
+    report is the all-pairs sweep's (candidate supersets + identical
+    exact tests in identical order) in a fraction of the time on large
+    boards.
     """
     report = DrcReport()
     all_traces: List[Trace] = list(board.traces)
@@ -374,14 +360,14 @@ def check_board(
 
     self_cands: Dict[int, List[Tuple[int, int]]] = {}
     pair_cands: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    if not exhaustive and all_traces:
+    if all_traces:
         self_cands, pair_cands = _clearance_candidates(
             all_traces, per_trace_rules, self_floor
         )
 
     for idx, trace in enumerate(all_traces):
         rules = per_trace_rules[trace.name]
-        cands = None if exhaustive else sorted(self_cands.get(idx, ()))
+        cands = sorted(self_cands.get(idx, ()))
         if trace.name not in pair_sub_names:
             check_segment_lengths(trace, rules, report)
             check_self_clearance(trace, rules, report, candidates=cands)
@@ -391,25 +377,15 @@ def check_board(
             check_self_clearance(
                 trace, rules, report, required=trace.width, candidates=cands
             )
-        check_obstacle_clearance(
-            trace, board.obstacles, rules, report, prefilter=not exhaustive
-        )
+        check_obstacle_clearance(trace, board.obstacles, rules, report)
         if check_areas:
             area = board.routable_areas.get(trace.name)
             if area is not None:
                 check_containment(trace, area, report)
 
-    if exhaustive:
-        trace_pairs: Iterable[Tuple[int, int]] = (
-            (i, j)
-            for i in range(len(all_traces))
-            for j in range(i + 1, len(all_traces))
-        )
-    else:
-        # Only trace pairs with a candidate segment pair can violate;
-        # sorted keys reproduce the exhaustive i<j visiting order.
-        trace_pairs = sorted(pair_cands)
-    for i, j in trace_pairs:
+    # Only trace pairs with a candidate segment pair can violate; sorted
+    # keys reproduce the all-pairs i<j visiting order.
+    for i, j in sorted(pair_cands):
         a, b = all_traces[i], all_traces[j]
         if frozenset((a.name, b.name)) in same_pair_keys:
             continue  # intra-pair spacing is the pair rule, not d_gap
@@ -419,7 +395,7 @@ def check_board(
             # crosstalk between *different* signals.  Synthetic traces
             # carry net="" and are unaffected.
             continue
-        cands = None if exhaustive else sorted(pair_cands[(i, j)])
+        cands = sorted(pair_cands[(i, j)])
         rules = DesignRules(
             dgap=max(per_trace_rules[a.name].dgap, per_trace_rules[b.name].dgap),
             dobs=max(per_trace_rules[a.name].dobs, per_trace_rules[b.name].dobs),

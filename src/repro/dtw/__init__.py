@@ -1,6 +1,6 @@
 """Multi-Scale Dynamic Time Warping for differential pairs (Sec. V)."""
 
-from .dtw import MatchedPair, dtw_match, dtw_match_reference
+from .dtw import MatchedPair, dtw_match
 from .msdtw import MSDTWResult, SubPair, filter_threshold, msdtw, msdtw_pair
 from .median import (
     MedianConversion,
@@ -13,7 +13,6 @@ from .restore import RestorationResult, restore_pair
 __all__ = [
     "MatchedPair",
     "dtw_match",
-    "dtw_match_reference",
     "MSDTWResult",
     "SubPair",
     "filter_threshold",

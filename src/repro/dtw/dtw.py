@@ -7,27 +7,19 @@ classic DTW recurrence gives the minimum-cost monotone matching in which
 every node of both sequences is matched and several nodes may share a
 partner — exactly what uneven node counts need.
 
-Two implementations live here:
-
-* :func:`dtw_match` — the fast path: two O(J)-memory rolling cost rows,
-  distances evaluated on the fly (no dense I×J distance matrix on the
-  plain path), and a one-byte-per-cell backpointer table for the
-  backtrack.  With ``band`` set (MSDTW passes its current distance
-  rule, whose ``sqrt(2)·r`` match bound motivates banding at all —
-  Sec. V-B) mid-sized problems run a *banded* sweep restricted to the
-  cells that can provably lie on an optimal warp path, so the banded
-  result is always exactly the full recurrence's (see
-  :func:`_certified_window` for the argument; the certificate needs a
-  dense numpy distance matrix for its thresholds, so banding is gated
-  to problem sizes where that footprint is trivial).
-* :func:`dtw_match_reference` — the original dense-matrix recurrence,
-  kept verbatim as the oracle for the equivalence tests and the perf
-  bench.
+:func:`dtw_match` runs the recurrence on two O(J)-memory rolling cost
+rows, distances evaluated on the fly, and a one-byte-per-cell
+backpointer table for the backtrack.  Mid-sized problems sweep only a
+*certified corridor*: the cells that can provably lie on an optimal warp
+path, so the result is always exactly the full recurrence's (see
+:func:`_certified_window`; the certificate needs a dense numpy distance
+matrix for its thresholds, so it is gated to problem sizes where that
+footprint is trivial).  The dense-matrix recurrence it must agree with
+bit for bit lives in the test oracles.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -39,7 +31,7 @@ from ..obs.metrics import REGISTRY as _METRICS
 
 _INF = float("inf")
 
-#: Below this many DP cells the banded bookkeeping costs more than the
+#: Below this many DP cells the corridor bookkeeping costs more than the
 #: full sweep saves; small problems always take the plain rolling path.
 _BAND_MIN_CELLS = 2048
 #: Above this many cells the certificate's dense numpy distance matrix
@@ -61,9 +53,7 @@ class MatchedPair:
 
 
 def dtw_match(
-    nodes_p: Sequence[Point],
-    nodes_q: Sequence[Point],
-    band: Optional[float] = None,
+    nodes_p: Sequence[Point], nodes_q: Sequence[Point]
 ) -> Tuple[List[MatchedPair], float]:
     """Optimal monotone node matching and its total cost.
 
@@ -73,15 +63,10 @@ def dtw_match(
     (Eq. 17).  The matched pairs are restored by backtracking from
     ``C[I][J]``; every node appears in at least one pair.
 
-    ``band`` is MSDTW's current distance rule ``r``, passed as a signal
-    that the input is in the near-parallel regime where banding pays
-    (matches survive only below ``sqrt(2)·r``, so the optimal path hugs
-    the diagonal).  Any positive finite value enables the attempt; the
-    corridor itself is *not* a fixed ``r``-width — it is derived from a
-    lower-bound pruning argument so that only cells provably off every
-    optimal warp path are skipped (see :func:`_certified_window`), with
-    a full-recurrence fallback when the corridor would not pay.  The
-    returned matching is the reference optimum either way.
+    Problems of ``_BAND_MIN_CELLS`` to ``_BAND_MAX_CELLS`` cells first
+    try the certified corridor (see :func:`_certified_window`) and fall
+    back to the full sweep when it would not pay; the returned matching
+    is the full recurrence's optimum either way.
     """
     # Always-on observability (counter + latency histogram, ~1 µs —
     # every non-trivial call runs a DP orders of magnitude costlier);
@@ -92,10 +77,12 @@ def dtw_match(
         I, J = len(nodes_p), len(nodes_q)
         if I == 0 or J == 0:
             return [], 0.0
-        if band is not None and _BAND_MIN_CELLS <= I * J <= _BAND_MAX_CELLS:
-            banded = _dtw_match_banded(nodes_p, nodes_q, band)
-            if banded is not None:
-                return banded
+        if _BAND_MIN_CELLS <= I * J <= _BAND_MAX_CELLS:
+            window = _certified_window(nodes_p, nodes_q)
+            if window is not None:
+                result = _dtw_sweep(nodes_p, nodes_q, window)
+                if result is not None:
+                    return result
         result = _dtw_sweep(nodes_p, nodes_q, None)
         assert result is not None  # the full window is always connected
         return result
@@ -120,7 +107,7 @@ def _dtw_sweep(
 
     Memory: two ``J+1`` float rows plus one backpointer byte per cell
     (0 = diagonal, 1 = from ``i-1``, 2 = from ``j-1``), instead of the
-    reference implementation's two dense float matrices.
+    dense recurrence's two float matrices.
     """
     I, J = len(nodes_p), len(nodes_q)
     prev = [_INF] * (J + 1)
@@ -133,7 +120,7 @@ def _dtw_sweep(
         mrow = bytearray(J + 1)
         for j in range(lo, hi + 1):
             # Same candidate order and strict-< preference as the
-            # reference recurrence: diagonal, then up, then left.
+            # dense recurrence: diagonal, then up, then left.
             best = prev[j - 1]
             move = 0
             if prev[j] < best:
@@ -168,26 +155,7 @@ def _dtw_sweep(
     return pairs, total
 
 
-# -- the banded fast path ---------------------------------------------------------------
-
-
-def _dtw_match_banded(
-    nodes_p: Sequence[Point], nodes_q: Sequence[Point], rule: float
-) -> Optional[Tuple[List[MatchedPair], float]]:
-    """Banded sweep over the certified corridor.
-
-    Returns ``None`` — run the full recurrence — when the rule is
-    degenerate or the corridor would cover too much of the matrix to pay
-    for its own bookkeeping.  A non-``None`` result is the
-    reference matching: the corridor provably contains every cell of
-    every optimal warp path (see :func:`_certified_window`).
-    """
-    if rule <= 0.0 or not math.isfinite(rule):
-        return None
-    window = _certified_window(nodes_p, nodes_q)
-    if window is None:
-        return None
-    return _dtw_sweep(nodes_p, nodes_q, window)
+# -- the certified corridor -------------------------------------------------------------
 
 
 def _certified_window(
@@ -205,8 +173,8 @@ def _certified_window(
     every optimal path; restricting the DP to it (padded to a connected
     monotone envelope, which only adds cells) leaves every optimal
     path's value — and the backtrack's argmin choices along it —
-    untouched, so the banded sweep returns the reference matching
-    exactly.  A small slack absorbs float rounding between the numpy
+    untouched, so the corridor sweep returns the full recurrence's
+    matching exactly.  A small slack absorbs float rounding between the numpy
     mask arithmetic and the DP's scalar sums.
 
     In the MSDTW regime (near-parallel sub-traces, matches within the
@@ -284,53 +252,3 @@ def _staircase_cost(dist) -> float:
             j += 1
         total += float(dist[i, j])
     return total
-
-
-# -- the reference recurrence -----------------------------------------------------------
-
-
-def dtw_match_reference(
-    nodes_p: Sequence[Point], nodes_q: Sequence[Point]
-) -> Tuple[List[MatchedPair], float]:
-    """The original dense-matrix recurrence, kept as the test oracle.
-
-    Materialises the full I×J distance matrix and the (I+1)×(J+1) cost
-    matrix; :func:`dtw_match` must agree with it bit for bit (same
-    floating-point operation order, same tie preference).
-    """
-    I, J = len(nodes_p), len(nodes_q)
-    if I == 0 or J == 0:
-        return [], 0.0
-    INF = float("inf")
-    # C[i][j] over 1-based sizes; C[0][0] = 0, first row/col unreachable
-    # except through the corner (DTW boundary condition).
-    C = [[INF] * (J + 1) for _ in range(I + 1)]
-    C[0][0] = 0.0
-    dist = [
-        [nodes_p[i].distance_to(nodes_q[j]) for j in range(J)] for i in range(I)
-    ]
-    for i in range(1, I + 1):
-        row = C[i]
-        prev = C[i - 1]
-        drow = dist[i - 1]
-        for j in range(1, J + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            if best < INF:
-                row[j] = best + drow[j - 1]
-    # Backtrack from C[I][J] to C[0][0].
-    pairs: List[MatchedPair] = []
-    i, j = I, J
-    while i > 0 and j > 0:
-        pairs.append(MatchedPair(i - 1, j - 1, dist[i - 1][j - 1]))
-        candidates = (
-            (C[i - 1][j - 1], i - 1, j - 1),
-            (C[i - 1][j], i - 1, j),
-            (C[i][j - 1], i, j - 1),
-        )
-        _, i, j = min(candidates, key=lambda t: t[0])
-    pairs.reverse()
-    return pairs, C[I][J]

@@ -76,21 +76,12 @@ def msdtw(
     rules: Sequence[float],
     breakout_p: int = 0,
     breakout_n: int = 0,
-    banded: bool = True,
 ) -> MSDTWResult:
     """Run MSDTW over the node sequences of a differential pair.
 
     ``rules`` is the rule set ``R``; it is sorted ascending internally.
     ``breakout_p``/``breakout_n`` exclude that many nodes at each end from
     matching (the paper preserves the breakout part of the pair).
-
-    ``banded`` feeds the current rule to :func:`~repro.dtw.dtw.dtw_match`
-    as its ``band`` hint: matches survive only below ``sqrt(2)·r``, so
-    each round's input sits in the near-diagonal regime where the banded
-    sweep pays.  The corridor is certified (cells provably off every
-    optimal warp path are the only ones skipped), so the matching is
-    identical with or without banding; disable only for
-    cross-validation.
     """
     if not rules:
         raise ValueError("MSDTW needs at least one distance rule")
@@ -111,7 +102,6 @@ def msdtw(
             local_pairs, _ = dtw_match(
                 nodes_p[sp.p_lo : sp.p_hi],
                 nodes_q[sp.n_lo : sp.n_hi],
-                band=rule if banded else None,
             )
             kept = [
                 MatchedPair(sp.p_lo + m.i, sp.n_lo + m.j, m.cost)
@@ -158,9 +148,7 @@ def _split(sp: SubPair, kept: Sequence[MatchedPair]) -> List[SubPair]:
     return [s for s in out if not (s.p_empty() and s.n_empty())]
 
 
-def msdtw_pair(
-    pair: DifferentialPair, breakout: int = 0, banded: bool = True
-) -> MSDTWResult:
+def msdtw_pair(pair: DifferentialPair, breakout: int = 0) -> MSDTWResult:
     """Convenience wrapper running MSDTW on a :class:`DifferentialPair`."""
     return msdtw(
         pair.trace_p.path.points,
@@ -168,5 +156,4 @@ def msdtw_pair(
         pair.distance_rules(),
         breakout_p=breakout,
         breakout_n=breakout,
-        banded=banded,
     )

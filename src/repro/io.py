@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
@@ -200,7 +201,10 @@ def save_board(board: Board, path: str) -> str:
 
 
 def _to_points(data) -> List[Point]:
-    return [Point(float(x), float(y)) for x, y in data]
+    points = [Point(float(x), float(y)) for x, y in data]
+    if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in points):
+        raise ValueError("coordinates must be finite")
+    return points
 
 
 def _to_rules(data: Dict[str, float]) -> DesignRules:

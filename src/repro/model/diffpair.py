@@ -9,6 +9,7 @@ and the coupling measurements that motivate MSDTW.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
@@ -35,10 +36,10 @@ class DifferentialPair:
     extra_rules: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rule <= self.trace_p.width:
+        if not self.trace_p.width < self.rule < math.inf:
             raise ValueError(
-                "pair distance rule is centre-to-centre and must exceed the "
-                "sub-trace width"
+                "pair distance rule is centre-to-centre and must be finite "
+                "and exceed the sub-trace width"
             )
 
     # -- measures -------------------------------------------------------------

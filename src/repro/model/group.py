@@ -8,6 +8,7 @@ be no less than every original length).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -31,8 +32,10 @@ class MatchGroup:
     tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if self.target_length is not None and not math.isfinite(self.target_length):
+            raise ValueError("target length must be finite")
 
     # -- membership ---------------------------------------------------------
 

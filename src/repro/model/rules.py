@@ -32,14 +32,15 @@ class DesignRules:
     dmiter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dgap <= 0:
-            raise ValueError("d_gap must be positive")
-        if self.dobs < 0:
-            raise ValueError("d_obs cannot be negative")
-        if self.dprotect < 0:
-            raise ValueError("d_protect cannot be negative")
-        if self.dmiter < 0:
-            raise ValueError("d_miter cannot be negative")
+        # Chained comparisons are False for NaN, so NaN fails every check.
+        if not 0 < self.dgap < math.inf:
+            raise ValueError("d_gap must be positive and finite")
+        if not 0 <= self.dobs < math.inf:
+            raise ValueError("d_obs must be finite and not negative")
+        if not 0 <= self.dprotect < math.inf:
+            raise ValueError("d_protect must be finite and not negative")
+        if not 0 <= self.dmiter < math.inf:
+            raise ValueError("d_miter must be finite and not negative")
 
     # -- derived quantities -------------------------------------------------
 

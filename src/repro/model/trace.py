@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List
 
@@ -25,8 +26,8 @@ class Trace:
     net: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("trace width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("trace width must be positive and finite")
 
     # -- measures -----------------------------------------------------------
 

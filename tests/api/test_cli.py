@@ -352,6 +352,19 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
 
+    def test_non_finite_board_is_usage_error(self, tmp_path):
+        # A NaN rule used to load and then crash the match stage ("cannot
+        # convert float NaN to integer"); it must be refused on load.
+        from repro.io import board_to_dict
+
+        doc = board_to_dict(golden_board())
+        doc["rules"]["default"]["dgap"] = float("nan")
+        with open(str(tmp_path / "nan.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        proc = run_cli(["route", "nan.json", "--preset", "fast", "--quiet"], tmp_path)
+        assert proc.returncode == 2
+        assert "d_gap must be positive and finite" in proc.stderr
+
     def test_missing_board_file_is_usage_error(self, tmp_path):
         assert run_cli(["check", "no_such.json"], tmp_path).returncode == 2
 

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.bench.harness import main, run_table1, run_table2
+from repro.bench.harness import run_table1, run_table2
+from repro.cli import main
 
 
 class TestRunners:
@@ -29,13 +30,13 @@ class TestRunners:
 
 class TestCli:
     def test_cli_table2(self, capsys, tmp_path):
-        code = main(["table2"])
+        code = main(["bench", "table2"])
         assert code == 0
         assert "Table II" in capsys.readouterr().out
 
     def test_cli_figures(self, tmp_path, capsys):
         outdir = str(tmp_path / "figs")
-        code = main(["figures", "--outdir", outdir])
+        code = main(["bench", "figures", "--outdir", outdir])
         assert code == 0
         produced = os.listdir(outdir)
         assert "fig14a.svg" in produced and "fig16b.svg" in produced
@@ -43,7 +44,7 @@ class TestCli:
 
     def test_cli_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            main(["nonsense"])
+            main(["bench", "nonsense"])
 
     def test_cli_figures_json_payload_is_paths(self, tmp_path, capsys):
         # Regression: --json must emit the written file paths, not the
@@ -51,7 +52,7 @@ class TestCli:
         import json
 
         outdir = str(tmp_path / "figs")
-        code = main(["figures", "--outdir", outdir, "--json"])
+        code = main(["bench", "figures", "--outdir", outdir, "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"figures"}

@@ -1,12 +1,20 @@
 """Smoke tests for the perf-regression bench (``repro bench --perf``)."""
 
+import ast
+import inspect
 import json
 import math
 
 import pytest
 
+from oracles.drc import check_board_exhaustive
+from oracles.dtw import dtw_match_reference
+from repro.bench import calibration
 from repro.bench.perf import (
+    _DTW_RULE,
+    _matching_digest,
     check_perf_guard,
+    dtw_workload,
     make_drc_board,
     run_perf,
     run_perf_guard,
@@ -14,6 +22,11 @@ from repro.bench.perf import (
 )
 from repro.drc import check_board
 from repro.io import drc_report_to_dict
+
+
+def _committed():
+    with open("BENCH_perf.json", "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.mark.smoke
@@ -40,19 +53,34 @@ class TestRunPerfQuick:
             "server_faults",
         }
         assert payload["machine"]["cpu_count"] >= 1
+        assert payload["machine"]["calibration_s"] > 0
         assert payload["total_s"] > 0
 
     def test_dtw_phase(self, payload):
         rows = payload["phases"]["dtw"]
-        assert rows and all(r["identical"] for r in rows)
-        assert all(r["reference_s"] > 0 for r in rows)
+        assert rows and all(r["match_s"] > 0 for r in rows)
+        # The timed matching is the dense oracle's, bit for bit.
+        for row in rows:
+            p, q = dtw_workload(row["nodes"], _DTW_RULE, seed=row["nodes"])
+            assert row["digest"] == _matching_digest(dtw_match_reference(p, q))
 
     def test_drc_phase(self, payload):
         rows = payload["phases"]["drc"]
-        assert rows and all(r["identical"] for r in rows)
+        assert rows and all(r["check_s"] > 0 for r in rows)
         assert all(r["violations"] == 0 for r in rows)
-        # The grid path must already win clearly at the smallest scale.
-        assert rows[0]["speedup"] > 5.0
+
+    def test_committed_baseline_has_run_perf_shape(self, payload):
+        # The committed baseline must be something run_perf writes today:
+        # same row keys on every phase both payloads carry, and the
+        # machine-speed yardstick the guard divides by.
+        committed = _committed()
+        assert committed["machine"]["calibration_s"] > 0
+        shared = set(committed["phases"]) & set(payload["phases"])
+        assert {"dtw", "drc", "extension"} <= shared
+        for phase in sorted(shared):
+            fresh_keys = {frozenset(r) for r in payload["phases"][phase]}
+            committed_keys = {frozenset(r) for r in committed["phases"][phase]}
+            assert committed_keys == fresh_keys, phase
 
     def test_session_phase(self, payload):
         rows = payload["phases"]["session"]
@@ -73,9 +101,7 @@ class TestRunPerfQuick:
         assert all(r["stale_drops"] == 0 for r in rows)
         assert all(r["extend_s"] > 0 for r in rows)
         # The routed answer is the committed baseline's, bit for bit.
-        with open("BENCH_perf.json", "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-        assert check_perf_guard(payload, committed, max_ratio=math.inf) == []
+        assert check_perf_guard(payload, _committed(), max_ratio=math.inf) == []
 
     def test_extension_breakdown_phase(self, payload):
         rows = payload["phases"]["extension_breakdown"]
@@ -138,19 +164,37 @@ class TestMakeDrcBoard:
         fast = check_board(b2, check_areas=False)
         assert fast.is_clean()
         assert drc_report_to_dict(fast) == drc_report_to_dict(
-            check_board(b2, check_areas=False, exhaustive=True)
+            check_board_exhaustive(b2, check_areas=False)
         )
 
 
-def _guard_payload(extend_s=0.1, dtw_ref=0.01, digest="d1"):
+class TestCalibration:
+    def test_kernel_is_frozen(self):
+        # Every committed calibration_s was measured on this answer; a
+        # kernel edit must come with a regenerated baseline.
+        assert repr(calibration.calibration_kernel(calibration._P, calibration._Q)) == (
+            "410.0128610491329"
+        )
+
+    def test_imports_nothing_from_repro(self):
+        tree = ast.parse(inspect.getsource(calibration))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and not node.module.startswith("repro")
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("repro") for a in node.names)
+
+
+def _guard_payload(extend_s=0.1, calibration_s=0.01, digest="d1", dtw_digest="m1"):
     row = {"dgap": 4.0, "extend_s": extend_s}
     if digest is not None:
         row["digest"] = digest
     return {
+        "machine": {"calibration_s": calibration_s},
         "phases": {
-            "dtw": [{"nodes": 64, "reference_s": dtw_ref}],
+            "dtw": [{"nodes": 64, "match_s": 0.001, "digest": dtw_digest}],
             "extension": [row],
-        }
+        },
     }
 
 
@@ -165,18 +209,25 @@ class TestPerfGuard:
         assert problems and "dgap=4.0" in problems[0]
 
     def test_machine_speed_normalization(self):
-        # A machine 3x slower on the DTW reference proxy gets a 3x wider
+        # A machine 3x slower on the calibration kernel gets a 3x wider
         # allowance — the same workload ratio passes...
-        slow = _guard_payload(extend_s=0.3, dtw_ref=0.03)
-        assert check_perf_guard(slow, _guard_payload(0.1, dtw_ref=0.01)) == []
+        slow = _guard_payload(extend_s=0.3, calibration_s=0.03)
+        assert check_perf_guard(slow, _guard_payload(0.1, calibration_s=0.01)) == []
         # ...while a genuine engine regression still fails on it.
-        regressed = _guard_payload(extend_s=0.9, dtw_ref=0.03)
-        assert check_perf_guard(regressed, _guard_payload(0.1, dtw_ref=0.01))
+        regressed = _guard_payload(extend_s=0.9, calibration_s=0.03)
+        assert check_perf_guard(regressed, _guard_payload(0.1, calibration_s=0.01))
 
     def test_fails_when_digest_differs_from_baseline(self):
         problems = check_perf_guard(_guard_payload(digest="d2"), _guard_payload())
         assert problems == [
             "extension dgap=4.0: digest d2 differs from baseline d1 "
+            "(routed answer changed)"
+        ]
+
+    def test_fails_when_dtw_digest_differs_from_baseline(self):
+        problems = check_perf_guard(_guard_payload(dtw_digest="m2"), _guard_payload())
+        assert problems == [
+            "dtw nodes=64: digest m2 differs from baseline m1 "
             "(routed answer changed)"
         ]
 
@@ -191,7 +242,7 @@ class TestPerfGuard:
 
     def test_missing_phases_reported(self):
         problems = check_perf_guard({"phases": {}}, _guard_payload())
-        assert len(problems) == 2  # no dtw proxy, no extension phase
+        assert len(problems) == 2  # no calibration_s, no extension phase
 
     def test_run_perf_guard_reads_baseline_file(self, tmp_path, capsys):
         baseline = tmp_path / "BENCH_perf.json"
@@ -204,16 +255,13 @@ class TestPerfGuard:
     def test_guard_against_committed_baseline_shape(self):
         # The committed BENCH_perf.json must keep the fields the guard
         # reads — this is the schema contract the CI step depends on.
-        with open("BENCH_perf.json", "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-        assert _dtw_nodes(committed), "baseline lost its dtw proxy rows"
+        committed = _committed()
+        assert committed["machine"]["calibration_s"] > 0
+        for row in committed["phases"]["dtw"]:
+            assert "nodes" in row and len(row["digest"]) == 64
         for row in committed["phases"]["extension"]:
             assert "extend_s" in row and "dgap" in row
             assert len(row["digest"]) == 64
-
-
-def _dtw_nodes(payload):
-    return [r["nodes"] for r in payload["phases"]["dtw"] if r.get("reference_s")]
 
 
 class TestRunProfile:

@@ -1,17 +1,20 @@
-"""Equivalence tests: grid-indexed DRC vs. the exhaustive sweep.
+"""Equivalence tests: grid-indexed DRC vs. the all-pairs oracle sweep.
 
-``check_board`` (fast, default) must report the *identical* violation
-set — same kinds, subjects, measurements, locations, and order — as
-``check_board(..., exhaustive=True)`` on randomized boards that actually
-violate (crossing traces, tight pairs, vias on copper) and on the clean
-bench designs.
+``check_board`` must report the *identical* violation set — same kinds,
+subjects, measurements, locations, and order — as
+:func:`oracles.drc.check_board_exhaustive` on randomized boards that
+actually violate (crossing traces, tight pairs, vias on copper) and on
+the clean bench designs, and must beat it clearly on a routed board.
 """
 
 import random
+import time
 
 import pytest
 
+from oracles.drc import check_board_exhaustive
 from repro.bench.designs import make_msdtw_case, make_table1_case, make_table2_design
+from repro.bench.perf import make_drc_board
 from repro.drc import check_board
 from repro.geometry import Point, Polyline
 from repro.io import drc_report_to_dict
@@ -67,7 +70,7 @@ def random_dirty_board(seed, n_traces=6, n_obstacles=5):
 
 def assert_reports_identical(board, check_areas=False):
     fast = check_board(board, check_areas=check_areas)
-    exhaustive = check_board(board, check_areas=check_areas, exhaustive=True)
+    exhaustive = check_board_exhaustive(board, check_areas=check_areas)
     assert drc_report_to_dict(fast) == drc_report_to_dict(exhaustive)
     return fast
 
@@ -135,3 +138,17 @@ class TestEmptyAndDegenerate:
             Trace(name="solo", path=Polyline([Point(1, 5), Point(9, 5)]), width=1.0)
         )
         assert_reports_identical(board)
+
+
+class TestSpeed:
+    def test_grid_beats_all_pairs_sweep_at_scale_1(self):
+        # The grid path must already win clearly at the bench's smallest
+        # scale.
+        board = make_drc_board(1)
+
+        def timed(check):
+            t0 = time.perf_counter()
+            check(board, check_areas=False)
+            return time.perf_counter() - t0
+
+        assert timed(check_board_exhaustive) / timed(check_board) > 5.0

@@ -1,21 +1,27 @@
-"""Equivalence tests: rolling/banded DTW vs. the dense reference.
+"""Equivalence tests: :func:`dtw_match` vs. the dense oracle recurrence.
 
-The fast paths must be *bit-identical* to :func:`dtw_match_reference` —
-same matched pairs, same costs, same tie resolution — over randomized
-node sequences: near-parallel jittered pair sub-traces (the MSDTW
-workload, where the band pays off) and unstructured point clouds (where
-the band must detect it cannot help and fall back).
+The rolling-row sweep and its certified corridor must be *bit-identical*
+to :func:`oracles.dtw.dtw_match_reference` — same matched pairs, same
+costs, same tie resolution — over randomized node sequences:
+near-parallel jittered pair sub-traces (the MSDTW workload, where the
+corridor pays off) and unstructured point clouds (where the corridor
+must detect it cannot help and fall back).
 """
 
+import importlib
 import math
 import random
 
 import pytest
 
+from oracles.dtw import dtw_match_reference
 from repro.bench.perf import dtw_workload
-from repro.dtw import dtw_match, dtw_match_reference
+from repro.dtw import dtw_match
 from repro.dtw.msdtw import msdtw
 from repro.geometry import Point
+
+# The module, not the same-named function ``repro.dtw`` re-exports.
+msdtw_mod = importlib.import_module("repro.dtw.msdtw")
 
 RULE = 1.6
 
@@ -58,7 +64,7 @@ class TestBandedEquivalence:
     @pytest.mark.parametrize("n", [60, 90, 150])
     def test_band_bit_identical_on_pair_workloads(self, seed, n):
         p, q = parallel_workload(n, RULE, seed)
-        assert dtw_match(p, q, band=RULE) == dtw_match_reference(p, q)
+        assert dtw_match(p, q) == dtw_match_reference(p, q)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_band_bit_identical_on_clouds(self, seed):
@@ -66,12 +72,17 @@ class TestBandedEquivalence:
         # the band must fall through to the full sweep — still identical.
         p = cloud(60, seed)
         q = cloud(70, seed + 500)
-        assert dtw_match(p, q, band=2.0) == dtw_match_reference(p, q)
+        assert dtw_match(p, q) == dtw_match_reference(p, q)
 
     @pytest.mark.parametrize("band", [1e-9, 0.1, RULE, 10.0, 1e6])
-    def test_any_band_radius_is_safe(self, band):
+    def test_any_band_radius_is_safe(self, band, monkeypatch):
+        # MSDTW's distance rule is the value that used to be forwarded
+        # as a band radius.  Whatever the rule, every round's matching
+        # must be the oracle's: the corridor never depends on it.
         p, q = parallel_workload(70, RULE, 42)
-        assert dtw_match(p, q, band=band) == dtw_match_reference(p, q)
+        fast = msdtw(p, q, [band])
+        monkeypatch.setattr(msdtw_mod, "dtw_match", dtw_match_reference)
+        assert msdtw(p, q, [band]) == fast
 
     def test_wiggly_detour_workload(self):
         # One sequence takes a large meander excursion the other skips —
@@ -79,7 +90,7 @@ class TestBandedEquivalence:
         p, q = parallel_workload(80, RULE, 9)
         detour = [Point(p[40].x, p[40].y + k) for k in (4.0, 8.0, 8.0, 4.0)]
         p = p[:40] + detour + p[40:]
-        assert dtw_match(p, q, band=RULE) == dtw_match_reference(p, q)
+        assert dtw_match(p, q) == dtw_match_reference(p, q)
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("n", [46, 90, 140])
@@ -100,15 +111,17 @@ class TestBandedEquivalence:
             if rng.random() < 0.15:
                 qy += rng.choice((1.0, -1.0)) * RULE * rng.uniform(5.0, 40.0)
             q.append(Point(x + (rng.random() - 0.5) * 0.4, qy))
-        assert dtw_match(p, q, band=RULE) == dtw_match_reference(p, q)
+        assert dtw_match(p, q) == dtw_match_reference(p, q)
 
 
 class TestMsdtwBanded:
     @pytest.mark.parametrize("seed", range(10))
-    def test_msdtw_banded_matches_unbanded(self, seed):
+    def test_msdtw_banded_matches_unbanded(self, seed, monkeypatch):
+        # Production MSDTW (corridor sweeps) vs. MSDTW on the dense oracle.
         p, q = parallel_workload(90, RULE, seed)
-        banded = msdtw(p, q, [RULE, 2.8], banded=True)
-        plain = msdtw(p, q, [RULE, 2.8], banded=False)
+        banded = msdtw(p, q, [RULE, 2.8])
+        monkeypatch.setattr(msdtw_mod, "dtw_match", dtw_match_reference)
+        plain = msdtw(p, q, [RULE, 2.8])
         assert banded.pairs == plain.pairs
         assert banded.rounds == plain.rounds
         assert banded.unpaired_p == plain.unpaired_p

@@ -184,6 +184,28 @@ class TestValidation:
         assert "invalid board" in envelope["error"]["message"]
         assert "bus0" in envelope["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["rules"]["default"].__setitem__("dgap", float("nan")),
+            lambda doc: doc["traces"][0]["path"][1].__setitem__(1, float("nan")),
+            lambda doc: doc["traces"][0]["path"][1].__setitem__(0, float("inf")),
+        ],
+        ids=["nan_dgap", "nan_coordinate", "inf_coordinate"],
+    )
+    def test_non_finite_document_is_400(self, app, mutate):
+        # Each used to reach the match stage and crash there (500):
+        # NaN slips through every ``<= 0`` check, and an inf coordinate
+        # makes an infinitely long trace.
+        from repro.scenarios import generate
+
+        doc = board_to_dict(generate("serpentine_bus", seed=0))
+        mutate(doc)
+        status, envelope = app.route({"board": doc, "preset": "fast"})
+        assert status == 400
+        assert envelope["kind"] == "error_response"
+        assert "invalid board document" in envelope["error"]["message"]
+
     def test_non_dict_config_is_400(self, app):
         status, envelope = app.route(
             {"board": board_to_dict(good_board()), "config": "fast"}

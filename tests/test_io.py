@@ -96,3 +96,11 @@ class TestValidation:
         data["groups"][0]["members"].append("ghost")
         with pytest.raises(ValueError):
             board_from_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate_rejected(self, value):
+        board, _ = make_table1_case(1)
+        data = board_to_dict(board)
+        data["traces"][0]["path"][1][0] = value
+        with pytest.raises(ValueError, match="finite"):
+            board_from_dict(data)
