@@ -2,8 +2,9 @@
 
 ``tests/data/routing_digests.golden.json`` was recorded before the
 extension engine lost its second (reference) copy; any change to a
-single routed bit of the corpus, of the Table II upper-bound runs or of
-the AiDT proxy boards fails here.  Never regenerate it to make this
+single routed bit of the corpus, of the Table II upper-bound runs, of
+the AiDT proxy boards or of the region-assigned corpus boards fails
+here.  Never regenerate it to make this
 test pass — a mismatch is a behaviour change.
 """
 
@@ -17,6 +18,8 @@ from oracles.digests import (
     corpus_keys,
     load_golden,
     production_route_digest,
+    region_digest,
+    region_keys,
     sha256_of,
     table2_digest,
 )
@@ -31,6 +34,7 @@ def test_golden_covers_every_workload():
         f"table2/{tag}/{dgap}" for dgap in TABLE2_DGAPS for tag in ("dp", "fixed")
     }
     expected |= {f"aidt/{spec.case}" for spec in TABLE1_SPECS}
+    expected |= {key for key, _, _ in region_keys()}
     assert set(GOLDEN) == expected
 
 
@@ -50,3 +54,12 @@ def test_table2_upper_bounds_match_golden(dgap):
 @pytest.mark.parametrize("case", [spec.case for spec in TABLE1_SPECS])
 def test_aidt_boards_match_golden(case):
     assert aidt_digest(case) == GOLDEN[f"aidt/{case}"]
+
+
+@pytest.mark.parametrize("family", corpus_families())
+def test_region_assigned_routes_match_golden(family):
+    for seed in SEEDS:
+        assert region_digest(family, seed) == GOLDEN[f"region/{family}/{seed}"], (
+            family,
+            seed,
+        )

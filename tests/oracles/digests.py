@@ -8,7 +8,11 @@ golden file pins three workloads:
   it needs fixture files) × seeds 0–4, routed by a ``fast`` session;
 * ``table2/<dp|fixed>/<dgap>``: the Table II extension upper bound of
   the DP engine and of the fixed-track baseline at d_gap 1.0–4.0;
-* ``aidt/<case>``: the AiDT proxy's board for every Table I case.
+* ``aidt/<case>``: the AiDT proxy's board for every Table I case;
+* ``region/<family>/<seed>``: the same corpus boards with their
+  routable areas cleared, routed by a ``default`` session so the
+  Sec. III region stage assigns them; the digest adds the ``repr`` of
+  every assigned routable-area polygon.
 
 Regenerate (only ever from a commit whose routing is the reference)::
 
@@ -84,6 +88,23 @@ def production_route_digest(family: str, seed: int):
     return route_digest(family, seed)
 
 
+def region_digest(family: str, seed: int) -> str:
+    """Status, routed board and assigned routable areas of one
+    ``default`` session run on a board stripped of its areas."""
+    from repro.api import RoutingSession, SessionConfig
+    from repro.scenarios import generate
+
+    board = generate(family, seed=seed)
+    board.routable_areas.clear()
+    result = RoutingSession(board, config=SessionConfig.preset("default")).run()
+    areas = sorted((name, repr(poly)) for name, poly in board.routable_areas.items())
+    doc = json.dumps(
+        [result.status, sorted(board_digest(board).items()), areas],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
 def table2_digest(dgap: float, use_dp: bool) -> str:
     from repro.bench.designs import make_table2_design
     from repro.bench.harness import _table2_extender
@@ -109,6 +130,12 @@ def corpus_keys() -> Iterable[Tuple[str, str, int]]:
             yield f"corpus/{family}/{seed}", family, seed
 
 
+def region_keys() -> Iterable[Tuple[str, str, int]]:
+    for family in corpus_families():
+        for seed in SEEDS:
+            yield f"region/{family}/{seed}", family, seed
+
+
 def compute_all() -> Dict[str, str]:
     from repro.bench.designs import TABLE1_SPECS
 
@@ -120,6 +147,8 @@ def compute_all() -> Dict[str, str]:
             out[f"table2/{tag}/{dgap}"] = table2_digest(dgap, use_dp)
     for spec in TABLE1_SPECS:
         out[f"aidt/{spec.case}"] = aidt_digest(spec.case)
+    for key, family, seed in region_keys():
+        out[key] = region_digest(family, seed)
     return out
 
 
