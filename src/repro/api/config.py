@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
@@ -76,6 +77,34 @@ class RegionConfig:
     #: Raise on an infeasible LP instead of recording a failed stage and
     #: continuing without assigned areas.
     strict: bool = False
+
+
+def _finite(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_region(region: RegionConfig) -> None:
+    """Reject region knobs the decomposition cannot run with.
+
+    A NaN ``cell`` used to crash the region stage and a NaN or negative
+    ``reach`` silently left every trace without neighbour regions.
+    """
+    if region.cell is not None and not (_finite(region.cell) and region.cell > 0):
+        raise ValueError(
+            f"region.cell must be a finite number > 0 or null, got {region.cell!r}"
+        )
+    if not (_finite(region.safety) and region.safety > 0):
+        raise ValueError(
+            f"region.safety must be a finite number > 0, got {region.safety!r}"
+        )
+    if region.reach is not None and not (_finite(region.reach) and region.reach >= 0):
+        raise ValueError(
+            f"region.reach must be a finite number >= 0 or null, got {region.reach!r}"
+        )
 
 
 @dataclass
@@ -212,7 +241,10 @@ class SessionConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are ignored so snapshots stay loadable across
-        versions that add knobs.
+        versions that add knobs.  Raises :class:`ValueError` on region
+        knobs the decomposition cannot run with (a non-finite or
+        non-positive ``cell``/``safety``, a non-finite or negative
+        ``reach``).
         """
         def pick(dc_cls, payload):
             names = {f.name for f in fields(dc_cls)}
@@ -221,6 +253,7 @@ class SessionConfig:
         data = dict(data)
         extension = pick(ExtensionConfig, data.pop("extension", {}))
         region = pick(RegionConfig, data.pop("region", {}))
+        _check_region(region)
         drc = pick(DrcConfig, data.pop("drc", {}))
         base = pick(cls, data)
         return replace(base, extension=extension, region=region, drc=drc)

@@ -16,11 +16,12 @@ owns ordering, timing and observer notification.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from ..core import LengthMatchingRouter
 from ..drc import check_board
-from ..model import Trace
+from ..model import Board, Trace
+from .config import SessionConfig
 from .result import STATUS_FAILED, STATUS_OK, STATUS_SKIPPED, RunResult, StageRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -67,14 +68,13 @@ class RegionAssignmentStage:
 
     name = "region"
 
-    def run(self, session: "RoutingSession", result: RunResult) -> StageRecord:
-        from ..region import AssignmentInfeasible, apply_assignment, assign_regions
+    @staticmethod
+    def inputs(
+        board: Board, config: SessionConfig
+    ) -> Tuple[List[Trace], Dict[str, float], Optional[float]]:
+        """The traces the LP assigns space to, their group targets, and
+        the decomposition cell (``None`` when no trace needs space)."""
         from ..region.capacity import meander_pitch
-
-        board = session.board
-        cfg = session.config.region
-        if not cfg.enabled:
-            return StageRecord(self.name, STATUS_SKIPPED, detail="disabled by config")
 
         candidates: List[Trace] = []
         targets: Dict[str, float] = {}
@@ -82,7 +82,7 @@ class RegionAssignmentStage:
             if not group.members:
                 continue
             target = group.resolved_target()
-            tol = session.config.effective_tolerance(group)
+            tol = config.effective_tolerance(group)
             for trace in group.traces():
                 if trace.name in board.routable_areas:
                     continue  # explicit areas are authoritative
@@ -90,19 +90,29 @@ class RegionAssignmentStage:
                     continue  # already long enough
                 candidates.append(trace)
                 targets[trace.name] = target
+        cell = config.region.cell
+        if cell is None and candidates:
+            # A cell a few leg pitches wide keeps the LP small while
+            # resolving corridors finer than the trace pitch.
+            width = max(t.width for t in candidates)
+            cell = 3.0 * meander_pitch(board.rules.default, width)
+        return candidates, targets, cell
+
+    def run(self, session: "RoutingSession", result: RunResult) -> StageRecord:
+        from ..region import AssignmentInfeasible, apply_assignment, assign_regions
+
+        board = session.board
+        cfg = session.config.region
+        if not cfg.enabled:
+            return StageRecord(self.name, STATUS_SKIPPED, detail="disabled by config")
+
+        candidates, targets, cell = self.inputs(board, session.config)
         if not candidates:
             return StageRecord(
                 self.name,
                 STATUS_SKIPPED,
                 detail="no single-ended members need assigned space",
             )
-
-        cell = cfg.cell
-        if cell is None:
-            # A cell a few leg pitches wide keeps the LP small while
-            # resolving corridors finer than the trace pitch.
-            width = max(t.width for t in candidates)
-            cell = 3.0 * meander_pitch(board.rules.default, width)
         try:
             assignment = assign_regions(
                 board,

@@ -19,6 +19,11 @@ Phases
                that the guard compares against the committed baseline;
 ``session``    end-to-end :class:`~repro.api.RoutingSession` runs on
                Table I cases;
+``region``     Sec. III region assignment on ``tiled``/``mixed_groups``
+               boards with their routable areas cleared: the grid
+               decomposition alone and the whole assignment (decompose
+               plus LP), with a sha256 ``digest`` of the assignment that
+               the guard compares against the committed baseline;
 ``server``     cold-vs-warm ``POST /route`` latency through a live
                :mod:`repro.server` daemon — the warm request is served
                from the content-addressed cache without running any
@@ -442,6 +447,83 @@ def _phase_session(cases: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     return rows
 
 
+def _region_board(tiles: int) -> Board:
+    """``tiled``/``mixed_groups`` seed 0 without routable areas, the way
+    an imported board reaches the region stage."""
+    from ..scenarios import generate
+
+    board = generate(
+        "tiled", seed=0, params={"tiles": tiles, "base": "mixed_groups"}
+    )
+    board.routable_areas.clear()
+    return board
+
+
+def _assignment_digest(assignment: Any) -> str:
+    """sha256 of an assignment: every trace's cells and every LP value."""
+    return _sha256_lines(
+        [f"{name}:{cells}" for name, cells in sorted(assignment.cells.items())]
+        + [
+            f"{ridx},{name},{amount!r}"
+            for (ridx, name), amount in sorted(assignment.usage.items())
+        ]
+    )
+
+
+def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
+    """The region stage's two layers, timed apart per board size.
+
+    ``decompose_s`` is the grid decomposition alone, ``assign_s`` the
+    whole :func:`~repro.region.assign_regions` (decomposition, LP build
+    and solve, integerisation); ``cells``, ``variables`` and ``rows``
+    are read from the ``region.decompose``/``region.lp`` spans of one
+    traced call.
+    """
+    from .. import obs
+    from ..api import RegionAssignmentStage
+    from ..region import assign_regions, decompose
+
+    config = SessionConfig.preset("default")
+    rows: List[Dict[str, Any]] = []
+    for k in tiles:
+        board = _region_board(k)
+        traces, targets, cell = RegionAssignmentStage.inputs(board, config)
+
+        def assign():
+            return assign_regions(
+                board,
+                traces,
+                targets,
+                cell=cell,
+                safety=config.region.safety,
+                reach=config.region.reach,
+            )
+
+        decompose_s, _ = _time_repeats(
+            lambda: decompose(board, traces, cell, config.region.reach), repeats
+        )
+        assign_s, assignment = _time_repeats(assign, repeats)
+        with obs.trace(f"bench region tiles={k}") as collected:
+            assign()
+        attrs = {
+            span["name"]: span.get("attrs") or {}
+            for span in collected.to_dict()["spans"]
+        }
+        rows.append(
+            {
+                "tiles": k,
+                "traces": len(traces),
+                "cells": attrs["region.decompose"]["cells"],
+                "variables": attrs["region.lp"]["variables"],
+                "rows": attrs["region.lp"]["rows"],
+                "decompose_s": decompose_s,
+                "assign_s": assign_s,
+                "digest": _assignment_digest(assignment),
+            }
+        )
+    return rows
+
+
 def _phase_scenarios(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     """End-to-end sessions on generated ``tiled`` boards of growing size.
 
@@ -700,6 +782,7 @@ def run_perf(
     # digest, and an upper-bound run is cheap next to the other phases.
     run_phase("extension", _phase_extension, [2.5, 4.0], repeats)
     run_phase("session", _phase_session, [1] if quick else [1, 5], repeats)
+    run_phase("region", _phase_region, [1] if quick else [6, 12], repeats)
     run_phase("server", _phase_server, 8 if quick else 48, repeats)
     run_phase(
         "server_faults",
@@ -786,6 +869,14 @@ def run_perf(
                 f"session   case={row['case']}  {row['run_s']:.3f} s"
                 f"  ok={row['ok']}"
             )
+        for row in phases["region"]:
+            print(
+                f"region    tiles={row['tiles']:>2}  cells={row['cells']:>5}"
+                f"  variables={row['variables']:>5}"
+                f"  decompose {row['decompose_s']*1e3:.1f} ms"
+                f"  assign {row['assign_s']*1e3:.1f} ms"
+                f"  digest {row['digest'][:12]}"
+            )
         for row in phases["server"]:
             print(
                 f"server    tiles={row['tiles']}  cold {row['cold_s']:.3f} s"
@@ -871,7 +962,7 @@ GUARD_MAX_RATIO = 2.0
 
 
 #: Rows whose routed-answer ``digest`` must equal the baseline's, by key.
-_DIGEST_PHASES = (("dtw", "nodes"), ("extension", "dgap"))
+_DIGEST_PHASES = (("dtw", "nodes"), ("extension", "dgap"), ("region", "tiles"))
 
 
 def check_perf_guard(
@@ -883,8 +974,8 @@ def check_perf_guard(
 
     Returns a list of problems (empty = pass).  The guard times the
     extension phase — the paper's core loop — on the dgap rows the two
-    payloads share: the median must not regress.  On every dtw and
-    extension row the payloads share, the ``digest`` must equal the
+    payloads share: the median must not regress.  On every dtw, extension
+    and region row the payloads share, the ``digest`` must equal the
     baseline row's (code that got fast by changing the answer must fail
     here, not just in the test suite).  A baseline row without a digest
     fails too: it cannot vouch for the answer.

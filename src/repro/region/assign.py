@@ -25,7 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
+from .. import obs
 from ..geometry import Polygon, cells_union_boundary
 from ..model import Board, DesignRules, Trace
 from .capacity import trace_requirement
@@ -82,7 +84,10 @@ def assign_regions(
     all hold.
     """
     rules = rules or board.rules.default
-    deco = decompose(board, traces, cell, reach)
+    with obs.span("region.decompose") as sp:
+        deco = decompose(board, traces, cell, reach)
+        sp.set(cells=len(deco.regions))
+    distances = deco.distances
     requirements = {
         t.name: trace_requirement(t, targets[t.name], rules, safety) for t in traces
     }
@@ -95,15 +100,9 @@ def assign_regions(
         elif len(region.crossed_by) > 1:
             # Shared corridor cell: give it to the closest trace; the cell
             # size should be below the trace pitch to avoid this.
-            center = region.center()
-            best = min(
-                region.crossed_by,
-                key=lambda name: min(
-                    s.distance_to_point(center)
-                    for s in next(t for t in traces if t.name == name).segments()
-                ),
+            pinned[region.index] = min(
+                region.crossed_by, key=lambda name: distances[(region.index, name)]
             )
-            pinned[region.index] = best
 
     variables: List[Tuple[int, str]] = []
     for t in traces:
@@ -113,30 +112,25 @@ def assign_regions(
             variables.append((ridx, t.name))
     if not variables:
         raise AssignmentInfeasible("no neighbour regions for any trace")
-
-    var_index = {v: k for k, v in enumerate(variables)}
     n_vars = len(variables)
 
     # Objective: distance-weighted usage.
-    costs = np.ones(n_vars)
-    seg_cache = {t.name: t.segments() for t in traces}
-    for k, (ridx, name) in enumerate(variables):
-        center = deco.region(ridx).center()
-        d = min(s.distance_to_point(center) for s in seg_cache[name])
-        costs[k] = 1.0 + d
+    costs = 1.0 + np.array([distances[v] for v in variables])
 
     # Capacity rows: sum_j x_ij <= Cap_i.
-    rows_ub: List[np.ndarray] = []
-    rhs_ub: List[float] = []
     by_region: Dict[int, List[int]] = {}
     by_trace: Dict[str, List[int]] = {}
     for k, (ridx, name) in enumerate(variables):
         by_region.setdefault(ridx, []).append(k)
         by_trace.setdefault(name, []).append(k)
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    rhs_ub: List[float] = []
     for ridx, ks in by_region.items():
-        row = np.zeros(n_vars)
-        row[ks] = 1.0
-        rows_ub.append(row)
+        rows.extend([len(rhs_ub)] * len(ks))
+        cols.extend(ks)
+        vals.extend([1.0] * len(ks))
         rhs_ub.append(deco.region(ridx).capacity)
     # Sufficiency rows: -sum_i x_ij <= -Req_j.
     for t in traces:
@@ -148,18 +142,20 @@ def assign_regions(
             raise AssignmentInfeasible(
                 f"trace '{t.name}' needs {req:.2f} of space but has no regions"
             )
-        row = np.zeros(n_vars)
-        row[ks] = -1.0
-        rows_ub.append(row)
+        rows.extend([len(rhs_ub)] * len(ks))
+        cols.extend(ks)
+        vals.extend([-1.0] * len(ks))
         rhs_ub.append(-req)
+    a_ub = csc_array((vals, (rows, cols)), shape=(len(rhs_ub), n_vars))
 
-    result = linprog(
-        c=costs,
-        A_ub=np.vstack(rows_ub),
-        b_ub=np.array(rhs_ub),
-        bounds=[(0, None)] * n_vars,
-        method="highs",
-    )
+    with obs.span("region.lp", variables=n_vars, rows=len(rhs_ub)):
+        result = linprog(
+            c=costs,
+            A_ub=a_ub,
+            b_ub=np.array(rhs_ub),
+            bounds=[(0, None)] * n_vars,
+            method="highs",
+        )
     if not result.success:
         raise AssignmentInfeasible(f"LP infeasible: {result.message}")
 

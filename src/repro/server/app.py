@@ -218,7 +218,10 @@ class RouterApp:
         if "config" in payload and payload["config"] is not None:
             if not isinstance(payload["config"], dict):
                 raise RequestError("'config' must be a SessionConfig snapshot")
-            return SessionConfig.from_dict(payload["config"])
+            try:
+                return SessionConfig.from_dict(payload["config"])
+            except ValueError as exc:
+                raise RequestError(str(exc)) from exc
         preset = payload.get("preset", "default")
         try:
             return SessionConfig.preset(preset)

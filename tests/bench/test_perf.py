@@ -9,10 +9,12 @@ import pytest
 
 from oracles.drc import check_board_exhaustive
 from oracles.dtw import dtw_match_reference
+from oracles.region import decompose_reference
 from repro.bench import calibration
 from repro.bench.perf import (
     _DTW_RULE,
     _matching_digest,
+    _phase_region,
     check_perf_guard,
     dtw_workload,
     make_drc_board,
@@ -49,6 +51,7 @@ class TestRunPerfQuick:
             "extension",
             "extension_breakdown",
             "session",
+            "region",
             "server",
             "server_faults",
         }
@@ -85,6 +88,22 @@ class TestRunPerfQuick:
     def test_session_phase(self, payload):
         rows = payload["phases"]["session"]
         assert rows and all(r["ok"] for r in rows)
+
+    def test_region_phase(self, payload, monkeypatch):
+        rows = payload["phases"]["region"]
+        assert [r["tiles"] for r in rows] == [1]
+        for row in rows:
+            assert row["traces"] > 0
+            assert row["cells"] > 0
+            assert row["variables"] > 0 and row["rows"] > 0
+            assert 0 < row["decompose_s"]
+            assert 0 < row["assign_s"]
+        # The assignment is the one the per-cell decomposition loop
+        # gives, bit for bit.
+        monkeypatch.setattr("repro.region.assign.decompose", decompose_reference)
+        reference = _phase_region([1], repeats=1)
+        assert [r["digest"] for r in reference] == [r["digest"] for r in rows]
+        assert [r["cells"] for r in reference] == [r["cells"] for r in rows]
 
     def test_server_phase(self, payload):
         rows = payload["phases"]["server"]
@@ -185,7 +204,9 @@ class TestCalibration:
                 assert not any(a.name.startswith("repro") for a in node.names)
 
 
-def _guard_payload(extend_s=0.1, calibration_s=0.01, digest="d1", dtw_digest="m1"):
+def _guard_payload(
+    extend_s=0.1, calibration_s=0.01, digest="d1", dtw_digest="m1", region_digest="r1"
+):
     row = {"dgap": 4.0, "extend_s": extend_s}
     if digest is not None:
         row["digest"] = digest
@@ -194,6 +215,7 @@ def _guard_payload(extend_s=0.1, calibration_s=0.01, digest="d1", dtw_digest="m1
         "phases": {
             "dtw": [{"nodes": 64, "match_s": 0.001, "digest": dtw_digest}],
             "extension": [row],
+            "region": [{"tiles": 6, "assign_s": 0.01, "digest": region_digest}],
         },
     }
 
@@ -231,6 +253,13 @@ class TestPerfGuard:
             "(routed answer changed)"
         ]
 
+    def test_fails_when_region_digest_differs_from_baseline(self):
+        problems = check_perf_guard(_guard_payload(region_digest="r2"), _guard_payload())
+        assert problems == [
+            "region tiles=6: digest r2 differs from baseline r1 "
+            "(routed answer changed)"
+        ]
+
     def test_fails_when_baseline_row_lacks_digest(self):
         problems = check_perf_guard(_guard_payload(), _guard_payload(digest=None))
         assert problems == ["extension dgap=4.0: baseline row has no digest"]
@@ -261,6 +290,9 @@ class TestPerfGuard:
             assert "nodes" in row and len(row["digest"]) == 64
         for row in committed["phases"]["extension"]:
             assert "extend_s" in row and "dgap" in row
+            assert len(row["digest"]) == 64
+        assert [row["tiles"] for row in committed["phases"]["region"]] == [6, 12]
+        for row in committed["phases"]["region"]:
             assert len(row["digest"]) == 64
 
 

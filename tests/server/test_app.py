@@ -212,6 +212,24 @@ class TestValidation:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"cell": float("nan")}, {"safety": -1.0}, {"reach": float("nan")}, {"reach": -3.0}],
+        ids=["nan_cell", "negative_safety", "nan_reach", "negative_reach"],
+    )
+    def test_bad_region_knob_is_400(self, app, knobs):
+        # A NaN cell used to crash the region stage (500); a NaN or
+        # negative reach silently failed the stage.  Both are refused.
+        config = SessionConfig.preset("default").to_dict()
+        config["region"].update(knobs)
+        board = board_to_dict(good_board())
+        status, envelope = app.route({"board": board, "config": config})
+        assert status == 400
+        assert envelope["kind"] == "error_response"
+        assert f"region.{next(iter(knobs))}" in envelope["error"]["message"]
+        with pytest.raises(RequestError):
+            app.route_batch_events({"boards": [board], "config": config})
+
     def test_batch_requires_nonempty_list(self, app):
         with pytest.raises(RequestError):
             app.route_batch_events({"boards": []})
