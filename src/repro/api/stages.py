@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple, runtime
 from ..core import LengthMatchingRouter
 from ..drc import check_board
 from ..model import Board, Trace
-from .config import SessionConfig
 from .result import STATUS_FAILED, STATUS_OK, STATUS_SKIPPED, RunResult, StageRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .config import SessionConfig
     from .session import RoutingSession
 
 
@@ -70,7 +70,7 @@ class RegionAssignmentStage:
 
     @staticmethod
     def inputs(
-        board: Board, config: SessionConfig
+        board: Board, config: "SessionConfig"
     ) -> Tuple[List[Trace], Dict[str, float], Optional[float]]:
         """The traces the LP assigns space to, their group targets, and
         the decomposition cell (``None`` when no trace needs space)."""

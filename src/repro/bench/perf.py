@@ -62,7 +62,7 @@ import statistics
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import RoutingSession, SessionConfig
+from ..api import RegionAssignmentStage, RoutingSession, SessionConfig
 from ..drc import check_board
 from ..dtw import dtw_match
 from ..geometry import Point, Polygon, Polyline
@@ -480,7 +480,6 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     traced call.
     """
     from .. import obs
-    from ..api import RegionAssignmentStage
     from ..region import assign_regions, decompose
 
     config = SessionConfig.preset("default")

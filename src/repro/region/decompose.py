@@ -108,10 +108,10 @@ def _half_diagonals(widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
     return (table[hinv][:, winv] / 2.0).ravel()
 
 
-def _segment_arrays(trace: Trace) -> Tuple[np.ndarray, ...]:
+def _segment_arrays(pts: np.ndarray) -> Tuple[np.ndarray, ...]:
     """``a``, ``v = b - a`` and the clamped-projection denominator of
-    every segment of ``trace`` (``Segment.project_param``'s terms)."""
-    pts = np.array([(p.x, p.y) for p in trace.path.points], dtype=np.float64)
+    every segment of the chain ``pts`` (``Segment.project_param``'s
+    terms)."""
     ax, ay = pts[:-1, 0], pts[:-1, 1]
     vx = pts[1:, 0] - ax
     vy = pts[1:, 1] - ay
@@ -183,19 +183,19 @@ def decompose(
     neighbours: Dict[str, List[int]] = {t.name: [] for t in traces}
     distances: Dict[Tuple[int, str], float] = {}
     for trace in traces:
-        segs = _segment_arrays(trace)
-        pxs = [p.x for p in trace.path.points]
-        pys = [p.y for p in trace.path.points]
+        pts = np.array([(p.x, p.y) for p in trace.path.points], dtype=np.float64)
+        segs = _segment_arrays(pts)
+        (txmin, tymin), (txmax, tymax) = pts.min(axis=0), pts.max(axis=0)
         # Cells whose centre is farther than the band from the trace's
         # bounding box cannot be within it; the slack covers the rounding
         # of a projected point past the box.
-        scale = 1.0 + max(abs(v) for v in (xmin, ymin, xmax, ymax, *pxs, *pys))
+        scale = 1.0 + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax), np.abs(pts).max())
         pad = band + 1e-9 * (band + scale)
         window = np.flatnonzero(
-            (mx >= min(pxs) - pad)
-            & (mx <= max(pxs) + pad)
-            & (my >= min(pys) - pad)
-            & (my <= max(pys) + pad)
+            (mx >= txmin - pad)
+            & (mx <= txmax + pad)
+            & (my >= tymin - pad)
+            & (my <= tymax + pad)
         )
         near_cells: List[np.ndarray] = []
         exact: List[float] = []
