@@ -16,7 +16,15 @@ owns ordering, timing and observer notification.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..core import LengthMatchingRouter
 from ..drc import check_board

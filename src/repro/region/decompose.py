@@ -92,8 +92,9 @@ def _grid_axis(
     clipped = c0 + cell > hi
     c1 = np.where(clipped, hi, c0 + cell)
     keep = c1 - c0 > 0
-    upper = [hi if clip else v for v, clip in zip(c1[keep].tolist(), clipped[keep].tolist())]
-    return c0[keep], c1[keep], upper
+    c0, c1, clipped = c0[keep], c1[keep], clipped[keep]
+    upper = [hi if clip else v for v, clip in zip(c1.tolist(), clipped.tolist())]
+    return c0, c1, upper
 
 
 def _half_diagonals(widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
@@ -189,7 +190,8 @@ def decompose(
         # Cells whose centre is farther than the band from the trace's
         # bounding box cannot be within it; the slack covers the rounding
         # of a projected point past the box.
-        scale = 1.0 + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax), np.abs(pts).max())
+        scale = 1.0 + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
+        scale += float(np.abs(pts).max())
         pad = band + 1e-9 * (band + scale)
         window = np.flatnonzero(
             (mx >= txmin - pad)

@@ -54,7 +54,8 @@ def test_from_dict_accepts_valid_region_knobs(knobs):
 
 def test_default_snapshot_still_round_trips():
     config = SessionConfig.preset("default")
-    assert SessionConfig.from_dict(config.to_dict()).fingerprint() == config.fingerprint()
+    clone = SessionConfig.from_dict(config.to_dict())
+    assert clone.fingerprint() == config.fingerprint()
 
 
 def test_zero_reach_runs_the_region_stage():

@@ -254,7 +254,8 @@ class TestPerfGuard:
         ]
 
     def test_fails_when_region_digest_differs_from_baseline(self):
-        problems = check_perf_guard(_guard_payload(region_digest="r2"), _guard_payload())
+        current = _guard_payload(region_digest="r2")
+        problems = check_perf_guard(current, _guard_payload())
         assert problems == [
             "region tiles=6: digest r2 differs from baseline r1 "
             "(routed answer changed)"

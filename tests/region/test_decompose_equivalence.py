@@ -97,14 +97,20 @@ class TestHandMadeBoards:
 
     def test_trace_far_from_every_cell(self):
         board = Board.with_rect_outline(0, 0, 100, 60, RULES)
-        traces = [_trace("near", (5, 10), (95, 10)), _trace("far", (500, 500), (600, 520))]
+        traces = [
+            _trace("near", (5, 10), (95, 10)),
+            _trace("far", (500, 500), (600, 520)),
+        ]
         deco = assert_same(board, traces, cell=8.0)
         assert deco.neighbours["far"] == []
         assert not any("far" in r.crossed_by for r in deco.regions)
 
     def test_cell_count_not_a_multiple_of_the_block(self):
         board = Board.with_rect_outline(0, 0, 100, 60, RULES)
-        traces = [_trace("t0", (5, 10), (50, 55), (95, 12)), _trace("t1", (3, 30), (97, 31))]
+        traces = [
+            _trace("t0", (5, 10), (50, 55), (95, 12)),
+            _trace("t1", (3, 30), (97, 31)),
+        ]
         # A reach past the board puts every cell in every trace's window,
         # so the kernel runs full blocks and one partial block.
         deco = assert_same(board, traces, cell=3.3, reach=1e3)

@@ -214,7 +214,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "knobs",
-        [{"cell": float("nan")}, {"safety": -1.0}, {"reach": float("nan")}, {"reach": -3.0}],
+        [
+            {"cell": float("nan")},
+            {"safety": -1.0},
+            {"reach": float("nan")},
+            {"reach": -3.0},
+        ],
         ids=["nan_cell", "negative_safety", "nan_reach", "negative_reach"],
     )
     def test_bad_region_knob_is_400(self, app, knobs):
