@@ -53,12 +53,14 @@ speed by the frozen calibration kernel (:mod:`.calibration`).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
 import platform
 import random
 import statistics
+import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -362,6 +364,7 @@ def _phase_extension_breakdown(
             "trim_ms": _attr_ms(span, "trim_s"),
             "verify_ms": _attr_ms(span, "verify_s"),
             "pruned": (span.get("attrs") or {}).get("pruned"),
+            "shrinks": (span.get("attrs") or {}).get("shrinks"),
         }
         for span in iter_spans[:MAX_BREAKDOWN_ITERATIONS]
     ]
@@ -939,14 +942,22 @@ def run_profile(
         profiler.enable()
         extender.extension_upper_bound(trace)
         profiler.disable()
+    table = io.StringIO()
+    stats = pstats.Stats(profiler, stream=table)
+    stats.sort_stats("cumulative")
+    stats.print_stats(PROFILE_TOP_N)
+    # Name files by their import path (repro/core/dp.py, numpy/...), so
+    # the committed table does not depend on where anything is installed.
+    text = table.getvalue()
+    roots = {os.path.abspath(p) for p in sys.path if p and os.path.isdir(p)}
+    for root in sorted(roots, key=len, reverse=True):
+        text = text.replace(root.rstrip(os.sep) + os.sep, "")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(
             "# Length-matching hot path (Table II extension, "
             f"dgaps={list(dgaps)}), top {PROFILE_TOP_N} by cumulative time\n"
         )
-        stats = pstats.Stats(profiler, stream=fh)
-        stats.sort_stats("cumulative")
-        stats.print_stats(PROFILE_TOP_N)
+        fh.write(text)
     if verbose:
         print(f"wrote {out}")
     return out

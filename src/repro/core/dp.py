@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .pattern import Pattern
 from .shrink import ShrinkEnvironment
 
@@ -83,32 +85,29 @@ class SegmentDP:
     that side (each side sees the world mirrored into its own +y frame).
     """
 
-    def __init__(
-        self,
-        config: DPConfig,
-        envs: Dict[int, ShrinkEnvironment],
-        col_bounds: Optional[Dict[int, List[float]]] = None,
-    ):
+    def __init__(self, config: DPConfig, envs: Dict[int, ShrinkEnvironment]):
         self.config = config
         self.envs = envs
         self._height_cache: Dict[Tuple[int, int, int], float] = {}
-        # Per-direction, per-point admissible height upper bound from arm
-        # column nodes (prefilter; see ShrinkEnvironment.column_node_bound).
-        # The extension loop computes these in one vectorized sweep and
-        # injects them; built scalar-by-scalar otherwise.
-        if col_bounds is not None:
-            self._col_bound = col_bounds
-        else:
-            self._col_bound = {}
-            for d, env in envs.items():
-                self._col_bound[d] = [
-                    min(
-                        config.h_init,
-                        env.column_node_bound(i * config.step, config.g)
-                        - config.g,
-                    )
-                    for i in range(config.n)
-                ]
+        # Per-direction, per-foot admissible height upper bounds, one list
+        # for left feet and one for right feet.  A foot at x bounds the
+        # height by the lowest node in its arm column (column_bounds) and
+        # by the lowest side crossing S on its outer side line, which
+        # max_pattern_height caps h_ob at (Eq. 11).  The side lines are
+        # built as x_left - g / x_right + g exactly as the shrink builds
+        # them, so the one batch pass also fills the shrink's side memo
+        # for every foot the DP can probe.
+        n, g = config.n, config.g
+        xs = np.arange(n) * config.step
+        self._left_ub: Dict[int, List[float]] = {}
+        self._right_ub: Dict[int, List[float]] = {}
+        for d, env in envs.items():
+            col = np.minimum(
+                config.h_init, np.asarray(env.column_bounds(xs, g)) - g
+            )
+            side = np.asarray(env.side_minima(np.concatenate([xs - g, xs + g])))
+            self._left_ub[d] = np.minimum(col, side[:n] - g).tolist()
+            self._right_ub[d] = np.minimum(col, side[n:] - g).tolist()
 
     # -- heights ---------------------------------------------------------------
 
@@ -129,10 +128,31 @@ class SegmentDP:
         self._height_cache[key] = h
         return h
 
+    @property
+    def shrinks(self) -> int:
+        """Exact shrinks (:meth:`height` evaluations) made so far."""
+        return len(self._height_cache)
+
     def height_upper_bound(self, il: int, ir: int, direction: int) -> float:
-        """Cheap admissible bound used to prune exact shrinks."""
-        bounds = self._col_bound[direction]
-        return min(bounds[il], bounds[ir])
+        """Cheap admissible bound used to prune exact shrinks: whenever
+        ``height(il, ir, direction)`` is positive it is at most this."""
+        return min(self._left_ub[direction][il], self._right_ub[direction][ir])
+
+    def feasible(self) -> bool:
+        """Whether any pattern can clear ``h_min`` in either direction.
+
+        A pattern at feet ``(il, ir)`` needs height ``>= h_min``, so some
+        left foot with bound ``>= h_min`` must lie at least ``w_min``
+        steps before some right foot with bound ``>= h_min``; otherwise
+        :meth:`run` provably gains nothing.
+        """
+        cfg = self.config
+        for d in self._left_ub:
+            left = np.flatnonzero(np.asarray(self._left_ub[d]) >= cfg.h_min)
+            right = np.flatnonzero(np.asarray(self._right_ub[d]) >= cfg.h_min)
+            if len(left) and len(right) and right[-1] - left[0] >= cfg.w_min:
+                return True
+        return False
 
     # -- the DP ---------------------------------------------------------------------
 
@@ -141,7 +161,6 @@ class SegmentDP:
         n = cfg.n
         dirs = (1, -1)
         # State arrays indexed [i][dir_index]; dir_index 0 -> +1, 1 -> -1.
-        NEG = -1.0
         value = [[0.0, 0.0] for _ in range(n)]
         ends_here = [[False, False] for _ in range(n)]
         # transit[i][d] = (prev_i, prev_dir_index, w); w == 0 marks states
@@ -162,8 +181,6 @@ class SegmentDP:
                 value[i][d] = value[i - 1][d]
                 ends_here[i][d] = False
                 transit[i][d] = (i - 1, d, 0)
-                if value[i - 1][d] > value[i - 1][1 - d]:
-                    pass  # inheritance is per-direction; nothing to merge
 
                 # Right-foot admissibility (Alg. 1 line 7): the stub from
                 # the foot to the segment end must be absent or >= d_protect.

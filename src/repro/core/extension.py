@@ -578,12 +578,10 @@ class TraceExtender:
         """One DP attempt on segment ``index``: the chain to splice in and
         its patterns, or ``None`` when the segment yields no gain.
 
-        Starts with the whole-segment feasibility prune: a pattern at feet
-        ``(il, ir)`` needs height ``>= h_min``, and its height never
-        exceeds ``min(col_bound[il], col_bound[ir])`` (the same admissible
-        bound the DP's per-transition prune relies on) — so when no foot
-        pair at least ``w_min`` steps apart clears ``h_min`` in either
-        direction, the DP provably gains nothing and is skipped.
+        Starts with the DP's whole-segment feasibility prune
+        (:meth:`SegmentDP.feasible`): when no foot pair clears ``h_min``
+        under the per-foot height bounds, the DP provably gains nothing
+        and is skipped.
         """
         seg = state.segments[index]
         dp_cfg = self._dp_config(seg, width, need)
@@ -592,26 +590,17 @@ class TraceExtender:
         obs.annotate(candidates=dp_cfg.n, segment_length=seg.length())
         t0 = perf_counter()
         envs = self._environments(state, index, width, dp_cfg)
-        xs = np.arange(dp_cfg.n) * dp_cfg.step
-        col_bounds: Dict[int, List[float]] = {}
-        feasible = False
-        for direction in (1, -1):
-            cb = envs[direction].column_bounds(xs, dp_cfg.g)
-            bounds = [min(dp_cfg.h_init, float(v) - dp_cfg.g) for v in cb]
-            col_bounds[direction] = bounds
-            if not feasible:
-                ok = [i for i, b in enumerate(bounds) if b >= dp_cfg.h_min]
-                if ok and ok[-1] - ok[0] >= dp_cfg.w_min:
-                    feasible = True
+        dp = SegmentDP(dp_cfg, envs)
         t1 = perf_counter()
-        if not feasible:
-            obs.annotate(env_query_s=t1 - t0, dp_s=0.0, pruned=True)
+        if not dp.feasible():
+            obs.annotate(env_query_s=t1 - t0, dp_s=0.0, pruned=True, shrinks=0)
             obs.REGISTRY.inc("repro_extension_pruned_total")
             return None
-        dp = SegmentDP(dp_cfg, envs, col_bounds=col_bounds)
         result = dp.run()
         t2 = perf_counter()
-        obs.annotate(env_query_s=t1 - t0, dp_s=t2 - t1, pruned=False)
+        obs.annotate(
+            env_query_s=t1 - t0, dp_s=t2 - t1, pruned=False, shrinks=dp.shrinks
+        )
         if result.gain <= self.config.min_extension_gain or not result.patterns:
             return None
         patterns = self._trim_to_need(result.patterns, need, envs, dp_cfg)

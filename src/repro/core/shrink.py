@@ -29,16 +29,16 @@ DRC-clean.
 
 The environment keeps the foreign geometry as flat numpy coordinate
 arrays: the ``P_check`` node query of Sec. IV-D is one vectorized box
-mask, side-line crossings are memoized per abscissa, and the per-column
-node bound the DP uses as an admissible upper-bound prefilter is one
-windowed-minimum sweep.  ``tests/oracles/shrink.py`` keeps the seed's
-polygon-and-range-tree implementation, and ``tests/core/test_shrink_fast.py``
-diffs the two bit for bit.
+mask, side-line crossings are evaluated for a batch of abscissas at once
+and memoized per abscissa, and the per-column node bound the DP uses as
+an admissible upper-bound prefilter is one windowed-minimum sweep.
+``tests/oracles/shrink.py`` keeps the seed's polygon-and-range-tree
+implementation, and ``tests/core/test_shrink_fast.py`` diffs the two bit
+for bit.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +49,10 @@ from .ura import URA
 #: Strictness margin for inside/outside decisions: geometry touching a
 #: border exactly meets the clearance rule and must not trigger shrinking.
 TOUCH_EPS = 1e-7
+
+#: Most (abscissa, edge) pairs one side-crossing block can evaluate; keeps
+#: the kernel's temporaries small on windows with many edges.
+SIDE_BLOCK = 1 << 16
 
 
 class ShrinkEnvironment:
@@ -84,6 +88,9 @@ class ShrinkEnvironment:
             nxt[ends - 1] = self._starts
         self._bx = xs[nxt] if n else xs
         self._by = ys[nxt] if n else ys
+        # Each edge's x-extent, for pairing side lines with edges.
+        self._edge_lo = np.minimum(xs, self._bx)
+        self._edge_hi = np.maximum(xs, self._bx)
         # Nodes sorted by x for the column-bound windowed minimum.
         order = np.argsort(xs, kind="stable")
         self._xs_sorted = xs[order]
@@ -150,33 +157,67 @@ class ShrinkEnvironment:
         """
         s = self._side_memo.get(x)
         if s is None:
-            s = self._side_min(x)
-            self._side_memo[x] = s
+            s = float(self.side_minima([x])[0])
         return s if s < h_ob else h_ob
 
-    def _side_min(self, x: float) -> float:
-        dxa = self._xs - x
-        dxb = self._bx - x
+    def side_minima(self, xs):
+        """S(x) for a batch of abscissas (inf where no edge crosses),
+        memoized for :meth:`side_bound`.
+
+        Each element is the expression a scalar scan evaluates —
+        ``t = da / (da - db)``, ``y = ay + (by - ay) * t`` over the edges
+        whose ends lie strictly on opposite sides of the line — reduced by
+        a plain minimum over ``y > TOUCH_EPS``.  Only (line, edge) pairs
+        whose line lies strictly inside the edge's x-extent are evaluated:
+        ``dxa > TOUCH_EPS > 0`` implies ``xa > x`` exactly (a rounded
+        difference keeps its sign), so every crossing is among them.  The
+        sorted lines are processed in blocks of at most
+        :data:`SIDE_BLOCK` / E lines, which bounds the pairs per block.
+        """
+        xs = np.asarray(xs, dtype=float)
+        order = xs.argsort(kind="stable")
+        lines = xs[order]
+        out = np.full(len(xs), np.inf)
+        if len(self._xs):
+            rows = max(1, SIDE_BLOCK // len(self._xs))
+            for lo in range(0, len(lines), rows):
+                block = order[lo : lo + rows]
+                out[block] = self._side_block(lines[lo : lo + rows])
+        self._side_memo.update(zip(xs.tolist(), out.tolist()))
+        return out
+
+    def _side_block(self, lines):
+        """S over ascending ``lines``."""
+        first = lines.searchsorted(self._edge_lo, side="right")
+        counts = lines.searchsorted(self._edge_hi, side="left") - first
+        counts = np.maximum(counts, 0)
+        # Pair p covers edge[p] and line[p]; each edge's lines are a run.
+        edge = np.arange(len(counts)).repeat(counts)
+        run_start = counts.cumsum() - counts - first
+        line = np.arange(len(edge)) - run_start.repeat(counts)
+        x = lines[line]
+        dxa = self._xs[edge] - x
+        dxb = self._bx[edge] - x
         # Strict sign changes only: both ends strictly on opposite sides.
         keep = ((dxa > TOUCH_EPS) & (dxb < -TOUCH_EPS)) | (
             (dxa < -TOUCH_EPS) & (dxb > TOUCH_EPS)
         )
-        if not keep.any():
-            return math.inf
         da = dxa[keep]
         db = dxb[keep]
+        e = edge[keep]
         t = da / (da - db)
-        ay = self._ys[keep]
-        y = ay + (self._by[keep] - ay) * t
+        ay = self._ys[e]
+        y = ay + (self._by[e] - ay) * t
         sel = y > TOUCH_EPS
-        if not sel.any():
-            return math.inf
-        return float(y[sel].min())
+        out = np.full(len(lines), np.inf)
+        np.minimum.at(out, line[keep][sel], y[sel])
+        return out
 
     # -- column node bound (DP prefilter) -----------------------------------------
 
-    def column_node_bound(self, x: float, g: float) -> float:
-        """Lowest node ordinate in the column ``[x-g, x+g]`` (inf if none).
+    def column_bounds(self, xs, g: float):
+        """Lowest node ordinate in the column ``[x-g, x+g]`` of each
+        abscissa (inf if none), in one windowed-minimum sweep.
 
         Any node in a pattern's arm strip with ordinate y forces
         ``h_ob <= y``, so ``min - g`` is an *admissible upper bound* for
@@ -184,11 +225,6 @@ class ShrinkEnvironment:
         hopeless exact shrinks.  Strict interior only, matching the
         shrinker's touching semantics.
         """
-        return float(self.column_bounds(np.asarray([x]), g)[0])
-
-    def column_bounds(self, xs, g: float):
-        """:meth:`column_node_bound` for a batch of abscissas, in one
-        windowed-minimum sweep."""
         xs = np.asarray(xs)
         lo = np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="left")
         hi = np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="right")

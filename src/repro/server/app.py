@@ -49,6 +49,17 @@ class RequestError(ValueError):
     preset); mapped to HTTP 400 by the transport."""
 
 
+class PayloadTooLarge(RequestError):
+    """A request body longer than :data:`MAX_BODY_BYTES`; mapped to
+    HTTP 413 by the transport."""
+
+
+#: Longest request body the daemon reads.  A 48-tile board document is
+#: well under 1 MB, so this only stops a client from making a worker
+#: thread buffer an unbounded body.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
 def _error_envelope(exc: BaseException) -> Dict[str, Any]:
     return {
         "kind": "error_response",
@@ -772,7 +783,19 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 self.wfile.flush()
 
         def _read_payload(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
+            text = (self.headers.get("Content-Length") or "0").strip()
+            if not (text.isascii() and text.isdigit()):
+                # The body's extent is unknown: answer, then drop the
+                # connection rather than parse its bytes as a request.
+                self.close_connection = True
+                raise RequestError(f"invalid Content-Length {text!r}")
+            length = int(text)
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise PayloadTooLarge(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise RequestError("empty request body; send a JSON object")
@@ -887,6 +910,8 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                                 RequestError(f"unknown path {self.path}")
                             ),
                         )
+            except PayloadTooLarge as exc:
+                self._send_json(413, _error_envelope(exc))
             except RequestError as exc:
                 self._send_json(400, _error_envelope(exc))
             except BrokenPipeError:

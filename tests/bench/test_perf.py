@@ -4,12 +4,14 @@ import ast
 import inspect
 import json
 import math
+import os
 
 import pytest
 
 from oracles.drc import check_board_exhaustive
 from oracles.dtw import dtw_match_reference
 from oracles.region import decompose_reference
+import repro
 from repro.bench import calibration
 from repro.bench.perf import (
     _DTW_RULE,
@@ -305,6 +307,10 @@ class TestRunProfile:
         assert "cumulative" in text
         assert "extension" in text  # the hot path shows up by file name
         assert "top 25" in text
+        # Files are named relative to the source tree, not the checkout.
+        assert "repro/core/extension.py" in text
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        assert src_root not in text
 
 
 class TestCliPerf:

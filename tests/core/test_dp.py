@@ -9,8 +9,16 @@ import math
 
 import pytest
 
+from oracles.digests import corpus_families
+from oracles.dp_inputs import (
+    corpus_dp_inputs,
+    fresh_envs,
+    spread,
+    table2_dp_inputs,
+)
 from repro.core import DPConfig, SegmentDP, ShrinkEnvironment
-from repro.geometry import Polygon, rectangle
+from repro.core.shrink import TOUCH_EPS
+from repro.geometry import Point, Polygon, rectangle
 
 
 def make_dp(
@@ -184,3 +192,101 @@ class TestUpperBoundPrefilter:
         dp = make_dp(polys=[box])
         for il, ir in ((3, 7), (4, 8), (2, 10)):
             assert dp.height_upper_bound(il, ir, 1) >= dp.height(il, ir, 1) - 1e-9
+
+
+#: Where real DP inputs come from: one routed board per corpus family,
+#: and the Table II via field (large environments, mostly infeasible).
+SOURCES = corpus_families() + ["table2"]
+
+
+def real_dps(source, count=6):
+    """Fresh DPs over ``count`` real segments of ``source``."""
+    inputs = table2_dp_inputs() if source == "table2" else corpus_dp_inputs(source)
+    return [SegmentDP(cfg, fresh_envs(envs)) for cfg, envs in spread(inputs, count)]
+
+
+HAND_DPS = (
+    {},
+    {"polys": [rectangle(8.0, 0.5, 13.0, 100.0)]},
+    {"polys": [rectangle(4.0, 3.0, 6.0, 5.0)]},
+    {"polys": [rectangle(3.0, 1.0, 5.0, 2.0)], "n": 9, "h_init": 8.0},
+    {"polys": [rectangle(-10.0, 5.5, 40.0, 100.0)]},
+)
+
+
+class TestFootBounds:
+    """The per-foot bounds: side crossings folded into the column bound."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_admissible_for_every_foot_pair(self, source):
+        # A zero height means no pattern (the DP never takes it), so only
+        # positive heights must sit under the bound.  The side-crossing
+        # part bounds them exactly: the shrink caps h_ob at S on both
+        # outer side lines.  The column part keeps the shrink's
+        # TOUCH_EPS slack (a node less than TOUCH_EPS below h_ob does
+        # not shrink it).
+        dps = real_dps(source)
+        assert dps
+        for dp in dps:
+            cfg = dp.config
+            for d in (1, -1):
+                env = dp.envs[d]
+                for il in range(cfg.n):
+                    side_l = env.side_bound(il * cfg.step - cfg.g, math.inf)
+                    for ir in range(il + 1, cfg.n):
+                        h = dp.height(il, ir, d)
+                        if h == 0.0:
+                            continue
+                        side_r = env.side_bound(ir * cfg.step + cfg.g, math.inf)
+                        assert h <= min(side_l - cfg.g, side_r - cfg.g)
+                        assert h <= dp.height_upper_bound(il, ir, d) + TOUCH_EPS
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_unpruned_run_gives_the_same_result(self, source, monkeypatch):
+        pruned = [repr(dp.run()) for dp in real_dps(source)]
+        monkeypatch.setattr(
+            SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
+        )
+        assert [repr(dp.run()) for dp in real_dps(source)] == pruned
+
+    @pytest.mark.parametrize("kwargs", HAND_DPS)
+    def test_unpruned_hand_cases_same_result(self, kwargs, monkeypatch):
+        pruned = make_dp(**kwargs)
+        result = repr(pruned.run())
+        monkeypatch.setattr(
+            SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
+        )
+        unpruned = make_dp(**kwargs)
+        assert repr(unpruned.run()) == result
+        assert pruned.shrinks <= unpruned.shrinks
+
+    def test_infeasible_segments_gain_nothing(self):
+        dps = real_dps("table2", count=200)
+        infeasible = [dp for dp in dps if not dp.feasible()]
+        assert 0 < len(infeasible) < len(dps)
+        for dp in infeasible:
+            assert dp.run().gain == 0.0
+
+    def test_side_crossing_tightens_the_bound(self):
+        # An edge crossing the left foot's outer side line (x = 0) at
+        # y = 4, with no node in either foot's arm column: the column
+        # bound alone is h_init, the side crossing caps the foot at 4 - g.
+        wedge = Polygon([Point(-4.0, 4.0), Point(4.5, 4.0), Point(-4.0, 8.0)])
+        dp = make_dp(polys=[wedge], h_init=8.0)
+        assert dp.height_upper_bound(2, 8, 1) == 4.0 - 2.0
+        assert dp.height(2, 8, 1) <= 4.0 - 2.0
+
+    def test_run_never_misses_the_side_memo(self, monkeypatch):
+        # Construction prefills S(x) at every foot's side line with the
+        # abscissas max_pattern_height builds, so the DP itself never
+        # evaluates the side-crossing kernel.
+        dps = [make_dp(polys=[rectangle(8.0, 0.5, 13.0, 100.0)])]
+        dps += real_dps("tiled") + real_dps("obstacle_maze") + real_dps("table2")
+
+        def no_kernel(self, xs):
+            raise AssertionError("side memo miss")
+
+        monkeypatch.setattr(ShrinkEnvironment, "side_minima", no_kernel)
+        assert dps[0].run().gain > 0
+        for dp in dps[1:]:
+            dp.run()

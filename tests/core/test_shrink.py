@@ -21,6 +21,10 @@ def env_of(*polys) -> ShrinkEnvironment:
     return ShrinkEnvironment.from_polygons(list(polys))
 
 
+def column_bound(env, x: float, g: float) -> float:
+    return float(env.column_bounds([x], g)[0])
+
+
 def boundary(height: float = 40.0) -> Polygon:
     return rectangle(-20.0, -height, 120.0, height)
 
@@ -157,24 +161,24 @@ class TestColumnBound:
     def test_bound_sees_arm_nodes(self):
         box = rectangle(9.0, 6.0, 11.0, 9.0)
         env = env_of(boundary(), box)
-        assert math.isclose(env.column_node_bound(10.0, G), 6.0)
+        assert math.isclose(column_bound(env, 10.0, G), 6.0)
 
     def test_bound_ignores_far_nodes(self):
         box = rectangle(30.0, 6.0, 35.0, 9.0)
         env = env_of(box)
-        assert env.column_node_bound(10.0, G) == math.inf
+        assert column_bound(env, 10.0, G) == math.inf
 
     def test_bound_is_admissible(self):
         # The exact height never exceeds the column bound minus g.
         box = rectangle(9.0, 6.0, 11.0, 9.0)
         env = env_of(boundary(), box)
         h = env.max_pattern_height(10, 20, G, BIG, H_MIN)
-        assert h <= env.column_node_bound(10.0, G) - G + 1e-9
+        assert h <= column_bound(env, 10.0, G) - G + 1e-9
 
     def test_bound_ignores_nodes_below_axis(self):
         box = rectangle(9.0, -9.0, 11.0, -6.0)
         env = env_of(box)
-        assert env.column_node_bound(10.0, G) == math.inf
+        assert column_bound(env, 10.0, G) == math.inf
 
 
 class TestSideBound:

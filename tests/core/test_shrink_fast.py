@@ -12,13 +12,24 @@ construction path the loop uses.
 
 import math
 import random
+import warnings
 
 import pytest
 
 import numpy as np
 
+import repro.core.shrink as shrink_mod
+from oracles.digests import SEEDS, corpus_families
+from oracles.dp_inputs import (
+    corpus_dp_inputs,
+    fresh_envs,
+    oracle_env,
+    spread,
+    table2_dp_inputs,
+)
 from oracles.shrink import ShrinkEnvironment as OracleShrinkEnvironment
 from repro.core import ShrinkEnvironment
+from repro.core.shrink import TOUCH_EPS
 from repro.geometry import Point, Polygon
 
 
@@ -105,6 +116,116 @@ class TestSideBound:
         assert vec.side_bound(3.0, 7.5) == ref.side_bound(3.0, 7.5) == 7.5
 
 
+def foot_lines(cfg):
+    """The outer side lines of every left and right foot of a DP."""
+    xs = np.arange(cfg.n) * cfg.step
+    return np.concatenate([xs - cfg.g, xs + cfg.g])
+
+
+class TestSideMinima:
+    """The batch S(x) kernel against the oracle's scalar scan."""
+
+    @pytest.mark.parametrize("source", corpus_families() + ["table2"])
+    def test_corpus_foot_lines_match_oracle(self, source):
+        # Every DP environment of the corpus (seeds 0-4), plus a spread of
+        # the Table II via field's, whose ~600 vertices exercise the
+        # line/edge pairing.
+        if source == "table2":
+            inputs = spread(table2_dp_inputs(), 20)
+        else:
+            inputs = [dp for seed in SEEDS for dp in corpus_dp_inputs(source, seed)]
+        checked = 0
+        for cfg, envs in inputs:
+            lines = foot_lines(cfg)
+            for d, env in fresh_envs(envs).items():
+                ref = oracle_env(envs[d])
+                assert env.side_minima(lines).tolist() == ref.side_minima(lines)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_soups_match_oracle(self, seed):
+        ref, vec = both_envs(random_polygons(seed))
+        xs = np.linspace(-62.0, 62.0, 97)
+        assert vec.side_minima(xs).tolist() == ref.side_minima(xs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_do_not_change_the_answer(self, seed, monkeypatch):
+        polys = random_polygons(seed)
+        xs = np.linspace(-62.0, 62.0, 41)
+        whole = both_envs(polys)[1].side_minima(xs)
+        monkeypatch.setattr(shrink_mod, "SIDE_BLOCK", 7)
+        assert both_envs(polys)[1].side_minima(xs).tolist() == whole.tolist()
+
+    def test_batch_fills_the_side_bound_memo(self, monkeypatch):
+        ref, vec = both_envs(random_polygons(3))
+        xs = np.linspace(-50.0, 50.0, 13)
+        vec.side_minima(xs)
+
+        def no_kernel(self, xs):
+            raise AssertionError("memo miss")
+
+        monkeypatch.setattr(ShrinkEnvironment, "_side_block", no_kernel)
+        for x in xs.tolist():
+            assert vec.side_bound(x, 30.0) == ref.side_bound(x, 30.0)
+
+    def test_vertex_exactly_touch_eps_off_the_line(self):
+        # An end exactly TOUCH_EPS from the line is not strictly across
+        # it; one at twice that is.
+        for off, crosses in ((TOUCH_EPS, False), (2 * TOUCH_EPS, True)):
+            poly = Polygon([Point(off, 1.0), Point(-3.0, 5.0), Point(-3.0, 9.0)])
+            mirrored = Polygon([Point(-p.x, p.y) for p in poly.points])
+            for shape in (poly, mirrored):
+                ref, vec = both_envs([shape])
+                got = vec.side_minima(np.array([0.0])).tolist()
+                assert got == ref.side_minima([0.0])
+                assert math.isfinite(got[0]) == crosses
+
+    def test_crossing_at_or_below_touch_eps_is_ignored(self):
+        # Crossings at ordinates up to TOUCH_EPS touch the segment's own
+        # clearance line; only the higher crossing bounds S.
+        for low in (TOUCH_EPS, TOUCH_EPS / 2, -1.0):
+            tri = Polygon([Point(-1.0, low), Point(1.0, low), Point(1.0, 6.0)])
+            ref, vec = both_envs([tri])
+            got = vec.side_minima(np.array([0.0])).tolist()
+            assert got == ref.side_minima([0.0]) == [3.0 + low / 2]
+
+    def test_vertical_edge_on_the_line(self):
+        box = Polygon(
+            [Point(3.0, 1.0), Point(6.0, 1.0), Point(6.0, 4.0), Point(3.0, 4.0)]
+        )
+        ref, vec = both_envs([box])
+        xs = np.array([3.0, 4.5, 6.0])
+        got = vec.side_minima(xs).tolist()
+        assert got == ref.side_minima(xs) == [math.inf, 1.0, math.inf]
+
+    def test_zero_length_edge(self):
+        # A repeated vertex makes a zero-length edge; on the line it must
+        # neither cross nor divide by zero.
+        on_line = Polygon([Point(1.0, 3.0), Point(1.0, 3.0), Point(4.0, 8.0)])
+        across = Polygon([Point(-2.0, 2.0), Point(-2.0, 2.0), Point(4.0, 8.0)])
+        for poly, x, expected in ((on_line, 1.0, math.inf), (across, 1.0, 5.0)):
+            ref, vec = both_envs([poly])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = vec.side_minima(np.array([x])).tolist()
+            assert got == ref.side_minima([x]) == [expected]
+
+    def test_empty_environment(self):
+        ref, vec = both_envs([])
+        xs = np.array([-1.0, 0.0, 2.5])
+        assert vec.side_minima(xs).tolist() == ref.side_minima(xs)
+        assert vec.side_minima(xs).tolist() == [math.inf] * 3
+        assert vec.side_minima(np.array([])).tolist() == []
+
+    def test_negative_zero(self):
+        tri = Polygon([Point(-2.0, 1.0), Point(3.0, 6.0), Point(3.0, 8.0)])
+        ref, vec = both_envs([tri])
+        got = vec.side_minima(np.array([-0.0, 0.0])).tolist()
+        assert got == ref.side_minima([-0.0, 0.0]) == [3.0, 3.0]
+        assert vec.side_bound(-0.0, 10.0) == ref.side_bound(-0.0, 10.0) == 3.0
+
+
 class TestColumnBounds:
     @pytest.mark.parametrize("seed", range(15))
     @pytest.mark.parametrize("g", [0.3, 1.0, 4.5])
@@ -114,7 +235,7 @@ class TestColumnBounds:
         rng = random.Random(seed + 2000)
         for _ in range(30):
             x = rng.uniform(-60, 60)
-            assert vec.column_node_bound(x, g) == ref.column_node_bound(x, g)
+            assert float(vec.column_bounds([x], g)[0]) == ref.column_node_bound(x, g)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_matches_scalar_loop(self, seed):

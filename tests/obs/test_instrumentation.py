@@ -50,6 +50,22 @@ class TestSessionSpans:
             assert attrs["need"] > 0
             assert "dtw_calls" in attrs and "applied" in attrs
 
+    def test_extension_iteration_shrink_counts(self):
+        # Every iteration that built a DP says how many exact shrinks it
+        # ran; one the feasibility prune skipped ran none.
+        with obs.trace("test run") as trace:
+            RoutingSession(_board(), "fast").run()
+        dp_spans = [
+            s["attrs"] for s in trace.to_dict()["spans"]
+            if s["name"] == "extension.iteration" and "pruned" in s["attrs"]
+        ]
+        assert dp_spans
+        for attrs in dp_spans:
+            assert isinstance(attrs["shrinks"], int)
+            if attrs["pruned"]:
+                assert attrs["shrinks"] == 0
+        assert any(attrs["shrinks"] > 0 for attrs in dp_spans)
+
     def test_stage_metrics_recorded(self):
         before = {
             stage: obs.REGISTRY.value("repro_stage_seconds", stage=stage)

@@ -97,6 +97,11 @@ class ShrinkEnvironment:
                 best = y
         return best
 
+    def side_minima(self, xs: Sequence[float]) -> List[float]:
+        """S(x), the lowest crossing above TOUCH_EPS (inf when none), for
+        each abscissa: the scalar loop behind the DP's per-foot bounds."""
+        return [self.side_bound(float(x), math.inf) for x in xs]
+
     # -- column node bound (DP prefilter) -----------------------------------------
 
     def column_node_bound(self, x: float, g: float) -> float:

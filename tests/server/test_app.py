@@ -3,8 +3,14 @@
 Covers the status→HTTP mapping (ok→200, failed→422, crashed→500),
 request validation (→400 envelopes), the cache hit/miss lifecycle
 including the poisoned-stage proof that a hit never touches the
-pipeline, batch event streaming, and worker-count clamping.
+pipeline, batch event streaming, and worker-count clamping.  The
+body-framing checks (``Content-Length`` → 400/413) live in the HTTP
+adapter, so :class:`TestContentLength` drives a live daemon with raw
+socket writes.
 """
+
+import json
+import socket
 
 import pytest
 
@@ -14,7 +20,7 @@ from repro.api.config import DrcConfig, RegionConfig
 from repro.io import board_to_dict
 from repro.geometry import Point, Polyline
 from repro.model import Board, DesignRules, MatchGroup, Trace
-from repro.server import RequestError, RouterApp
+from repro.server import RequestError, RouterApp, make_http_server
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
 
@@ -366,3 +372,66 @@ class TestCorpusEvents:
     def test_unknown_preset_rejected(self, app):
         with pytest.raises(RequestError):
             app.corpus_events({"preset": "warp-speed"})
+
+
+@pytest.fixture(scope="module")
+def live_server(tmp_path_factory):
+    srv = make_http_server(
+        cache_dir=str(tmp_path_factory.mktemp("framing-cache")), port=0
+    ).start_background()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+
+
+def raw_post(server, length_header: str, body: bytes = b""):
+    """POST /route with a verbatim Content-Length; (status, envelope)."""
+    head = (
+        "POST /route HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {length_header}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(head + body)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before a response"
+            reply += chunk
+        header, _, rest = reply.partition(b"\r\n\r\n")
+        lines = header.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        size = next(
+            int(line.split(":", 1)[1])
+            for line in lines[1:]
+            if line.lower().startswith("content-length:")
+        )
+        while len(rest) < size:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            rest += chunk
+    return status, json.loads(rest[:size])
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0x10", "1_0", ""])
+    def test_malformed_length_is_400(self, live_server, value):
+        status, envelope = raw_post(live_server, value, b"{}")
+        assert status == 400
+        assert envelope["kind"] == "error_response"
+        assert envelope["error"]["type"] == "RequestError"
+
+    def test_body_over_the_cap_is_413(self, live_server):
+        # Answered from the header alone: no body bytes are sent.
+        status, envelope = raw_post(live_server, str(app_mod.MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert envelope["error"]["type"] == "PayloadTooLarge"
+
+    def test_cap_sits_above_real_requests(self, live_server):
+        body = json.dumps({"board": board_to_dict(good_board())}).encode()
+        assert len(body) < app_mod.MAX_BODY_BYTES
+        status, envelope = raw_post(live_server, str(len(body)), body)
+        assert status == 200 and envelope["status"] == "ok"
