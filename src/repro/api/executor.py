@@ -91,7 +91,8 @@ def _route_board_worker(payload):
     synthetic crashed result — an exception escaping this function would
     look like a dead worker to the parent.
 
-    Returns ``(result_dict, routed_board_dict, trace_dict_or_None)``.
+    Returns ``(result_dict, routed_board_dict_or_None, trace_dict_or_None)``;
+    the routed board is ``None`` when the codecs failed.
     The trace is present only when the parent armed tracing through
     ``obs.ENV_VAR`` (collectors are thread-local and cannot cross the
     process boundary any other way); the parent grafts it back into its
@@ -130,7 +131,9 @@ def _route_board_impl(board_dict, config_dict, name):
             config=config,
             provenance=(board_dict.get("meta") or {}).get("scenario"),
         )
-        return run_result_to_dict(result), board_dict
+        # No routed geometry to send home: the parent keeps its board
+        # (which the decoder may just have rejected).
+        return run_result_to_dict(result), None
 
 
 def _adopt_routed(board: Board, routed: Board) -> None:

@@ -34,7 +34,12 @@ Phases
                retry-overhead trajectory;
 ``batch``      ``run_many`` serial vs. ``workers=2`` on two boards
                (full mode only — wall-clock only helps with >1 CPU, but
-               the number records the process-pool overhead either way).
+               the number records the process-pool overhead either way);
+``startup``    cold start: the median of fresh-interpreter ``import
+               repro.cli`` runs, and one ``repro serve`` spawned until
+               ``/healthz`` answers.  Each row carries ``scipy_loaded``
+               from the child's ``sys.modules``: neither process solves
+               an LP, so scipy must stay unloaded (the guard checks it).
 
 ``scenarios`` (opt-in via ``bench --perf --scenarios``) adds the
 scenario-backed scaling curve: end-to-end sessions over ``tiled``
@@ -47,7 +52,8 @@ a cProfile top-25 cumulative table for the match hot path next to the
 baseline, and :func:`run_perf_guard` (``bench --perf --guard``) fails a
 run whose extension median regresses more than :data:`GUARD_MAX_RATIO`
 against the committed ``BENCH_perf.json`` after normalizing machine
-speed by the frozen calibration kernel (:mod:`.calibration`).
+speed by the frozen calibration kernel (:mod:`.calibration`), or whose
+``startup`` rows report scipy loaded.
 """
 
 from __future__ import annotations
@@ -749,6 +755,124 @@ def _phase_batch(repeats: int) -> List[Dict[str, Any]]:
     ]
 
 
+# A fresh interpreter's report on itself, printed as its last stdout
+# line (``maxrss_kb``: peak RSS, in kB on Linux).
+_CHILD_REPORT = """
+import json, resource, sys
+
+def report(**extra):
+    print(json.dumps({
+        "scipy_loaded": "scipy" in sys.modules,
+        "modules": len(sys.modules),
+        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        **extra,
+    }), flush=True)
+"""
+
+_IMPORT_CHILD = _CHILD_REPORT + """
+import time
+started = time.perf_counter()
+import repro.cli
+report(import_s=time.perf_counter() - started)
+"""
+
+# ``python -m repro serve`` as the shell runs it; the exit hook reports
+# once SIGTERM has drained the daemon.
+_SERVE_CHILD = _CHILD_REPORT + """
+import atexit, runpy
+atexit.register(report)
+sys.argv = ["repro", "serve", "--port", "0", "--cache-dir", sys.argv[1], "--quiet"]
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child_env() -> Dict[str, str]:
+    """The environment that makes a child import this very ``repro``."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _phase_startup(repeats: int) -> List[Dict[str, Any]]:
+    """Cold start of the two processes every user starts.
+
+    ``import``: ``repeats`` fresh interpreters each time ``import
+    repro.cli``; ``import_s`` is the median in-child import time,
+    ``wall_s`` the median child wall time (interpreter start included).
+    ``serve``: one ``repro serve`` timed from spawn until ``/healthz``
+    answers, then stopped with SIGTERM.  Page-cache state shows through
+    both: the first child after a cold disk pays for the reads.
+    """
+    import signal
+    import subprocess
+    import tempfile
+    import urllib.request
+
+    env = _child_env()
+    walls: List[float] = []
+    reports: List[Dict[str, Any]] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_CHILD],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        walls.append(time.perf_counter() - started)
+        reports.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    rows = [
+        {
+            "target": "import",
+            "runs": repeats,
+            "import_s": _median([r["import_s"] for r in reports]),
+            "wall_s": _median(walls),
+            "modules": reports[-1]["modules"],
+            "scipy_loaded": any(r["scipy_loaded"] for r in reports),
+        }
+    ]
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
+        started = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SERVE_CHILD, cache_dir],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            url = banner.split("listening on ", 1)[1].split()[0]
+            deadline = started + 60.0
+            while True:
+                try:
+                    with urllib.request.urlopen(url + "/healthz", timeout=5) as resp:
+                        if resp.status == 200:
+                            break
+                except OSError:
+                    if time.perf_counter() > deadline:
+                        raise
+                    time.sleep(0.005)
+            ready_s = time.perf_counter() - started
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    report = json.loads((banner + out).strip().splitlines()[-1])
+    rows.append(
+        {
+            "target": "serve",
+            "runs": 1,
+            "ready_s": ready_s,
+            "maxrss_mb": report["maxrss_kb"] / 1024.0,
+            "modules": report["modules"],
+            "scipy_loaded": report["scipy_loaded"],
+        }
+    )
+    return rows
+
+
 # -- entry point ------------------------------------------------------------------------
 
 
@@ -804,6 +928,7 @@ def run_perf(
             None,
         ),
     )
+    run_phase("startup", _phase_startup, 2 if quick else 5)
     if scenarios:
         run_phase(
             "scenarios", _phase_scenarios, [1, 2] if quick else [1, 2, 4, 8], repeats
@@ -891,6 +1016,16 @@ def run_perf(
                 f"  p50 {row['p50_ms']:.2f} ms (clean {row['clean_p50_ms']:.2f})"
                 f"  p99 {row['p99_ms']:.2f} ms (clean {row['clean_p99_ms']:.2f})"
                 f"  fired={row['faults_fired']} retries={row['retries']}"
+            )
+        for row in phases["startup"]:
+            timing = (
+                f"import {row['import_s']:.3f} s  wall {row['wall_s']:.3f} s"
+                if row["target"] == "import"
+                else f"ready {row['ready_s']:.3f} s  maxrss {row['maxrss_mb']:.1f} MB"
+            )
+            print(
+                f"startup   {row['target']:<6}  {timing}"
+                f"  modules={row['modules']}  scipy_loaded={row['scipy_loaded']}"
             )
         for row in phases.get("scenarios", ()):
             print(
@@ -988,7 +1123,9 @@ def check_perf_guard(
     and region row the payloads share, the ``digest`` must equal the
     baseline row's (code that got fast by changing the answer must fail
     here, not just in the test suite).  A baseline row without a digest
-    fails too: it cannot vouch for the answer.
+    fails too: it cannot vouch for the answer.  A current ``startup``
+    row with ``scipy_loaded`` fails: only the region LP may load scipy,
+    and neither a bare import nor an idle daemon solves one.
 
     CI machines and the machine that committed the baseline run at
     different speeds, so raw medians can't be compared directly.  Every
@@ -1035,6 +1172,12 @@ def check_perf_guard(
                     f"(baseline {base['extend_s']:.4f}s x machine "
                     f"{machine_scale:.2f} x ratio {max_ratio:.1f})"
                 )
+    for row in current.get("phases", {}).get("startup", ()):
+        if row.get("scipy_loaded"):
+            problems.append(
+                f"startup {row['target']}: scipy loaded in a process "
+                "that never solves an LP"
+            )
     return problems
 
 

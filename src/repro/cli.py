@@ -422,8 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--guard", default=None, metavar="BASELINE.json",
         help="with --perf: fail (exit 1) if the extension-phase median "
         "regresses more than 2x against this committed baseline "
-        "(machine speed normalized by the frozen calibration kernel) "
-        "or if any dtw, extension or region digest differs from it",
+        "(machine speed normalized by the frozen calibration kernel), "
+        "if any dtw, extension or region digest differs from it, or if "
+        "a startup row (bare import, idle daemon) loaded scipy",
     )
     bench.add_argument(
         "--outdir", default=None,

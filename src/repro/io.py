@@ -217,23 +217,31 @@ def _to_rules(data: Dict[str, float]) -> DesignRules:
 
 
 def _to_trace(data: Dict[str, Any]) -> Trace:
-    return Trace(
+    trace = Trace(
         name=data["name"],
         path=Polyline(_to_points(data["path"])),
         width=data["width"],
         net=data.get("net", ""),
     )
+    if not trace.length() > 0.0:
+        raise ValueError(f"trace '{trace.name}' has a path of zero length")
+    return trace
 
 
 def board_from_dict(data: Dict[str, Any]) -> Board:
     """Rebuild a board from :func:`board_to_dict` output.
 
-    Raises :class:`ValueError` on an unknown format version or a group
-    referencing a missing member.
+    Raises :class:`ValueError` on an unknown format version, a ``meta``
+    that is not an object, a trace whose path has zero length, or a
+    group that is empty, references a missing member or sets a target
+    below its longest member (:meth:`MatchGroup.resolved_target`).
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported board format version: {version!r}")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"board meta must be an object, not {type(meta).__name__}")
 
     rules = RuleSet(
         default=_to_rules(data["rules"]["default"]),
@@ -253,7 +261,7 @@ def board_from_dict(data: Dict[str, Any]) -> Board:
         # Documents written before the provenance field existed simply
         # have no "meta" key.  Deep copy so the board never aliases the
         # caller's dict.
-        meta=copy.deepcopy(data.get("meta", {})),
+        meta=copy.deepcopy(meta),
     )
 
     for t in data.get("traces", []):
@@ -285,14 +293,14 @@ def board_from_dict(data: Dict[str, Any]) -> Board:
             if name not in by_name:
                 raise ValueError(f"group '{g['name']}' references unknown member '{name}'")
             members.append(by_name[name])
-        board.add_group(
-            MatchGroup(
-                name=g["name"],
-                members=members,
-                target_length=g.get("target_length"),
-                tolerance=g.get("tolerance", 1e-3),
-            )
+        group = MatchGroup(
+            name=g["name"],
+            members=members,
+            target_length=g.get("target_length"),
+            tolerance=g.get("tolerance", 1e-3),
         )
+        group.resolved_target()
+        board.add_group(group)
     for name, pts in data.get("routable_areas", {}).items():
         board.set_routable_area(name, Polygon(_to_points(pts)))
     return board

@@ -12,6 +12,11 @@ any objective, we minimise distance-weighted usage so traces prefer the
 regions closest to them — which also makes the subsequent cell
 integerisation (each cell goes to its dominant user) well behaved.
 
+scipy is imported at the first solve, not with this module: boards that
+arrive with routable areas never pay its import time or memory.  The
+module-level :func:`linprog` is that import point (and the name tracers
+wrap); ``sys.modules`` caches the import after the first call.
+
 The paper's follow-up requirement — "the preserved original routing is
 contained in the rouTable area" — is enforced by pinning every cell a
 trace's path crosses to that trace before the LP runs.
@@ -24,14 +29,24 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 from .. import obs
 from ..geometry import Polygon, cells_union_boundary
 from ..model import Board, DesignRules, Trace
 from .capacity import trace_requirement
 from .decompose import Decomposition, decompose
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    The import gets its own ``region.scipy_import`` span (as does the
+    ``scipy.sparse`` import in :func:`assign_regions`) so a trace does
+    not book it as solver time.
+    """
+    with obs.span("region.scipy_import"):
+        from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 class AssignmentInfeasible(RuntimeError):
@@ -146,6 +161,8 @@ def assign_regions(
         cols.extend(ks)
         vals.extend([-1.0] * len(ks))
         rhs_ub.append(-req)
+    with obs.span("region.scipy_import"):
+        from scipy.sparse import csc_array
     a_ub = csc_array((vals, (rows, cols)), shape=(len(rhs_ub), n_vars))
 
     with obs.span("region.lp", variables=n_vars, rows=len(rhs_ub)):

@@ -365,6 +365,35 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "d_gap must be positive and finite" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda doc: doc.__setitem__("meta", 5), "meta"),
+            (lambda doc: doc["groups"][0].__setitem__("members", []), "'bus'"),
+            (lambda doc: doc["groups"][0].__setitem__("target_length", 50.0), "'bus'"),
+            (
+                lambda doc: doc["traces"][0].__setitem__("path", [[1, 1], [1, 1]]),
+                "'sig0'",
+            ),
+        ],
+        ids=["meta_not_object", "empty_group", "target_below_longest", "zero_length_path"],
+    )
+    def test_document_the_router_would_crash_on_is_usage_error(
+        self, tmp_path, mutate, named
+    ):
+        # Each used to load and then crash the run (exit 1 or 2 with a
+        # traceback); it must be refused on load, naming the culprit.
+        from repro.io import board_to_dict
+
+        doc = board_to_dict(golden_board())
+        mutate(doc)
+        with open(str(tmp_path / "bad.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        proc = run_cli(["route", "bad.json", "--preset", "fast", "--quiet"], tmp_path)
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_board_file_is_usage_error(self, tmp_path):
         assert run_cli(["check", "no_such.json"], tmp_path).returncode == 2
 

@@ -25,8 +25,10 @@ from repro import (
     RoutingSession,
     Trace,
 )
+from repro import faults
 from repro.api import STATUS_CRASHED, LengthMatchingStage
 from repro.api import executor as executor_mod
+from repro.faults import FaultPlan, FaultSpec
 from repro.io import run_result_from_dict, run_result_to_dict
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
@@ -62,6 +64,19 @@ def poison_board(name="poison"):
 
 def batch_with_poison():
     return [good_board("b0"), poison_board("p1"), good_board("b2")]
+
+
+@pytest.fixture
+def poisoned_batch():
+    """Three good boards; the match stage crashes on ``p1`` wherever it
+    runs.  Workers decode their board, and the decoder rejects the
+    zero-length path of :func:`poison_board` before any stage runs, so
+    the crash is an injected fault exported to the workers instead."""
+    plan = FaultPlan(
+        "poison", specs=[FaultSpec(site="stage.match", mode="raise", match="p1")]
+    )
+    with faults.activate(plan, env=True):
+        yield [good_board("b0"), good_board("p1"), good_board("b2")]
 
 
 class TestRunCaptureErrors:
@@ -154,47 +169,55 @@ class TestSerialIsolation:
 
 
 class TestWorkersIsolation:
-    def test_poisoned_board_does_not_sink_batch(self):
-        results = RoutingSession.run_many(
-            batch_with_poison(), config="fast", workers=2
-        )
+    def test_poisoned_board_does_not_sink_batch(self, poisoned_batch):
+        results = RoutingSession.run_many(poisoned_batch, config="fast", workers=2)
         assert [r.board for r in results] == ["b0", "p1", "b2"]
         assert [r.status for r in results] == ["ok", "crashed", "ok"]
         crashed = results[1]
-        assert crashed.error["type"] == "ZeroDivisionError"
+        assert crashed.error["type"] == "FaultInjected"
         assert crashed.error["stage"] == "match"
         assert crashed.stage("region").status == "skipped"
 
-    def test_matches_serial_outcomes(self):
-        serial = RoutingSession.run_many(batch_with_poison(), config="fast")
+    def test_matches_serial_outcomes(self, poisoned_batch):
+        serial = RoutingSession.run_many(poisoned_batch, config="fast")
         parallel = RoutingSession.run_many(
-            batch_with_poison(), config="fast", workers=2
+            [good_board(b.name) for b in poisoned_batch], config="fast", workers=2
         )
         for rs, rp in zip(serial, parallel):
             assert rs.status == rp.status
             assert (rs.error is None) == (rp.error is None)
             assert [s.status for s in rs.stages] == [s.status for s in rp.stages]
 
-    def test_on_board_done_covers_every_board(self):
+    def test_on_board_done_covers_every_board(self, poisoned_batch):
         events = []
         RoutingSession.run_many(
-            batch_with_poison(),
+            poisoned_batch,
             config="fast",
             workers=2,
             on_board_done=lambda i, b, r: events.append((i, r.status)),
         )
         assert sorted(events) == [(0, "ok"), (1, "crashed"), (2, "ok")]
 
-    def test_crashed_result_roundtrips_through_io(self):
-        results = RoutingSession.run_many(
-            batch_with_poison(), config="fast", workers=2
-        )
+    def test_crashed_result_roundtrips_through_io(self, poisoned_batch):
+        results = RoutingSession.run_many(poisoned_batch, config="fast", workers=2)
         crashed = results[1]
         rebuilt = run_result_from_dict(
             json.loads(json.dumps(run_result_to_dict(crashed)))
         )
         assert rebuilt == crashed
         assert rebuilt.status == STATUS_CRASHED
+
+    def test_board_the_decoder_rejects_is_crashed_not_raised(self):
+        # The worker's decoder refuses the zero-length path; the parent
+        # must get a crashed row and keep its board, not re-decode the
+        # rejected document and raise.
+        batch = batch_with_poison()
+        before = batch[1].trace_by_name("bad").path.points
+        results = RoutingSession.run_many(batch, config="fast", workers=2)
+        assert [r.status for r in results] == ["ok", "crashed", "ok"]
+        assert results[1].error["type"] == "ValueError"
+        assert "zero length" in results[1].error["message"]
+        assert batch[1].trace_by_name("bad").path.points == before
 
     def test_single_board_fallback_warns(self):
         with pytest.warns(RuntimeWarning, match="workers=8 ignored"):

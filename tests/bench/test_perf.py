@@ -56,6 +56,7 @@ class TestRunPerfQuick:
             "region",
             "server",
             "server_faults",
+            "startup",
         }
         assert payload["machine"]["cpu_count"] >= 1
         assert payload["machine"]["calibration_s"] > 0
@@ -170,6 +171,16 @@ class TestRunPerfQuick:
         assert all(r["retries"] >= r["faults_fired"] for r in rows)
         assert all(r["p50_ms"] > 0 and r["p99_ms"] >= r["p50_ms"] for r in rows)
 
+    def test_startup_phase(self, payload):
+        rows = {r["target"]: r for r in payload["phases"]["startup"]}
+        assert set(rows) == {"import", "serve"}
+        assert rows["import"]["runs"] >= 1
+        assert 0 < rows["import"]["import_s"] < rows["import"]["wall_s"]
+        assert rows["serve"]["ready_s"] > 0 and rows["serve"]["maxrss_mb"] > 0
+        for row in rows.values():
+            assert row["modules"] > 0
+            assert row["scipy_loaded"] is False
+
     def test_no_write_when_out_is_none(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_perf(quick=True, out=None, verbose=False)
@@ -275,6 +286,19 @@ class TestPerfGuard:
     def test_missing_phases_reported(self):
         problems = check_perf_guard({"phases": {}}, _guard_payload())
         assert len(problems) == 2  # no calibration_s, no extension phase
+
+    def test_fails_when_startup_loaded_scipy(self):
+        current = _guard_payload()
+        current["phases"]["startup"] = [
+            {"target": "import", "import_s": 0.3, "scipy_loaded": False},
+            {"target": "serve", "ready_s": 0.4, "scipy_loaded": True},
+        ]
+        problems = check_perf_guard(current, _guard_payload())
+        assert problems == [
+            "startup serve: scipy loaded in a process that never solves an LP"
+        ]
+        current["phases"]["startup"][1]["scipy_loaded"] = False
+        assert check_perf_guard(current, _guard_payload()) == []
 
     def test_run_perf_guard_reads_baseline_file(self, tmp_path, capsys):
         baseline = tmp_path / "BENCH_perf.json"

@@ -2,6 +2,9 @@
 invariant that observability never changes what gets computed or keyed."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +84,75 @@ class TestSessionSpans:
         before = obs.REGISTRY.value("repro_extension_iterations_total")
         RoutingSession(_board(), "fast").run()
         assert obs.REGISTRY.value("repro_extension_iterations_total") > before
+
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+
+# Two traced region-LP runs in one fresh interpreter; prints, per run,
+# the region.lp total and the region.scipy_import total under it.
+_FIRST_LP_SCRIPT = """
+import json
+from repro import RoutingSession, obs, scenarios
+
+out = []
+for _ in range(2):
+    board = scenarios.generate("mixed_groups", seed=0)
+    board.routable_areas.clear()
+    with obs.trace("lp") as trace:
+        result = RoutingSession(board, "default").run()
+    assert result.stage("region").status == "ok"
+    spans = trace.to_dict()["spans"]
+    lp = [s for s in spans if s["name"] == "region.lp"]
+    lp_ids = {s["id"] for s in lp}
+    out.append({
+        "lp": sum(s["duration_s"] for s in lp),
+        "import_in_lp": sum(
+            s["duration_s"] for s in spans
+            if s["name"] == "region.scipy_import" and s["parent"] in lp_ids
+        ),
+    })
+print(json.dumps(out))
+"""
+
+
+class TestScipyImportSpan:
+    def test_import_spans_sit_under_the_region_stage_and_lp(self):
+        board = scenarios.generate("mixed_groups", seed=0)
+        board.routable_areas.clear()
+        with obs.trace("lp") as trace:
+            result = RoutingSession(board, "default").run()
+        assert result.stage("region").status == "ok"
+        spans = trace.to_dict()["spans"]
+        by_id = {s["id"]: s for s in spans}
+        parents = sorted(
+            by_id[s["parent"]]["name"]
+            for s in spans
+            if s["name"] == "region.scipy_import"
+        )
+        # scipy.sparse for the constraint matrix, scipy.optimize in the
+        # linprog shim.
+        assert parents == ["region.lp", "stage.region"]
+
+    def test_first_solve_books_the_import_not_highs(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_LP_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, second = json.loads(proc.stdout)
+        # The first solve of a process loads scipy.optimize (~0.3 s):
+        # most of its region.lp is import, not solver time.
+        assert first["import_in_lp"] > 0.5 * first["lp"]
+        # Later solves find the module in sys.modules.
+        assert second["import_in_lp"] < first["import_in_lp"] / 20
 
 
 @pytest.mark.smoke

@@ -15,8 +15,10 @@ import socket
 import pytest
 
 import repro.server.app as app_mod
+from repro import faults
 from repro.api import SessionConfig
 from repro.api.config import DrcConfig, RegionConfig
+from repro.faults import FaultPlan, FaultSpec
 from repro.io import board_to_dict
 from repro.geometry import Point, Polyline
 from repro.model import Board, DesignRules, MatchGroup, Trace
@@ -35,15 +37,13 @@ def good_board(name="b0", target=115.0) -> Board:
     return board
 
 
-def poison_board(name="poison") -> Board:
-    """Crashes the pipeline (ZeroDivisionError on a zero-length path)."""
-    board = Board.with_rect_outline(0, 0, 100, 40, RULES)
-    board.name = name
-    trace = board.add_trace(
-        Trace("bad", Polyline([Point(5, 20), Point(5, 20)]), width=1.0)
-    )
-    board.add_group(MatchGroup("g", members=[trace], target_length=100.0))
-    return board
+@pytest.fixture
+def match_crashes():
+    """Crash the match stage of every request (an injected fault): no
+    board the decoder accepts is known to crash the router."""
+    plan = FaultPlan("crash", specs=[FaultSpec(site="stage.match", mode="raise")])
+    with faults.activate(plan):
+        yield
 
 
 def failing_payload() -> dict:
@@ -113,20 +113,20 @@ class TestRouteStatusMapping:
         status, envelope = app.route(payload)
         assert status == 422 and envelope["cache"] == "hit"
 
-    def test_crashed_is_500_with_error_record(self, app):
-        payload = {"board": board_to_dict(poison_board())}
+    def test_crashed_is_500_with_error_record(self, app, match_crashes):
+        payload = {"board": board_to_dict(good_board())}
         status, envelope = app.route(payload)
         assert status == 500
         assert envelope["status"] == "crashed"
-        # The PR 5 error record rides at the top level: type, message,
+        # The error record rides at the top level: type, message,
         # failing stage and a traceback tail.
         error = envelope["error"]
-        assert error["type"] == "ZeroDivisionError"
-        assert error["stage"]
+        assert error["type"] == "FaultInjected"
+        assert error["stage"] == "match"
         assert error["traceback"]
 
-    def test_crashed_is_not_cached(self, app):
-        payload = {"board": board_to_dict(poison_board())}
+    def test_crashed_is_not_cached(self, app, match_crashes):
+        payload = {"board": board_to_dict(good_board())}
         _, first = app.route(payload)
         _, second = app.route(payload)
         assert first["cache"] == "miss" and second["cache"] == "miss"
@@ -211,6 +211,44 @@ class TestValidation:
         assert status == 400
         assert envelope["kind"] == "error_response"
         assert "invalid board document" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda doc: doc.__setitem__("meta", 5), "meta"),
+            (lambda doc: doc["groups"][0].__setitem__("members", []), "'mixed'"),
+            (lambda doc: doc["groups"][0].__setitem__("target_length", 50.0), "'mixed'"),
+            (
+                lambda doc: doc["traces"][0].__setitem__("path", [[1, 1], [1, 1]]),
+                "'mix_t0'",
+            ),
+        ],
+        ids=["meta_not_object", "empty_group", "target_below_longest", "zero_length_path"],
+    )
+    def test_document_the_router_would_crash_on_is_400(self, app, mutate, named):
+        # Each used to reach the pipeline and come back a 500: an
+        # AttributeError on the meta, ValueError from the group target,
+        # ZeroDivisionError in the extender on the zero-length path.
+        from repro.scenarios import generate
+
+        doc = board_to_dict(generate("mixed_groups", seed=0))
+        assert doc["groups"][0]["name"] == "mixed"
+        assert doc["traces"][0]["name"] == "mix_t0"
+        mutate(doc)
+        status, envelope = app.route({"board": doc, "preset": "fast"})
+        assert status == 400
+        assert envelope["kind"] == "error_response"
+        assert "invalid board document" in envelope["error"]["message"]
+        assert named in envelope["error"]["message"]
+
+    def test_repeated_interior_node_still_routes(self, app):
+        from repro.scenarios import generate
+
+        doc = board_to_dict(generate("mixed_groups", seed=0))
+        path = doc["traces"][0]["path"]
+        doc["traces"][0]["path"] = [path[0], path[1], path[1]] + path[2:]
+        status, envelope = app.route({"board": doc, "preset": "fast"})
+        assert status == 200 and envelope["status"] == "ok"
 
     def test_non_dict_config_is_400(self, app):
         status, envelope = app.route(

@@ -17,7 +17,8 @@ def test_pyproject_declares_the_package():
         config = read_configuration(os.path.join(ROOT, "pyproject.toml"))
     project = config["project"]
     assert project["name"] == "repro"
-    # region assignment imports scipy.optimize and the extension loop
-    # numpy at module level, so both are hard dependencies.
+    # region assignment imports scipy.optimize at its first LP solve
+    # and the extension loop numpy at module level; both are hard
+    # dependencies.
     assert {"numpy", "scipy"} <= set(project["dependencies"])
     assert project["version"] == repro.__version__
