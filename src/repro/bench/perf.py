@@ -756,15 +756,22 @@ def _phase_batch(repeats: int) -> List[Dict[str, Any]]:
 
 
 # A fresh interpreter's report on itself, printed as its last stdout
-# line (``maxrss_kb``: peak RSS, in kB on Linux).
+# line.  ``vmhwm_kb`` is the peak RSS of this process image (Linux;
+# None elsewhere): unlike ``ru_maxrss`` it does not inherit the peak of
+# the bench process the child was forked from.
 _CHILD_REPORT = """
-import json, resource, sys
+import json, sys
 
 def report(**extra):
+    try:
+        with open("/proc/self/status") as fh:
+            hwm = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+    except OSError:
+        hwm = None
     print(json.dumps({
         "scipy_loaded": "scipy" in sys.modules,
         "modules": len(sys.modules),
-        "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "vmhwm_kb": hwm,
         **extra,
     }), flush=True)
 """
@@ -803,8 +810,9 @@ def _phase_startup(repeats: int) -> List[Dict[str, Any]]:
     repro.cli``; ``import_s`` is the median in-child import time,
     ``wall_s`` the median child wall time (interpreter start included).
     ``serve``: one ``repro serve`` timed from spawn until ``/healthz``
-    answers, then stopped with SIGTERM.  Page-cache state shows through
-    both: the first child after a cold disk pays for the reads.
+    answers, then stopped with SIGTERM; ``vmhwm_mb`` is its peak RSS.
+    Page-cache state shows through both: the first child after a cold
+    disk pays for the reads.
     """
     import signal
     import subprocess
@@ -845,9 +853,8 @@ def _phase_startup(repeats: int) -> List[Dict[str, Any]]:
             deadline = started + 60.0
             while True:
                 try:
-                    with urllib.request.urlopen(url + "/healthz", timeout=5) as resp:
-                        if resp.status == 200:
-                            break
+                    with urllib.request.urlopen(url + "/healthz", timeout=5):
+                        break  # urlopen raises HTTPError on a non-2xx
                 except OSError:
                     if time.perf_counter() > deadline:
                         raise
@@ -865,7 +872,9 @@ def _phase_startup(repeats: int) -> List[Dict[str, Any]]:
             "target": "serve",
             "runs": 1,
             "ready_s": ready_s,
-            "maxrss_mb": report["maxrss_kb"] / 1024.0,
+            "vmhwm_mb": (
+                report["vmhwm_kb"] / 1024.0 if report["vmhwm_kb"] is not None else None
+            ),
             "modules": report["modules"],
             "scipy_loaded": report["scipy_loaded"],
         }
@@ -1021,7 +1030,7 @@ def run_perf(
             timing = (
                 f"import {row['import_s']:.3f} s  wall {row['wall_s']:.3f} s"
                 if row["target"] == "import"
-                else f"ready {row['ready_s']:.3f} s  maxrss {row['maxrss_mb']:.1f} MB"
+                else f"ready {row['ready_s']:.3f} s  VmHWM {row['vmhwm_mb'] or 0:.1f} MB"
             )
             print(
                 f"startup   {row['target']:<6}  {timing}"

@@ -299,7 +299,7 @@ def board_from_dict(data: Dict[str, Any]) -> Board:
             target_length=g.get("target_length"),
             tolerance=g.get("tolerance", 1e-3),
         )
-        group.resolved_target()
+        group.resolved_target()  # raises on an empty group or a target too low
         board.add_group(group)
     for name, pts in data.get("routable_areas", {}).items():
         board.set_routable_area(name, Polygon(_to_points(pts)))

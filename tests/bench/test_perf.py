@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -176,7 +177,9 @@ class TestRunPerfQuick:
         assert set(rows) == {"import", "serve"}
         assert rows["import"]["runs"] >= 1
         assert 0 < rows["import"]["import_s"] < rows["import"]["wall_s"]
-        assert rows["serve"]["ready_s"] > 0 and rows["serve"]["maxrss_mb"] > 0
+        assert rows["serve"]["ready_s"] > 0
+        if sys.platform.startswith("linux"):
+            assert rows["serve"]["vmhwm_mb"] > 0
         for row in rows.values():
             assert row["modules"] > 0
             assert row["scipy_loaded"] is False
