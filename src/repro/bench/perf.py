@@ -47,7 +47,8 @@ scenario boards of growing tile count, so throughput scaling is
 measured on generated workloads instead of the fixed paper designs.
 
 ``--quick`` shrinks every phase to its smallest scale with one repeat —
-the CI smoke configuration.  ``--profile`` (:func:`run_profile`) writes
+the CI smoke configuration — except ``extension_breakdown``, whose
+overhead ratio needs at least five rounds.  ``--profile`` (:func:`run_profile`) writes
 a cProfile top-25 cumulative table for the match hot path next to the
 baseline, and :func:`run_perf_guard` (``bench --perf --guard``) fails a
 run whose extension median regresses more than :data:`GUARD_MAX_RATIO`
@@ -323,7 +324,8 @@ def _phase_extension_breakdown(
     a number measured minutes earlier in a different phase wobbles far
     more than the few-percent effect being bounded, which is why the
     ``extension`` phase's own best sample rides along only as the
-    cross-phase reference (``extension_phase_s``).
+    cross-phase reference (``extension_phase_s``).  A first, warm-up
+    round runs all three and is dropped.
     """
     from .. import obs
 
@@ -336,18 +338,24 @@ def _phase_extension_breakdown(
     disabled_times: List[float] = []
     traced_times: List[float] = []
     doc: Dict[str, Any] = {}
-    for _ in range(repeats):
+    # Round 0 is a warm-up whose samples are dropped: the first run of a
+    # process pays for caches and allocator growth the others do not.
+    for round_index in range(repeats + 1):
         t0 = time.perf_counter()
         run_once()
-        baseline_times.append(time.perf_counter() - t0)
+        baseline_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         run_once()
-        disabled_times.append(time.perf_counter() - t0)
+        disabled_s = time.perf_counter() - t0
         with obs.trace(f"bench extension dgap={dgap}") as collected:
             t0 = time.perf_counter()
             run_once()
-            traced_times.append(time.perf_counter() - t0)
+            traced_s = time.perf_counter() - t0
         doc = collected.to_dict()
+        if round_index:
+            baseline_times.append(baseline_s)
+            disabled_times.append(disabled_s)
+            traced_times.append(traced_s)
     baseline_s = min(baseline_times)
     disabled_s = min(disabled_times)
     traced_s = min(traced_times)
@@ -893,7 +901,8 @@ def run_perf(
 ) -> Dict[str, Any]:
     """Run every perf phase and (optionally) write the JSON baseline.
 
-    ``quick`` is the CI smoke configuration: smallest scales, one repeat.
+    ``quick`` is the CI smoke configuration: smallest scales, one repeat
+    (five rounds for the extension breakdown).
     ``scenarios`` adds the scenario-backed scaling curve (generated
     ``tiled`` boards of growing size).  Returns the payload; ``out=None``
     skips writing.
@@ -929,9 +938,10 @@ def run_perf(
         "extension_breakdown",
         _phase_extension_breakdown,
         4.0,
-        # The overhead bound compares minima; more repeats tighten the
-        # min without moving it, so the few-percent bound stops flaking.
-        repeats if quick else max(repeats, 5),
+        # The overhead bound compares minima of two streams; one sample
+        # each (the quick default) let one slow run fail it, so this phase
+        # keeps at least five rounds even under ``quick``.
+        max(repeats, 5),
         extension_phase_s=next(
             (r["min_s"] for r in phases["extension"] if r["dgap"] == 4.0),
             None,

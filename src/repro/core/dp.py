@@ -29,10 +29,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .pattern import Pattern
-from .shrink import ShrinkEnvironment
+from .shrink import TOUCH_EPS, ShrinkEnvironment
 
 #: Height comparisons happen in board units; gains below this are noise.
 GAIN_EPS = 1e-9
+
+#: A foot whose bound lies this far below ``h_min`` cannot hold a pattern.
+#: One ``TOUCH_EPS`` is the column bound's slack (a node less than
+#: ``TOUCH_EPS`` below ``h_ob`` does not shrink it); the second covers the
+#: few ulps the shrink's own roundings add on top.
+HMIN_SLACK = 2.0 * TOUCH_EPS
 
 
 @dataclass
@@ -173,10 +179,14 @@ class SegmentDP:
             return 0 if direction == 1 else 1
 
         w_max_global = cfg.max_width_steps or (n - 1)
+        # Feet whose bound rules out any pattern of height h_min: every
+        # shrink on them returns 0, so the DP can skip the call.
+        floor = cfg.h_min - HMIN_SLACK
 
         for i in range(1, n):
             for direction in dirs:
                 d = dir_index(direction)
+                left_ub = self._left_ub[direction]
                 # Inherit (Eq. 6).
                 value[i][d] = value[i - 1][d]
                 ends_here[i][d] = False
@@ -189,6 +199,8 @@ class SegmentDP:
                     if not cfg.allow_node_feet:
                         continue
                 elif right_stub < cfg.h_min - GAIN_EPS:
+                    continue
+                if self._right_ub[direction][i] < floor:
                     continue
 
                 w_hi = min(i, w_max_global)
@@ -231,6 +243,10 @@ class SegmentDP:
                     # wider pattern can either.
                     if pred_value + 2.0 * cfg.h_init <= cur + GAIN_EPS:
                         break
+                    # After the break, never before it: skipping past the
+                    # break would reach wider patterns the break stops at.
+                    if left_ub[il] < floor:
+                        continue
                     # Prune: even the optimistic height cannot beat the
                     # current state.
                     h_ub = self.height_upper_bound(il, i, direction)

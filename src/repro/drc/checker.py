@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .. import obs
 from ..geometry import (
     Point,
     Polygon,
@@ -358,52 +359,61 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
         for t in all_traces
     }
 
-    self_cands: Dict[int, List[Tuple[int, int]]] = {}
-    pair_cands: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    if all_traces:
-        self_cands, pair_cands = _clearance_candidates(
-            all_traces, per_trace_rules, self_floor
-        )
+    # One span per pass.  Containment runs first; its findings are merged
+    # into the per-trace order of the clearance pass below.
+    area_reports: Dict[int, DrcReport] = {}
+    if check_areas:
+        with obs.span("drc.containment"):
+            for idx, trace in enumerate(all_traces):
+                area = board.routable_areas.get(trace.name)
+                if area is not None:
+                    area_reports[idx] = check_containment(trace, area)
 
-    for idx, trace in enumerate(all_traces):
-        rules = per_trace_rules[trace.name]
-        cands = sorted(self_cands.get(idx, ()))
-        if trace.name not in pair_sub_names:
-            check_segment_lengths(trace, rules, report)
-            check_self_clearance(trace, rules, report, candidates=cands)
-        else:
-            # Within a pair the structural floor is the tiny-pattern scale,
-            # not d_protect (tiny patterns are narrower by design).
-            check_self_clearance(
-                trace, rules, report, required=trace.width, candidates=cands
+    with obs.span("drc.clearance"):
+        self_cands: Dict[int, List[Tuple[int, int]]] = {}
+        pair_cands: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        if all_traces:
+            self_cands, pair_cands = _clearance_candidates(
+                all_traces, per_trace_rules, self_floor
             )
-        check_obstacle_clearance(trace, board.obstacles, rules, report)
-        if check_areas:
-            area = board.routable_areas.get(trace.name)
-            if area is not None:
-                check_containment(trace, area, report)
 
-    # Only trace pairs with a candidate segment pair can violate; sorted
-    # keys reproduce the all-pairs i<j visiting order.
-    for i, j in sorted(pair_cands):
-        a, b = all_traces[i], all_traces[j]
-        if frozenset((a.name, b.name)) in same_pair_keys:
-            continue  # intra-pair spacing is the pair rule, not d_gap
-        if a.net and a.net == b.net:
-            # Electrically one net (e.g. the chains a branched imported
-            # net was split into): contact is legal, d_gap is about
-            # crosstalk between *different* signals.  Synthetic traces
-            # carry net="" and are unaffected.
-            continue
-        cands = sorted(pair_cands[(i, j)])
-        rules = DesignRules(
-            dgap=max(per_trace_rules[a.name].dgap, per_trace_rules[b.name].dgap),
-            dobs=max(per_trace_rules[a.name].dobs, per_trace_rules[b.name].dobs),
-            dprotect=max(
-                per_trace_rules[a.name].dprotect, per_trace_rules[b.name].dprotect
-            ),
-        )
-        check_trace_pair_clearance(a, b, rules, report, candidates=cands)
+        for idx, trace in enumerate(all_traces):
+            rules = per_trace_rules[trace.name]
+            cands = sorted(self_cands.get(idx, ()))
+            if trace.name not in pair_sub_names:
+                check_segment_lengths(trace, rules, report)
+                check_self_clearance(trace, rules, report, candidates=cands)
+            else:
+                # Within a pair the structural floor is the tiny-pattern scale,
+                # not d_protect (tiny patterns are narrower by design).
+                check_self_clearance(
+                    trace, rules, report, required=trace.width, candidates=cands
+                )
+            check_obstacle_clearance(trace, board.obstacles, rules, report)
+            if idx in area_reports:
+                report.extend(area_reports[idx])
+
+        # Only trace pairs with a candidate segment pair can violate; sorted
+        # keys reproduce the all-pairs i<j visiting order.
+        for i, j in sorted(pair_cands):
+            a, b = all_traces[i], all_traces[j]
+            if frozenset((a.name, b.name)) in same_pair_keys:
+                continue  # intra-pair spacing is the pair rule, not d_gap
+            if a.net and a.net == b.net:
+                # Electrically one net (e.g. the chains a branched imported
+                # net was split into): contact is legal, d_gap is about
+                # crosstalk between *different* signals.  Synthetic traces
+                # carry net="" and are unaffected.
+                continue
+            cands = sorted(pair_cands[(i, j)])
+            rules = DesignRules(
+                dgap=max(per_trace_rules[a.name].dgap, per_trace_rules[b.name].dgap),
+                dobs=max(per_trace_rules[a.name].dobs, per_trace_rules[b.name].dobs),
+                dprotect=max(
+                    per_trace_rules[a.name].dprotect, per_trace_rules[b.name].dprotect
+                ),
+            )
+            check_trace_pair_clearance(a, b, rules, report, candidates=cands)
     return report
 
 

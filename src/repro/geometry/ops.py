@@ -9,9 +9,12 @@ areas built from region-assignment cells).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .polygon import Polygon
+import numpy as np
+
+from .polygon import ROUND_REL, Polygon
 from .polyline import Polyline
 from .primitives import EPS, Point
 from .segment import Segment
@@ -110,22 +113,63 @@ def polyline_inside_polygon(line: Polyline, poly: Polygon, eps: float = EPS) -> 
     """True when the whole polyline lies inside ``poly``.
 
     Checks every node for containment and every segment against boundary
-    crossings, which is exact for simple polygons.
+    crossings, which is exact for simple polygons.  Only (segment, edge)
+    pairs whose boxes come within :func:`_intersection_reach` of each
+    other get the exact intersection test: a pair farther apart cannot
+    report an intersection, so the verdict is the all-pairs one.
     """
     if any(not poly.contains_point(p, eps) for p in line.points):
         return False
-    for seg in line.segments():
-        for edge in poly.edges():
-            inter = edge.intersection(seg, eps)
-            if inter is None:
-                continue
-            # Touching the boundary is fine; crossing it is not.  Probe a
-            # point slightly inside each half of the segment.
-            for t in (0.25, 0.5, 0.75):
-                probe = seg.point_at(t)
-                if not poly.contains_point(probe, eps):
-                    return False
+    segs = line.segments()
+    if not segs:
+        return True
+    edges = poly.edges()
+    if eps > 0:
+        boxes, _, _, poly_scale = poly._edge_boxes()
+        ex0, ey0, ex1, ey1 = np.array(boxes).T
+        pts = np.array([(p.x, p.y) for p in line.points])
+        a, b = pts[:-1], pts[1:]
+        sx0, sy0 = np.minimum(a[:, 0], b[:, 0]), np.minimum(a[:, 1], b[:, 1])
+        sx1, sy1 = np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1])
+        scale = max(poly_scale, float(np.abs(pts).max()))
+        reach = _intersection_reach(np.hypot(ex1 - ex0, ey1 - ey0), scale, eps)
+        near = (
+            (sx0[:, None] <= ex1 + reach)
+            & (ex0 - reach <= sx1[:, None])
+            & (sy0[:, None] <= ey1 + reach)
+            & (ey0 - reach <= sy1[:, None])
+        )
+        pairs = zip(*np.nonzero(near))
+    else:
+        pairs = ((si, ei) for si in range(len(segs)) for ei in range(len(edges)))
+    for si, ei in pairs:
+        seg = segs[si]
+        if edges[ei].intersection(seg, eps) is None:
+            continue
+        # Touching the boundary is fine; crossing it is not.  Probe a
+        # point slightly inside each half of the segment.
+        for t in (0.25, 0.5, 0.75):
+            if not poly.contains_point(seg.point_at(t), eps):
+                return False
     return True
+
+
+def _intersection_reach(edge_lengths, scale: float, eps: float):
+    """Per edge, a distance beyond which ``edge.intersection(seg, eps)``
+    is ``None`` for every segment, given all coordinates are at most
+    ``scale`` in magnitude and ``eps > 0``.
+
+    Crossing lines count only where they meet within ``eps`` of both
+    segments, misplaced by rounding by about ``2**-46 * scale / eps``
+    (the cross product they divide by is at least ``eps`` times both
+    lengths), far below ``ROUND_REL * scale / eps``.  Near-parallel
+    pairs go to the collinear test, which accepts ends within
+    ``eps * max(1, 1 / L)`` of the edge's line and parameters ``eps``
+    past its ends, i.e. ``eps * L`` along it; an edge shorter than
+    ``eps`` accepts points within ``eps`` of its start.
+    """
+    lengths = np.maximum(edge_lengths, eps)
+    return eps * (2.0 + lengths + 1.0 / lengths) + scale * ROUND_REL / eps
 
 
 # -- rectilinear cell unions ----------------------------------------------------
@@ -142,14 +186,14 @@ def cells_union_boundary(
     boundary is then found by cancelling shared directed edges and walking
     the survivors (outer boundaries CCW, holes CW).
     """
-    cell_list = list(cells)
+    rounded = [
+        (round(xmin, 9), round(ymin, 9), round(xmax, 9), round(ymax, 9))
+        for (xmin, ymin, xmax, ymax) in cells
+    ]
     edge_count: Dict[Tuple[Tuple[float, float], Tuple[float, float]], int] = {}
 
-    def key(x: float, y: float) -> Tuple[float, float]:
-        return (round(x, 9), round(y, 9))
-
-    xs = sorted({key(c[0], 0)[0] for c in cell_list} | {key(c[2], 0)[0] for c in cell_list})
-    ys = sorted({key(0, c[1])[1] for c in cell_list} | {key(0, c[3])[1] for c in cell_list})
+    xs = sorted({c[0] for c in rounded} | {c[2] for c in rounded})
+    ys = sorted({c[1] for c in rounded} | {c[3] for c in rounded})
 
     def add_edge(a: Tuple[float, float], b: Tuple[float, float]) -> None:
         if (b, a) in edge_count:
@@ -159,22 +203,28 @@ def cells_union_boundary(
         else:
             edge_count[(a, b)] = edge_count.get((a, b), 0) + 1
 
+    def stops(cuts: List[float], u: float, v: float) -> List[float]:
+        """``u``, the sorted cuts strictly between ``u`` and ``v``, ``v``."""
+        lo, hi = (u, v) if u < v else (v, u)
+        inner = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
+        if u > v:
+            inner.reverse()
+        return [u, *inner, v] if u != v else [u]
+
     def add_split(a: Tuple[float, float], b: Tuple[float, float]) -> None:
         """Add edge a->b split at every global cut it spans."""
         if a[1] == b[1]:  # horizontal
-            cuts = [x for x in xs if min(a[0], b[0]) < x < max(a[0], b[0])]
-            stops = sorted({a[0], b[0], *cuts}, reverse=a[0] > b[0])
-            for u, v in zip(stops, stops[1:]):
+            run = stops(xs, a[0], b[0])
+            for u, v in zip(run, run[1:]):
                 add_edge((u, a[1]), (v, a[1]))
         else:  # vertical
-            cuts = [y for y in ys if min(a[1], b[1]) < y < max(a[1], b[1])]
-            stops = sorted({a[1], b[1], *cuts}, reverse=a[1] > b[1])
-            for u, v in zip(stops, stops[1:]):
+            run = stops(ys, a[1], b[1])
+            for u, v in zip(run, run[1:]):
                 add_edge((a[0], u), (a[0], v))
 
-    for (xmin, ymin, xmax, ymax) in cell_list:
-        a, b = key(xmin, ymin), key(xmax, ymin)
-        c, d = key(xmax, ymax), key(xmin, ymax)
+    for (xmin, ymin, xmax, ymax) in rounded:
+        a, b = (xmin, ymin), (xmax, ymin)
+        c, d = (xmax, ymax), (xmin, ymax)
         # CCW winding for every cell.
         add_split(a, b)
         add_split(b, c)
@@ -197,7 +247,7 @@ def cells_union_boundary(
             nxts = outgoing.get(cur)
             if not nxts:
                 break
-            if prev_dir is None:
+            if prev_dir is None or len(nxts) == 1:
                 nxt = nxts.pop()
             else:
                 # Prefer the left-most turn so holes separate from shells.

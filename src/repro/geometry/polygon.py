@@ -14,6 +14,12 @@ from typing import Iterable, List, Sequence, Tuple
 from .primitives import EPS, Point, centroid, orientation
 from .segment import Segment, segments_intersect
 
+#: Relative rounding pad for box early-outs: ``ROUND_REL * scale`` is
+#: thousands of ulps of any coordinate no larger than ``scale``, far
+#: above the few ulps a segment parameter, distance or intersection
+#: rounds by.
+ROUND_REL = 2.0**-40
+
 
 @dataclass(frozen=True)
 class Polygon:
@@ -108,23 +114,49 @@ class Polygon:
         This is the `T(R)` primitive of the paper's complexity analysis
         (Sec. IV-D): an O(n) crossing-number walk along the boundary.
         """
-        # Boundary first: the crossing count is unreliable exactly on edges.
-        for e in self.edges():
-            if e.distance_to_point(p) <= eps:
-                return True
-        inside = False
-        n = len(self.points)
+        # Boundary first: the crossing count is unreliable exactly on
+        # edges.  Only edges whose box, padded by ``pad``, holds p get the
+        # exact distance test: the closest point of an edge lies in its
+        # box up to a few ulps of ``scale``, and the rounded distance is
+        # never below the rounded |dx| or |dy|, so an edge farther than
+        # ``pad`` in x or y cannot pass ``<= eps``.
+        boxes, xs, ys, scale = self._edge_boxes()
         x, y = p.x, p.y
-        j = n - 1
-        for i in range(n):
-            xi, yi = self.points[i].x, self.points[i].y
-            xj, yj = self.points[j].x, self.points[j].y
+        pad = 2.0 * eps + (scale + abs(x) + abs(y)) * ROUND_REL
+        xlo, xhi, ylo, yhi = x - pad, x + pad, y - pad, y + pad
+        pts = self.points
+        n = len(pts)
+        for i, (x0, y0, x1, y1) in enumerate(boxes):
+            if x0 <= xhi and xlo <= x1 and y0 <= yhi and ylo <= y1:
+                if Segment(pts[i], pts[(i + 1) % n]).distance_to_point(p) <= eps:
+                    return True
+        inside = False
+        xj, yj = xs[-1], ys[-1]
+        for xi, yi in zip(xs, ys):
             if (yi > y) != (yj > y):
                 x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
                 if x < x_cross:
                     inside = not inside
-            j = i
+            xj, yj = xi, yi
         return inside
+
+    def _edge_boxes(self):
+        """Per-edge ``(xmin, ymin, xmax, ymax)`` boxes in edge order, the
+        node abscissas and ordinates, and the largest coordinate
+        magnitude; computed once per polygon."""
+        cached = self.__dict__.get("_boxes")
+        if cached is None:
+            xs = tuple(p.x for p in self.points)
+            ys = tuple(p.y for p in self.points)
+            xs2, ys2 = xs[1:] + xs[:1], ys[1:] + ys[:1]
+            boxes = tuple(
+                (min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb))
+                for xa, ya, xb, yb in zip(xs, ys, xs2, ys2)
+            )
+            scale = max(max(map(abs, xs)), max(map(abs, ys)))
+            cached = (boxes, xs, ys, scale)
+            self.__dict__["_boxes"] = cached
+        return cached
 
     def intersects_segment(self, seg: Segment, eps: float = EPS) -> bool:
         """True when ``seg`` touches the boundary or lies inside."""
@@ -143,18 +175,6 @@ class Polygon:
             self.points[0], eps
         )
 
-    def contains_polygon(self, other: "Polygon", eps: float = EPS) -> bool:
-        """True when ``other`` lies entirely inside this polygon."""
-        if any(not self.contains_point(p, eps) for p in other.points):
-            return False
-        # Edge crossings can still pull part of `other` outside a concave
-        # region even when all its nodes are inside.
-        for e in self.edges():
-            for f in other.edges():
-                if _segments_cross_properly(e, f, eps):
-                    return False
-        return True
-
     # -- distances --------------------------------------------------------------
 
     def distance_to_point(self, p: Point) -> float:
@@ -163,21 +183,11 @@ class Polygon:
             return 0.0
         return min(e.distance_to_point(p) for e in self.edges())
 
-    def boundary_distance_to_point(self, p: Point) -> float:
-        """Distance from the boundary (ignoring containment) to ``p``."""
-        return min(e.distance_to_point(p) for e in self.edges())
-
     def distance_to_segment(self, seg: Segment) -> float:
         """Distance between the polygon and a segment (0 on overlap)."""
         if self.intersects_segment(seg):
             return 0.0
         return min(e.distance_to_segment(seg) for e in self.edges())
-
-    def distance_to_polygon(self, other: "Polygon") -> float:
-        """Distance between two polygons (0 on overlap)."""
-        if self.intersects_polygon(other):
-            return 0.0
-        return min(e.distance_to_segment(f) for e in self.edges() for f in other.edges())
 
     # -- constructions -------------------------------------------------------------
 
@@ -226,15 +236,6 @@ class Polygon:
     def rounded(self, digits: int = 9) -> "Polygon":
         """Polygon with coordinates rounded (stable hashing in caches)."""
         return Polygon(p.round_to(digits) for p in self.points)
-
-
-def _segments_cross_properly(e: Segment, f: Segment, eps: float) -> bool:
-    """True when segments cross at a point interior to both."""
-    o1 = orientation(e.a, e.b, f.a, eps)
-    o2 = orientation(e.a, e.b, f.b, eps)
-    o3 = orientation(f.a, f.b, e.a, eps)
-    o4 = orientation(f.a, f.b, e.b, eps)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
 # -- common constructors ---------------------------------------------------------

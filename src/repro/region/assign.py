@@ -210,17 +210,18 @@ def apply_assignment(board: Board, assignment: Assignment) -> None:
     Picks, per trace, the boundary polygon that contains the trace path's
     midpoint (cells may integerise into several islands).
     """
-    polys = assignment.routable_polygons()
-    for name, candidates in polys.items():
-        if not candidates:
-            continue
-        trace = board.trace_by_name(name)
-        mid = trace.path.point_at_arclength(trace.length() / 2.0)
-        chosen = None
-        for poly in candidates:
-            if poly.contains_point(mid):
-                chosen = poly
-                break
-        if chosen is None:
-            chosen = max(candidates, key=lambda p: p.area())
-        board.set_routable_area(name, chosen)
+    with obs.span("region.apply", traces=len(assignment.cells)):
+        polys = assignment.routable_polygons()
+        for name, candidates in polys.items():
+            if not candidates:
+                continue
+            trace = board.trace_by_name(name)
+            mid = trace.path.point_at_arclength(trace.length() / 2.0)
+            chosen = None
+            for poly in candidates:
+                if poly.contains_point(mid):
+                    chosen = poly
+                    break
+            if chosen is None:
+                chosen = max(candidates, key=lambda p: p.area())
+            board.set_routable_area(name, chosen)

@@ -13,9 +13,11 @@ from oracles.digests import corpus_families
 from oracles.dp_inputs import (
     corpus_dp_inputs,
     fresh_envs,
+    region_dp_inputs,
     spread,
     table2_dp_inputs,
 )
+import repro.core.dp as dp_module
 from repro.core import DPConfig, SegmentDP, ShrinkEnvironment
 from repro.core.shrink import TOUCH_EPS
 from repro.geometry import Point, Polygon, rectangle
@@ -290,3 +292,77 @@ class TestFootBounds:
         assert dps[0].run().gain > 0
         for dp in dps[1:]:
             dp.run()
+
+
+def spikes(apex_y):
+    """Thin downward spikes with apexes at ``apex_y`` every half step:
+    a node in every foot's arm column, and no edge crossing a side line
+    (the apexes sit between the integer side lines, the bases at 100)."""
+    return [
+        Polygon([Point(k + 0.25, 100.0), Point(k + 0.75, 100.0), Point(k + 0.5, apex_y)])
+        for k in range(-4, 25)
+    ]
+
+
+def without_hmin_prune(monkeypatch):
+    monkeypatch.setattr(dp_module, "HMIN_SLACK", math.inf)
+
+
+class TestHminPrune:
+    """Feet whose bound lies below h_min skip the exact shrink."""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_unpruned_run_gives_the_same_result(self, source, monkeypatch):
+        pruned = [repr(dp.run()) for dp in real_dps(source)]
+        without_hmin_prune(monkeypatch)
+        assert [repr(dp.run()) for dp in real_dps(source)] == pruned
+
+    @pytest.mark.parametrize("kwargs", HAND_DPS)
+    def test_unpruned_hand_cases_same_result(self, kwargs, monkeypatch):
+        pruned = make_dp(**kwargs)
+        result = repr(pruned.run())
+        without_hmin_prune(monkeypatch)
+        unpruned = make_dp(**kwargs)
+        assert repr(unpruned.run()) == result
+        assert pruned.shrinks <= unpruned.shrinks
+
+    def test_bound_just_under_h_min_keeps_the_shrink(self, monkeypatch):
+        # Apexes TOUCH_EPS / 2 under the outer border's top (h_init + g)
+        # are not nodes inside the border, so every shrink returns the
+        # full h_init = h_min, while the column bound reads h_min - 5e-8.
+        kwargs = {"h_min": 2.0, "h_init": 2.0, "polys": spikes(4.0 - 0.5 * TOUCH_EPS)}
+        dp = make_dp(**kwargs)
+        bounds = dp._left_ub[1] + dp._right_ub[1]
+        assert all(2.0 - TOUCH_EPS < ub < 2.0 for ub in bounds)
+        result = dp.run()
+        free = make_dp(h_min=2.0, h_init=2.0).run()
+        assert result.gain == free.gain > 0
+        assert repr(result.patterns) == repr(free.patterns)
+        # A floor at h_min itself would drop every one of those patterns.
+        monkeypatch.setattr(dp_module, "HMIN_SLACK", 0.0)
+        assert make_dp(**kwargs).run().gain == 0.0
+
+    def test_bound_under_the_floor_skips_every_shrink(self, monkeypatch):
+        kwargs = {"h_min": 2.0, "h_init": 2.0, "polys": spikes(4.0 - 3 * TOUCH_EPS)}
+        dp = make_dp(**kwargs)
+        assert dp.run().gain == 0.0
+        assert dp.shrinks == 0
+        without_hmin_prune(monkeypatch)
+        unpruned = make_dp(**kwargs)
+        assert unpruned.run().gain == 0.0
+        assert unpruned.shrinks > 0
+
+    def test_shrinks_fall_on_a_region_routed_board(self, monkeypatch):
+        # mixed_groups seed 0 with its areas cleared: the benchmark's
+        # Fig. 2 flow.  Same results, far fewer exact shrinks.
+        inputs = region_dp_inputs("mixed_groups", 0)
+
+        def run_all():
+            dps = [SegmentDP(cfg, fresh_envs(envs)) for cfg, envs in inputs]
+            return [repr(dp.run()) for dp in dps], sum(dp.shrinks for dp in dps)
+
+        pruned, pruned_shrinks = run_all()
+        without_hmin_prune(monkeypatch)
+        unpruned, unpruned_shrinks = run_all()
+        assert pruned == unpruned
+        assert 0 < 2 * pruned_shrinks < unpruned_shrinks

@@ -155,6 +155,39 @@ class TestScipyImportSpan:
         assert second["import_in_lp"] < first["import_in_lp"] / 20
 
 
+class TestLayerSpans:
+    """DRC sub-passes and the region stage's area write-back have spans."""
+
+    def _spans(self, clear_areas):
+        board = scenarios.generate("mixed_groups", seed=0)
+        if clear_areas:
+            board.routable_areas.clear()
+        with obs.trace("layers") as trace:
+            result = RoutingSession(board, "default").run()
+        assert result.ok()
+        spans = trace.to_dict()["spans"]
+        return spans, {s["id"]: s for s in spans}
+
+    def test_one_span_per_drc_pass(self):
+        spans, by_id = self._spans(clear_areas=False)
+        for name in ("drc.containment", "drc.clearance"):
+            passes = [s for s in spans if s["name"] == name]
+            # One per check_board call, not one per trace.
+            assert len(passes) == 1
+            assert by_id[passes[0]["parent"]]["name"] == "stage.drc"
+
+    def test_region_apply_span_under_the_region_stage(self):
+        spans, by_id = self._spans(clear_areas=True)
+        applied = [s for s in spans if s["name"] == "region.apply"]
+        assert len(applied) == 1
+        assert by_id[applied[0]["parent"]]["name"] == "stage.region"
+        assert applied[0]["attrs"]["traces"] > 0
+
+    def test_no_region_apply_span_when_areas_are_given(self):
+        spans, _ = self._spans(clear_areas=False)
+        assert not [s for s in spans if s["name"] == "region.apply"]
+
+
 @pytest.mark.smoke
 class TestObservabilityIsInert:
     """Tracing must not leak into results, fingerprints, or cache keys."""

@@ -1,10 +1,12 @@
 """Real DP inputs captured from routing.
 
 :func:`corpus_dp_inputs` routes one board of a scenario family with the
-``fast`` preset, :func:`table2_dp_inputs` runs the Table II via-field
-extension; both record every :class:`~repro.core.dp.SegmentDP` the
-extender builds: its :class:`~repro.core.dp.DPConfig` and, per
-direction, the environment's flat coordinate arrays.  Tests rebuild
+``fast`` preset, :func:`region_dp_inputs` the same board with its areas
+cleared and the ``default`` preset, :func:`table2_dp_inputs` runs the
+Table II via-field extension; each records every
+:class:`~repro.core.dp.SegmentDP` the extender builds: its
+:class:`~repro.core.dp.DPConfig` and, per direction, the environment's
+flat coordinate arrays.  Tests rebuild
 fresh environments from the arrays (:func:`fresh_envs`,
 :func:`oracle_env`), so no memo filled during the routing run leaks
 into what they check.
@@ -58,6 +60,20 @@ def corpus_dp_inputs(family: str, seed: int = 0) -> Tuple[DPInput, ...]:
 
     board = generate(family, seed=seed)
     session = RoutingSession(board, config=SessionConfig.preset("fast"))
+    return _recorded(session.run)
+
+
+@lru_cache(maxsize=None)
+def region_dp_inputs(family: str, seed: int = 0) -> Tuple[DPInput, ...]:
+    """Every DP the ``default`` route of ``family``/``seed`` constructs
+    once its routable areas are cleared, so the region stage assigns
+    them (the Fig. 2 flow of the ``unassigned_mixed_12`` benchmark)."""
+    from repro.api import RoutingSession, SessionConfig
+    from repro.scenarios import generate
+
+    board = generate(family, seed=seed)
+    board.routable_areas.clear()
+    session = RoutingSession(board, config=SessionConfig.preset("default"))
     return _recorded(session.run)
 
 
