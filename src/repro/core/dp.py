@@ -34,11 +34,11 @@ from .shrink import TOUCH_EPS, ShrinkEnvironment
 #: Height comparisons happen in board units; gains below this are noise.
 GAIN_EPS = 1e-9
 
-#: A foot whose bound lies this far below ``h_min`` cannot hold a pattern.
-#: One ``TOUCH_EPS`` is the column bound's slack (a node less than
+#: How far a positive exact height can exceed the per-foot bounds.  One
+#: ``TOUCH_EPS`` is the column bound's slack (a node less than
 #: ``TOUCH_EPS`` below ``h_ob`` does not shrink it); the second covers the
 #: few ulps the shrink's own roundings add on top.
-HMIN_SLACK = 2.0 * TOUCH_EPS
+BOUND_SLACK = 2.0 * TOUCH_EPS
 
 
 @dataclass
@@ -181,7 +181,7 @@ class SegmentDP:
         w_max_global = cfg.max_width_steps or (n - 1)
         # Feet whose bound rules out any pattern of height h_min: every
         # shrink on them returns 0, so the DP can skip the call.
-        floor = cfg.h_min - HMIN_SLACK
+        floor = cfg.h_min - BOUND_SLACK
 
         for i in range(1, n):
             for direction in dirs:
@@ -249,7 +249,7 @@ class SegmentDP:
                         continue
                     # Prune: even the optimistic height cannot beat the
                     # current state.
-                    h_ub = self.height_upper_bound(il, i, direction)
+                    h_ub = self.height_upper_bound(il, i, direction) + BOUND_SLACK
                     if pred_value + 2.0 * h_ub < cur - GAIN_EPS:
                         continue
                     h = self.height(il, i, direction)

@@ -216,18 +216,22 @@ class ShrinkEnvironment:
     # -- column node bound (DP prefilter) -----------------------------------------
 
     def column_bounds(self, xs, g: float):
-        """Lowest node ordinate in the column ``[x-g, x+g]`` of each
+        """Lowest node ordinate in the column ``(x-g, x+g)`` of each
         abscissa (inf if none), in one windowed-minimum sweep.
 
         Any node in a pattern's arm strip with ordinate y forces
         ``h_ob <= y``, so ``min - g`` is an *admissible upper bound* for
         the height at a foot placed at ``x`` — the DP uses it to skip
         hopeless exact shrinks.  Strict interior only, matching the
-        shrinker's touching semantics.
+        shrinker's touching semantics: the window is open at both ends,
+        because a node exactly at ``x - g + TOUCH_EPS`` is not inside the
+        outer border of a left foot, and one exactly at
+        ``x + g - TOUCH_EPS`` is inside the inner border, where an
+        enclosed polygon does not shrink ``h_ob``.
         """
         xs = np.asarray(xs)
-        lo = np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="left")
-        hi = np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="right")
+        lo = np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="right")
+        hi = np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="left")
         if len(self._xs_sorted) == 0:
             return np.full(len(xs), np.inf)
         # minimum.reduceat over interleaved [lo, hi) pairs; the +inf

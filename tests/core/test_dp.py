@@ -278,6 +278,19 @@ class TestFootBounds:
         assert dp.height_upper_bound(2, 8, 1) == 4.0 - 2.0
         assert dp.height(2, 8, 1) <= 4.0 - 2.0
 
+    def test_node_at_the_column_window_end(self, monkeypatch):
+        # A triangle enclosed by the (5, 15) pattern, with one node exactly
+        # at the inner end of foot 5's arm column: an enclosed polygon does
+        # not shrink h_ob, so that node must not bound the column.
+        x_end = (5.0 + 2.0) - TOUCH_EPS
+        tri = Polygon([Point(x_end, 1.0), Point(9.0, 1.0), Point(8.0, 2.0)])
+        dp = make_dp(polys=[tri])
+        assert dp.height(5, 15, 1) == 5.0
+        assert dp.height(5, 15, 1) <= dp.height_upper_bound(5, 15, 1) + TOUCH_EPS
+        result = repr(make_dp(polys=[tri]).run())
+        without_prunes(monkeypatch)
+        assert repr(make_dp(polys=[tri]).run()) == result
+
     def test_run_never_misses_the_side_memo(self, monkeypatch):
         # Construction prefills S(x) at every foot's side line with the
         # abscissas max_pattern_height builds, so the DP itself never
@@ -304,8 +317,9 @@ def spikes(apex_y):
     ]
 
 
-def without_hmin_prune(monkeypatch):
-    monkeypatch.setattr(dp_module, "HMIN_SLACK", math.inf)
+def without_prunes(monkeypatch):
+    """No foot skipped below h_min, no pair skipped by the value prune."""
+    monkeypatch.setattr(dp_module, "BOUND_SLACK", math.inf)
 
 
 class TestHminPrune:
@@ -314,14 +328,14 @@ class TestHminPrune:
     @pytest.mark.parametrize("source", SOURCES)
     def test_unpruned_run_gives_the_same_result(self, source, monkeypatch):
         pruned = [repr(dp.run()) for dp in real_dps(source)]
-        without_hmin_prune(monkeypatch)
+        without_prunes(monkeypatch)
         assert [repr(dp.run()) for dp in real_dps(source)] == pruned
 
     @pytest.mark.parametrize("kwargs", HAND_DPS)
     def test_unpruned_hand_cases_same_result(self, kwargs, monkeypatch):
         pruned = make_dp(**kwargs)
         result = repr(pruned.run())
-        without_hmin_prune(monkeypatch)
+        without_prunes(monkeypatch)
         unpruned = make_dp(**kwargs)
         assert repr(unpruned.run()) == result
         assert pruned.shrinks <= unpruned.shrinks
@@ -339,7 +353,7 @@ class TestHminPrune:
         assert result.gain == free.gain > 0
         assert repr(result.patterns) == repr(free.patterns)
         # A floor at h_min itself would drop every one of those patterns.
-        monkeypatch.setattr(dp_module, "HMIN_SLACK", 0.0)
+        monkeypatch.setattr(dp_module, "BOUND_SLACK", 0.0)
         assert make_dp(**kwargs).run().gain == 0.0
 
     def test_bound_under_the_floor_skips_every_shrink(self, monkeypatch):
@@ -347,7 +361,7 @@ class TestHminPrune:
         dp = make_dp(**kwargs)
         assert dp.run().gain == 0.0
         assert dp.shrinks == 0
-        without_hmin_prune(monkeypatch)
+        without_prunes(monkeypatch)
         unpruned = make_dp(**kwargs)
         assert unpruned.run().gain == 0.0
         assert unpruned.shrinks > 0
@@ -362,7 +376,7 @@ class TestHminPrune:
             return [repr(dp.run()) for dp in dps], sum(dp.shrinks for dp in dps)
 
         pruned, pruned_shrinks = run_all()
-        without_hmin_prune(monkeypatch)
+        without_prunes(monkeypatch)
         unpruned, unpruned_shrinks = run_all()
         assert pruned == unpruned
         assert 0 < 2 * pruned_shrinks < unpruned_shrinks

@@ -250,6 +250,20 @@ class TestColumnBounds:
             [float(x) for x in xs], 1.8
         )
 
+    def test_window_is_open_at_both_ends(self):
+        # Nodes exactly at x - g + TOUCH_EPS and x + g - TOUCH_EPS bound
+        # no foot: the shrink counts neither (outside the outer border on
+        # one side, inside the inner border on the other).
+        x, g = 10.0, 2.0
+        lo, hi = x - g + TOUCH_EPS, x + g - TOUCH_EPS
+        ends = [Polygon([Point(lo, 1.0), Point(lo - 1, 9), Point(lo - 2, 9)]),
+                Polygon([Point(hi, 2.0), Point(hi + 1, 9), Point(hi + 2, 9)])]
+        ref, vec = both_envs(ends)
+        assert float(vec.column_bounds([x], g)[0]) == ref.column_node_bound(x, g) == math.inf
+        inside = ends + [Polygon([Point(hi - 1e-9, 3.0), Point(hi + 1, 9), Point(hi + 2, 9)])]
+        ref, vec = both_envs(inside)
+        assert float(vec.column_bounds([x], g)[0]) == ref.column_node_bound(x, g) == 3.0
+
     def test_empty_window_is_inf(self):
         ref, vec = both_envs([Polygon([Point(50, 5), Point(52, 5), Point(51, 8)])])
         assert float(vec.column_bounds(np.array([0.0]), 1.0)[0]) == math.inf

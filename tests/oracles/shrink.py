@@ -105,7 +105,7 @@ class ShrinkEnvironment:
     # -- column node bound (DP prefilter) -----------------------------------------
 
     def column_node_bound(self, x: float, g: float) -> float:
-        """Lowest node ordinate in the column ``[x-g, x+g]`` (inf if none).
+        """Lowest node ordinate in the column ``(x-g, x+g)`` (inf if none).
 
         Any node in a pattern's arm strip with ordinate y forces
         ``h_ob <= y``, so ``min - g`` is an *admissible upper bound* for
@@ -113,8 +113,8 @@ class ShrinkEnvironment:
         hopeless exact shrinks.  Strict interior only, matching the
         shrinker's touching semantics.
         """
-        lo = bisect.bisect_left(self._node_xs, x - g + TOUCH_EPS)
-        hi = bisect.bisect_right(self._node_xs, x + g - TOUCH_EPS)
+        lo = bisect.bisect_right(self._node_xs, x - g + TOUCH_EPS)
+        hi = bisect.bisect_left(self._node_xs, x + g - TOUCH_EPS)
         best = math.inf
         for k in range(lo, hi):
             y = self.nodes[self._nodes_by_x[k]].y
