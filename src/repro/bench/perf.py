@@ -48,17 +48,19 @@ measured on generated workloads instead of the fixed paper designs.
 
 ``--quick`` shrinks every phase to its smallest scale with one repeat —
 the CI smoke configuration — except ``extension_breakdown``, whose
-overhead ratio needs at least five rounds.  ``--profile`` (:func:`run_profile`) writes
-a cProfile top-25 cumulative table for the match hot path next to the
-baseline, and :func:`run_perf_guard` (``bench --perf --guard``) fails a
-run whose extension median regresses more than :data:`GUARD_MAX_RATIO`
-against the committed ``BENCH_perf.json`` after normalizing machine
-speed by the frozen calibration kernel (:mod:`.calibration`), or whose
-``startup`` rows report scipy loaded.
+overhead ratio needs at least ten rounds.  ``--profile``
+(:func:`run_profile`) writes a cProfile top-25 cumulative table for the
+match hot path next to the baseline, and :func:`run_perf_guard`
+(``bench --perf --guard``) fails a run whose extension median regresses
+more than :data:`GUARD_MAX_RATIO` against the committed
+``BENCH_perf.json`` after normalizing machine speed by the frozen
+calibration kernel (:mod:`.calibration`), or whose ``startup`` rows
+report scipy loaded.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -316,16 +318,19 @@ def _phase_extension_breakdown(
     no-op span microbench pins the per-call cost of the disabled path.
 
     Measurement discipline: the baseline, disabled, and traced samples
-    are *interleaved in one loop* and the overheads compare *minima*.
-    The min of N repeats is the stable estimator of a CPU-bound
-    workload's true cost (everything above it is scheduler/allocator
-    noise — the rationale behind ``timeit``), and interleaving keeps
-    all three streams pinned to the same machine state; a ratio against
-    a number measured minutes earlier in a different phase wobbles far
-    more than the few-percent effect being bounded, which is why the
-    ``extension`` phase's own best sample rides along only as the
-    cross-phase reference (``extension_phase_s``).  A first, warm-up
-    round runs all three and is dropped.
+    are *interleaved in one loop* and the overheads compare *medians*.
+    The min is the usual estimator of a CPU-bound cost when noise only
+    slows runs down, but on a shared host a run also comes out fast now
+    and then (a third under its neighbours), and a ratio of minima of
+    two streams of the same code then swings by tens of percent; the
+    median of interleaved rounds does not.  Interleaving keeps all three
+    streams pinned to the same machine state; a ratio against a number
+    measured minutes earlier in a different phase wobbles far more than
+    the few-percent effect being bounded, which is why the ``extension``
+    phase's own best sample rides along only as the cross-phase
+    reference (``extension_phase_s``).  A first, warm-up round runs all
+    three and is dropped, and every timed run starts right after a
+    ``gc.collect()``.
     """
     from .. import obs
 
@@ -338,27 +343,30 @@ def _phase_extension_breakdown(
     disabled_times: List[float] = []
     traced_times: List[float] = []
     doc: Dict[str, Any] = {}
+    def timed_run() -> float:
+        # Every run starts from an empty young generation, so a cyclic
+        # collection triggered by the previous run's garbage cannot land
+        # in the same stream round after round.
+        gc.collect()
+        t0 = time.perf_counter()
+        run_once()
+        return time.perf_counter() - t0
+
     # Round 0 is a warm-up whose samples are dropped: the first run of a
     # process pays for caches and allocator growth the others do not.
     for round_index in range(repeats + 1):
-        t0 = time.perf_counter()
-        run_once()
-        baseline_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        run_once()
-        disabled_s = time.perf_counter() - t0
+        baseline_s = timed_run()
+        disabled_s = timed_run()
         with obs.trace(f"bench extension dgap={dgap}") as collected:
-            t0 = time.perf_counter()
-            run_once()
-            traced_s = time.perf_counter() - t0
+            traced_s = timed_run()
         doc = collected.to_dict()
         if round_index:
             baseline_times.append(baseline_s)
             disabled_times.append(disabled_s)
             traced_times.append(traced_s)
-    baseline_s = min(baseline_times)
-    disabled_s = min(disabled_times)
-    traced_s = min(traced_times)
+    baseline_s = statistics.median(baseline_times)
+    disabled_s = statistics.median(disabled_times)
+    traced_s = statistics.median(traced_times)
 
     iter_spans = [
         span for span in doc.get("spans", ())
@@ -902,7 +910,7 @@ def run_perf(
     """Run every perf phase and (optionally) write the JSON baseline.
 
     ``quick`` is the CI smoke configuration: smallest scales, one repeat
-    (five rounds for the extension breakdown).
+    (ten rounds for the extension breakdown).
     ``scenarios`` adds the scenario-backed scaling curve (generated
     ``tiled`` boards of growing size).  Returns the payload; ``out=None``
     skips writing.
@@ -938,10 +946,10 @@ def run_perf(
         "extension_breakdown",
         _phase_extension_breakdown,
         4.0,
-        # The overhead bound compares minima of two streams; one sample
-        # each (the quick default) let one slow run fail it, so this phase
-        # keeps at least five rounds even under ``quick``.
-        max(repeats, 5),
+        # The overhead bound compares medians of two streams of the same
+        # code; ten rounds keep them within a few percent of each other
+        # on a busy host, so this phase keeps ten even under ``quick``.
+        max(repeats, 10),
         extension_phase_s=next(
             (r["min_s"] for r in phases["extension"] if r["dgap"] == 4.0),
             None,

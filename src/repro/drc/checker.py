@@ -384,8 +384,8 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
                 check_segment_lengths(trace, rules, report)
                 check_self_clearance(trace, rules, report, candidates=cands)
             else:
-                # Within a pair the structural floor is the tiny-pattern scale,
-                # not d_protect (tiny patterns are narrower by design).
+                # Within a pair the structural floor is the tiny-pattern
+                # scale, not d_protect (tiny patterns are narrower by design).
                 check_self_clearance(
                     trace, rules, report, required=trace.width, candidates=cands
                 )
@@ -406,12 +406,11 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
                 # carry net="" and are unaffected.
                 continue
             cands = sorted(pair_cands[(i, j)])
+            ra, rb = per_trace_rules[a.name], per_trace_rules[b.name]
             rules = DesignRules(
-                dgap=max(per_trace_rules[a.name].dgap, per_trace_rules[b.name].dgap),
-                dobs=max(per_trace_rules[a.name].dobs, per_trace_rules[b.name].dobs),
-                dprotect=max(
-                    per_trace_rules[a.name].dprotect, per_trace_rules[b.name].dprotect
-                ),
+                dgap=max(ra.dgap, rb.dgap),
+                dobs=max(ra.dobs, rb.dobs),
+                dprotect=max(ra.dprotect, rb.dprotect),
             )
             check_trace_pair_clearance(a, b, rules, report, candidates=cands)
     return report

@@ -249,6 +249,7 @@ class TestFootBounds:
         monkeypatch.setattr(
             SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
         )
+        without_prunes(monkeypatch)
         assert [repr(dp.run()) for dp in real_dps(source)] == pruned
 
     @pytest.mark.parametrize("kwargs", HAND_DPS)
@@ -258,6 +259,7 @@ class TestFootBounds:
         monkeypatch.setattr(
             SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
         )
+        without_prunes(monkeypatch)
         unpruned = make_dp(**kwargs)
         assert repr(unpruned.run()) == result
         assert pruned.shrinks <= unpruned.shrinks
@@ -312,7 +314,9 @@ def spikes(apex_y):
     a node in every foot's arm column, and no edge crossing a side line
     (the apexes sit between the integer side lines, the bases at 100)."""
     return [
-        Polygon([Point(k + 0.25, 100.0), Point(k + 0.75, 100.0), Point(k + 0.5, apex_y)])
+        Polygon(
+            [Point(k + 0.25, 100.0), Point(k + 0.75, 100.0), Point(k + 0.5, apex_y)]
+        )
         for k in range(-4, 25)
     ]
 
@@ -323,22 +327,8 @@ def without_prunes(monkeypatch):
 
 
 class TestHminPrune:
-    """Feet whose bound lies below h_min skip the exact shrink."""
-
-    @pytest.mark.parametrize("source", SOURCES)
-    def test_unpruned_run_gives_the_same_result(self, source, monkeypatch):
-        pruned = [repr(dp.run()) for dp in real_dps(source)]
-        without_prunes(monkeypatch)
-        assert [repr(dp.run()) for dp in real_dps(source)] == pruned
-
-    @pytest.mark.parametrize("kwargs", HAND_DPS)
-    def test_unpruned_hand_cases_same_result(self, kwargs, monkeypatch):
-        pruned = make_dp(**kwargs)
-        result = repr(pruned.run())
-        without_prunes(monkeypatch)
-        unpruned = make_dp(**kwargs)
-        assert repr(unpruned.run()) == result
-        assert pruned.shrinks <= unpruned.shrinks
+    """Feet whose bound lies below h_min skip the exact shrink.  (Pruned
+    against unpruned on real and hand-made segments: ``TestFootBounds``.)"""
 
     def test_bound_just_under_h_min_keeps_the_shrink(self, monkeypatch):
         # Apexes TOUCH_EPS / 2 under the outer border's top (h_init + g)

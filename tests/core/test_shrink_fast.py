@@ -256,13 +256,17 @@ class TestColumnBounds:
         # one side, inside the inner border on the other).
         x, g = 10.0, 2.0
         lo, hi = x - g + TOUCH_EPS, x + g - TOUCH_EPS
-        ends = [Polygon([Point(lo, 1.0), Point(lo - 1, 9), Point(lo - 2, 9)]),
-                Polygon([Point(hi, 2.0), Point(hi + 1, 9), Point(hi + 2, 9)])]
+        ends = [
+            Polygon([Point(lo, 1.0), Point(lo - 1, 9), Point(lo - 2, 9)]),
+            Polygon([Point(hi, 2.0), Point(hi + 1, 9), Point(hi + 2, 9)]),
+        ]
         ref, vec = both_envs(ends)
-        assert float(vec.column_bounds([x], g)[0]) == ref.column_node_bound(x, g) == math.inf
-        inside = ends + [Polygon([Point(hi - 1e-9, 3.0), Point(hi + 1, 9), Point(hi + 2, 9)])]
-        ref, vec = both_envs(inside)
-        assert float(vec.column_bounds([x], g)[0]) == ref.column_node_bound(x, g) == 3.0
+        got = float(vec.column_bounds([x], g)[0])
+        assert got == ref.column_node_bound(x, g) == math.inf
+        inner = Polygon([Point(hi - 1e-9, 3.0), Point(hi + 1, 9), Point(hi + 2, 9)])
+        ref, vec = both_envs(ends + [inner])
+        got = float(vec.column_bounds([x], g)[0])
+        assert got == ref.column_node_bound(x, g) == 3.0
 
     def test_empty_window_is_inf(self):
         ref, vec = both_envs([Polygon([Point(50, 5), Point(52, 5), Point(51, 8)])])

@@ -261,7 +261,9 @@ UNIONS = {
     ],
     "pinch": [(0, 0, 1, 1), (1, 1, 2, 2), (2, 0, 3, 1), (1, -1, 2, 0)],
     "double_pinch": [(0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 3, 3), (0, 2, 1, 3)],
-    "unequal": [(0, 0, 2, 2), (2, 0, 3, 1), (2, 1, 3, 2), (0, 2, 1, 3), (1, 2, 2.5, 2.5)],
+    "unequal": [
+        (0, 0, 2, 2), (2, 0, 3, 1), (2, 1, 3, 2), (0, 2, 1, 3), (1, 2, 2.5, 2.5),
+    ],
     "clipped": [
         (0.0, 0.0, 1.3, 1.0),
         (1.3, 0.0, 2.0, 0.4),
