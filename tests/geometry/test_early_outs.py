@@ -245,16 +245,6 @@ def test_lines_touching_the_boundary(shape, offset):
     assert any(answers) and not all(answers)
 
 
-def test_concave_notch_crossing_needs_the_probes():
-    # Both ends inside, the segment crosses the notch: only the edge pass
-    # and its probes reject it.
-    notch = Polygon(SHAPES["concave"])
-    line = Polyline([Point(0.5, 5.0), Point(5.0, 0.5)])
-    assert all(notch.contains_point(p) for p in line.points)
-    assert not polyline_inside_polygon(line, notch)
-    assert not oracle.polyline_inside_polygon(line, notch)
-
-
 UNIONS = {
     "ring": [
         (x, y, x + 1, y + 1) for x in range(3) for y in range(3) if (x, y) != (1, 1)
