@@ -41,6 +41,16 @@ GAIN_EPS = 1e-9
 BOUND_SLACK = 2.0 * TOUCH_EPS
 
 
+def foot_floor(config: DPConfig) -> float:
+    """The per-foot bound under which no pattern reaches ``h_min``.
+
+    A foot whose bound lies below this floor only has shrinks that
+    return 0, so both :meth:`SegmentDP.feasible` and :meth:`SegmentDP.run`
+    may skip it.
+    """
+    return config.h_min - BOUND_SLACK
+
+
 @dataclass
 class DPConfig:
     """Quantities the DP needs, all in board units.
@@ -148,14 +158,15 @@ class SegmentDP:
         """Whether any pattern can clear ``h_min`` in either direction.
 
         A pattern at feet ``(il, ir)`` needs height ``>= h_min``, so some
-        left foot with bound ``>= h_min`` must lie at least ``w_min``
-        steps before some right foot with bound ``>= h_min``; otherwise
-        :meth:`run` provably gains nothing.
+        left foot with bound at or above :func:`foot_floor` must lie at
+        least ``w_min`` steps before some right foot with such a bound;
+        otherwise :meth:`run` provably gains nothing.
         """
         cfg = self.config
+        floor = foot_floor(cfg)
         for d in self._left_ub:
-            left = np.flatnonzero(np.asarray(self._left_ub[d]) >= cfg.h_min)
-            right = np.flatnonzero(np.asarray(self._right_ub[d]) >= cfg.h_min)
+            left = np.flatnonzero(np.asarray(self._left_ub[d]) >= floor)
+            right = np.flatnonzero(np.asarray(self._right_ub[d]) >= floor)
             if len(left) and len(right) and right[-1] - left[0] >= cfg.w_min:
                 return True
         return False
@@ -181,7 +192,7 @@ class SegmentDP:
         w_max_global = cfg.max_width_steps or (n - 1)
         # Feet whose bound rules out any pattern of height h_min: every
         # shrink on them returns 0, so the DP can skip the call.
-        floor = cfg.h_min - BOUND_SLACK
+        floor = foot_floor(cfg)
 
         for i in range(1, n):
             for direction in dirs:

@@ -124,25 +124,21 @@ def polyline_inside_polygon(line: Polyline, poly: Polygon, eps: float = EPS) -> 
     if not segs:
         return True
     edges = poly.edges()
-    if eps > 0:
-        boxes, _, _, poly_scale = poly._edge_boxes()
-        ex0, ey0, ex1, ey1 = np.array(boxes).T
-        pts = np.array([(p.x, p.y) for p in line.points])
-        a, b = pts[:-1], pts[1:]
-        sx0, sy0 = np.minimum(a[:, 0], b[:, 0]), np.minimum(a[:, 1], b[:, 1])
-        sx1, sy1 = np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1])
-        scale = max(poly_scale, float(np.abs(pts).max()))
-        reach = _intersection_reach(np.hypot(ex1 - ex0, ey1 - ey0), scale, eps)
-        near = (
-            (sx0[:, None] <= ex1 + reach)
-            & (ex0 - reach <= sx1[:, None])
-            & (sy0[:, None] <= ey1 + reach)
-            & (ey0 - reach <= sy1[:, None])
-        )
-        pairs = zip(*np.nonzero(near))
-    else:
-        pairs = ((si, ei) for si in range(len(segs)) for ei in range(len(edges)))
-    for si, ei in pairs:
+    boxes, _, _, poly_scale = poly._edge_boxes()
+    ex0, ey0, ex1, ey1 = np.array(boxes).T
+    pts = np.array([(p.x, p.y) for p in line.points])
+    a, b = pts[:-1], pts[1:]
+    sx0, sy0 = np.minimum(a[:, 0], b[:, 0]), np.minimum(a[:, 1], b[:, 1])
+    sx1, sy1 = np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1])
+    scale = max(poly_scale, float(np.abs(pts).max()))
+    reach = _intersection_reach(np.hypot(ex1 - ex0, ey1 - ey0), scale, eps)
+    near = (
+        (sx0[:, None] <= ex1 + reach)
+        & (ex0 - reach <= sx1[:, None])
+        & (sy0[:, None] <= ey1 + reach)
+        & (ey0 - reach <= sy1[:, None])
+    )
+    for si, ei in zip(*np.nonzero(near)):
         seg = segs[si]
         if edges[ei].intersection(seg, eps) is None:
             continue
@@ -157,7 +153,8 @@ def polyline_inside_polygon(line: Polyline, poly: Polygon, eps: float = EPS) -> 
 def _intersection_reach(edge_lengths, scale: float, eps: float):
     """Per edge, a distance beyond which ``edge.intersection(seg, eps)``
     is ``None`` for every segment, given all coordinates are at most
-    ``scale`` in magnitude and ``eps > 0``.
+    ``scale`` in magnitude.  Without a positive ``eps`` there is no such
+    distance to prove, so every pair is kept.
 
     Crossing lines count only where they meet within ``eps`` of both
     segments, misplaced by rounding by about ``2**-46 * scale / eps``
@@ -168,6 +165,8 @@ def _intersection_reach(edge_lengths, scale: float, eps: float):
     past its ends, i.e. ``eps * L`` along it; an edge shorter than
     ``eps`` accepts points within ``eps`` of its start.
     """
+    if eps <= 0:
+        return np.inf
     lengths = np.maximum(edge_lengths, eps)
     return eps * (2.0 + lengths + 1.0 / lengths) + scale * ROUND_REL / eps
 

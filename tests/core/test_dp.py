@@ -338,17 +338,21 @@ class TestHminPrune:
         dp = make_dp(**kwargs)
         bounds = dp._left_ub[1] + dp._right_ub[1]
         assert all(2.0 - TOUCH_EPS < ub < 2.0 for ub in bounds)
+        # The extender asks feasible() before run(): both must keep them.
+        assert dp.feasible()
         result = dp.run()
         free = make_dp(h_min=2.0, h_init=2.0).run()
         assert result.gain == free.gain > 0
         assert repr(result.patterns) == repr(free.patterns)
         # A floor at h_min itself would drop every one of those patterns.
         monkeypatch.setattr(dp_module, "BOUND_SLACK", 0.0)
+        assert not make_dp(**kwargs).feasible()
         assert make_dp(**kwargs).run().gain == 0.0
 
     def test_bound_under_the_floor_skips_every_shrink(self, monkeypatch):
         kwargs = {"h_min": 2.0, "h_init": 2.0, "polys": spikes(4.0 - 3 * TOUCH_EPS)}
         dp = make_dp(**kwargs)
+        assert not dp.feasible()
         assert dp.run().gain == 0.0
         assert dp.shrinks == 0
         without_prunes(monkeypatch)

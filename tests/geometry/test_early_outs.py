@@ -240,8 +240,12 @@ def test_lines_touching_the_boundary(shape, offset):
     rng = random.Random(f"lines/{shape}/{offset}")
     poly = Polygon(shifted(SHAPES[shape], *offset))
     lines = probe_lines(poly, rng)
-    answers = [polyline_inside_polygon(line, poly) for line in lines]
-    assert answers == [oracle.polyline_inside_polygon(line, poly) for line in lines]
+    # eps = 0 has no reach to prove: every (segment, edge) pair is tested.
+    for eps in (0.0, EPS):
+        answers = [polyline_inside_polygon(line, poly, eps) for line in lines]
+        assert answers == [
+            oracle.polyline_inside_polygon(line, poly, eps) for line in lines
+        ]
     assert any(answers) and not all(answers)
 
 
