@@ -1,10 +1,10 @@
 """Consolidated session configuration.
 
 One :class:`SessionConfig` carries every knob of the pipeline — the
-extension engine's (:class:`~repro.core.ExtensionConfig`), the router's
-(absorbing :class:`~repro.core.RouterConfig`), region assignment's and
-the DRC gate's — so a caller configures a run in one place instead of
-threading three config objects through by hand.
+router's (it *is* a :class:`~repro.core.RouterConfig`, extension engine
+knobs included), region assignment's and the DRC gate's — so a caller
+configures a run in one place instead of threading three config objects
+through by hand.
 
 Named presets cover the common operating points::
 
@@ -12,19 +12,10 @@ Named presets cover the common operating points::
     SessionConfig.preset("quality")   # high caps, full pipeline
     SessionConfig.preset("paper")     # the Sec. VI evaluation settings
 
-Tolerance precedence
---------------------
-Three places historically declared a matching tolerance: the group
-(``MatchGroup.tolerance``), the extension engine
-(``ExtensionConfig.tolerance``) and — implicitly — the pair top-up loop.
-The session resolves **one effective tolerance** per group and pushes it
-everywhere:
-
-1. ``SessionConfig.tolerance`` — an explicit session-wide override —
-   wins when set;
-2. otherwise the group's own ``tolerance``;
-3. ``extension.tolerance`` only governs members matched outside any
-   group.
+Tolerance precedence — the session-wide ``tolerance`` override, else the
+group's own, else ``extension.tolerance`` outside any group — is
+:meth:`~repro.core.RouterConfig.effective_tolerance`; every stage and
+the router resolve it there.
 """
 
 from __future__ import annotations
@@ -36,7 +27,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional
 
 from ..core import ExtensionConfig, RouterConfig
-from ..model import MatchGroup
 
 
 def _canonical_value(value: Any) -> Any:
@@ -119,22 +109,11 @@ class DrcConfig:
 
 
 @dataclass
-class SessionConfig:
-    """Everything a :class:`~repro.api.RoutingSession` needs to run."""
+class SessionConfig(RouterConfig):
+    """Everything a :class:`~repro.api.RoutingSession` needs to run: the
+    router's knobs (inherited, in :class:`~repro.core.RouterConfig`'s
+    field order) followed by the region and DRC stages' own."""
 
-    #: DP extension engine knobs (discretization, iteration caps, ...).
-    extension: ExtensionConfig = field(default_factory=ExtensionConfig)
-    #: Nodes preserved unmatched at each pair end (the breakout region).
-    breakout_nodes: int = 0
-    #: Insert a tiny pattern to cancel residual intra-pair skew.
-    compensate_pairs: bool = True
-    #: Top-up rounds closing any undershoot left after pair restoration.
-    pair_topup_rounds: int = 3
-    #: Apply d_miter corner mitering to single-ended members.
-    apply_miter: bool = False
-    #: Session-wide tolerance override; ``None`` defers to each group's
-    #: own tolerance (see the module docstring for precedence).
-    tolerance: Optional[float] = None
     region: RegionConfig = field(default_factory=RegionConfig)
     drc: DrcConfig = field(default_factory=DrcConfig)
     #: Which preset produced this config ("custom" when hand-built);
@@ -189,26 +168,6 @@ class SessionConfig:
             )
         config.preset_name = name
         return config
-
-    # -- derived views ------------------------------------------------------
-
-    def router_config(self) -> RouterConfig:
-        """The equivalent legacy :class:`~repro.core.RouterConfig`."""
-        return RouterConfig(
-            extension=self.extension,
-            breakout_nodes=self.breakout_nodes,
-            compensate_pairs=self.compensate_pairs,
-            pair_topup_rounds=self.pair_topup_rounds,
-            apply_miter=self.apply_miter,
-        )
-
-    def effective_tolerance(self, group: Optional[MatchGroup] = None) -> float:
-        """The one tolerance a match works to (see module docstring)."""
-        if self.tolerance is not None:
-            return self.tolerance
-        if group is not None:
-            return group.tolerance
-        return self.extension.tolerance
 
     # -- serialization ------------------------------------------------------
 

@@ -39,6 +39,7 @@ from .session import (
     StageEndObserver,
     StageStartObserver,
     error_record,
+    run_provenance,
 )
 from .stages import Stage
 
@@ -66,15 +67,17 @@ def crashed_result(
     exc: BaseException,
     config: Union[SessionConfig, None] = None,
     stage: Optional[str] = None,
-    provenance: Optional[Dict[str, Any]] = None,
+    meta: Optional[Dict[str, Any]] = None,
 ) -> RunResult:
     """A synthetic ``status="crashed"`` result for a board whose failure
     happened outside any running pipeline (codec error, dead worker,
-    timeout) — the batch contract is one result per board, always."""
+    timeout) — the batch contract is one result per board, always.
+    ``meta`` is the board's, so the result records the same provenance
+    a completed run of that board would."""
     result = RunResult(
         board=board_name,
         config=config.to_dict() if config is not None else {},
-        provenance=provenance,
+        provenance=run_provenance(meta),
     )
     result.error = error_record(exc, stage=stage)
     result.finalize_status()
@@ -129,7 +132,7 @@ def _route_board_impl(board_dict, config_dict, name):
             name,
             exc,
             config=config,
-            provenance=(board_dict.get("meta") or {}).get("scenario"),
+            meta=board_dict.get("meta"),
         )
         # No routed geometry to send home: the parent keeps its board
         # (which the decoder may just have rejected).
@@ -291,7 +294,7 @@ def _run_batch_serial(
                     board.name,
                     exc,
                     config=config,
-                    provenance=board.meta.get("scenario"),
+                    meta=board.meta,
                 )
             sp.set(status=result.status)
         results.append(result)
@@ -477,7 +480,7 @@ def _run_batch_parallel(
                             boards[index].name,
                             exc,
                             config=config,
-                            provenance=boards[index].meta.get("scenario"),
+                            meta=boards[index].meta,
                         ),
                     )
                 else:
@@ -509,7 +512,7 @@ def _run_batch_parallel(
                                 "this board"
                             ),
                             config=config,
-                            provenance=boards[index].meta.get("scenario"),
+                            meta=boards[index].meta,
                         ),
                     )
                 else:
@@ -544,7 +547,7 @@ def _run_batch_parallel(
                                 f"of {timeout} s"
                             ),
                             config=config,
-                            provenance=boards[index].meta.get("scenario"),
+                            meta=boards[index].meta,
                         ),
                     )
                 if recycle:

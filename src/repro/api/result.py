@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core import GroupReport, MemberReport
+from ..core import GroupReport
 from ..drc import DrcReport
 
 #: Stage outcome labels (the only values ``StageRecord.status`` takes).
@@ -87,10 +87,6 @@ class RunResult:
             if record.name == name:
                 return record
         return None
-
-    def member_reports(self) -> List[MemberReport]:
-        """All member reports, flattened across groups."""
-        return [m for g in self.groups for m in g.members]
 
     def max_error(self) -> float:
         """Worst member error across every group (``0.0`` if none)."""

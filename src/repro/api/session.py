@@ -73,6 +73,27 @@ def error_record(
     }
 
 
+def run_provenance(meta: Any) -> Optional[Dict[str, Any]]:
+    """What a run of a board with ``meta`` records as its provenance.
+
+    The scenario spec of a generated board; for a hand-imported board
+    (``repro import`` → ``repro route``) no spec exists, so the
+    importer's record stands in — enough to say which file (and which
+    bytes) this was.  ``None`` for any other board.  Deep copies: the
+    nested params must not alias ``board.meta`` (mutating one would
+    silently corrupt the other's record).
+    """
+    if not isinstance(meta, dict):
+        return None
+    scenario = meta.get("scenario")
+    if scenario:
+        return copy.deepcopy(scenario)
+    kicad = meta.get("kicad")
+    if isinstance(kicad, dict):
+        return {"name": "imported", "kicad": copy.deepcopy(kicad)}
+    return None
+
+
 class RoutingSession:
     """One board, one config, one pluggable pipeline.
 
@@ -128,21 +149,12 @@ class RoutingSession:
         returned with ``status="crashed"``.  ``KeyboardInterrupt`` and
         other non-``Exception`` exits always propagate.
         """
-        result = RunResult(board=self.board.name, config=self.config.to_dict())
-        scenario = self.board.meta.get("scenario")
+        result = RunResult(
+            board=self.board.name,
+            config=self.config.to_dict(),
+            provenance=run_provenance(self.board.meta),
+        )
         kicad = self.board.meta.get("kicad")
-        if scenario:
-            # Deep copy: the nested params dict must not alias board.meta
-            # (mutating one would silently corrupt the other's record).
-            result.provenance = copy.deepcopy(scenario)
-        elif isinstance(kicad, dict):
-            # Hand-imported board (repro import → repro route): no
-            # scenario spec exists, so the importer's provenance stands
-            # in — enough to say which file (and which bytes) this was.
-            result.provenance = {
-                "name": "imported",
-                "kicad": copy.deepcopy(kicad),
-            }
         run_attrs = {
             "board": self.board.name,
             "preset": self.config.preset_name,

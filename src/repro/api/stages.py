@@ -168,14 +168,12 @@ class LengthMatchingStage:
             return StageRecord(
                 self.name, STATUS_SKIPPED, detail="board has no matching groups"
             )
-        router = LengthMatchingRouter(board, session.config.router_config())
+        router = LengthMatchingRouter(board, session.config)
         unmatched = []
         for group in board.groups:
             tol = session.config.effective_tolerance(group)
             report = router.match_group(
-                group,
-                tolerance=tol,
-                on_member=session.notify_member_done,
+                group, on_member=session.notify_member_done
             )
             result.groups.append(report)
             unmatched.extend(

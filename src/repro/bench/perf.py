@@ -48,7 +48,7 @@ measured on generated workloads instead of the fixed paper designs.
 
 ``--quick`` shrinks every phase to its smallest scale with one repeat —
 the CI smoke configuration — except ``extension_breakdown``, whose
-overhead ratio needs at least ten rounds.  ``--profile``
+tracing ratio needs at least ten rounds.  ``--profile``
 (:func:`run_profile`) writes a cProfile top-25 cumulative table for the
 match hot path next to the baseline, and :func:`run_perf_guard`
 (``bench --perf --guard``) fails a run whose extension median regresses
@@ -311,26 +311,25 @@ def _phase_extension_breakdown(
     """Where extension time goes, read from a :mod:`repro.obs` trace.
 
     The same Table II workload as the ``extension`` phase, run with
-    tracing disabled (timing the instrumented-but-off fast path) and
-    under a collector.  The trace's ``extension.iteration`` spans
-    become per-iteration rows (duration, candidate count, DTW calls,
-    applied/gain); the overhead row is the acceptance number, and the
-    no-op span microbench pins the per-call cost of the disabled path.
+    tracing disabled (the instrumented-but-off fast path) and under a
+    collector.  The trace's ``extension.iteration`` spans become
+    per-iteration rows (duration, candidate count, DTW calls,
+    applied/gain); the no-op span microbench pins the per-call cost of
+    the disabled path.
 
-    Measurement discipline: the baseline, disabled, and traced samples
-    are *interleaved in one loop* and the overheads compare *medians*.
-    The min is the usual estimator of a CPU-bound cost when noise only
-    slows runs down, but on a shared host a run also comes out fast now
-    and then (a third under its neighbours), and a ratio of minima of
-    two streams of the same code then swings by tens of percent; the
-    median of interleaved rounds does not.  Interleaving keeps all three
-    streams pinned to the same machine state; a ratio against a number
-    measured minutes earlier in a different phase wobbles far more than
-    the few-percent effect being bounded, which is why the ``extension``
-    phase's own best sample rides along only as the cross-phase
-    reference (``extension_phase_s``).  A first, warm-up round runs all
-    three and is dropped, and every timed run starts right after a
-    ``gc.collect()``.
+    Measurement discipline: the disabled and traced samples are
+    *interleaved in one loop* and the tracing overhead compares
+    *medians*.  The min is the usual estimator of a CPU-bound cost when
+    noise only slows runs down, but on a shared host a run also comes
+    out fast now and then (a third under its neighbours), and a ratio
+    of minima then swings by tens of percent; the median of interleaved
+    rounds does not.  Interleaving keeps both streams pinned to the
+    same machine state; a ratio against a number measured minutes
+    earlier in a different phase wobbles far more, which is why the
+    ``extension`` phase's own best sample rides along only as the
+    cross-phase reference (``extension_phase_s``).  A first, warm-up
+    round runs both and is dropped, and every timed run starts right
+    after a ``gc.collect()``.
     """
     from .. import obs
 
@@ -339,7 +338,6 @@ def _phase_extension_breakdown(
         extender = _table2_extender(board, trace, use_dp=True)
         return extender.extension_upper_bound(trace)
 
-    baseline_times: List[float] = []
     disabled_times: List[float] = []
     traced_times: List[float] = []
     doc: Dict[str, Any] = {}
@@ -355,16 +353,13 @@ def _phase_extension_breakdown(
     # Round 0 is a warm-up whose samples are dropped: the first run of a
     # process pays for caches and allocator growth the others do not.
     for round_index in range(repeats + 1):
-        baseline_s = timed_run()
         disabled_s = timed_run()
         with obs.trace(f"bench extension dgap={dgap}") as collected:
             traced_s = timed_run()
         doc = collected.to_dict()
         if round_index:
-            baseline_times.append(baseline_s)
             disabled_times.append(disabled_s)
             traced_times.append(traced_s)
-    baseline_s = statistics.median(baseline_times)
     disabled_s = statistics.median(disabled_times)
     traced_s = statistics.median(traced_times)
 
@@ -433,13 +428,9 @@ def _phase_extension_breakdown(
                 "max": max(durations) * 1e3 if durations else None,
             },
             "overhead": {
-                "baseline_s": baseline_s,
                 "disabled_s": disabled_s,
                 "traced_s": traced_s,
                 "extension_phase_s": extension_phase_s,
-                "disabled_overhead": (
-                    disabled_s / baseline_s if baseline_s else None
-                ),
                 "tracing_overhead": (
                     traced_s / disabled_s if disabled_s > 0 else None
                 ),
@@ -946,9 +937,9 @@ def run_perf(
         "extension_breakdown",
         _phase_extension_breakdown,
         4.0,
-        # The overhead bound compares medians of two streams of the same
-        # code; ten rounds keep them within a few percent of each other
-        # on a busy host, so this phase keeps ten even under ``quick``.
+        # The tracing ratio compares medians of two interleaved streams;
+        # ten rounds keep it within a few percent on a busy host, so
+        # this phase keeps ten even under ``quick``.
         max(repeats, 10),
         extension_phase_s=next(
             (r["min_s"] for r in phases["extension"] if r["dgap"] == 4.0),

@@ -56,11 +56,15 @@ import os
 import tempfile
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from .._version import __version__
 from .. import faults, obs
-from ..io import canonical_json
+from ..io import board_to_dict, canonical_json, run_result_to_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api import RunResult
+    from ..model import Board
 
 #: Entry documents are self-describing like every other repro artifact.
 CACHE_FORMAT_VERSION = 1
@@ -232,6 +236,23 @@ class ResultCache:
             "repro_cache_put_seconds", time.perf_counter() - started
         )
         return path
+
+    def publish(
+        self, key: str, result: "RunResult", board: "Board"
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Encode one finished run and store it under ``key``.
+
+        Returns ``(result_dict, routed_board_dict)``.  Ok and failed runs
+        are deterministic verdicts and are stored as ``{"result",
+        "routed_board"}``; a crashed run is encoded but not stored — a
+        crash may be transient (resources, a timeout, a killed worker),
+        and caching it would pin the failure past its cause.
+        """
+        result_dict = run_result_to_dict(result)
+        routed = board_to_dict(board)
+        if result.status != "crashed":
+            self.put(key, {"result": result_dict, "routed_board": routed})
+        return result_dict, routed
 
     def _put(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
         path = self._path(key)

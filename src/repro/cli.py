@@ -69,9 +69,12 @@ from .api.stages import StageFailure
 from .drc import check_board
 from .io import (
     board_to_json,
+    check_response,
     corpus_report_to_dict,
+    error_response,
     load_board,
     load_trace,
+    route_response,
     run_result_to_dict,
     save_board,
     save_result,
@@ -502,18 +505,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if args.svg:
         render_board(board, path=args.svg)
     if args.json:
-        # The server's route_response schema with cache=None: a local
-        # run consults no cache, but the key still names the artifact a
-        # daemon would serve for this exact request.
-        envelope: Dict[str, Any] = {
-            "kind": "route_response",
-            "key": key,
-            "cache": None,
-            "status": result.status,
-            "result": run_result_to_dict(result),
-        }
-        if result.error is not None:
-            envelope["error"] = result.error
+        envelope = route_response(key, None, run_result_to_dict(result))
         print(json.dumps(envelope, indent=2))
     else:
         print(result.summary())
@@ -556,18 +548,7 @@ def _route_remote(args: argparse.Namespace, board, config) -> int:
         )
     except TransportError as exc:
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "kind": "error_response",
-                        "error": {
-                            "type": type(exc).__name__,
-                            "message": str(exc),
-                        },
-                    },
-                    indent=2,
-                )
-            )
+            print(json.dumps(error_response(exc), indent=2))
         print(f"error: {args.remote}: {exc}", file=sys.stderr)
         return 2
     envelope = response.payload
@@ -604,22 +585,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
         check_net_classes(board, report)
     if args.json:
-        from .io import drc_report_to_dict
-
-        # The server's check_response schema, byte-compatible with
-        # POST /check — local and remote DRC gates are interchangeable
-        # to machine consumers.
-        print(
-            json.dumps(
-                {
-                    "kind": "check_response",
-                    "clean": report.is_clean(),
-                    "violations": len(report),
-                    "report": drc_report_to_dict(report),
-                },
-                indent=2,
-            )
-        )
+        # Byte-compatible with POST /check: local and remote DRC gates
+        # are interchangeable to machine consumers.
+        print(json.dumps(check_response(report), indent=2))
     else:
         print("DRC clean" if report.is_clean() else str(report))
     return 0 if report.is_clean() else 1
@@ -765,18 +733,10 @@ def _cmd_import(args: argparse.Namespace) -> int:
         board, report, digest = import_board_file(args.file, match=args.match)
     except (OSError, KicadParseError) as exc:
         if args.json:
-            error: Dict[str, Any] = {
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
+            envelope = error_response(exc)
             if isinstance(exc, KicadParseError):
-                error["line"] = exc.line
-                error["column"] = exc.column
-            print(
-                json.dumps(
-                    {"kind": "error_response", "error": error}, indent=2
-                )
-            )
+                envelope["error"].update(line=exc.line, column=exc.column)
+            print(json.dumps(envelope, indent=2))
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
     if args.name:
@@ -848,18 +808,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 "pass --fixture <file.kicad_pcb> (repeatable)"
             )
             if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "kind": "error_response",
-                            "error": {
-                                "type": "ValueError",
-                                "message": message,
-                            },
-                        },
-                        indent=2,
-                    )
-                )
+                print(json.dumps(error_response(ValueError(message)), indent=2))
             print(f"error: {message}", file=sys.stderr)
             return 2
     outdir = args.outdir

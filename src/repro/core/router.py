@@ -37,6 +37,24 @@ class RouterConfig:
     #: Fig. 1; requires rules with dmiter > 0).  Median traces are never
     #: mitered — oblique corners would break the offset restoration.
     apply_miter: bool = False
+    #: Tolerance override for every match; ``None`` defers to each
+    #: group's own tolerance (see :meth:`effective_tolerance`).
+    tolerance: Optional[float] = None
+
+    def effective_tolerance(self, group: Optional[MatchGroup] = None) -> float:
+        """The one tolerance a match works to.
+
+        One value governs a whole match — the member skip test, the
+        extension engine's termination test and the pair top-up loop.
+        Precedence: :attr:`tolerance` wins when set; otherwise the
+        group's own ``tolerance``; ``extension.tolerance`` only governs
+        members matched outside any group.
+        """
+        if self.tolerance is not None:
+            return self.tolerance
+        if group is not None:
+            return group.tolerance
+        return self.extension.tolerance
 
 
 @dataclass
@@ -127,29 +145,21 @@ class LengthMatchingRouter:
     def match_group(
         self,
         group: MatchGroup,
-        tolerance: Optional[float] = None,
         on_member: Optional[Callable[[MemberReport], None]] = None,
     ) -> GroupReport:
         """Meander every member of ``group`` to the group target.
 
         Members already within tolerance are left untouched — preserving
         the original routing is the point of the whole exercise, and the
-        longest member of a group is always such a member.
-
-        One *effective tolerance* governs the whole match — the member
-        skip test, the extension engine's termination test and the pair
-        top-up loop all use the same value.  Precedence: an explicit
-        ``tolerance`` argument (how :class:`repro.api.RoutingSession`
-        injects its resolved value) wins, else the group's own
-        ``tolerance``; ``config.extension.tolerance`` only governs
-        members matched outside any group (:meth:`match_trace` /
-        :meth:`match_pair`).
+        longest member of a group is always such a member.  The
+        tolerance is :meth:`RouterConfig.effective_tolerance` of the
+        group.
 
         ``on_member`` is called with each :class:`MemberReport` as soon
         as that member finishes (observer hook for progress reporting).
         """
         target = group.resolved_target()
-        tol = tolerance if tolerance is not None else group.tolerance
+        tol = self.config.effective_tolerance(group)
         report = GroupReport(group=group.name, target=target)
         started = time.perf_counter()
         for member in list(group.members):
@@ -166,13 +176,13 @@ class LengthMatchingRouter:
                 with obs.span(
                     "router.match_pair", member=member.name, group=group.name
                 ) as sp:
-                    member_report = self._match_pair(member, target, tolerance=tol)
+                    member_report = self._match_pair(member, target, tol)
                     sp.set(iterations=member_report.iterations)
             else:
                 with obs.span(
                     "router.match_trace", member=member.name, group=group.name
                 ) as sp:
-                    member_report = self._match_trace(member, target, tolerance=tol)
+                    member_report = self._match_trace(member, target, tol)
                     sp.set(iterations=member_report.iterations)
             report.members.append(member_report)
             if on_member is not None:
@@ -182,11 +192,15 @@ class LengthMatchingRouter:
 
     def match_trace(self, name: str, target: float) -> MemberReport:
         """Match a single trace by name (outside any group)."""
-        return self._match_trace(self.board.trace_by_name(name), target)
+        return self._match_trace(
+            self.board.trace_by_name(name), target, self.config.effective_tolerance()
+        )
 
     def match_pair(self, name: str, target: float) -> MemberReport:
         """Match a single differential pair by name."""
-        return self._match_pair(self.board.pair_by_name(name), target)
+        return self._match_pair(
+            self.board.pair_by_name(name), target, self.config.effective_tolerance()
+        )
 
     # -- single-ended members ------------------------------------------------------
 
@@ -198,12 +212,12 @@ class LengthMatchingRouter:
         member_name: str,
         exclude: Sequence[str],
         rules: DesignRules,
+        tolerance: float,
         allow_node_feet: bool = True,
-        tolerance: Optional[float] = None,
     ) -> TraceExtender:
         area = self.board.routable_areas.get(member_name, self.board.outline)
         ext_cfg = self.config.extension
-        if tolerance is not None and tolerance != ext_cfg.tolerance:
+        if tolerance != ext_cfg.tolerance:
             ext_cfg = replace(ext_cfg, tolerance=tolerance)
         if not allow_node_feet:
             # Median-trace mode: no node feet (pin tangents / corner
@@ -218,13 +232,11 @@ class LengthMatchingRouter:
         )
 
     def _match_trace(
-        self, trace: Trace, target: float, tolerance: Optional[float] = None
+        self, trace: Trace, target: float, tolerance: float
     ) -> MemberReport:
         started = time.perf_counter()
         rules = self._rules_for(trace)
-        extender = self._extender_for(
-            trace.name, [trace.name], rules, tolerance=tolerance
-        )
+        extender = self._extender_for(trace.name, [trace.name], rules, tolerance)
         if self.config.apply_miter and rules.dmiter > 0:
             result = extender.extend_mitered(trace, target)
         else:
@@ -249,7 +261,7 @@ class LengthMatchingRouter:
         self,
         pair: DifferentialPair,
         target: float,
-        tolerance: Optional[float] = None,
+        tolerance: float,
     ) -> MemberReport:
         """MSDTW merge -> meander the median -> restore (Sec. V).
 
@@ -284,8 +296,8 @@ class LengthMatchingRouter:
             pair.name,
             [pair.name, pair.trace_p.name, pair.trace_n.name],
             conversion.virtual_rules,
+            tolerance,
             allow_node_feet=False,
-            tolerance=tolerance,
         )
         extended = extender.extend(conversion.median, median_target)
         restoration = restore_pair(
@@ -300,10 +312,9 @@ class LengthMatchingRouter:
         # Top-up: with node feet off the restoration is skew-exact and can
         # only undershoot (extension never overshoots); close the residue.
         current = extended.trace
-        tol = tolerance if tolerance is not None else self.config.extension.tolerance
         for _ in range(self.config.pair_topup_rounds):
             deficit = target - restoration.pair.length()
-            if deficit <= tol:
+            if deficit <= tolerance:
                 break
             extended = extender.extend(current, current.length() + deficit)
             if extended.achieved <= current.length() + 1e-9:

@@ -39,7 +39,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from ..obs.metrics import REGISTRY as _METRICS
 from .invariants import VOLATILE_REPORT_KEYS, stable_report, stable_report_bytes
@@ -160,11 +160,6 @@ def inject(site: str, **context: Any) -> None:
         perform(spec, site)
 
 
-def env_for_subprocess(plan: FaultPlan) -> Dict[str, str]:
-    """An ``os.environ`` overlay arming ``plan`` in a child process."""
-    return {ENV_VAR: plan.to_json()}
-
-
 __all__ = [
     "ENV_VAR",
     "FaultInjected",
@@ -174,7 +169,6 @@ __all__ = [
     "activate",
     "active_plan",
     "decide",
-    "env_for_subprocess",
     "inject",
     "perform",
     "stable_report",

@@ -88,9 +88,6 @@ class Frame:
     def polyline_to_world(self, line: Polyline) -> Polyline:
         return Polyline(self.to_world(p) for p in line.points)
 
-    def points_to_local(self, points: Iterable[Point]) -> List[Point]:
-        return [self.to_local(p) for p in points]
-
     def points_to_world(self, points: Iterable[Point]) -> List[Point]:
         return [self.to_world(p) for p in points]
 
@@ -125,9 +122,6 @@ class Rotation:
             self.center.x + dx * self.cos_a - dy * self.sin_a,
             self.center.y + dx * self.sin_a + dy * self.cos_a,
         )
-
-    def apply_polygon(self, poly: Polygon) -> Polygon:
-        return Polygon(self.apply(p) for p in poly.points)
 
     def apply_polyline(self, line: Polyline) -> Polyline:
         return Polyline(self.apply(p) for p in line.points)

@@ -187,11 +187,6 @@ def canonical_json(data: Any) -> str:
     )
 
 
-def board_canonical_json(board: Board) -> str:
-    """The board's canonical JSON text (its content identity)."""
-    return canonical_json(board_to_dict(board))
-
-
 def save_board(board: Board, path: str) -> str:
     """Write the board to ``path`` (atomically); returns the path."""
     return _atomic_write_text(path, board_to_json(board))
@@ -502,6 +497,53 @@ def load_result(path: str) -> RunResult:
     """Read a run artifact from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         return result_from_json(fh.read())
+
+
+# -- wire envelopes -----------------------------------------------------------------
+#
+# The answers the daemon sends and the CLI's ``--json`` prints, built in
+# one place so local and remote consumers read the same keys in the
+# same order.
+
+
+def route_response(
+    key: str, cache: Optional[str], result_dict: Dict[str, Any]
+) -> Dict[str, Any]:
+    """The ``route_response`` envelope around one encoded run.
+
+    ``cache`` is ``"hit"``/``"miss"`` from the daemon and ``None`` for a
+    local run, which consults no cache but still names the content
+    address a daemon would serve for the same request.  A crash record
+    in the result is repeated at the top level for 422/500 consumers.
+    """
+    envelope: Dict[str, Any] = {
+        "kind": "route_response",
+        "key": key,
+        "cache": cache,
+        "status": result_dict.get("status", "ok"),
+        "result": result_dict,
+    }
+    if result_dict.get("error") is not None:
+        envelope["error"] = result_dict["error"]
+    return envelope
+
+
+def check_response(report: DrcReport) -> Dict[str, Any]:
+    """The ``check_response`` envelope: the verdict and the findings."""
+    return {
+        "kind": "check_response",
+        "clean": report.is_clean(),
+        "violations": len(report),
+        "report": drc_report_to_dict(report),
+    }
+
+
+def error_response(exc: BaseException) -> Dict[str, Any]:
+    """The ``error_response`` envelope naming ``exc``'s type and message."""
+    return {
+        "kind": "error_response",
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
 
 
 # -- corpus reports -----------------------------------------------------------------

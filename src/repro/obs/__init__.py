@@ -32,7 +32,6 @@ from .metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    get_registry,
     percentile,
     render_prometheus,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
     "percentile",
     "render_prometheus",
     "ENV_VAR",

@@ -120,11 +120,6 @@ class Counter:
         with self._lock:
             return sum(self._values.values())
 
-    def as_dict(self) -> Dict[str, float]:
-        """``{label-values-joined: value}`` — ``{"": v}`` when unlabeled."""
-        with self._lock:
-            return {",".join(key): value for key, value in self._values.items()}
-
     def render(self) -> List[str]:
         lines = []
         if self.help:
@@ -330,13 +325,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def labeled_values(self, name: str) -> Dict[str, float]:
-        """Counter values keyed by joined label values (``{}`` if absent)."""
-        metric = self.get(name)
-        if not isinstance(metric, Counter):
-            return {}
-        return metric.as_dict()
-
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -359,10 +347,6 @@ class MetricsRegistry:
 
 #: Process-global registry for cross-cutting signals.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
 
 
 def render_prometheus(*registries: MetricsRegistry) -> str:

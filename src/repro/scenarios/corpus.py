@@ -382,19 +382,8 @@ def run_corpus(
             save_corpus_case(
                 case, result, os.path.join(results_dir, f"{board.name}.json")
             )
-        if cache_obj is not None and result.status != "crashed":
-            # Publish deterministic verdicts (ok and failed alike); a
-            # crash may be transient (timeout, dead worker) and must
-            # not be pinned past its cause.
-            from ..io import run_result_to_dict
-
-            cache_obj.put(
-                keys_by_name[board.name],
-                {
-                    "result": run_result_to_dict(result),
-                    "routed_board": board_to_dict(board),
-                },
-            )
+        if cache_obj is not None:
+            cache_obj.publish(keys_by_name[board.name], result, board)
         if on_case is not None:
             on_case(case)
 

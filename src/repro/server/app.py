@@ -22,7 +22,7 @@ import os
 import queue
 import threading
 import time
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .. import faults, obs
 from .._version import __version__
@@ -33,11 +33,16 @@ from ..drc import check_board
 from ..io import (
     board_from_dict,
     board_to_dict,
+    check_response,
     corpus_report_to_dict,
-    drc_report_to_dict,
+    error_response,
+    route_response,
     run_result_to_dict,
     save_trace,
 )
+
+# ``board_to_dict`` stays a name of this module although nothing here
+# calls it: perfbench's tracer wraps the io codecs on this module.
 
 #: RunResult.status → HTTP status for single-board responses.  Batch
 #: endpoints always answer 200 and carry per-board status per line.
@@ -60,16 +65,40 @@ class PayloadTooLarge(RequestError):
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-def _error_envelope(exc: BaseException) -> Dict[str, Any]:
-    return {
-        "kind": "error_response",
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-
-
 class ShuttingDown(RuntimeError):
     """The daemon is draining: new requests are refused with 503 while
     in-flight ones run to completion (the SIGTERM contract)."""
+
+
+def _stream(
+    work: Callable[[Callable[[Dict[str, Any]], None]], None]
+) -> Iterator[Dict[str, Any]]:
+    """Run ``work(emit)`` on a helper thread; yield each emitted event.
+
+    ``run_batch`` and ``run_corpus`` report only through callbacks; the
+    thread turns that push interface into the pull iterator a chunked
+    HTTP response needs.  The helper adopts the caller's trace
+    (collectors are thread-local), so the pipeline's spans land in the
+    request's trace.
+    """
+    events: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
+    parent_trace = obs.current_trace()
+
+    def run() -> None:
+        try:
+            with obs.use_trace(parent_trace):
+                work(events.put)
+        finally:
+            events.put(None)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    while True:
+        event = events.get()
+        if event is None:
+            break
+        yield event
+    thread.join()
 
 
 class RouterApp:
@@ -275,36 +304,8 @@ class RouterApp:
         except (ValueError, KeyError, TypeError) as exc:
             raise RequestError(f"invalid board document: {exc}") from exc
         result = RoutingSession(board, config=config).run(capture_errors=True)
-        result_dict = run_result_to_dict(result)
-        routed = board_to_dict(board)
-        if result.status != "crashed":
-            # A crash may be transient (resources, a killed worker);
-            # caching it would pin the failure past its cause.
-            self.cache.put(key, {"result": result_dict, "routed_board": routed})
+        result_dict, routed = self.cache.publish(key, result, board)
         return key, "miss", result_dict, routed
-
-    @staticmethod
-    def _route_envelope(
-        key: str,
-        cache_state: str,
-        result_dict: Dict[str, Any],
-        routed: Optional[Dict[str, Any]],
-        return_board: bool,
-    ) -> Dict[str, Any]:
-        envelope: Dict[str, Any] = {
-            "kind": "route_response",
-            "key": key,
-            "cache": cache_state,
-            "status": result_dict.get("status", "ok"),
-            "result": result_dict,
-        }
-        if result_dict.get("error") is not None:
-            # Surface the PR 5 error record (type, message, stage,
-            # traceback tail) at the top level for 422/500 consumers.
-            envelope["error"] = result_dict["error"]
-        if return_board:
-            envelope["routed_board"] = routed
-        return envelope
 
     # -- endpoints ----------------------------------------------------------
 
@@ -376,7 +377,7 @@ class RouterApp:
         try:
             entry = self.cache.get(key)
         except ValueError as exc:
-            return 400, _error_envelope(RequestError(str(exc)))
+            return 400, error_response(RequestError(str(exc)))
         if entry is None:
             return 404, {
                 "kind": "error_response",
@@ -408,14 +409,10 @@ class RouterApp:
                 return outcome
             key, cache_state, result_dict, routed = outcome
         except RequestError as exc:
-            return 400, _error_envelope(exc)
-        envelope = self._route_envelope(
-            key,
-            cache_state,
-            result_dict,
-            routed,
-            bool(payload.get("return_board")),
-        )
+            return 400, error_response(exc)
+        envelope = route_response(key, cache_state, result_dict)
+        if payload.get("return_board"):
+            envelope["routed_board"] = routed
         http = STATUS_TO_HTTP.get(envelope["status"], 500)
         return http, envelope
 
@@ -452,18 +449,17 @@ class RouterApp:
             result_dict: Dict[str, Any],
             routed: Optional[Dict[str, Any]],
         ) -> Dict[str, Any]:
-            counts[result_dict.get("status", "ok")] = (
-                counts.get(result_dict.get("status", "ok"), 0) + 1
-            )
+            envelope = route_response(key, cache_state, result_dict)
+            counts[envelope["status"]] = counts.get(envelope["status"], 0) + 1
             event = {
                 "event": "board_done",
                 "index": index,
                 "board": result_dict.get("board", ""),
-                **self._route_envelope(
-                    key, cache_state, result_dict, routed, return_board
-                ),
+                **envelope,
             }
             event["kind"] = "route_event"
+            if return_board:
+                event["routed_board"] = routed
             return event
 
         def generate() -> Iterator[Dict[str, Any]]:
@@ -487,12 +483,12 @@ class RouterApp:
                         # problem, same as one crashing board.
                         from ..api.executor import crashed_result
 
+                        doc = board_dict if isinstance(board_dict, dict) else {}
                         result = crashed_result(
-                            board_dict.get("name", "")
-                            if isinstance(board_dict, dict)
-                            else "",
+                            doc.get("name", ""),
                             exc,
                             config=config,
+                            meta=doc.get("meta"),
                         )
                         yield board_event(
                             index,
@@ -502,50 +498,28 @@ class RouterApp:
                             None,
                         )
             if misses:
-                events: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
                 indices = [index for index, _ in misses]
-                miss_boards = [board for _, board in misses]
 
-                def on_board_done(pos: int, board, result) -> None:
-                    index = indices[pos]
-                    result_dict = run_result_to_dict(result)
-                    routed = board_to_dict(board)
-                    if result.status != "crashed":
-                        self.cache.put(
-                            keys[index],
-                            {"result": result_dict, "routed_board": routed},
+                def work(emit) -> None:
+                    def on_board_done(pos: int, board, result) -> None:
+                        key = keys[indices[pos]]
+                        result_dict, routed = self.cache.publish(
+                            key, result, board
                         )
-                    events.put(
-                        board_event(
-                            index, keys[index], "miss", result_dict, routed
+                        emit(
+                            board_event(
+                                indices[pos], key, "miss", result_dict, routed
+                            )
                         )
+
+                    run_batch(
+                        [board for _, board in misses],
+                        config=config,
+                        workers=workers,
+                        on_board_done=on_board_done,
                     )
 
-                parent_trace = obs.current_trace()
-
-                def run() -> None:
-                    try:
-                        with obs.use_trace(parent_trace):
-                            run_batch(
-                                miss_boards,
-                                config=config,
-                                workers=workers,
-                                on_board_done=on_board_done,
-                            )
-                    finally:
-                        events.put(None)
-
-                # run_batch only reports through its callback; the
-                # worker thread turns that push interface into the pull
-                # iterator the chunked HTTP response needs.
-                thread = threading.Thread(target=run, daemon=True)
-                thread.start()
-                while True:
-                    event = events.get()
-                    if event is None:
-                        break
-                    yield event
-                thread.join()
+                yield from _stream(work)
             yield {
                 "kind": "route_event",
                 "event": "batch_done",
@@ -566,22 +540,17 @@ class RouterApp:
         self._count("check")
         board_dict = payload.get("board")
         if board_dict is None:
-            return 400, _error_envelope(RequestError("missing 'board'"))
+            return 400, error_response(RequestError("missing 'board'"))
         try:
             board = board_from_dict(board_dict)
         except (ValueError, KeyError, TypeError) as exc:
-            return 400, _error_envelope(
+            return 400, error_response(
                 RequestError(f"invalid board document: {exc}")
             )
         report = check_board(
             board, check_areas=not payload.get("no_areas", False)
         )
-        return 200, {
-            "kind": "check_response",
-            "clean": report.is_clean(),
-            "violations": len(report),
-            "report": drc_report_to_dict(report),
-        }
+        return 200, check_response(report)
 
     def corpus_events(
         self, payload: Dict[str, Any]
@@ -617,59 +586,40 @@ class RouterApp:
         workers = self._request_workers(payload)
         gate = payload.get("gate")
 
-        def generate() -> Iterator[Dict[str, Any]]:
-            events: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
-
-            def on_case(case: Dict[str, Any]) -> None:
-                events.put(
+        def work(emit) -> None:
+            kwargs: Dict[str, Any] = dict(
+                scenarios=names,
+                seeds=seeds,
+                quick=quick,
+                preset=preset,
+                workers=workers,
+                cache=self.cache,
+                on_case=lambda case: emit(
                     {"kind": "corpus_event", "event": "case_done", **case}
+                ),
+            )
+            try:
+                if gate is not None:
+                    kwargs["gate"] = float(gate)
+                report = run_corpus(**kwargs)
+            except Exception as exc:  # surfaced as the final event
+                emit(
+                    {
+                        "kind": "corpus_event",
+                        "event": "error",
+                        **error_response(exc),
+                    }
                 )
-
-            outcome: Dict[str, Any] = {}
-            parent_trace = obs.current_trace()
-
-            def run() -> None:
-                try:
-                    with obs.use_trace(parent_trace):
-                        kwargs: Dict[str, Any] = dict(
-                        scenarios=names,
-                        seeds=seeds,
-                        quick=quick,
-                        preset=preset,
-                        workers=workers,
-                        cache=self.cache,
-                            on_case=on_case,
-                        )
-                        if gate is not None:
-                            kwargs["gate"] = float(gate)
-                        outcome["report"] = run_corpus(**kwargs)
-                except Exception as exc:  # surfaced as the final event
-                    outcome["error"] = exc
-                finally:
-                    events.put(None)
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            while True:
-                event = events.get()
-                if event is None:
-                    break
-                yield event
-            thread.join()
-            if "error" in outcome:
-                yield {
-                    "kind": "corpus_event",
-                    "event": "error",
-                    **_error_envelope(outcome["error"]),
-                }
-            else:
-                yield {
+                return
+            emit(
+                {
                     "kind": "corpus_event",
                     "event": "report",
-                    "report": corpus_report_to_dict(outcome["report"]),
+                    "report": corpus_report_to_dict(report),
                 }
+            )
 
-        return generate()
+        return _stream(work)
 
 
 class _RequestTrace:
@@ -847,7 +797,7 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                     return
                 app.enter_request()
             except ShuttingDown as exc:
-                self._send_json(503, _error_envelope(exc))
+                self._send_json(503, error_response(exc))
                 return
             except BrokenPipeError:
                 return
@@ -866,14 +816,14 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                     else:
                         self._send_json(
                             404,
-                            _error_envelope(
+                            error_response(
                                 RequestError(f"unknown path {self.path}")
                             ),
                         )
             except BrokenPipeError:
                 pass
             except Exception as exc:  # a handler bug must not kill the thread
-                self._send_json(500, _error_envelope(exc))
+                self._send_json(500, error_response(exc))
             finally:
                 app.observe_request(
                     _endpoint_name(self.path), time.perf_counter() - started
@@ -886,7 +836,7 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                     return
                 app.enter_request()
             except ShuttingDown as exc:
-                self._send_json(503, _error_envelope(exc))
+                self._send_json(503, error_response(exc))
                 return
             except BrokenPipeError:
                 return
@@ -906,19 +856,19 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                     else:
                         self._send_json(
                             404,
-                            _error_envelope(
+                            error_response(
                                 RequestError(f"unknown path {self.path}")
                             ),
                         )
             except PayloadTooLarge as exc:
-                self._send_json(413, _error_envelope(exc))
+                self._send_json(413, error_response(exc))
             except RequestError as exc:
-                self._send_json(400, _error_envelope(exc))
+                self._send_json(400, error_response(exc))
             except BrokenPipeError:
                 pass
             except Exception as exc:
                 try:
-                    self._send_json(500, _error_envelope(exc))
+                    self._send_json(500, error_response(exc))
                 except Exception:
                     pass
             finally:

@@ -109,6 +109,36 @@ class TestFingerprintSensitivity:
         b = SessionConfig(breakout_nodes=True)  # type: ignore[arg-type]
         assert a.fingerprint() != b.fingerprint()
 
+    def test_snapshot_key_order_is_pinned(self):
+        # The router's knobs first (inherited from RouterConfig), then
+        # the stages' own: results and cache entries carry this order.
+        assert list(SessionConfig().to_dict()) == [
+            "extension",
+            "breakout_nodes",
+            "compensate_pairs",
+            "pair_topup_rounds",
+            "apply_miter",
+            "tolerance",
+            "region",
+            "drc",
+            "preset_name",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, fingerprint",
+        [
+            ("default", "dd02ebd88f1d07a93d0d23e7ce0156ff75393ce56622c26a45f91cc5642e9570"),
+            ("paper", "dd02ebd88f1d07a93d0d23e7ce0156ff75393ce56622c26a45f91cc5642e9570"),
+            ("fast", "995ae566cb3fd2682eaec1c5356f1b5f9687109b4cd8c398cf46f353374f7ac4"),
+            ("quality", "d818ce8044fa6674bf6f2e2ad63de4c8aa86c68758988f9eeee51b64c7eb1e72"),
+            ("bench", "6c9ae0ef63dccebd5253d0c9912e2128e3036db3c45111b1031c626881c5e24d"),
+        ],
+    )
+    def test_preset_fingerprint_is_pinned(self, name, fingerprint):
+        # The config half of every cache key: a change here silently
+        # orphans every stored result, so it must be deliberate.
+        assert SessionConfig.preset(name).fingerprint() == fingerprint
+
     def test_close_floats_do_not_collide(self):
         a = SessionConfig(tolerance=1e-3)
         b = SessionConfig(tolerance=1e-3 + 1e-15)

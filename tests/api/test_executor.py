@@ -219,6 +219,32 @@ class TestWorkersIsolation:
         assert "zero length" in results[1].error["message"]
         assert batch[1].trace_by_name("bad").path.points == before
 
+    def test_synthetic_crash_records_run_provenance(self):
+        # Boards settled crashed by the parent (here: every board past a
+        # 1 ms budget) record the provenance a completed run of the
+        # same board records, never an alias into board.meta.
+        generated = good_board("generated")
+        generated.meta["scenario"] = {
+            "name": "serpentine_bus",
+            "seed": 0,
+            "params": {"members": 2},
+        }
+        imported = good_board("imported")
+        imported.meta["kicad"] = {"source": "board.kicad_pcb", "sha256": "ab" * 32}
+        boards = [generated, imported]
+        results = RoutingSession.run_many(
+            boards, config="fast", workers=2, timeout=0.001
+        )
+        assert [r.error["type"] for r in results] == ["TimeoutError"] * 2
+        assert results[0].provenance is not generated.meta["scenario"]
+        for board, result in zip(boards, results):
+            completed = RoutingSession(board, config="fast").run()
+            assert result.provenance == completed.provenance
+        assert results[1].provenance == {
+            "name": "imported",
+            "kicad": imported.meta["kicad"],
+        }
+
     def test_single_board_fallback_warns(self):
         with pytest.warns(RuntimeWarning, match="workers=8 ignored"):
             results = RoutingSession.run_many(

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.api import DrcConfig, RegionConfig, StageRecord
 from repro.api.stages import StageFailure
+from repro.core import LengthMatchingRouter, RouterConfig
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
 
@@ -217,11 +218,13 @@ class TestConfig:
         assert rebuilt.extension == SessionConfig().extension
 
     def test_router_config_equivalence(self):
-        config = SessionConfig(breakout_nodes=2, apply_miter=True)
-        rc = config.router_config()
+        # The session config *is* the router's config: no conversion
+        # step exists that could drop or copy a knob.
+        rc = SessionConfig(breakout_nodes=2, apply_miter=True)
+        assert isinstance(rc, RouterConfig)
         assert rc.breakout_nodes == 2
         assert rc.apply_miter is True
-        assert rc.extension is config.extension
+        assert LengthMatchingRouter(bus_board(), rc).config.extension is rc.extension
 
 
 class TestToleranceResolution:
