@@ -248,8 +248,9 @@ class ResultCache:
         crash may be transient (resources, a timeout, a killed worker),
         and caching it would pin the failure past its cause.
         """
-        result_dict = run_result_to_dict(result)
-        routed = board_to_dict(board)
+        with obs.span("cache.encode", status=result.status):
+            result_dict = run_result_to_dict(result)
+            routed = board_to_dict(board)
         if result.status != "crashed":
             self.put(key, {"result": result_dict, "routed_board": routed})
         return result_dict, routed

@@ -23,6 +23,7 @@ chosen patterns are restored by backtracking in O(n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -115,6 +116,13 @@ class SegmentDP:
         # for every foot the DP can probe.
         n, g = config.n, config.g
         xs = np.arange(n) * config.step
+        self._feet = xs
+        # direction -> pair_heights table, built at the first height
+        # lookup of that direction (inside run(), so segments feasible()
+        # drops never pay for it).
+        self._tables: Dict[int, np.ndarray] = {}
+        #: Heights the batch table left to the scalar fixpoint.
+        self.scalar_shrinks = 0
         self._left_ub: Dict[int, List[float]] = {}
         self._right_ub: Dict[int, List[float]] = {}
         for d, env in envs.items():
@@ -128,25 +136,45 @@ class SegmentDP:
     # -- heights ---------------------------------------------------------------
 
     def height(self, il: int, ir: int, direction: int) -> float:
-        """Max valid height for feet at points ``il``/``ir`` (cached)."""
+        """Max valid height for feet at points ``il``/``ir`` (cached).
+
+        Read from the direction's :meth:`ShrinkEnvironment.pair_heights`
+        table; a NaN entry (a node in the pair's URA, or a pair outside
+        the width band) runs the scalar shrink.
+        """
         key = (il, ir, direction)
         cached = self._height_cache.get(key)
         if cached is not None:
             return cached
         cfg = self.config
-        h = self.envs[direction].max_pattern_height(
-            il * cfg.step,
-            ir * cfg.step,
-            cfg.g,
-            cfg.h_init,
-            cfg.h_min,
-        )
+        env = self.envs[direction]
+        table = self._tables.get(direction)
+        if table is None:
+            table = self._tables[direction] = env.pair_heights(
+                self._feet,
+                cfg.g,
+                cfg.h_init,
+                cfg.h_min,
+                cfg.w_min,
+                cfg.max_width_steps or (cfg.n - 1),
+            )
+        h = table.item(il, ir)
+        if math.isnan(h):
+            self.scalar_shrinks += 1
+            h = env.max_pattern_height(
+                il * cfg.step,
+                ir * cfg.step,
+                cfg.g,
+                cfg.h_init,
+                cfg.h_min,
+            )
         self._height_cache[key] = h
         return h
 
     @property
     def shrinks(self) -> int:
-        """Exact shrinks (:meth:`height` evaluations) made so far."""
+        """Exact heights (:meth:`height` evaluations) made so far, from
+        the batch table or the scalar shrink."""
         return len(self._height_cache)
 
     def height_upper_bound(self, il: int, ir: int, direction: int) -> float:

@@ -593,13 +593,19 @@ class TraceExtender:
         dp = SegmentDP(dp_cfg, envs)
         t1 = perf_counter()
         if not dp.feasible():
-            obs.annotate(env_query_s=t1 - t0, dp_s=0.0, pruned=True, shrinks=0)
+            obs.annotate(
+                env_query_s=t1 - t0, dp_s=0.0, pruned=True, shrinks=0, scalar_shrinks=0
+            )
             obs.REGISTRY.inc("repro_extension_pruned_total")
             return None
         result = dp.run()
         t2 = perf_counter()
         obs.annotate(
-            env_query_s=t1 - t0, dp_s=t2 - t1, pruned=False, shrinks=dp.shrinks
+            env_query_s=t1 - t0,
+            dp_s=t2 - t1,
+            pruned=False,
+            shrinks=dp.shrinks,
+            scalar_shrinks=dp.scalar_shrinks,
         )
         if result.gain <= self.config.min_extension_gain or not result.patterns:
             return None

@@ -42,6 +42,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..geometry import Polygon, oriented_rectangle
 from ..model import Board, Obstacle, Trace
 
@@ -145,33 +146,41 @@ class ClearanceScene:
         seg_idx: List[int] = []
         widths: List[float] = []
         degen: List[bool] = []
-        for ei, entry in enumerate(self._entries):
-            for si, seg in enumerate(entry.segments):
-                bounds.append(entry.seg_bounds[si])
-                entry_idx.append(ei)
-                seg_idx.append(si)
-                widths.append(entry.width)
-                degen.append(seg.is_degenerate())
-        n = len(bounds)
-        self._seg_bounds = np.array(bounds) if n else np.empty((0, 4))
-        self._seg_entry = np.array(entry_idx, dtype=np.intp)
-        self._seg_index = np.array(seg_idx, dtype=np.intp)
-        self._seg_width = np.array(widths)
-        self._seg_degen = np.array(degen, dtype=bool)
-        self._exclude_masks.clear()
-        self._dirty = False
+        # The rebuild re-walks every entry after each update, so its cost
+        # grows with the board per update; the span makes that visible.
+        with obs.span("scene.rebuild") as sp:
+            for ei, entry in enumerate(self._entries):
+                for si, seg in enumerate(entry.segments):
+                    bounds.append(entry.seg_bounds[si])
+                    entry_idx.append(ei)
+                    seg_idx.append(si)
+                    widths.append(entry.width)
+                    degen.append(seg.is_degenerate())
+            n = len(bounds)
+            sp.set(segments=n)
+            self._seg_bounds = np.array(bounds) if n else np.empty((0, 4))
+            self._seg_entry = np.array(entry_idx, dtype=np.intp)
+            self._seg_index = np.array(seg_idx, dtype=np.intp)
+            self._seg_width = np.array(widths)
+            self._seg_degen = np.array(degen, dtype=bool)
+            self._exclude_masks.clear()
+            self._dirty = False
 
     def _exclude_mask(self, exclude: FrozenSet[str]):
         mask = self._exclude_masks.get(exclude)
         if mask is None:
-            mask = np.zeros(len(self._seg_entry), dtype=bool)
-            for ei, entry in enumerate(self._entries):
-                if entry.name in exclude or (
-                    entry.owner is not None and entry.owner in exclude
-                ):
-                    mask |= self._seg_entry == ei
+            excluded = np.array(
+                [
+                    entry.name in exclude
+                    or (entry.owner is not None and entry.owner in exclude)
+                    for entry in self._entries
+                ],
+                dtype=bool,
+            )
+            mask = excluded[self._seg_entry]
             self._exclude_masks[exclude] = mask
         return mask
+
 
     # -- queries -------------------------------------------------------------------
 

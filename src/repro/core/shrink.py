@@ -31,7 +31,10 @@ The environment keeps the foreign geometry as flat numpy coordinate
 arrays: the ``P_check`` node query of Sec. IV-D is one vectorized box
 mask, side-line crossings are evaluated for a batch of abscissas at once
 and memoized per abscissa, and the per-column node bound the DP uses as
-an admissible upper-bound prefilter is one windowed-minimum sweep.
+an admissible upper-bound prefilter is one windowed-minimum sweep.  The
+DP's exact heights come from one batch pass over its foot pairs
+(:meth:`ShrinkEnvironment.pair_heights`); the scalar fixpoint runs only
+for pairs with a node inside the URA.
 ``tests/oracles/shrink.py`` keeps the seed's polygon-and-range-tree
 implementation, and ``tests/core/test_shrink_fast.py`` diffs the two bit
 for bit.
@@ -53,6 +56,10 @@ TOUCH_EPS = 1e-7
 #: Most (abscissa, edge) pairs one side-crossing block can evaluate; keeps
 #: the kernel's temporaries small on windows with many edges.
 SIDE_BLOCK = 1 << 16
+
+#: Most foot pairs one block of :meth:`ShrinkEnvironment.pair_heights`
+#: evaluates; keeps its temporaries small on long segments.
+PAIR_BLOCK = 1 << 16
 
 
 class ShrinkEnvironment:
@@ -213,6 +220,16 @@ class ShrinkEnvironment:
         np.minimum.at(out, line[keep][sel], y[sel])
         return out
 
+    def _side_values(self, lines):
+        """S at each of ``lines``: the memoized values, or one batch pass
+        when any is missing."""
+        try:
+            return np.fromiter(
+                map(self._side_memo.__getitem__, lines.tolist()), float, len(lines)
+            )
+        except KeyError:
+            return self.side_minima(lines)
+
     # -- column node bound (DP prefilter) -----------------------------------------
 
     def column_bounds(self, xs, g: float):
@@ -240,6 +257,59 @@ class ShrinkEnvironment:
         idx = np.stack([lo, hi], axis=1).ravel()
         mins = np.minimum.reduceat(arr, idx)[::2]
         return np.where(lo < hi, mins, np.inf)
+
+    # -- batched heights over a foot grid (DP) -----------------------------------------
+
+    def pair_heights(self, xs, g, h_init, h_min, w_min, w_max):
+        """:meth:`max_pattern_height` of the foot pairs over the grid
+        ``xs`` wherever the answer needs no fixpoint, in one pass.
+
+        Returns an ``(n, n)`` table indexed ``[il, ir]`` for feet at
+        ``xs[il]``/``xs[ir]``, filled on the bounding box of the band
+        ``w_min <= ir - il <= w_max`` with the scalar shrink's height bit
+        for bit.  It is NaN outside that box and at *busy* pairs, those
+        with a node in the closed box the fixpoint starts from
+        (``P_check``, Sec. IV-D).
+
+        Each element is the scalar shrink's expression, in its order:
+        ``h2 = min(min(h_init + g, S(x_l - g)), S(x_r + g))`` and
+        ``h = min(h_init, h2 - g)``.  The scalar returns 0 when
+        ``h_init``, ``h1 - g`` or ``h2 - g`` lies below ``h_min`` and
+        floors ``h`` at ``h_min``; since ``h2 <= h1`` and rounding is
+        monotone, all four tests are ``h < h_min``.  The box test takes
+        the nodes with ``TOUCH_EPS <= y <= (h_init + g) - TOUCH_EPS``, a
+        superset of every box's nodes since ``h2 <= h_init + g``, sorts
+        them by x, bounds each box's x-range ``[(x_l - g) + TOUCH_EPS,
+        (x_r + g) - TOUCH_EPS]`` with ``searchsorted`` and compares the
+        range's lowest ordinate with ``h2 - TOUCH_EPS`` (a sparse-table
+        range minimum).  Right feet are processed in blocks of at most
+        :data:`PAIR_BLOCK` / n.
+        """
+        xs = np.asarray(xs, dtype=float)
+        n = len(xs)
+        out = np.full((n, n), np.nan)
+        h1 = np.minimum(h_init + g, self._side_values(xs - g))[:, None]
+        side_r = self._side_values(xs + g)
+        keep = (self._ys >= TOUCH_EPS) & (self._ys <= (h_init + g) - TOUCH_EPS)
+        node_xs = self._xs[keep]
+        if len(node_xs):
+            order = node_xs.argsort(kind="stable")
+            node_xs = node_xs[order]
+            levels = _range_min_levels(self._ys[keep][order])
+            first = node_xs.searchsorted((xs - g) + TOUCH_EPS, side="left")[:, None]
+            last = node_xs.searchsorted((xs + g) - TOUCH_EPS, side="right")
+        cols = max(1, PAIR_BLOCK // max(n, 1))
+        for lo in range(w_min, n, cols):
+            hi = min(n, lo + cols)
+            left = slice(max(0, lo - w_max), hi - w_min)
+            h2 = np.minimum(h1[left], side_r[lo:hi])
+            h = np.minimum(h_init, h2 - g)
+            valid = h >= h_min
+            if len(node_xs):
+                box_min = _range_min(levels, first[left], last[lo:hi])
+                h = np.where(box_min <= h2 - TOUCH_EPS, np.nan, h)
+            out[left, lo:hi] = np.where(valid, h, 0.0)
+        return out
 
     # -- the full shrink (Alg. 2 + Eqs. 10-13) ---------------------------------------
 
@@ -323,3 +393,31 @@ class ShrinkEnvironment:
 
         h = min(h_init, h_ob - g)
         return h if h >= h_min else 0.0
+
+
+def _range_min_levels(values):
+    """Sparse table of ``values``: row ``k`` holds the minimum of each run
+    of ``2**k`` consecutive values, padded with +inf."""
+    m = len(values)
+    levels = [values]
+    span = 1
+    while 2 * span <= m:
+        prev = levels[-1]
+        levels.append(np.minimum(prev[: len(prev) - span], prev[span:]))
+        span *= 2
+    table = np.full((len(levels), m), np.inf)
+    for k, row in enumerate(levels):
+        table[k, : len(row)] = row
+    return table
+
+
+def _range_min(levels, first, last):
+    """Minimum of ``values[first:last]`` elementwise (+inf when empty),
+    from the two overlapping power-of-two runs covering each range."""
+    m = levels.shape[1]
+    length = np.maximum(last - first, 1)
+    k = np.frexp(length)[1] - 1
+    lo = np.minimum(first, m - 1)
+    hi = np.maximum(last - (1 << k), 0)
+    mins = np.minimum(levels[k, lo], levels[k, hi])
+    return np.where(last > first, mins, np.inf)

@@ -34,6 +34,13 @@ def _committed():
         return json.load(fh)
 
 
+def _nested_keys(row):
+    """The keys of each dict-valued field of a perf row."""
+    return frozenset(
+        (name, frozenset(value)) for name, value in row.items() if isinstance(value, dict)
+    )
+
+
 @pytest.mark.smoke
 class TestRunPerfQuick:
     @pytest.fixture(scope="class")
@@ -88,6 +95,12 @@ class TestRunPerfQuick:
             fresh_keys = {frozenset(r) for r in payload["phases"][phase]}
             committed_keys = {frozenset(r) for r in committed["phases"][phase]}
             assert committed_keys == fresh_keys, phase
+            # Nested records too, so a field run_perf no longer writes
+            # (such as extension_breakdown's retired overhead.baseline_s
+            # and overhead.disabled_overhead) cannot linger.
+            fresh_nested = {_nested_keys(r) for r in payload["phases"][phase]}
+            committed_nested = {_nested_keys(r) for r in committed["phases"][phase]}
+            assert committed_nested == fresh_nested, phase
 
     def test_session_phase(self, payload):
         rows = payload["phases"]["session"]

@@ -24,6 +24,7 @@ from oracles.dp_inputs import (
     corpus_dp_inputs,
     fresh_envs,
     oracle_env,
+    region_dp_inputs,
     spread,
     table2_dp_inputs,
 )
@@ -317,3 +318,184 @@ class TestMaxPatternHeight:
         ref, vec = both_envs(polys)
         for pid in range(len(polys)):
             assert vec._poly_points(pid) == ref._poly_points(pid)
+
+
+def check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max):
+    """Production's batch table against the oracle's scalar loop over the
+    band: a NaN exactly where the scalar shrink passes the side step and
+    finds a node in its ``P_check`` box, the oracle's height (by
+    ``repr``) everywhere else.  Returns the number of NaN pairs."""
+    got = vec.pair_heights(xs, g, h_init, h_min, w_min, w_max)
+    want = ref.pair_heights(xs, g, h_init, h_min, w_min, w_max)
+    n = len(xs)
+    assert got.shape == (n, n)
+    busy = 0
+    for ir in range(n):
+        for il in range(max(0, ir - w_max), ir - w_min + 1):
+            x_left, x_right = float(xs[il]), float(xs[ir])
+            h_ob = h_init + g
+            h_ob = min(h_ob, ref.side_bound(x_left - g, h_ob))
+            h_ob = min(h_ob, ref.side_bound(x_right + g, h_ob))
+            boxed = (
+                h_init >= h_min
+                and h_ob - g >= h_min
+                and len(
+                    ref._nodes_in_box(
+                        (x_left - g) + TOUCH_EPS,
+                        (x_right + g) - TOUCH_EPS,
+                        TOUCH_EPS,
+                        h_ob - TOUCH_EPS,
+                    )
+                )
+                > 0
+            )
+            h = float(got[il, ir])
+            assert math.isnan(h) == boxed, (il, ir)
+            if boxed:
+                busy += 1
+            else:
+                assert repr(h) == repr(float(want[il, ir])), (il, ir)
+    # Nothing outside the band's bounding box is filled.
+    assert np.isnan(got[:, :w_min]).all()
+    assert np.isnan(got[n - w_min :, :]).all()
+    return busy
+
+
+def check_dp_input(cfg, envs):
+    xs = np.arange(cfg.n) * cfg.step
+    w_max = cfg.max_width_steps or (cfg.n - 1)
+    busy = 0
+    for d, vec in fresh_envs(envs).items():
+        busy += check_pair_heights(
+            vec, oracle_env(envs[d]), xs, cfg.g, cfg.h_init, cfg.h_min, cfg.w_min, w_max
+        )
+    return busy
+
+
+def point(x, y):
+    """A node at (x, y) with no edge to cross a side line."""
+    return Polygon([Point(x, y)] * 3)
+
+
+class TestPairHeights:
+    """The DP's batch heights against the oracle's scalar shrink loop."""
+
+    # Hand cases: feet every unit, g = 1, so the pair (3, 8) has its
+    # outer side lines at x = 2 and x = 9, its P_check box at
+    # [2 + TOUCH_EPS, 9 - TOUCH_EPS] x [TOUCH_EPS, h2 - TOUCH_EPS], and
+    # h2 = h_init + g = 6 without side crossings.
+    XS = np.arange(12) * 1.0
+    G, H_INIT, H_MIN = 1.0, 5.0, 1.0
+
+    def hand(self, polys, h_init=H_INIT, h_min=H_MIN, w_min=2, w_max=11):
+        ref, vec = both_envs(polys)
+        check_pair_heights(vec, ref, self.XS, self.G, h_init, h_min, w_min, w_max)
+        return vec.pair_heights(self.XS, self.G, h_init, h_min, w_min, w_max)
+
+    @pytest.mark.parametrize("source", corpus_families() + ["table2"])
+    def test_corpus_dp_inputs_match_oracle(self, source):
+        # Fast routes (seeds 0-4), region-assigned default routes (seed
+        # 0) and the Table II via field's ~600-vertex environments.
+        if source == "table2":
+            inputs = spread(table2_dp_inputs(), 12)
+        else:
+            inputs = spread(
+                [dp for seed in SEEDS for dp in corpus_dp_inputs(source, seed)], 3
+            ) + spread(region_dp_inputs(source, 0), 2)
+        assert inputs
+        for cfg, envs in inputs:
+            check_dp_input(cfg, envs)
+
+    def test_busy_pairs_occur_on_real_boards(self):
+        # bga_escape's pads sit inside many URAs: the scalar path is live.
+        inputs = spread(corpus_dp_inputs("bga_escape", 0), 4)
+        assert sum(check_dp_input(cfg, envs) for cfg, envs in inputs) > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_soups_match_oracle(self, seed):
+        rng = random.Random(seed + 5000)
+        ref, vec = both_envs(random_polygons(seed))
+        xs = np.arange(40) * rng.uniform(1.0, 3.0) - 50.0
+        g = rng.uniform(0.5, 3.0)
+        h_init, h_min = rng.uniform(1.0, 40.0), rng.uniform(0.1, 3.0)
+        w_min = rng.randrange(1, 4)
+        w_max = rng.choice([39, rng.randrange(w_min, 20)])
+        check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max)
+
+    @pytest.mark.parametrize(
+        "x, in_box",
+        [
+            ((3.0 - 1.0) + TOUCH_EPS, True),
+            ((3.0 - 1.0) + TOUCH_EPS / 2, False),
+            ((3.0 - 1.0) - TOUCH_EPS, False),
+            ((8.0 + 1.0) - TOUCH_EPS, True),
+            ((8.0 + 1.0) - TOUCH_EPS / 2, False),
+            ((8.0 + 1.0) + TOUCH_EPS, False),
+        ],
+    )
+    def test_node_at_the_box_sides(self, x, in_box):
+        table = self.hand([point(x, 3.0)])
+        assert math.isnan(table[3, 8]) == in_box
+        if not in_box:
+            assert table[3, 8] == self.H_INIT
+
+    @pytest.mark.parametrize(
+        "y, in_box",
+        [
+            (TOUCH_EPS, True),
+            (TOUCH_EPS / 2, False),
+            (0.0, False),
+            (-2.0, False),
+            (6.0 - TOUCH_EPS, True),
+            (6.0 - TOUCH_EPS / 2, False),
+            (6.0, False),
+        ],
+    )
+    def test_node_at_the_box_bottom_and_top(self, y, in_box):
+        table = self.hand([point(5.0, y)])
+        assert math.isnan(table[3, 8]) == in_box
+
+    def test_node_at_a_side_lowered_top(self):
+        # An edge from (7, 8) to (11, 0) crosses x = 9 at y = 4 with both
+        # ends outside every box: h2 = 4 for the pair (3, 8).
+        wedge = Polygon([Point(7.0, 8.0), Point(11.0, 0.0), Point(11.0, 8.0)])
+        for y, in_box in ((4.0 - TOUCH_EPS, True), (4.0 - TOUCH_EPS / 2, False)):
+            table = self.hand([wedge, point(5.0, y)])
+            assert math.isnan(table[3, 8]) == in_box
+            if not in_box:
+                assert table[3, 8] == 4.0 - self.G
+
+    def test_side_crossing_puts_h2_on_h_min(self):
+        # Crossings of x = 9 at y = 2 exactly (h2 - g == h_min: kept) and
+        # just under it (zero).  A node in the box does not turn a pair
+        # the side step zeroes into a NaN.
+        exact = Polygon([Point(7.0, 4.0), Point(11.0, 0.0), Point(11.0, 4.0)])
+        table = self.hand([exact, point(5.0, 0.5)])
+        assert math.isnan(table[3, 8])
+        table = self.hand([exact])
+        assert table[3, 8] == self.H_MIN
+        low = Polygon([Point(7.0, 4.0 - 1e-6), Point(11.0, 0.0), Point(11.0, 4.0)])
+        for polys in ([low], [low, point(5.0, 0.5)]):
+            table = self.hand(polys)
+            assert table[3, 8] == 0.0
+
+    def test_h_init_below_h_min(self):
+        table = self.hand([point(5.0, 3.0)], h_init=0.5, h_min=1.0)
+        assert table[3, 8] == 0.0
+        assert not np.isnan(table[np.triu_indices(12, 2)]).any()
+
+    def test_empty_environment(self):
+        table = self.hand([])
+        band = table[np.triu_indices(12, 2)]
+        assert (band == self.H_INIT).all()
+
+    @pytest.mark.parametrize("block", [1, 7, 30])
+    def test_band_cut_by_max_width_steps(self, block, monkeypatch):
+        # With narrow blocks each block's left feet start at lo - w_max.
+        polys = [point(5.0, 3.0), point(9.5, 1.0)]
+        whole = self.hand(polys, w_max=4)
+        monkeypatch.setattr(shrink_mod, "PAIR_BLOCK", block)
+        table = self.hand(polys, w_max=4)
+        band = [(il, ir) for ir in range(12) for il in range(ir - 4, ir - 1) if il >= 0]
+        for il, ir in band:
+            assert repr(table[il, ir]) == repr(whole[il, ir])

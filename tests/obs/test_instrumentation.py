@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro import RoutingSession, SessionConfig, obs, scenarios
-from repro.cache import cache_key
+from repro.cache import ResultCache, cache_key
 from repro.io import board_to_dict, run_result_to_dict
 
 
@@ -65,6 +65,10 @@ class TestSessionSpans:
         assert dp_spans
         for attrs in dp_spans:
             assert isinstance(attrs["shrinks"], int)
+            # Heights the batch table left to the scalar fixpoint are a
+            # part of the heights the DP consumed.
+            assert isinstance(attrs["scalar_shrinks"], int)
+            assert 0 <= attrs["scalar_shrinks"] <= attrs["shrinks"]
             if attrs["pruned"]:
                 assert attrs["shrinks"] == 0
         assert any(attrs["shrinks"] > 0 for attrs in dp_spans)
@@ -186,6 +190,43 @@ class TestLayerSpans:
     def test_no_region_apply_span_when_areas_are_given(self):
         spans, _ = self._spans(clear_areas=False)
         assert not [s for s in spans if s["name"] == "region.apply"]
+
+    def test_scene_rebuilds_have_spans_under_the_match_stage(self):
+        spans, by_id = self._spans(clear_areas=False)
+        rebuilds = [s for s in spans if s["name"] == "scene.rebuild"]
+        assert rebuilds
+        board = scenarios.generate("mixed_groups", seed=0)
+        routes = board.traces + [t for p in board.pairs for t in (p.trace_p, p.trace_n)]
+        total = sum(len(t.segments()) for t in routes)
+        for span in rebuilds:
+            assert 0 < span["attrs"]["segments"]
+            ancestor = by_id[span["parent"]]
+            while ancestor["parent"] is not None:
+                ancestor = by_id[ancestor["parent"]]
+                if ancestor["name"] == "stage.match":
+                    break
+            assert ancestor["name"] == "stage.match"
+        # The first rebuild indexes every registered trace of the
+        # unrouted board: its traces, then each pair's two sub-traces.
+        assert rebuilds[0]["attrs"]["segments"] == total
+
+    def test_cache_publish_encode_has_a_span(self, tmp_path):
+        board = _board()
+        result = RoutingSession(board, "fast").run()
+        cache = ResultCache(str(tmp_path))
+        with obs.trace("publish") as trace:
+            result_dict, routed = cache.publish("0" * 64, result, board)
+        spans = trace.to_dict()["spans"]
+        names = [s["name"] for s in spans]
+        assert names.count("cache.encode") == 1
+        encode = next(s for s in spans if s["name"] == "cache.encode")
+        assert encode["attrs"]["status"] == result.status
+        # The encode is the publish's own step, not part of the store.
+        assert "cache.put" in names
+        put = next(s for s in spans if s["name"] == "cache.put")
+        assert encode["parent"] == put["parent"]
+        assert result_dict == run_result_to_dict(result)
+        assert routed == board_to_dict(board)
 
 
 @pytest.mark.smoke

@@ -14,6 +14,8 @@ import bisect
 import math
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.shrink import TOUCH_EPS
 from repro.core.ura import URA
 from repro.geometry import Point, Polygon
@@ -151,6 +153,25 @@ class ShrinkEnvironment:
     def _poly_points(self, pid: int) -> Tuple[Point, ...]:
         """Vertices of polygon ``pid`` as Point objects."""
         return self.polygons[pid]
+
+    # -- batched heights over a foot grid (DP) -----------------------------------------
+
+    def pair_heights(self, xs, g, h_init, h_min, w_min, w_max):
+        """:meth:`max_pattern_height` of every foot pair in the band
+        ``w_min <= ir - il <= w_max`` over the grid ``xs``, as an
+        ``(n, n)`` table indexed ``[il, ir]`` (NaN outside the band).
+
+        The scalar loop production's batch pass answers: it never leaves
+        a pair in the band to the caller.
+        """
+        n = len(xs)
+        out = np.full((n, n), np.nan)
+        for ir in range(n):
+            for il in range(max(0, ir - w_max), ir - w_min + 1):
+                out[il, ir] = self.max_pattern_height(
+                    float(xs[il]), float(xs[ir]), g, h_init, h_min
+                )
+        return out
 
     # -- the full shrink (Alg. 2 + Eqs. 10-13) ---------------------------------------
 
