@@ -57,8 +57,8 @@ TOUCH_EPS = 1e-7
 #: the kernel's temporaries small on windows with many edges.
 SIDE_BLOCK = 1 << 16
 
-#: Most foot pairs one block of :meth:`ShrinkEnvironment.pair_heights`
-#: evaluates; keeps its temporaries small on long segments.
+#: Most entries of one temporary of :meth:`ShrinkEnvironment.pair_heights`:
+#: foot pairs per block, and (node, foot) pairs of its box test.
 PAIR_BLOCK = 1 << 16
 
 
@@ -276,38 +276,48 @@ class ShrinkEnvironment:
         ``h = min(h_init, h2 - g)``.  The scalar returns 0 when
         ``h_init``, ``h1 - g`` or ``h2 - g`` lies below ``h_min`` and
         floors ``h`` at ``h_min``; since ``h2 <= h1`` and rounding is
-        monotone, all four tests are ``h < h_min``.  The box test takes
-        the nodes with ``TOUCH_EPS <= y <= (h_init + g) - TOUCH_EPS``, a
-        superset of every box's nodes since ``h2 <= h_init + g``, sorts
-        them by x, bounds each box's x-range ``[(x_l - g) + TOUCH_EPS,
-        (x_r + g) - TOUCH_EPS]`` with ``searchsorted`` and compares the
-        range's lowest ordinate with ``h2 - TOUCH_EPS`` (a sparse-table
-        range minimum).  Right feet are processed in blocks of at most
-        :data:`PAIR_BLOCK` / n.
+        monotone, all four tests are ``h < h_min``.
+
+        The box is ``[(x_l - g) + TOUCH_EPS, (x_r + g) - TOUCH_EPS] x
+        [TOUCH_EPS, h2 - TOUCH_EPS]``.  Monotone rounding also makes
+        ``h2 - TOUCH_EPS`` the smaller of ``h1 - TOUCH_EPS`` and
+        ``S(x_r + g) - TOUCH_EPS``, so a node lies in the box exactly
+        when it passes a test on the left foot alone and one on the
+        right foot alone; a pair is busy when some node passes both, a
+        0/1 matrix product over the nodes.  Only nodes with ``TOUCH_EPS
+        <= y <= (h_init + g) - TOUCH_EPS`` can pass (``h2 <= h_init +
+        g``).  Right feet are processed in blocks of at most
+        :data:`PAIR_BLOCK` / n pairs; with more than :data:`PAIR_BLOCK`
+        (node, foot) entries every pair the side step keeps is NaN.
         """
         xs = np.asarray(xs, dtype=float)
         n = len(xs)
         out = np.full((n, n), np.nan)
-        h1 = np.minimum(h_init + g, self._side_values(xs - g))[:, None]
+        h1 = np.minimum(h_init + g, self._side_values(xs - g))
         side_r = self._side_values(xs + g)
         keep = (self._ys >= TOUCH_EPS) & (self._ys <= (h_init + g) - TOUCH_EPS)
-        node_xs = self._xs[keep]
-        if len(node_xs):
-            order = node_xs.argsort(kind="stable")
-            node_xs = node_xs[order]
-            levels = _range_min_levels(self._ys[keep][order])
-            first = node_xs.searchsorted((xs - g) + TOUCH_EPS, side="left")[:, None]
-            last = node_xs.searchsorted((xs + g) - TOUCH_EPS, side="right")
+        node_xs = self._xs[keep][:, None]
+        node_ys = self._ys[keep][:, None]
+        m = len(node_xs)
+        box_test = 0 < m and m * n <= PAIR_BLOCK
+        if box_test:
+            in_left = (node_xs >= (xs - g) + TOUCH_EPS) & (node_ys <= h1 - TOUCH_EPS)
+            in_right = (node_xs <= (xs + g) - TOUCH_EPS) & (
+                node_ys <= side_r - TOUCH_EPS
+            )
+            in_left = in_left.T.astype(float)
+            in_right = in_right.astype(float)
         cols = max(1, PAIR_BLOCK // max(n, 1))
         for lo in range(w_min, n, cols):
             hi = min(n, lo + cols)
             left = slice(max(0, lo - w_max), hi - w_min)
-            h2 = np.minimum(h1[left], side_r[lo:hi])
+            h2 = np.minimum(h1[left, None], side_r[lo:hi])
             h = np.minimum(h_init, h2 - g)
             valid = h >= h_min
-            if len(node_xs):
-                box_min = _range_min(levels, first[left], last[lo:hi])
-                h = np.where(box_min <= h2 - TOUCH_EPS, np.nan, h)
+            if box_test:
+                h = np.where(in_left[left] @ in_right[:, lo:hi] > 0.0, np.nan, h)
+            elif m:
+                h = np.full_like(h, np.nan)
             out[left, lo:hi] = np.where(valid, h, 0.0)
         return out
 
@@ -394,30 +404,3 @@ class ShrinkEnvironment:
         h = min(h_init, h_ob - g)
         return h if h >= h_min else 0.0
 
-
-def _range_min_levels(values):
-    """Sparse table of ``values``: row ``k`` holds the minimum of each run
-    of ``2**k`` consecutive values, padded with +inf."""
-    m = len(values)
-    levels = [values]
-    span = 1
-    while 2 * span <= m:
-        prev = levels[-1]
-        levels.append(np.minimum(prev[: len(prev) - span], prev[span:]))
-        span *= 2
-    table = np.full((len(levels), m), np.inf)
-    for k, row in enumerate(levels):
-        table[k, : len(row)] = row
-    return table
-
-
-def _range_min(levels, first, last):
-    """Minimum of ``values[first:last]`` elementwise (+inf when empty),
-    from the two overlapping power-of-two runs covering each range."""
-    m = levels.shape[1]
-    length = np.maximum(last - first, 1)
-    k = np.frexp(length)[1] - 1
-    lo = np.minimum(first, m - 1)
-    hi = np.maximum(last - (1 << k), 0)
-    mins = np.minimum(levels[k, lo], levels[k, hi])
-    return np.where(last > first, mins, np.inf)

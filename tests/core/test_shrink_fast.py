@@ -320,6 +320,13 @@ class TestMaxPatternHeight:
             assert vec._poly_points(pid) == ref._poly_points(pid)
 
 
+def side_step(ref, x_left, x_right, g, h_init):
+    """``h_ob`` after the scalar shrink's side step (Eq. 11)."""
+    h_ob = h_init + g
+    h_ob = min(h_ob, ref.side_bound(x_left - g, h_ob))
+    return min(h_ob, ref.side_bound(x_right + g, h_ob))
+
+
 def check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max):
     """Production's batch table against the oracle's scalar loop over the
     band: a NaN exactly where the scalar shrink passes the side step and
@@ -333,9 +340,7 @@ def check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max):
     for ir in range(n):
         for il in range(max(0, ir - w_max), ir - w_min + 1):
             x_left, x_right = float(xs[il]), float(xs[ir])
-            h_ob = h_init + g
-            h_ob = min(h_ob, ref.side_bound(x_left - g, h_ob))
-            h_ob = min(h_ob, ref.side_bound(x_right + g, h_ob))
+            h_ob = side_step(ref, x_left, x_right, g, h_init)
             boxed = (
                 h_init >= h_min
                 and h_ob - g >= h_min
@@ -492,10 +497,36 @@ class TestPairHeights:
     @pytest.mark.parametrize("block", [1, 7, 30])
     def test_band_cut_by_max_width_steps(self, block, monkeypatch):
         # With narrow blocks each block's left feet start at lo - w_max.
-        polys = [point(5.0, 3.0), point(9.5, 1.0)]
+        # The wedge's crossings vary the heights; its nodes lie outside
+        # every box's ordinates, so no node test applies.
+        polys = [Polygon([Point(4.0, 9.0), Point(11.0, 0.0), Point(11.0, 9.0)])]
         whole = self.hand(polys, w_max=4)
         monkeypatch.setattr(shrink_mod, "PAIR_BLOCK", block)
         table = self.hand(polys, w_max=4)
         band = [(il, ir) for ir in range(12) for il in range(ir - 4, ir - 1) if il >= 0]
+        assert len({float(whole[il, ir]) for il, ir in band}) > 2
         for il, ir in band:
             assert repr(table[il, ir]) == repr(whole[il, ir])
+
+    def test_too_many_node_entries_leave_kept_pairs_to_the_fixpoint(
+        self, monkeypatch
+    ):
+        # Three nodes x 12 feet exceed a PAIR_BLOCK of 35: the box test
+        # is skipped, so every pair the side step keeps is NaN and every
+        # pair it zeroes is 0.
+        low = Polygon([Point(7.0, 4.0 - 1e-6), Point(11.0, 0.0), Point(11.0, 4.0)])
+        polys = [low, point(5.0, 3.0)]
+        monkeypatch.setattr(shrink_mod, "PAIR_BLOCK", 35)
+        ref, vec = both_envs(polys)
+        table = vec.pair_heights(self.XS, self.G, self.H_INIT, self.H_MIN, 2, 11)
+        zeros = 0
+        for il, ir in zip(*np.triu_indices(12, 2)):
+            h_ob = side_step(ref, float(il), float(ir), self.G, self.H_INIT)
+            kept = h_ob - self.G >= self.H_MIN
+            assert math.isnan(table[il, ir]) == kept
+            if not kept:
+                zeros += 1
+                assert table[il, ir] == 0.0 == ref.max_pattern_height(
+                    float(il), float(ir), self.G, self.H_INIT, self.H_MIN
+                )
+        assert zeros
