@@ -181,7 +181,6 @@ class ClearanceScene:
             self._exclude_masks[exclude] = mask
         return mask
 
-
     # -- queries -------------------------------------------------------------------
 
     def _inflated_obstacle(

@@ -403,4 +403,3 @@ class ShrinkEnvironment:
 
         h = min(h_init, h_ob - g)
         return h if h >= h_min else 0.0
-
