@@ -920,7 +920,7 @@ def run_perf(
         phases[name] = phase(*args, **kwargs)
 
     run_phase("dtw", _phase_dtw, [64] if quick else [64, 128, 256], repeats)
-    run_phase("drc", _phase_drc, [1] if quick else [1, 2, 4], repeats)
+    run_phase("drc", _phase_drc, [1] if quick else [1, 2, 4, 8], repeats)
     # Both d_gaps even in quick mode: the guard checks every committed
     # digest, and an upper-bound run is cheap next to the other phases.
     run_phase("extension", _phase_extension, [2.5, 4.0], repeats)

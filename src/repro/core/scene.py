@@ -10,11 +10,12 @@ boxes live in flat numpy arrays, per-inflation obstacle hulls and
 per-half-width segment rectangles are cached after their first use, and a
 window query is a single vectorized bbox mask over the box arrays.
 
-(A first cut used the :class:`~repro.geometry.SegmentGrid` spatial hash
-as the prefilter; the extension bench's upper-bound runs query
-whole-board windows, where walking every grid cell costs more than one
-flat vectorized mask over all boxes — so the mask *is* the index.  The
-grid keeps its role in the DRC, where queries are radius-local.)
+(A first cut used a uniform-grid spatial hash as the prefilter; the
+extension bench's upper-bound runs query whole-board windows, where
+walking every grid cell costs more than one flat vectorized mask over
+all boxes — so the mask *is* the index.  The DRC likewise filters with
+plain numpy box arithmetic: one sort-and-sweep over every segment and
+obstacle box, see :mod:`repro.drc.checker`.)
 
 The scene is *exact*, not approximate: the mask evaluates the very float
 comparisons the exhaustive scan's bounding-box test did, so it selects

@@ -11,30 +11,26 @@ applied result is re-checked).
 All clearances are *edge-to-edge*: a centreline measurement passes when it
 exceeds the rule plus the relevant copper half-widths.
 
-:func:`check_board` hashes every trace segment into a
-:class:`~repro.geometry.SegmentGrid` sized by the largest clearance in
-play and only runs exact distance tests on the candidate segment pairs
-the grid reports — near-linear in board size.  It emits the identical
-violation set, in the identical order, as the original all-pairs sweep
-kept in the test oracles: the grid's candidate list is a superset of
-every pair within clearance range, candidates are visited in the
-all-pairs index order, and the exact measurements use the same
-arithmetic (see PERFORMANCE.md).
+:func:`check_board` runs exact tests only on the candidate pairs one
+numpy sort-and-sweep over every segment and obstacle box reports (see
+:func:`_clearance_candidates`).  It emits the identical violation set,
+in the identical order, as the all-pairs sweep kept in the test oracles:
+each check's candidates are a superset of its pairs within clearance,
+visited in the all-pairs index order, and the exact measurements use the
+same arithmetic (see PERFORMANCE.md).  Non-finite geometry is refused.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .. import obs
-from ..geometry import (
-    Point,
-    Polygon,
-    SegmentGrid,
-    bounds_overlap,
-    polyline_inside_polygon,
-)
+from ..geometry import Point, Polygon, polyline_inside_polygon
 from ..model import Board, DesignRules, DifferentialPair, Obstacle, Trace
 from .violations import DrcReport, Violation, ViolationKind
 
@@ -42,7 +38,7 @@ from .violations import DrcReport, Violation, ViolationKind
 #: tolerance keeps exact-by-construction geometry from being flagged.
 SLACK = 1e-6
 
-#: Candidate segment-index pairs for one check; ``None`` = scan all pairs.
+#: Candidate index pairs for one check, ascending; ``None`` = scan all.
 Candidates = Optional[Iterable[Tuple[int, int]]]
 
 
@@ -135,7 +131,7 @@ def check_self_clearance(
 
     ``candidates`` restricts the sweep to the given ``(i, j)`` segment
     index pairs (``j >= i + 2``, ascending); the caller guarantees the
-    list covers every pair within ``required`` — what the grid-indexed
+    list covers every pair within ``required`` — what the sweep in
     :func:`check_board` provides.
     """
     report = report if report is not None else DrcReport()
@@ -173,7 +169,7 @@ def check_trace_pair_clearance(
     ``candidates`` restricts the exact distance tests to the given
     ``(index_in_a, index_in_b)`` segment pairs, visited in ascending
     order.  Provided the list covers every pair within the required
-    clearance (the grid guarantee), the verdict, measurement and location
+    clearance (the sweep's guarantee), the verdict, measurement and location
     are identical to the full sweep: the minimum is achieved inside the
     candidate set, and ascending order preserves which segment's midpoint
     gets reported on ties.
@@ -214,33 +210,34 @@ def check_trace_pair_clearance(
 
 def check_obstacle_clearance(
     trace: Trace,
-    obstacles: Iterable[Obstacle],
+    obstacles: Sequence[Obstacle],
     rules: DesignRules,
     report: Optional[DrcReport] = None,
+    candidates: Candidates = None,
 ) -> DrcReport:
     """Flag copper closer than ``d_obs`` to any obstacle.
 
-    Segments whose bounding box already clears the obstacle's by the
-    required distance skip the exact polygon-distance test: bounding-box
-    separation never exceeds true distance, so a skipped segment can
-    neither hold the minimum of a violation nor tie with it, and dense
-    via fields stop costing a polygon sweep per far-away segment.
+    ``candidates`` restricts the exact polygon-distance tests to the given
+    ``(obstacle_index, segment_index)`` pairs, ascending; an obstacle
+    with no pair is skipped.  Provided the list covers every pair within
+    the required clearance (the sweep's guarantee), the report is the
+    full sweep's: a segment left out can neither hold the minimum of a
+    violation nor tie with it, and ascending order keeps the first
+    minimum and the early exit on contact where the full sweep has them.
     """
     report = report if report is not None else DrcReport()
     required = rules.dobs + trace.width / 2.0
     segments = trace.segments()
-    seg_bounds = [seg.bounds() for seg in segments]
-    for obstacle in obstacles:
-        ob = obstacle.bounds()
-        obox = (ob[0] - required, ob[1] - required, ob[2] + required, ob[3] + required)
-        near = [
-            seg for seg, b in zip(segments, seg_bounds) if bounds_overlap(b, obox)
-        ]
-        if not near:
-            continue
+    if candidates is None:
+        candidates = (
+            (k, s) for k in range(len(obstacles)) for s in range(len(segments))
+        )
+    for k, pairs in groupby(candidates, key=itemgetter(0)):
+        obstacle = obstacles[k]
         best = math.inf
         where: Optional[Point] = None
-        for seg in near:
+        for _, s in pairs:
+            seg = segments[s]
             d = obstacle.polygon.distance_to_segment(seg)
             if d < best:
                 best = d
@@ -332,10 +329,12 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
     (Sec. V-A: such pairs "can still be legal in DRC and retained
     directly"), and intra-pair spacing is governed by the pair rule.
 
-    Only the grid-reported candidate segment pairs get exact tests; the
-    report is the all-pairs sweep's (candidate supersets + identical
-    exact tests in identical order) in a fraction of the time on large
-    boards.
+    Only the sweep-reported candidate pairs get exact tests; the report
+    is the all-pairs sweep's (candidate supersets + identical exact tests
+    in identical order) in a fraction of the time on large boards.
+
+    Raises ``ValueError`` naming the first trace or obstacle with a NaN or
+    infinite coordinate.
     """
     report = DrcReport()
     all_traces: List[Trace] = list(board.traces)
@@ -345,6 +344,8 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
         all_traces.extend((pair.trace_p, pair.trace_n))
         pair_sub_names.update((pair.trace_p.name, pair.trace_n.name))
         same_pair_keys.add(frozenset((pair.trace_p.name, pair.trace_n.name)))
+    obstacles = board.obstacles
+    _refuse_non_finite(all_traces, obstacles)
 
     per_trace_rules = {
         t.name: board.rules.rules_for_points(t.path.points) for t in all_traces
@@ -370,16 +371,19 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
                     area_reports[idx] = check_containment(trace, area)
 
     with obs.span("drc.clearance"):
-        self_cands: Dict[int, List[Tuple[int, int]]] = {}
-        pair_cands: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        seg_cands, obstacle_cands = ({}, {})
         if all_traces:
-            self_cands, pair_cands = _clearance_candidates(
-                all_traces, per_trace_rules, self_floor
+            seg_cands, obstacle_cands = _clearance_candidates(
+                all_traces, obstacles, per_trace_rules, self_floor
             )
+        obs.annotate(
+            candidates=sum(map(len, seg_cands.values()))
+            + sum(map(len, obstacle_cands.values()))
+        )
 
         for idx, trace in enumerate(all_traces):
             rules = per_trace_rules[trace.name]
-            cands = sorted(self_cands.get(idx, ()))
+            cands = seg_cands.get((idx, idx), [])
             if trace.name not in pair_sub_names:
                 check_segment_lengths(trace, rules, report)
                 check_self_clearance(trace, rules, report, candidates=cands)
@@ -389,13 +393,16 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
                 check_self_clearance(
                     trace, rules, report, required=trace.width, candidates=cands
                 )
-            check_obstacle_clearance(trace, board.obstacles, rules, report)
+            obstacle_pairs = obstacle_cands.get(idx, [])
+            check_obstacle_clearance(trace, obstacles, rules, report, obstacle_pairs)
             if idx in area_reports:
                 report.extend(area_reports[idx])
 
         # Only trace pairs with a candidate segment pair can violate; sorted
         # keys reproduce the all-pairs i<j visiting order.
-        for i, j in sorted(pair_cands):
+        for i, j in sorted(seg_cands):
+            if i == j:
+                continue  # self pairs, checked above
             a, b = all_traces[i], all_traces[j]
             if frozenset((a.name, b.name)) in same_pair_keys:
                 continue  # intra-pair spacing is the pair rule, not d_gap
@@ -405,48 +412,109 @@ def check_board(board: Board, check_areas: bool = True) -> DrcReport:
                 # crosstalk between *different* signals.  Synthetic traces
                 # carry net="" and are unaffected.
                 continue
-            cands = sorted(pair_cands[(i, j)])
             ra, rb = per_trace_rules[a.name], per_trace_rules[b.name]
             rules = DesignRules(
                 dgap=max(ra.dgap, rb.dgap),
                 dobs=max(ra.dobs, rb.dobs),
                 dprotect=max(ra.dprotect, rb.dprotect),
             )
-            check_trace_pair_clearance(a, b, rules, report, candidates=cands)
+            check_trace_pair_clearance(a, b, rules, report, seg_cands[(i, j)])
     return report
+
+
+def _refuse_non_finite(traces: Sequence[Trace], obstacles: Sequence[Obstacle]) -> None:
+    """Raise ``ValueError`` naming the first trace or obstacle with a NaN or
+    infinite coordinate: box separation cannot bound a distance to it (and
+    ``bounds()``'s ``min``/``max`` can drop a NaN), so no candidate filter
+    could be exact."""
+    shapes = [("trace", t.name, t.path.points) for t in traces] + [
+        ("obstacle", o.name or o.kind, o.polygon.points) for o in obstacles
+    ]
+    for kind, name, points in shapes:
+        if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in points):
+            raise ValueError(f"{kind} '{name}' has a non-finite coordinate")
 
 
 def _clearance_candidates(
     traces: Sequence[Trace],
+    obstacles: Sequence[Obstacle],
     per_trace_rules: Dict[str, DesignRules],
     self_floor: Dict[str, float],
-) -> Tuple[Dict[int, Set[Tuple[int, int]]], Dict[Tuple[int, int], Set[Tuple[int, int]]]]:
-    """Grid-reported candidate segment pairs for every clearance sweep.
+) -> Tuple[Dict[Tuple[int, int], List[Tuple[int, int]]], Dict[int, List[Tuple[int, int]]]]:
+    """Candidate pairs for every clearance check, by one sort-and-sweep.
 
-    One :class:`~repro.geometry.SegmentGrid` holds every segment of every
-    trace; the query radius is the largest clearance any check can ask
-    for, so each returned bucket is a superset of the pairs the exact
-    sweep could flag.  Keys: trace index -> self pairs, ``(i, j)`` with
-    ``i < j`` -> cross-trace pairs.
+    Every segment box and every obstacle box go into one array, stably
+    sorted by their low edge along the sweep axis.  Each row's window is
+    the rows after it whose low edge is at most its high edge plus the
+    largest clearance any check asks for (one ``searchsorted``); the
+    windows expand into flat index pairs, and a pair is kept when its
+    closed boxes come within its own check's clearance on both axes.
+    Box separation never exceeds true distance, so every check gets a
+    superset of the pairs within its clearance.  The sweep runs along x
+    or y, whichever has fewer window pairs: a tall panel swept along x
+    puts nearly every pair in one window.
+
+    Returns ``(i, j) -> [(seg_i, seg_j), ...]`` for traces ``i <= j``
+    (``i == j``: the trace's non-adjacent self pairs) and
+    ``i -> [(obstacle, seg), ...]``; every list ascending.
     """
-    max_width = max(t.width for t in traces)
-    max_gap = max(per_trace_rules[t.name].dgap for t in traces)
-    radius = max(max_gap + max_width, max(self_floor.values()))
-    grid = SegmentGrid(cell=radius)
+    segs = [t.segments() for t in traces]
+    counts = np.array([len(ss) for ss in segs])
+    boxes = np.array(
+        [s.bounds() for ss in segs for s in ss] + [o.bounds() for o in obstacles],
+        dtype=float,
+    )
+    rules = [per_trace_rules[t.name] for t in traces]
+    half = np.array([t.width / 2.0 for t in traces])
+    gap = np.array([r.dgap for r in rules])
+    floor = np.array([self_floor[t.name] for t in traces])
+    obstacle_reach = np.array([r.dobs for r in rules]) + half
+    radius = max(floor.max(), gap.max() + 2.0 * half.max(), obstacle_reach.max())
 
-    segs_by_trace = [t.segments() for t in traces]
-    for ti, segs in enumerate(segs_by_trace):
-        for si, seg in enumerate(segs):
-            grid.insert(seg, (ti, si))
+    n = len(boxes)
+    after = np.arange(1, n + 1)
+    sweeps = []
+    for axis in (0, 1):
+        order = np.argsort(boxes[:, axis], kind="stable")
+        lo, hi = boxes[order, axis], boxes[order, axis + 2]
+        window = np.searchsorted(lo, hi + radius, side="right") - after
+        sweeps.append((int(window.sum()), order, window))
+    _, order, window = min(sweeps, key=itemgetter(0))
+    first = np.repeat(np.arange(n), window)
+    second = np.arange(len(first)) + np.repeat(after - np.cumsum(window) + window, window)
+    p, q = order[first], order[second]
+    # Board order: segments (trace-major) before obstacles.
+    p, q = np.minimum(p, q), np.maximum(p, q)
 
-    self_cands: Dict[int, Set[Tuple[int, int]]] = {}
-    pair_cands: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
-    for ti, segs in enumerate(segs_by_trace):
-        for si, seg in enumerate(segs):
-            for tj, sj in grid.query_segment(seg, radius):
-                if tj == ti:
-                    if sj >= si + 2:
-                        self_cands.setdefault(ti, set()).add((si, sj))
-                elif tj > ti:
-                    pair_cands.setdefault((ti, tj), set()).add((si, sj))
-    return self_cands, pair_cands
+    n_seg = int(counts.sum())
+    trace = np.repeat(np.arange(len(traces)), counts)
+    local = np.arange(n_seg) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    both = q < n_seg
+    a, b = p[both], q[both]
+    ta, tb = trace[a], trace[b]
+    reach = np.where(ta == tb, floor[ta], np.maximum(gap[ta], gap[tb]) + half[ta] + half[tb])
+    keep = _near(boxes[a], boxes[b], reach) & ((ta != tb) | (local[b] >= local[a] + 2))
+    rows = np.stack([ta, tb, local[a], local[b]], axis=1)[keep]
+    seg_cands: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for i, j, si, sj in rows[np.lexsort(rows.T[::-1])].tolist():
+        seg_cands.setdefault((i, j), []).append((si, sj))
+
+    mixed = (p < n_seg) & ~both
+    s, o = p[mixed], q[mixed]
+    keep = _near(boxes[s], boxes[o], obstacle_reach[trace[s]])
+    rows = np.stack([trace[s], o - n_seg, local[s]], axis=1)[keep]
+    obstacle_cands: Dict[int, List[Tuple[int, int]]] = {}
+    for i, k, si in rows[np.lexsort(rows.T[::-1])].tolist():
+        obstacle_cands.setdefault(i, []).append((k, si))
+    return seg_cands, obstacle_cands
+
+
+def _near(a: np.ndarray, b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Rowwise: closed boxes ``a`` and ``b`` within ``reach`` on both axes."""
+    return (
+        (b[:, 0] <= a[:, 2] + reach)
+        & (a[:, 0] <= b[:, 2] + reach)
+        & (b[:, 1] <= a[:, 3] + reach)
+        & (a[:, 1] <= b[:, 3] + reach)
+    )

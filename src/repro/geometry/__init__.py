@@ -2,8 +2,8 @@
 
 Everything the router needs from a geometry engine, implemented from
 scratch: points, segments, polylines, simple polygons, segment-local
-frames, spatial hashing and composite operations (offsets,
-clearances, rectilinear unions).
+frames and composite operations (offsets, clearances, rectilinear
+unions).
 """
 
 from .primitives import EPS, ORIGIN, Point, almost_equal, centroid, clamp, orientation
@@ -25,7 +25,6 @@ from .polygon import (
     regular_polygon,
 )
 from .transform import Frame, Rotation, rotation_about
-from .spatialhash import SegmentGrid, bounds_overlap
 from .ops import (
     cells_union_boundary,
     offset_polyline,
@@ -61,8 +60,6 @@ __all__ = [
     "Frame",
     "Rotation",
     "rotation_about",
-    "SegmentGrid",
-    "bounds_overlap",
     "cells_union_boundary",
     "offset_polyline",
     "polyline_inside_polygon",

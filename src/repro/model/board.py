@@ -139,24 +139,3 @@ class Board:
             for i, m in enumerate(group.members):
                 if m.name == member.name and type(m) is type(member):
                     group.members[i] = member
-
-    # -- obstacle helpers ----------------------------------------------------------------
-
-    def obstacle_polygons(self) -> List[Polygon]:
-        return [o.polygon for o in self.obstacles]
-
-    def obstacles_near(
-        self, xmin: float, ymin: float, xmax: float, ymax: float, margin: float = 0.0
-    ) -> List[Obstacle]:
-        """Obstacles whose bounding boxes intersect the padded window."""
-        out: List[Obstacle] = []
-        for o in self.obstacles:
-            oxmin, oymin, oxmax, oymax = o.bounds()
-            if (
-                oxmax + margin >= xmin
-                and oxmin - margin <= xmax
-                and oymax + margin >= ymin
-                and oymin - margin <= ymax
-            ):
-                out.append(o)
-        return out

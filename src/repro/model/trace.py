@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List
 
-from ..geometry import Point, Polygon, Polyline, Segment, oriented_rectangle
+from ..geometry import Point, Polyline, Segment
 
 
 @dataclass(frozen=True)
@@ -45,30 +45,6 @@ class Trace:
     @property
     def end(self) -> Point:
         return self.path.end
-
-    # -- derived geometry -------------------------------------------------------
-
-    def body_polygons(self) -> List[Polygon]:
-        """Oriented rectangles covering the copper of each segment."""
-        return [
-            oriented_rectangle(seg, self.width / 2.0)
-            for seg in self.segments()
-            if not seg.is_degenerate()
-        ]
-
-    def clearance_polygons(self, clearance: float) -> List[Polygon]:
-        """Segment hulls inflated by ``width/2 + clearance``.
-
-        These are the "URAs of other segments" the extension DP must not
-        intersect: any geometry inside them is closer than ``clearance``
-        to this trace's copper.
-        """
-        half = self.width / 2.0 + clearance
-        return [
-            oriented_rectangle(seg, half)
-            for seg in self.segments()
-            if not seg.is_degenerate()
-        ]
 
     # -- edits ----------------------------------------------------------------------
 

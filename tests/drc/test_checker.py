@@ -16,8 +16,8 @@ from repro.drc import (
     check_trace_pair_clearance,
     segments_parallel_conflict,
 )
-from repro.geometry import Point, Polyline, Segment, rectangle
-from repro.model import Board, DesignRules, DifferentialPair, Trace, via
+from repro.geometry import Point, Polygon, Polyline, Segment, rectangle
+from repro.model import Board, DesignRules, DifferentialPair, Obstacle, Trace, via
 
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
@@ -200,3 +200,53 @@ class TestBoardCheck:
         board.add_trace(trace_of((5, 12), (95, 12), name="b"))
         rep = check_board(board)
         assert "trace_clearance" in str(rep)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteGeometry:
+    """A NaN or infinite coordinate has no distance a box test can bound,
+    so ``check_board`` refuses it instead of reporting the board clean."""
+
+    def _board(self):
+        board = Board.with_rect_outline(0, 0, 100, 100, RULES)
+        board.add_trace(trace_of((5, 10), (50, 10), (95, 10), name="a"))
+        board.add_trace(trace_of((5, 10.1), (95, 10.1), name="b"))
+        board.add_obstacle(via(Point(50, 10), 1.0, name="v"))
+        return board
+
+    def test_finite_board_is_dirty(self):
+        report = check_board(self._board())
+        assert len(report.of_kind(ViolationKind.TRACE_CLEARANCE)) == 1
+        assert len(report.of_kind(ViolationKind.OBSTACLE_CLEARANCE)) == 2
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("coord", ["x", "y"])
+    def test_trace_point_refused(self, bad, coord):
+        board = self._board()
+        a = board.trace_by_name("a")
+        pts = list(a.path.points)
+        pts[1] = Point(bad, pts[1].y) if coord == "x" else Point(pts[1].x, bad)
+        board.replace_trace(a.with_path(Polyline(pts)))
+        with pytest.raises(ValueError, match="trace 'a'"):
+            check_board(board)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_obstacle_vertex_refused(self, bad):
+        board = self._board()
+        v = board.obstacles[0]
+        pts = list(v.polygon.points)
+        pts[3] = Point(pts[3].x, bad)
+        board.obstacles[0] = Obstacle(Polygon(pts), kind=v.kind, name=v.name)
+        with pytest.raises(ValueError, match="obstacle 'v'"):
+            check_board(board)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pair_sub_trace_refused(self, bad):
+        board = Board.with_rect_outline(0, 0, 100, 100, RULES)
+        p = trace_of((5, 11), (95, 11), name="d_P", width=0.6)
+        n = trace_of((5, 9), (bad, 9), name="d_N", width=0.6)
+        board.add_pair(DifferentialPair("d", p, n, rule=2.0))
+        with pytest.raises(ValueError, match="trace 'd_N'"):
+            check_board(board)

@@ -1,10 +1,11 @@
-"""Equivalence tests: grid-indexed DRC vs. the all-pairs oracle sweep.
+"""Equivalence tests: sweep-filtered DRC vs. the all-pairs oracle sweep.
 
 ``check_board`` must report the *identical* violation set — same kinds,
 subjects, measurements, locations, and order — as
 :func:`oracles.drc.check_board_exhaustive` on randomized boards that
-actually violate (crossing traces, tight pairs, vias on copper) and on
-the clean bench designs, and must beat it clearly on a routed board.
+actually violate (crossing traces, tight pairs, vias on copper and at
+exactly ``d_obs``) and on the clean bench designs, and must beat it
+clearly on a routed board.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from oracles.drc import check_board_exhaustive
 from repro.bench.designs import make_msdtw_case, make_table1_case, make_table2_design
 from repro.bench.perf import make_drc_board
-from repro.drc import check_board
+from repro.drc import ViolationKind, check_board
 from repro.geometry import Point, Polyline
 from repro.io import drc_report_to_dict
 from repro.model import Board, DesignRules, DifferentialPair, Trace, via
@@ -68,6 +69,40 @@ def random_dirty_board(seed, n_traces=6, n_obstacles=5):
     return board
 
 
+def via_field_panel(seed, rows=9, cols=12):
+    """Straight traces threading a via field, dirty on purpose.
+
+    Each via sits on copper, exactly at the ``d_obs`` rule (the octagon's
+    top vertex ``d_obs + w/2`` below its row's centreline: clean by the
+    checker's slack), or at a random clear spot.  The panel is taller
+    than wide, like the bench's DRC boards.
+    """
+    rng = random.Random(seed)
+    rules = DesignRules(dgap=3.0, dobs=1.5, dprotect=1.0)
+    board = Board.with_rect_outline(-5, -5, 125, 20 * rows, rules=rules)
+    width, radius = 1.0, 1.0
+    for r in range(rows):
+        y = 10.0 + 20.0 * r
+        board.add_trace(
+            Trace(
+                name=f"row{r}",
+                path=Polyline([Point(x, y) for x in (0.0, 40.0, 80.0, 120.0)]),
+                width=width,
+            )
+        )
+        for c in range(cols):
+            x = 5.0 + 10.0 * c
+            kind = rng.choice(["on", "at", "off"])
+            if kind == "on":
+                center = Point(x + rng.uniform(-1, 1), y + rng.uniform(-1, 1))
+            elif kind == "at":
+                center = Point(x, y - (rules.dobs + width / 2.0) - radius)
+            else:
+                center = Point(x + rng.uniform(-3, 3), y + rng.choice([-1, 1]) * rng.uniform(5, 9))
+            board.add_obstacle(via(center, radius=radius, name=f"v{r}_{c}_{kind}"))
+    return board
+
+
 def assert_reports_identical(board, check_areas=False):
     fast = check_board(board, check_areas=check_areas)
     exhaustive = check_board_exhaustive(board, check_areas=check_areas)
@@ -83,6 +118,11 @@ class TestRandomBoards:
         # The workload must actually exercise violations, not vacuously pass.
         if seed < 12:
             assert len(report) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_via_field_panel_identical(self, seed):
+        report = assert_reports_identical(via_field_panel(seed))
+        assert report.of_kind(ViolationKind.OBSTACLE_CLEARANCE)
 
     def test_dense_collision_board(self):
         # Everything on top of everything: worst case for tie ordering.
@@ -141,9 +181,9 @@ class TestEmptyAndDegenerate:
 
 
 class TestSpeed:
-    def test_grid_beats_all_pairs_sweep_at_scale_1(self):
-        # The grid path must already win clearly at the bench's smallest
-        # scale.
+    def test_sweep_beats_all_pairs_sweep_at_scale_1(self):
+        # The filtered path must already win clearly at the bench's
+        # smallest scale.
         board = make_drc_board(1)
 
         def timed(check):

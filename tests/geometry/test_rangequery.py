@@ -1,6 +1,8 @@
 """Unit tests for the Sec. IV-D range tree (the oracle shrink environment's
 node index, ``tests/oracles/rangequery.py``)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,3 +77,34 @@ class TestAgainstBruteForce:
         tree = PointRangeTree(points)
         expected = sorted(brute_force_range(points, 5, 20, 3, 17))
         assert sorted(tree.query(5, 20, 3, 17)) == expected
+
+
+class TestPointRangeTreeRandomized:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_points_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        points = [
+            Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
+            for _ in range(rng.randint(1, 120))
+        ]
+        tree = PointRangeTree(points)
+        for _ in range(20):
+            x0, y0 = rng.uniform(-60, 50), rng.uniform(-60, 50)
+            x1, y1 = x0 + rng.uniform(0, 40), y0 + rng.uniform(0, 40)
+            assert sorted(tree.query(x0, x1, y0, y1)) == brute_force_range(
+                points, x0, x1, y0, y1
+            )
+
+    def test_duplicate_coordinates(self):
+        rng = random.Random(7)
+        points = [
+            Point(rng.choice([0.0, 1.0, 2.0]), rng.choice([0.0, 1.0, 2.0]))
+            for _ in range(60)
+        ]
+        tree = PointRangeTree(points)
+        for _ in range(10):
+            x0, x1 = sorted((rng.uniform(-1, 3), rng.uniform(-1, 3)))
+            y0, y1 = sorted((rng.uniform(-1, 3), rng.uniform(-1, 3)))
+            assert sorted(tree.query(x0, x1, y0, y1)) == brute_force_range(
+                points, x0, x1, y0, y1
+            )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Point, Polyline, rectangle
-from repro.model import Board, DesignRules, DifferentialPair, MatchGroup, Trace, via
+from repro.model import Board, DesignRules, DifferentialPair, MatchGroup, Trace
 
 
 def make_board() -> Board:
@@ -131,23 +131,3 @@ class TestReplace:
         new = pair.with_traces(p, n)
         b.replace_pair(new)
         assert g.members[0] is new
-
-
-class TestObstacles:
-    def test_obstacle_polygons(self):
-        b = make_board()
-        b.add_obstacle(via(Point(50, 50), 2.0))
-        assert len(b.obstacle_polygons()) == 1
-
-    def test_obstacles_near_window(self):
-        b = make_board()
-        b.add_obstacle(via(Point(50, 50), 2.0, name="hit"))
-        b.add_obstacle(via(Point(5, 95), 2.0, name="miss"))
-        near = b.obstacles_near(40, 40, 60, 60)
-        assert [o.name for o in near] == ["hit"]
-
-    def test_obstacles_near_margin(self):
-        b = make_board()
-        b.add_obstacle(via(Point(65, 50), 2.0, name="edge"))
-        assert not b.obstacles_near(40, 40, 60, 60)
-        assert b.obstacles_near(40, 40, 60, 60, margin=5.0)

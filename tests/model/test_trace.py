@@ -1,7 +1,5 @@
 """Unit tests for traces."""
 
-import math
-
 import pytest
 
 from repro.geometry import Point, Polyline
@@ -35,31 +33,6 @@ class TestTrace:
     def test_immutable(self, bent):
         with pytest.raises(Exception):
             bent.width = 3
-
-
-class TestBodyPolygons:
-    def test_one_polygon_per_segment(self, bent):
-        assert len(bent.body_polygons()) == 2
-
-    def test_body_covers_centerline(self, bent):
-        polys = bent.body_polygons()
-        assert polys[0].contains_point(Point(1.5, 0))
-
-    def test_body_width(self, bent):
-        poly = bent.body_polygons()[0]
-        assert poly.contains_point(Point(1.5, 0.49))
-        assert not poly.contains_point(Point(1.5, 0.51))
-
-    def test_clearance_polygons_wider(self, bent):
-        poly = bent.clearance_polygons(2.0)[0]
-        assert poly.contains_point(Point(1.5, 2.4))
-        assert not poly.contains_point(Point(1.5, 2.6))
-
-    def test_degenerate_segments_skipped(self):
-        t = Trace(
-            "t", Polyline([Point(0, 0), Point(0, 0), Point(5, 0)]), width=1.0
-        )
-        assert len(t.body_polygons()) == 1
 
 
 class TestEndpointsMatch:

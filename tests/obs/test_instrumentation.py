@@ -10,7 +10,10 @@ import pytest
 
 from repro import RoutingSession, SessionConfig, obs, scenarios
 from repro.cache import ResultCache, cache_key
+from repro.drc import check_board
+from repro.geometry import Point, Polyline
 from repro.io import board_to_dict, run_result_to_dict
+from repro.model import Board, DesignRules, Trace, via
 
 
 def _board(seed=0):
@@ -179,6 +182,21 @@ class TestLayerSpans:
             # One per check_board call, not one per trace.
             assert len(passes) == 1
             assert by_id[passes[0]["parent"]]["name"] == "stage.drc"
+
+    def test_clearance_candidates_are_the_sweeps_pairs(self):
+        # The a/b segment pair (3 apart, d_gap + w = 5) and the via box
+        # under a (1 below it, d_obs + w/2 = 2.5) are candidates; b is 4
+        # above the via box and "far" is out of everyone's reach.
+        board = Board.with_rect_outline(0, 0, 100, 100, DesignRules(dgap=4.0, dobs=2.0))
+        for name, y in (("a", 10.0), ("b", 13.0), ("far", 80.0)):
+            board.add_trace(Trace(name, Polyline([Point(5, y), Point(95, y)])))
+        board.add_obstacle(via(Point(50, 8), 1.0))
+        with obs.trace("drc") as trace:
+            check_board(board)
+        (clearance,) = [
+            s for s in trace.to_dict()["spans"] if s["name"] == "drc.clearance"
+        ]
+        assert clearance["attrs"]["candidates"] == 2
 
     def test_region_apply_span_under_the_region_stage(self):
         spans, by_id = self._spans(clear_areas=True)

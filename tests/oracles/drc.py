@@ -2,7 +2,8 @@
 
 :func:`check_board_exhaustive` is the original full-board check: every
 segment pair of every trace, every trace pair, and every segment against
-every obstacle, with no grid and no bounding-box prefilter.
+every obstacle (each check with ``candidates=None``), with no candidate
+filter of any kind.
 :func:`repro.drc.check_board` must report the identical violation set
 in the identical order, and must beat it by a wide margin on routed
 boards.
@@ -10,51 +11,17 @@ boards.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.drc import (
     DrcReport,
-    SLACK,
-    Violation,
-    ViolationKind,
     check_containment,
+    check_obstacle_clearance,
     check_segment_lengths,
     check_self_clearance,
     check_trace_pair_clearance,
 )
-from repro.geometry import Point
 from repro.model import Board, DesignRules, Trace
-
-
-def _check_obstacle_clearance_unfiltered(
-    trace: Trace, obstacles, rules: DesignRules, report: DrcReport
-) -> DrcReport:
-    """Every segment against every obstacle — no bounding-box skip."""
-    required = rules.dobs + trace.width / 2.0
-    segments = trace.segments()
-    for obstacle in obstacles:
-        best = math.inf
-        where: Optional[Point] = None
-        for seg in segments:
-            d = obstacle.polygon.distance_to_segment(seg)
-            if d < best:
-                best = d
-                where = seg.midpoint()
-            if best == 0.0:
-                break
-        if best < required - SLACK:
-            report.add(
-                Violation(
-                    kind=ViolationKind.OBSTACLE_CLEARANCE,
-                    subject=trace.name,
-                    detail=f"too close to obstacle '{obstacle.name or obstacle.kind}'",
-                    location=where,
-                    measured=best,
-                    required=required,
-                )
-            )
-    return report
 
 
 def check_board_exhaustive(board: Board, check_areas: bool = True) -> DrcReport:
@@ -84,7 +51,7 @@ def check_board_exhaustive(board: Board, check_areas: bool = True) -> DrcReport:
             check_self_clearance(trace, rules, report)
         else:
             check_self_clearance(trace, rules, report, required=trace.width)
-        _check_obstacle_clearance_unfiltered(trace, board.obstacles, rules, report)
+        check_obstacle_clearance(trace, board.obstacles, rules, report)
         if check_areas:
             area = board.routable_areas.get(trace.name)
             if area is not None:
