@@ -4,63 +4,57 @@ Times the library's hot paths over the synthetic bench designs at
 several size scales and writes ``BENCH_perf.json``: per-phase medians
 over repeats plus machine info.  The file is the performance trajectory's
 data point for this commit: CI uploads it as an artifact and guards
-each run against the committed copy (:func:`check_perf_guard`).
+each run against the committed copy (:func:`check_perf_guard`).  Every
+row carries something that checks its answer:
 
 Phases
 ------
 ``dtw``        :func:`~repro.dtw.dtw_match` on jittered parallel node
                sequences of growing length, with a sha256 ``digest`` of
-               the matching that the guard compares against the
-               committed baseline;
+               the matching;
 ``drc``        :func:`~repro.drc.check_board` on a routed Table I board
-               replicated to several sizes;
+               replicated to several sizes, with its ``violations``
+               count (zero on these clean boards);
 ``extension``  the Alg. 1 extension loop on the Table II via-field
-               design, with a sha256 ``digest`` of every routed float
-               that the guard compares against the committed baseline;
-``session``    end-to-end :class:`~repro.api.RoutingSession` runs on
-               Table I cases;
+               design, with a sha256 ``digest`` of every routed float;
+``extension_breakdown``  the same workload at d_gap 4.0 under a
+               :mod:`repro.obs` trace: the env-query / DP / trim /
+               verify stage split, iteration-time percentiles and the
+               pruned count, with the traced run's ``digest``;
 ``region``     Sec. III region assignment on ``tiled``/``mixed_groups``
                boards with their routable areas cleared: the grid
                decomposition alone and the whole assignment (decompose
-               plus LP), with a sha256 ``digest`` of the assignment that
-               the guard compares against the committed baseline;
-``server``     cold-vs-warm ``POST /route`` latency through a live
-               :mod:`repro.server` daemon — the warm request is served
-               from the content-addressed cache without running any
-               pipeline stage;
-``server_faults``  warm-request p50/p99 latency under a seeded 1 %
-               ``http_503`` fault plan (:mod:`repro.faults`) against a
-               retrying client, next to the clean baseline — the
-               retry-overhead trajectory;
-``batch``      ``run_many`` serial vs. ``workers=2`` on two boards
-               (full mode only — wall-clock only helps with >1 CPU, but
-               the number records the process-pool overhead either way);
+               plus LP), with a sha256 ``digest`` of the assignment;
+``scaling``    cold end-to-end :class:`~repro.api.RoutingSession` runs
+               (``fast`` preset) on ``tiled`` seed 0 boards of 6 to 48
+               tiles, with the pipeline's ``ok`` and a sha256 ``digest``
+               of the routed board;
+``server_faults``  one live :mod:`repro.server` daemon: the first
+               ``POST /route`` is the cache miss (``miss_ms``), the
+               first clean repeat must be an ``identical`` cache hit,
+               then warm-request p50/p99 latency clean and under a
+               seeded 1 % ``http_503`` fault plan (:mod:`repro.faults`)
+               against a retrying client (``all_ok``);
 ``startup``    cold start: the median of fresh-interpreter ``import
                repro.cli`` runs, and one ``repro serve`` spawned until
                ``/healthz`` answers.  Each row carries ``scipy_loaded``
                from the child's ``sys.modules``: neither process solves
-               an LP, so scipy must stay unloaded (the guard checks it).
-
-``scenarios`` (opt-in via ``bench --perf --scenarios``) adds the
-scenario-backed scaling curve: end-to-end sessions over ``tiled``
-scenario boards of growing tile count, so throughput scaling is
-measured on generated workloads instead of the fixed paper designs.
+               an LP, so scipy must stay unloaded.
 
 ``--quick`` shrinks every phase to its smallest scale with one repeat —
-the CI smoke configuration — except ``extension_breakdown``, whose
-tracing ratio needs at least ten rounds.  ``--profile``
+the CI smoke configuration — while keeping at least one row per guarded
+phase at a scale the committed baseline holds.  ``--profile``
 (:func:`run_profile`) writes a cProfile top-25 cumulative table for the
 match hot path next to the baseline, and :func:`run_perf_guard`
-(``bench --perf --guard``) fails a run whose extension median regresses
-more than :data:`GUARD_MAX_RATIO` against the committed
-``BENCH_perf.json`` after normalizing machine speed by the frozen
-calibration kernel (:mod:`.calibration`), or whose ``startup`` rows
-report scipy loaded.
+(``bench --perf --guard``) fails a run whose digests differ from the
+committed ``BENCH_perf.json``, whose ``extension`` or ``scaling`` median
+regresses more than :data:`GUARD_MAX_RATIO` after normalizing machine
+speed by the frozen calibration kernel (:mod:`.calibration`), or whose
+``startup`` rows report scipy loaded.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import io
 import json
@@ -94,11 +88,6 @@ def _median(times: Sequence[float]) -> float:
     return statistics.median(times)
 
 
-def _fmt_speedup(value: Optional[float]) -> str:
-    """Speedups are ``None`` when the fast time underflowed the clock."""
-    return "n/a" if value is None else f"{value:.1f}x"
-
-
 def _time_repeats(fn: Callable[[], Any], repeats: int) -> Tuple[float, Any]:
     """Median wall-clock of ``repeats`` calls plus the last return value."""
     times, value = _time_all(fn, repeats)
@@ -114,6 +103,13 @@ def _time_all(fn: Callable[[], Any], repeats: int) -> Tuple[List[float], Any]:
         value = fn()
         times.append(time.perf_counter() - t0)
     return times, value
+
+
+def _percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]) of ``samples``."""
+    ordered = sorted(samples)
+    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
+    return ordered[rank]
 
 
 # -- workloads --------------------------------------------------------------------------
@@ -263,6 +259,13 @@ def _result_digest(result: Any) -> str:
     return _sha256_lines(_result_fingerprint(result))
 
 
+def _table2_extension(dgap: float) -> Any:
+    """One Table II extension upper-bound run at ``dgap``, design included."""
+    board, trace = make_table2_design(dgap)
+    extender = _table2_extender(board, trace, use_dp=True)
+    return extender.extension_upper_bound(trace)
+
+
 def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any]]:
     """The Table II extension upper-bound run, timed per d_gap.
 
@@ -274,12 +277,7 @@ def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any
     """
     rows: List[Dict[str, Any]] = []
     for dgap in dgaps:
-        def run_once(dgap: float = dgap):
-            board, trace = make_table2_design(dgap)
-            extender = _table2_extender(board, trace, use_dp=True)
-            return extender.extension_upper_bound(trace)
-
-        times, result = _time_all(run_once, repeats)
+        times, result = _time_all(lambda: _table2_extension(dgap), repeats)
         rows.append(
             {
                 "dgap": dgap,
@@ -295,172 +293,49 @@ def _phase_extension(dgaps: Sequence[float], repeats: int) -> List[Dict[str, Any
     return rows
 
 
-#: Per-iteration rows kept in the breakdown (a deep run can iterate
-#: hundreds of times; the quantiles summarise the tail).
-MAX_BREAKDOWN_ITERATIONS = 40
+def _phase_extension_breakdown(dgap: float) -> List[Dict[str, Any]]:
+    """Where extension time goes, read from one :mod:`repro.obs` trace.
 
-
-def _attr_ms(span: Dict[str, Any], key: str) -> Optional[float]:
-    value = (span.get("attrs") or {}).get(key)
-    return None if value is None else value * 1e3
-
-
-def _phase_extension_breakdown(
-    dgap: float, repeats: int, extension_phase_s: Optional[float] = None
-) -> List[Dict[str, Any]]:
-    """Where extension time goes, read from a :mod:`repro.obs` trace.
-
-    The same Table II workload as the ``extension`` phase, run with
-    tracing disabled (the instrumented-but-off fast path) and under a
-    collector.  The trace's ``extension.iteration`` spans become
-    per-iteration rows (duration, candidate count, DTW calls,
-    applied/gain); the no-op span microbench pins the per-call cost of
-    the disabled path.
-
-    Measurement discipline: the disabled and traced samples are
-    *interleaved in one loop* and the tracing overhead compares
-    *medians*.  The min is the usual estimator of a CPU-bound cost when
-    noise only slows runs down, but on a shared host a run also comes
-    out fast now and then (a third under its neighbours), and a ratio
-    of minima then swings by tens of percent; the median of interleaved
-    rounds does not.  Interleaving keeps both streams pinned to the
-    same machine state; a ratio against a number measured minutes
-    earlier in a different phase wobbles far more, which is why the
-    ``extension`` phase's own best sample rides along only as the
-    cross-phase reference (``extension_phase_s``).  A first, warm-up
-    round runs both and is dropped, and every timed run starts right
-    after a ``gc.collect()``.
+    The ``extension`` phase's workload at ``dgap``, run once under a
+    collector.  Its ``extension.iteration`` spans give the iteration-time
+    percentiles and the stage split summed over every iteration:
+    environment window queries vs. the DP itself vs. the trim/chain
+    build vs. post-apply verification.  ``other_s`` is what the four
+    annotated stages don't cover (queue work, span overhead, length
+    accounting); ``pruned_iterations`` counts iterations the upper-bound
+    gate skipped before running the DP.  ``digest`` is the traced run's
+    routed answer, so tracing cannot change what it measures.
     """
     from .. import obs
 
-    def run_once():
-        board, trace = make_table2_design(dgap)
-        extender = _table2_extender(board, trace, use_dp=True)
-        return extender.extension_upper_bound(trace)
-
-    disabled_times: List[float] = []
-    traced_times: List[float] = []
-    doc: Dict[str, Any] = {}
-    def timed_run() -> float:
-        # Every run starts from an empty young generation, so a cyclic
-        # collection triggered by the previous run's garbage cannot land
-        # in the same stream round after round.
-        gc.collect()
-        t0 = time.perf_counter()
-        run_once()
-        return time.perf_counter() - t0
-
-    # Round 0 is a warm-up whose samples are dropped: the first run of a
-    # process pays for caches and allocator growth the others do not.
-    for round_index in range(repeats + 1):
-        disabled_s = timed_run()
-        with obs.trace(f"bench extension dgap={dgap}") as collected:
-            traced_s = timed_run()
-        doc = collected.to_dict()
-        if round_index:
-            disabled_times.append(disabled_s)
-            traced_times.append(traced_s)
-    disabled_s = statistics.median(disabled_times)
-    traced_s = statistics.median(traced_times)
-
-    iter_spans = [
-        span for span in doc.get("spans", ())
-        if span["name"] == "extension.iteration"
-    ]
-    durations = [span["duration_s"] for span in iter_spans]
-    per_iteration = [
-        {
-            "iteration": (span.get("attrs") or {}).get("iteration"),
-            "duration_ms": span["duration_s"] * 1e3,
-            "candidates": (span.get("attrs") or {}).get("candidates"),
-            "dtw_calls": (span.get("attrs") or {}).get("dtw_calls"),
-            "applied": (span.get("attrs") or {}).get("applied"),
-            "gain": (span.get("attrs") or {}).get("gain"),
-            "env_query_ms": _attr_ms(span, "env_query_s"),
-            "dp_ms": _attr_ms(span, "dp_s"),
-            "trim_ms": _attr_ms(span, "trim_s"),
-            "verify_ms": _attr_ms(span, "verify_s"),
-            "pruned": (span.get("attrs") or {}).get("pruned"),
-            "shrinks": (span.get("attrs") or {}).get("shrinks"),
-        }
-        for span in iter_spans[:MAX_BREAKDOWN_ITERATIONS]
-    ]
-
-    # Where the iteration time goes, summed over every iteration of the
-    # traced run: environment window queries vs. the DP itself vs. the
-    # trim/chain build vs. post-apply verification.  ``other_s`` is what
-    # the four annotated stages don't cover (queue work, span overhead,
-    # length accounting); ``pruned_iterations`` counts iterations the
-    # upper-bound gate skipped before running the DP.
-    def _stage_total(key: str) -> float:
-        return sum(
-            (span.get("attrs") or {}).get(key) or 0.0 for span in iter_spans
-        )
-
+    with obs.trace(f"bench extension dgap={dgap}") as collected:
+        result = _table2_extension(dgap)
+    iter_attrs: List[Dict[str, Any]] = []
+    durations: List[float] = []
+    for span in collected.to_dict()["spans"]:
+        if span["name"] == "extension.iteration":
+            iter_attrs.append(span.get("attrs") or {})
+            durations.append(span["duration_s"])
     stages = {
-        key: _stage_total(key)
+        key: sum(attrs.get(key) or 0.0 for attrs in iter_attrs)
         for key in ("env_query_s", "dp_s", "trim_s", "verify_s")
     }
     stages["other_s"] = max(0.0, sum(durations) - sum(stages.values()))
-    stages["pruned_iterations"] = sum(
-        1 for span in iter_spans if (span.get("attrs") or {}).get("pruned")
-    )
-
-    # The fast-path microbench: a span call with no collector active.
-    n = 100_000
-    t0 = time.perf_counter()
-    for _ in range(n):
-        with obs.span("bench.noop"):
-            pass
-    noop_span_us = (time.perf_counter() - t0) / n * 1e6
-
+    stages["pruned_iterations"] = sum(1 for attrs in iter_attrs if attrs.get("pruned"))
     return [
         {
             "dgap": dgap,
-            "iterations": len(iter_spans),
-            "iterations_recorded": len(per_iteration),
+            "iterations": len(durations),
             "stages": stages,
-            "per_iteration": per_iteration,
             "iteration_ms": {
                 "p50": _percentile(durations, 50) * 1e3 if durations else None,
                 "p90": _percentile(durations, 90) * 1e3 if durations else None,
                 "p99": _percentile(durations, 99) * 1e3 if durations else None,
                 "max": max(durations) * 1e3 if durations else None,
             },
-            "overhead": {
-                "disabled_s": disabled_s,
-                "traced_s": traced_s,
-                "extension_phase_s": extension_phase_s,
-                "tracing_overhead": (
-                    traced_s / disabled_s if disabled_s > 0 else None
-                ),
-                "noop_span_us": noop_span_us,
-            },
+            "digest": _result_digest(result),
         }
     ]
-
-
-def _phase_session(cases: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for case in cases:
-        times: List[float] = []
-        last = None
-        for _ in range(repeats):
-            board, _ = make_table1_case(case)
-            session = RoutingSession(board, config=SessionConfig.preset("bench"))
-            t0 = time.perf_counter()
-            last = session.run()
-            times.append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "case": case,
-                "run_s": _median(times),
-                "ok": bool(last.ok()),
-                "max_error": last.max_error(),
-                "stages": {r.name: r.runtime for r in last.stages},
-            }
-        )
-    return rows
 
 
 def _region_board(tiles: int) -> Board:
@@ -539,125 +414,57 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
     return rows
 
 
-def _phase_scenarios(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
-    """End-to-end sessions on generated ``tiled`` boards of growing size.
+def _phase_scaling(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
+    """Cold end-to-end sessions on ``tiled`` seed 0 boards of growing size.
 
-    Every row regenerates its board from ``(tiled, seed=0, tiles=k)`` —
-    the provenance in BENCH_perf.json is enough to rebuild the exact
-    workload.
+    Each repeat regenerates the board from ``(tiled, seed=0, tiles=k)``
+    and routes it under the ``fast`` preset; ``run_s`` is the median of
+    ``RoutingSession.run()``.  ``ok`` is the pipeline's verdict (matched
+    and DRC-clean) and ``digest`` the sha256 of the routed board's
+    canonical JSON, which the guard compares with the committed row.
     """
+    from ..io import board_to_dict, canonical_json
     from ..scenarios import generate
 
     rows: List[Dict[str, Any]] = []
     for k in tiles:
         times: List[float] = []
-        last = None
-        board = None
         for _ in range(repeats):
             board = generate("tiled", seed=0, params={"tiles": k})
             session = RoutingSession(board, config=SessionConfig.preset("fast"))
             t0 = time.perf_counter()
-            last = session.run()
+            result = session.run()
             times.append(time.perf_counter() - t0)
         rows.append(
             {
                 "tiles": k,
-                "members": sum(len(g.members) for g in last.groups),
-                "routed_segments": sum(len(t.segments()) for t in board.traces),
+                "members": sum(len(g.members) for g in result.groups),
                 "run_s": _median(times),
-                "ok": bool(last.ok()),
-                "provenance": last.provenance,
+                "ok": bool(result.ok()),
+                "digest": _sha256_lines([canonical_json(board_to_dict(board))]),
             }
         )
     return rows
 
 
-def _phase_server(tiles: int, repeats: int) -> List[Dict[str, Any]]:
-    """Cold-vs-warm request latency through the routing service.
-
-    One daemon, one generated ``tiled`` board, measured end-to-end over
-    real HTTP: ``cold_s`` routes the board (the cache is cleared before
-    every cold repeat), ``warm_s`` repeats the identical ``POST /route``
-    and is served from the content-addressed cache without executing any
-    pipeline stage.  ``speedup`` is the acceptance number — the whole
-    point of ``repro serve`` — and ``cache_hit`` certifies the warm
-    responses actually came from the cache.
-    """
-    import tempfile
-
-    from ..io import board_to_dict
-    from ..scenarios import generate
-    from ..server import make_http_server
-    from ..server.client import ServerClient
-
-    board_dict = board_to_dict(
-        generate("tiled", seed=0, params={"tiles": tiles})
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
-        server = make_http_server(cache_dir, port=0)
-        started = False
-        try:
-            server.start_background()
-            started = True
-            client = ServerClient(server.url)
-
-            def cold():
-                server.app.cache.clear()
-                return client.route(board_dict, preset="fast")
-
-            cold_s, cold_resp = _time_repeats(cold, repeats)
-            # Re-prime after the last clear, outside the timed region.
-            client.route(board_dict, preset="fast")
-            warm_s, warm_resp = _time_repeats(
-                lambda: client.route(board_dict, preset="fast"), repeats
-            )
-            stats = client.stats().payload["cache"]
-        finally:
-            # shutdown() on a never-started server blocks forever (it
-            # waits for an accept loop that never ran to exit); only
-            # the bound socket needs closing in that case.
-            if started:
-                server.shutdown()
-            else:
-                server._server.server_close()
-    return [
-        {
-            "tiles": tiles,
-            "board_bytes": len(json.dumps(board_dict)),
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "speedup": cold_s / warm_s if warm_s > 0 else None,
-            "cold_status": cold_resp.payload.get("status"),
-            "cache_hit": warm_resp.payload.get("cache") == "hit",
-            "identical": cold_resp.payload.get("result")
-            == warm_resp.payload.get("result"),
-            "cache_hits": stats["hits"],
-            "cache_misses": stats["misses"],
-        }
-    ]
-
-
-def _percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of ``samples``."""
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def _phase_server_faults(
     tiles: int, samples: int, fault_rate: float = 0.01
 ) -> List[Dict[str, Any]]:
-    """Warm-request tail latency under a seeded 1 % fault plan.
+    """Cache miss, cache hit and warm tail latency on one live daemon.
 
-    The same daemon/board as the ``server`` phase, but every request
-    runs under a :mod:`repro.faults` plan injecting ``http_503``
-    overload answers at ``fault_rate`` probability (seeded — the same
-    fire sequence every bench run), against a client doing the
-    production retry policy (capped backoff + jitter, seeded rng).
-    ``p50_ms``/``p99_ms`` are the acceptance numbers: the median shows
-    retries cost nothing on the 99 % of clean requests, the p99 shows
-    the worst retried request stays bounded by the backoff cap.  The
-    clean-baseline percentiles ride along for the overhead comparison.
+    One daemon on a fresh cache directory, one generated ``tiled``
+    board, measured end-to-end over real HTTP.  The first ``POST
+    /route`` routes the board (``cold_status``, ``miss_ms``); the next
+    identical request must come from the content-addressed cache
+    (``cache_hit``) with the cold run's ``result`` byte for byte
+    (``identical``).  Then ``samples`` warm requests run clean and
+    ``samples`` more under a :mod:`repro.faults` plan injecting
+    ``http_503`` overload answers at ``fault_rate`` probability (seeded
+    — the same fire sequence every bench run), against a client doing
+    the production retry policy (capped backoff + jitter, seeded rng).
+    ``p50_ms``/``p99_ms`` show retries cost nothing on the 99 % of clean
+    requests and the worst retried request stays bounded by the backoff
+    cap; the clean percentiles ride along for the comparison.
     """
     import tempfile
 
@@ -697,8 +504,11 @@ def _phase_server_faults(
         try:
             server.start_background()
             started = True
-            prime = ServerClient(server.url)
-            prime.route(board_dict, preset="fast")  # populate the cache
+            client = ServerClient(server.url)
+            t0 = time.perf_counter()
+            cold = client.route(board_dict, preset="fast")
+            miss_s = time.perf_counter() - t0
+            warm = client.route(board_dict, preset="fast")
 
             clean_client = ServerClient(server.url, rng=random.Random(0))
             clean = warm_latencies(clean_client)
@@ -714,6 +524,9 @@ def _phase_server_faults(
                 faulted = warm_latencies(faulted_client)
             fires = plan.fire_counts().get("transport.response:http_503", 0)
         finally:
+            # shutdown() on a never-started server blocks forever (it
+            # waits for an accept loop that never ran to exit); only
+            # the bound socket needs closing in that case.
             if started:
                 server.shutdown()
             else:
@@ -723,6 +536,10 @@ def _phase_server_faults(
             "tiles": tiles,
             "samples": samples,
             "fault_rate": fault_rate,
+            "cold_status": cold.payload.get("status"),
+            "miss_ms": miss_s * 1e3,
+            "cache_hit": warm.payload.get("cache") == "hit",
+            "identical": cold.payload.get("result") == warm.payload.get("result"),
             "clean_p50_ms": _percentile(clean, 50) * 1e3,
             "clean_p99_ms": _percentile(clean, 99) * 1e3,
             "p50_ms": _percentile(faulted, 50) * 1e3,
@@ -730,34 +547,6 @@ def _phase_server_faults(
             "faults_fired": fires,
             "retries": faulted_client.retry_count,
             "all_ok": True,
-        }
-    ]
-
-
-def _phase_batch(repeats: int) -> List[Dict[str, Any]]:
-    cases = (1, 2)
-
-    def serial():
-        boards = [make_table1_case(c)[0] for c in cases]
-        return RoutingSession.run_many(boards, config="bench")
-
-    def parallel():
-        boards = [make_table1_case(c)[0] for c in cases]
-        return RoutingSession.run_many(boards, config="bench", workers=2)
-
-    serial_s, serial_results = _time_repeats(serial, repeats)
-    parallel_s, parallel_results = _time_repeats(parallel, repeats)
-    # run_many is fault-isolated: a crash would come back as a result,
-    # not an exception, so the bench must check it timed real routing
-    # work and not a batch of captured crashes.
-    statuses = [r.status for r in serial_results + parallel_results]
-    return [
-        {
-            "boards": len(cases),
-            "serial_s": serial_s,
-            "workers2_s": parallel_s,
-            "all_ok": all(s == "ok" for s in statuses),
-            "cpu_count": os.cpu_count(),
         }
     ]
 
@@ -896,15 +685,11 @@ def run_perf(
     quick: bool = False,
     out: Optional[str] = "BENCH_perf.json",
     verbose: bool = True,
-    scenarios: bool = False,
 ) -> Dict[str, Any]:
     """Run every perf phase and (optionally) write the JSON baseline.
 
-    ``quick`` is the CI smoke configuration: smallest scales, one repeat
-    (ten rounds for the extension breakdown).
-    ``scenarios`` adds the scenario-backed scaling curve (generated
-    ``tiled`` boards of growing size).  Returns the payload; ``out=None``
-    skips writing.
+    ``quick`` is the CI smoke configuration: smallest scales, one repeat.
+    Returns the payload; ``out=None`` skips writing.
     """
     repeats = 1 if quick else 3
     started = time.perf_counter()
@@ -919,40 +704,22 @@ def run_perf(
         calibration.append(calibration_run())
         phases[name] = phase(*args, **kwargs)
 
+    # Quick mode keeps every guarded phase at a key the committed full
+    # baseline also holds (64 nodes, both d_gaps, 6 tiles): the guard
+    # fails a phase that shares no key with the baseline.
     run_phase("dtw", _phase_dtw, [64] if quick else [64, 128, 256], repeats)
     run_phase("drc", _phase_drc, [1] if quick else [1, 2, 4, 8], repeats)
-    # Both d_gaps even in quick mode: the guard checks every committed
-    # digest, and an upper-bound run is cheap next to the other phases.
     run_phase("extension", _phase_extension, [2.5, 4.0], repeats)
-    run_phase("session", _phase_session, [1] if quick else [1, 5], repeats)
-    run_phase("region", _phase_region, [1] if quick else [6, 12], repeats)
-    run_phase("server", _phase_server, 8 if quick else 48, repeats)
+    run_phase("extension_breakdown", _phase_extension_breakdown, 4.0)
+    run_phase("region", _phase_region, [6] if quick else [6, 12], repeats)
+    run_phase("scaling", _phase_scaling, [6] if quick else [6, 12, 24, 48], repeats)
     run_phase(
         "server_faults",
         _phase_server_faults,
         8 if quick else 48,
         samples=100 if quick else 400,
     )
-    run_phase(
-        "extension_breakdown",
-        _phase_extension_breakdown,
-        4.0,
-        # The tracing ratio compares medians of two interleaved streams;
-        # ten rounds keep it within a few percent on a busy host, so
-        # this phase keeps ten even under ``quick``.
-        max(repeats, 10),
-        extension_phase_s=next(
-            (r["min_s"] for r in phases["extension"] if r["dgap"] == 4.0),
-            None,
-        ),
-    )
     run_phase("startup", _phase_startup, 2 if quick else 5)
-    if scenarios:
-        run_phase(
-            "scenarios", _phase_scenarios, [1, 2] if quick else [1, 2, 4, 8], repeats
-        )
-    if not quick:
-        run_phase("batch", _phase_batch, repeats=1)
     calibration_s = min(calibration)
     payload: Dict[str, Any] = {
         "version": PERF_FORMAT_VERSION,
@@ -994,8 +761,6 @@ def run_perf(
                 f" digest {row['digest'][:12]})"
             )
         for row in phases["extension_breakdown"]:
-            over = row["overhead"]
-            tracing_x = over["tracing_overhead"]
             stages = row["stages"]
             print(
                 f"breakdown dgap={row['dgap']:.1f}  iters={row['iterations']}"
@@ -1006,13 +771,7 @@ def run_perf(
                 f"  trim {stages['trim_s']*1e3:.1f} ms"
                 f"  verify {stages['verify_s']*1e3:.1f} ms"
                 f"  pruned={stages['pruned_iterations']}"
-                f"  tracing x{tracing_x:.3f}"
-                f"  noop-span {over['noop_span_us']:.2f} us"
-            )
-        for row in phases["session"]:
-            print(
-                f"session   case={row['case']}  {row['run_s']:.3f} s"
-                f"  ok={row['ok']}"
+                f"  digest {row['digest'][:12]}"
             )
         for row in phases["region"]:
             print(
@@ -1022,13 +781,18 @@ def run_perf(
                 f"  assign {row['assign_s']*1e3:.1f} ms"
                 f"  digest {row['digest'][:12]}"
             )
-        for row in phases["server"]:
+        for row in phases["scaling"]:
             print(
-                f"server    tiles={row['tiles']}  cold {row['cold_s']:.3f} s"
-                f"  warm {row['warm_s']*1e3:.2f} ms"
-                f"  ({_fmt_speedup(row['speedup'])}, cache_hit={row['cache_hit']})"
+                f"scaling   tiles={row['tiles']:>2}  members={row['members']:>3}"
+                f"  {row['run_s']:.3f} s  ok={row['ok']}"
+                f"  digest {row['digest'][:12]}"
             )
         for row in phases["server_faults"]:
+            print(
+                f"server    tiles={row['tiles']}  miss {row['miss_ms']:.1f} ms"
+                f" ({row['cold_status']})  cache_hit={row['cache_hit']}"
+                f"  identical={row['identical']}"
+            )
             print(
                 f"faults    rate={row['fault_rate']:.0%}"
                 f"  p50 {row['p50_ms']:.2f} ms (clean {row['clean_p50_ms']:.2f})"
@@ -1044,18 +808,6 @@ def run_perf(
             print(
                 f"startup   {row['target']:<6}  {timing}"
                 f"  modules={row['modules']}  scipy_loaded={row['scipy_loaded']}"
-            )
-        for row in phases.get("scenarios", ()):
-            print(
-                f"scenarios tiles={row['tiles']}  members={row['members']:>3}"
-                f"  segments={row['routed_segments']:>5}"
-                f"  {row['run_s']:.3f} s  ok={row['ok']}"
-            )
-        for row in phases.get("batch", ()):
-            print(
-                f"batch     serial {row['serial_s']:.3f} s"
-                f"  workers=2 {row['workers2_s']:.3f} s"
-                f"  all_ok={row['all_ok']}"
             )
         if out:
             print(f"wrote {out}")
@@ -1124,8 +876,17 @@ def run_profile(
 GUARD_MAX_RATIO = 2.0
 
 
-#: Rows whose routed-answer ``digest`` must equal the baseline's, by key.
-_DIGEST_PHASES = (("dtw", "nodes"), ("extension", "dgap"), ("region", "tiles"))
+#: What the guard compares with the committed baseline, as ``(phase,
+#: row key, timed field)``.  Every row the two payloads share by key must
+#: carry the baseline row's ``digest``; a timed field must also stay
+#: within the calibrated allowance.
+_GUARDED_PHASES = (
+    ("dtw", "nodes", None),
+    ("extension", "dgap", "extend_s"),
+    ("extension_breakdown", "dgap", None),
+    ("region", "tiles", None),
+    ("scaling", "tiles", "run_s"),
+)
 
 
 def check_perf_guard(
@@ -1135,15 +896,16 @@ def check_perf_guard(
 ) -> List[str]:
     """Compare a fresh perf run against the committed baseline.
 
-    Returns a list of problems (empty = pass).  The guard times the
-    extension phase — the paper's core loop — on the dgap rows the two
-    payloads share: the median must not regress.  On every dtw, extension
-    and region row the payloads share, the ``digest`` must equal the
-    baseline row's (code that got fast by changing the answer must fail
-    here, not just in the test suite).  A baseline row without a digest
-    fails too: it cannot vouch for the answer.  A current ``startup``
-    row with ``scipy_loaded`` fails: only the region LP may load scipy,
-    and neither a bare import nor an idle daemon solves one.
+    Returns a list of problems (empty = pass).  For every phase of
+    :data:`_GUARDED_PHASES` the baseline holds, the current payload must
+    share at least one row key with it (a run at other scales would
+    check nothing), and on every shared row the ``digest`` must equal
+    the baseline row's: code that got fast by changing the answer must
+    fail here, not just in the test suite.  A baseline row without a
+    digest fails too, as it cannot vouch for the answer.  The
+    ``extension`` and ``scaling`` medians must not regress.  A current
+    ``startup`` row with ``scipy_loaded`` fails: only the region LP may
+    load scipy, and neither a bare import nor an idle daemon solves one.
 
     CI machines and the machine that committed the baseline run at
     different speeds, so raw medians can't be compared directly.  Every
@@ -1162,16 +924,24 @@ def check_perf_guard(
         problems.append("no calibration_s in both payloads to normalize machine speed")
         machine_scale = 1.0
 
-    if not current.get("phases", {}).get("extension"):
-        problems.append("current payload has no extension phase")
-    for phase, key in _DIGEST_PHASES:
+    for phase, key, time_field in _GUARDED_PHASES:
         base_rows = {
             row[key]: row for row in baseline.get("phases", {}).get(phase, ())
         }
-        for row in current.get("phases", {}).get(phase, ()):
-            base = base_rows.get(row[key])
-            if base is None:
-                continue
+        if not base_rows:
+            continue
+        shared = [
+            row
+            for row in current.get("phases", {}).get(phase, ())
+            if row[key] in base_rows
+        ]
+        if not shared:
+            problems.append(
+                f"{phase}: shares no {key} with the baseline "
+                f"({', '.join(str(k) for k in base_rows)})"
+            )
+        for row in shared:
+            base = base_rows[row[key]]
             label = f"{phase} {key}={row[key]}"
             if "digest" not in base:
                 problems.append(f"{label}: baseline row has no digest")
@@ -1180,14 +950,14 @@ def check_perf_guard(
                     f"{label}: digest {row.get('digest')} "
                     f"differs from baseline {base['digest']} (routed answer changed)"
                 )
-            if phase != "extension":
+            if time_field is None:
                 continue
-            allowed = base["extend_s"] * machine_scale * max_ratio
-            if row["extend_s"] > allowed:
+            allowed = base[time_field] * machine_scale * max_ratio
+            if row[time_field] > allowed:
                 problems.append(
-                    f"{label}: median {row['extend_s']:.4f}s "
+                    f"{label}: median {row[time_field]:.4f}s "
                     f"exceeds {allowed:.4f}s "
-                    f"(baseline {base['extend_s']:.4f}s x machine "
+                    f"(baseline {base[time_field]:.4f}s x machine "
                     f"{machine_scale:.2f} x ratio {max_ratio:.1f})"
                 )
     for row in current.get("phases", {}).get("startup", ()):

@@ -15,7 +15,6 @@ Subcommands::
     python -m repro bench table1 --cases 1 --json
     python -m repro bench all --outdir out
     python -m repro bench --perf --quick
-    python -m repro bench --perf --scenarios
     python -m repro bench --perf --profile
     python -m repro bench --perf --quick --guard BENCH_perf.json --out out/perf.json
     python -m repro route board.json --trace trace.json
@@ -38,9 +37,8 @@ writes the aggregate report; ``bench`` regenerates the paper's tables
 and figures (the pre-redesign top-level
 ``table1``/``table2``/``figures``/``all`` spellings keep working as
 aliases) or, with ``--perf``, times the hot paths and writes the
-``BENCH_perf.json`` baseline (see PERFORMANCE.md; ``--scenarios`` adds
-the scenario-backed scaling curve); ``import`` ingests a real KiCad
-``.kicad_pcb`` board through :mod:`repro.model.kicad` — its ``--json``
+``BENCH_perf.json`` baseline (see PERFORMANCE.md); ``import`` ingests a
+real KiCad ``.kicad_pcb`` board through :mod:`repro.model.kicad` — its ``--json``
 envelope carries the validator report, and its exit codes distinguish
 parse error (2), validation-fatal or ``--strict`` warnings (1), and
 ok-with-warnings (0).
@@ -405,11 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick", action="store_true",
         help="with --perf: smallest scales, one repeat (the CI smoke run)",
-    )
-    bench.add_argument(
-        "--scenarios", action="store_true",
-        help="with --perf: add the scenario-backed scaling curve "
-        "(tiled boards of growing size)",
     )
     bench.add_argument(
         "--out", default=None, metavar="PERF.json",
@@ -955,7 +948,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         payload = run_perf(
             quick=args.quick,
             out=args.out or "BENCH_perf.json",
-            scenarios=args.scenarios,
         )
         if args.profile:
             out = args.out or "BENCH_perf.json"
@@ -979,7 +971,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for flag, used in (
             ("--quick", args.quick),
             ("--out", args.out is not None),
-            ("--scenarios", args.scenarios),
             ("--profile", args.profile),
             ("--guard", args.guard is not None),
         )

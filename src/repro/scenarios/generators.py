@@ -445,8 +445,8 @@ def tiled(
     base generator (seeded off this wrapper's ``rng``), offset so tiles
     keep ``gap`` clearance, with members, groups, obstacles and areas
     renamed per tile.  Board size, member count and group count all grow
-    linearly in ``tiles`` — the scaling axis ``bench --perf
-    --scenarios`` sweeps.
+    linearly in ``tiles`` — the scaling axis the ``bench --perf``
+    ``scaling`` phase sweeps.
     """
     from .registry import get  # local import: registry imports this module
 
