@@ -489,13 +489,16 @@ def _phase_server_faults(
         ],
     )
 
+    failures = 0  # warm requests that did not survive the plan
+
     def warm_latencies(client: ServerClient) -> List[float]:
+        nonlocal failures
         times: List[float] = []
         for _ in range(samples):
             t0 = time.perf_counter()
             resp = client.route(board_dict, preset="fast")
             times.append(time.perf_counter() - t0)
-            assert resp.ok  # every request must survive the plan
+            failures += not resp.ok
         return times
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-chaos-") as cache_dir:
@@ -546,7 +549,7 @@ def _phase_server_faults(
             "p99_ms": _percentile(faulted, 99) * 1e3,
             "faults_fired": fires,
             "retries": faulted_client.retry_count,
-            "all_ok": True,
+            "all_ok": failures == 0,
         }
     ]
 

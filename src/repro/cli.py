@@ -38,10 +38,10 @@ and figures (the pre-redesign top-level
 ``table1``/``table2``/``figures``/``all`` spellings keep working as
 aliases) or, with ``--perf``, times the hot paths and writes the
 ``BENCH_perf.json`` baseline (see PERFORMANCE.md); ``import`` ingests a
-real KiCad ``.kicad_pcb`` board through :mod:`repro.model.kicad` — its ``--json``
-envelope carries the validator report, and its exit codes distinguish
-parse error (2), validation-fatal or ``--strict`` warnings (1), and
-ok-with-warnings (0).
+real KiCad ``.kicad_pcb`` board through :mod:`repro.model.kicad` — its
+``--json`` envelope carries the validator report, and its exit codes
+distinguish parse error (2), validation-fatal or ``--strict`` warnings
+(1), and ok-with-warnings (0).
 
 Exit codes (documented in README, gated by CI): **0** on success; **1**
 when routing ends un-OK (failed stage, missed targets, or DRC
