@@ -12,15 +12,34 @@ version changes the key).
 
 Design points:
 
+* **Entry format 2: parts encoded once** — an entry file is a one-line
+  JSON header (``kind``, ``version`` 2, ``key``, each part's byte length
+  and the ``sha256`` of everything after the header line) followed by
+  each top-level payload value as compact JSON, one per line.
+  :meth:`ResultCache.put` encodes each value once (:meth:`publish`
+  reuses the bytes it already made for the answer), and the stored
+  bytes are exactly ``json.dumps(value, separators=(",", ":"))``.
+* **Digest-checked, lazily decoded reads** — :meth:`ResultCache.get`
+  checks the header and the digest, then returns a read-only
+  :class:`CacheEntry` that decodes a part the first time it is read and
+  exposes every part's stored bytes (``entry.encoded``).  The daemon
+  answers a hit by decoding only ``result`` and splicing the stored
+  bytes into its response; the routed board is never parsed.
+* **Stale formats are misses** — an entry whose header is a
+  ``cache_entry`` of another format version (every entry of a store
+  that predates an upgrade) is deleted and counted as a plain miss, not
+  as corruption: quarantining a whole upgraded store would move it into
+  a sidecar that nothing bounds.
 * **Atomic writes** — entries are written to a same-directory temp file
   and ``os.replace``'d into place, so concurrent writers of the same
   key race benignly (last rename wins, both files are complete) and a
   reader can never observe a torn entry.
 * **Corruption is a miss, and evidence is kept** — a truncated or
-  garbage entry file fails JSON validation, is counted, *quarantined*
-  into the ``quarantine/`` sidecar directory (not silently deleted —
-  the bytes are the forensic record of whatever tore them) and reported
-  as a miss; the next route re-populates the key.
+  garbage entry file, or one whose parts fail the header's digest, is
+  counted, *quarantined* into the ``quarantine/`` sidecar directory
+  (not silently deleted — the bytes are the forensic record of whatever
+  tore them) and reported as a miss; the next route re-populates the
+  key.
 * **Degraded beats dead** — a store that cannot be written (unwritable
   directory, ``ENOSPC``) flips the cache into *degraded* mode instead
   of raising out of the request path: :meth:`put` becomes a recorded
@@ -53,22 +72,33 @@ import errno
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from .._version import __version__
 from .. import faults, obs
-from ..io import board_to_dict, canonical_json, run_result_to_dict
+from ..io import (
+    Deferred,
+    Encoded,
+    board_to_dict,
+    canonical_json,
+    run_result_to_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import RunResult
     from ..model import Board
 
 #: Entry documents are self-describing like every other repro artifact.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_KIND = "cache_entry"
+
+#: A cache key: a lowercase hex digest, never a path fragment.
+_HEX_KEY = re.compile(r"[0-9a-f]+")
 
 #: Where corrupt entries are moved for post-mortem instead of deleted.
 QUARANTINE_DIR = "quarantine"
@@ -98,6 +128,111 @@ def cache_key(
     hasher.update(b"\n")
     hasher.update(version.encode("utf-8"))
     return hasher.hexdigest()
+
+
+class StaleEntry(Exception):
+    """An entry written by another cache format version: a plain miss."""
+
+
+class CacheEntry(Mapping):
+    """One stored payload: read-only, each part decoded on first read.
+
+    An object part decodes to an :class:`~repro.io.Encoded` dict that
+    keeps its stored bytes, so a caller that answers with it splices
+    them instead of encoding the part again; ``encoded[name]`` holds
+    every part's bytes.
+    """
+
+    __slots__ = ("encoded", "_decoded")
+
+    def __init__(self, encoded: Dict[str, bytes]) -> None:
+        self.encoded = encoded
+        self._decoded: Dict[str, Any] = {}
+
+    def __getitem__(self, name: str) -> Any:
+        try:
+            return self._decoded[name]
+        except KeyError:
+            raw = self.encoded[name]
+            value = json.loads(raw)
+            if isinstance(value, dict):
+                value = Encoded(value, raw)
+            self._decoded[name] = value
+            return value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.encoded
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.encoded)
+
+    def __len__(self) -> int:
+        return len(self.encoded)
+
+    def lazy(self, name: str) -> Any:
+        """Part ``name`` left undecoded: a :class:`~repro.io.Deferred`
+        for an object, its value otherwise (``None`` when absent)."""
+        raw = self.encoded.get(name, b"null")
+        return Deferred(raw) if raw[:1] == b"{" else json.loads(raw)
+
+
+def _encode_parts(payload: Dict[str, Any]) -> Dict[str, bytes]:
+    """Each top-level value of ``payload`` as compact JSON bytes, reusing
+    the bytes an :class:`~repro.io.Encoded` or ``Deferred`` value carries."""
+    return {
+        name: value.encoded
+        if isinstance(value, (Encoded, Deferred))
+        else json.dumps(value, separators=(",", ":")).encode("ascii")
+        for name, value in payload.items()
+    }
+
+
+def _entry_bytes(key: str, parts: Dict[str, bytes]) -> bytes:
+    """The format-2 entry file: a one-line JSON header, then each part
+    followed by a newline.  The header's ``sha256`` covers everything
+    after the header line."""
+    body = b"".join(part + b"\n" for part in parts.values())
+    header = {
+        "kind": CACHE_KIND,
+        "version": CACHE_FORMAT_VERSION,
+        "repro_version": __version__,
+        "key": key,
+        "parts": {name: len(part) for name, part in parts.items()},
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
+    return json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n" + body
+
+
+def _decode_entry(data: bytes, key: str) -> CacheEntry:
+    """Check an entry file's header and digest; raises :class:`StaleEntry`
+    for another format version and ``ValueError`` for anything corrupt."""
+    head, _, body = data.partition(b"\n")
+    header = json.loads(head)
+    if not isinstance(header, dict) or header.get("kind") != CACHE_KIND:
+        raise ValueError("not a cache entry")
+    version = header.get("version")
+    if version != CACHE_FORMAT_VERSION:
+        if type(version) is int:
+            raise StaleEntry(f"cache entry format {version}")
+        raise ValueError("cache entry without a format version")
+    parts = header.get("parts")
+    if header.get("key") != key or not isinstance(parts, dict):
+        raise ValueError("not a cache entry for this key")
+    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
+        raise ValueError("cache entry digest mismatch")
+    encoded: Dict[str, bytes] = {}
+    offset = 0
+    for name, length in parts.items():
+        if type(length) is not int or length < 0:
+            raise ValueError("cache entry part lengths do not match")
+        end = offset + length
+        if body[end : end + 1] != b"\n":
+            raise ValueError("cache entry part lengths do not match")
+        encoded[name] = body[offset:end]
+        offset = end + 1
+    if offset != len(body):
+        raise ValueError("cache entry part lengths do not match")
+    return CacheEntry(encoded)
 
 
 class ResultCache:
@@ -149,7 +284,7 @@ class ResultCache:
     # -- paths --------------------------------------------------------------
 
     def _path(self, key: str) -> str:
-        if not key or any(c not in "0123456789abcdef" for c in key):
+        if not _HEX_KEY.fullmatch(key):
             # Keys are hex digests; anything else would be a path
             # traversal vector when the key arrives over HTTP.
             raise ValueError(f"malformed cache key: {key!r}")
@@ -157,14 +292,17 @@ class ResultCache:
 
     # -- core operations ----------------------------------------------------
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str) -> Optional[CacheEntry]:
         """The entry payload for ``key``, or ``None`` on a miss.
 
-        A hit refreshes the entry's mtime (the LRU clock).  A present
-        but unreadable entry — truncated write from a killed process,
-        garbage bytes, a foreign document — is quarantined and counted
-        as corrupt *and* a miss: callers always either get a valid
-        payload or re-route.
+        The payload is a read-only :class:`CacheEntry` that decodes a
+        part the first time it is read.  A hit refreshes the entry's
+        mtime (the LRU clock).  A present but unreadable entry —
+        truncated write from a killed process, garbage bytes, a foreign
+        document, a part whose bytes fail the header's digest — is
+        quarantined and counted as corrupt *and* a miss: callers always
+        either get a valid payload or re-route.  An entry of another
+        format version is deleted and counted as a plain miss.
         """
         started = time.perf_counter()
         with obs.span("cache.get", key=key[:16]) as sp:
@@ -175,7 +313,7 @@ class ResultCache:
         )
         return payload
 
-    def _get(self, key: str) -> Optional[Dict[str, Any]]:
+    def _get(self, key: str) -> Optional[CacheEntry]:
         path = self._path(key)
         spec = faults.decide("cache.read", key=key)
         if spec is not None and spec.mode == "garbage":
@@ -188,21 +326,26 @@ class ResultCache:
             except OSError:
                 pass
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                document = json.load(fh)
-            if (
-                document.get("kind") != CACHE_KIND
-                or document.get("version") != CACHE_FORMAT_VERSION
-                or document.get("key") != key
-                or "payload" not in document
-            ):
-                raise ValueError("not a cache entry")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            entry = _decode_entry(data, key)
         except FileNotFoundError:
             self.metrics.inc("repro_cache_misses_total")
             return None
-        except (OSError, ValueError, AttributeError):
-            # json.JSONDecodeError is a ValueError; AttributeError
-            # covers a non-dict top-level document.
+        except StaleEntry:
+            # Written by another format version (every entry of a store
+            # that predates an upgrade): a plain miss.  Delete it rather
+            # than quarantine it — the sidecar is neither counted against
+            # ``max_bytes`` nor evicted, so a whole upgraded store would
+            # otherwise move into it.
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            self.metrics.inc("repro_cache_misses_total")
+            return None
+        except (OSError, ValueError):
+            # json.JSONDecodeError and a failed digest are ValueErrors.
             self._quarantine_corrupt(path)
             return None
         try:
@@ -212,7 +355,7 @@ class ResultCache:
             # read it; the payload in hand is still valid.
             pass
         self.metrics.inc("repro_cache_hits_total")
-        return document["payload"]
+        return entry
 
     def put(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
         """Store ``payload`` under ``key``; returns the entry path, or
@@ -239,18 +382,21 @@ class ResultCache:
 
     def publish(
         self, key: str, result: "RunResult", board: "Board"
-    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    ) -> Tuple[Encoded, Encoded]:
         """Encode one finished run and store it under ``key``.
 
-        Returns ``(result_dict, routed_board_dict)``.  Ok and failed runs
-        are deterministic verdicts and are stored as ``{"result",
-        "routed_board"}``; a crashed run is encoded but not stored — a
-        crash may be transient (resources, a timeout, a killed worker),
-        and caching it would pin the failure past its cause.
+        Returns ``(result_dict, routed_board_dict)`` as
+        :class:`~repro.io.Encoded` dicts: each is encoded once, and the
+        same bytes are stored and spliced into the caller's answer.  Ok
+        and failed runs are deterministic verdicts and are stored as
+        ``{"result", "routed_board"}``; a crashed run is encoded but not
+        stored — a crash may be transient (resources, a timeout, a
+        killed worker), and caching it would pin the failure past its
+        cause.
         """
         with obs.span("cache.encode", status=result.status):
-            result_dict = run_result_to_dict(result)
-            routed = board_to_dict(board)
+            result_dict = Encoded.of(run_result_to_dict(result))
+            routed = Encoded.of(board_to_dict(board))
         if result.status != "crashed":
             self.put(key, {"result": result_dict, "routed_board": routed})
         return result_dict, routed
@@ -259,20 +405,13 @@ class ResultCache:
         path = self._path(key)
         if self.degraded is not None:
             return None
-        document = {
-            "kind": CACHE_KIND,
-            "version": CACHE_FORMAT_VERSION,
-            "repro_version": __version__,
-            "key": key,
-            "payload": payload,
-        }
+        data = _entry_bytes(key, _encode_parts(payload))
         spec = faults.decide("cache.write", key=key)
         try:
             if spec is not None and spec.mode == "torn":
                 # What a killed non-atomic writer leaves at the final
                 # path: the first half of the document, no rename.
-                data = json.dumps(document, separators=(",", ":"))
-                with open(path, "w", encoding="utf-8") as fh:
+                with open(path, "wb") as fh:
                     fh.write(data[: len(data) // 2])
                 return path
             if spec is not None and spec.mode == "garbage":
@@ -285,8 +424,8 @@ class ResultCache:
                 prefix=f".{key[:16]}.", suffix=".tmp", dir=self.cache_dir
             )
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(document, fh, separators=(",", ":"))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp_path, path)
@@ -436,6 +575,7 @@ __all__ = [
     "CACHE_KIND",
     "DEFAULT_MAX_BYTES",
     "QUARANTINE_DIR",
+    "CacheEntry",
     "ResultCache",
     "cache_key",
 ]

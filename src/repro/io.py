@@ -17,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 from ._version import __version__
@@ -504,6 +505,52 @@ def load_result(path: str) -> RunResult:
 # The answers the daemon sends and the CLI's ``--json`` prints, built in
 # one place so local and remote consumers read the same keys in the
 # same order.
+
+
+class Encoded(dict):
+    """A decoded JSON object that carries its own compact encoding.
+
+    ``encoded`` is exactly ``json.dumps(self, separators=(",", ":"))`` as
+    ASCII bytes, so a writer can splice it instead of encoding the
+    object again (the daemon answers cache hits and misses this way, and
+    the cache stores the same bytes).  Treat it as read-only: a mutated
+    object would no longer match its bytes.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, value: Dict[str, Any], encoded: bytes) -> None:
+        super().__init__(value)
+        self.encoded = encoded
+
+    @classmethod
+    def of(cls, value: Dict[str, Any]) -> "Encoded":
+        """``value`` with its encoding computed once, here."""
+        return cls(value, json.dumps(value, separators=(",", ":")).encode("ascii"))
+
+
+class Deferred(Mapping):
+    """A JSON object held as its compact bytes, decoded on first read."""
+
+    __slots__ = ("encoded", "_value")
+
+    def __init__(self, encoded: bytes) -> None:
+        self.encoded = encoded
+        self._value: Optional[Dict[str, Any]] = None
+
+    def _decoded(self) -> Dict[str, Any]:
+        if self._value is None:
+            self._value = json.loads(self.encoded)
+        return self._value
+
+    def __getitem__(self, name: str) -> Any:
+        return self._decoded()[name]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
 
 
 def route_response(

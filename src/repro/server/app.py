@@ -12,16 +12,22 @@ Every routing answer goes through the content-addressed cache first
 board JSON + config fingerprint + library version), so a hit is served
 without constructing a session, running a stage, or even decoding the
 board — the poisoned-stage test in ``tests/server`` proves exactly
-that.
+that.  Of the stored entry a hit decodes only the ``result`` (its status
+sets the HTTP code); the transport writes the stored bytes verbatim, and
+a miss answers with the bytes it just stored, so each result is encoded
+once.  A byte-identical repeat request also skips keying: each app
+remembers the cache key of recent request bodies by their sha256.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import queue
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .. import faults, obs
@@ -31,6 +37,8 @@ from ..api.executor import run_batch
 from ..cache import DEFAULT_MAX_BYTES, ResultCache, cache_key
 from ..drc import check_board
 from ..io import (
+    Deferred,
+    Encoded,
     board_from_dict,
     board_to_dict,
     check_response,
@@ -63,6 +71,11 @@ class PayloadTooLarge(RequestError):
 #: well under 1 MB, so this only stops a client from making a worker
 #: thread buffer an unbounded body.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most request-body digests one app remembers the cache key of (least
+#: recently used first out).  An entry is a 32-byte digest and a 64-char
+#: key, so the memo stays under a few megabytes.
+KEY_MEMO_ENTRIES = 4096
 
 
 class ShuttingDown(RuntimeError):
@@ -128,8 +141,14 @@ class RouterApp:
         #: with the cache's and the process-global one at /metrics.
         self.metrics = obs.MetricsRegistry()
         self._started = time.time()
+        #: Guards the request counters and the key memo.
         self._lock = threading.Lock()
         self._requests: Dict[str, int] = {}
+        #: ``sha256(request body)`` → cache key of that body's request.
+        #: The key is a pure function of the body bytes (board, preset
+        #: or config, version), so a byte-identical repeat skips the
+        #: canonicalisation.
+        self._key_memo: "OrderedDict[bytes, str]" = OrderedDict()
         #: Graceful-shutdown state: once draining, new requests get 503
         #: while the in-flight count runs down to zero.
         self._draining = False
@@ -280,27 +299,60 @@ class RouterApp:
 
     # -- the cached routing core --------------------------------------------
 
+    def _key(
+        self, payload: Dict[str, Any], digest: Optional[bytes]
+    ) -> Tuple[str, Optional[SessionConfig]]:
+        """The request's cache key, plus its config when resolving the
+        key needed it (``None`` on a memo hit).
+
+        A body the memo knows passed every check below when it was
+        keyed, so a memo hit skips them along with the canonicalisation.
+        """
+        with obs.span("cache.key") as sp:
+            key = None
+            if digest is not None:
+                with self._lock:
+                    key = self._key_memo.get(digest)
+                    if key is not None:
+                        self._key_memo.move_to_end(digest)
+            sp.set(memo="miss" if key is None else "hit")
+            if key is not None:
+                return key, None
+            config = self._resolve_config(payload)
+            board_dict = payload.get("board")
+            if board_dict is None:
+                raise RequestError("missing 'board' (send 'boards' for a batch)")
+            if not isinstance(board_dict, dict):
+                raise RequestError("board must be a JSON object (see repro.io)")
+            key = cache_key(board_dict, config.fingerprint())
+            if digest is not None:
+                with self._lock:
+                    self._key_memo[digest] = key
+                    if len(self._key_memo) > KEY_MEMO_ENTRIES:
+                        self._key_memo.popitem(last=False)
+            return key, config
+
     def _route_one(
-        self,
-        board_dict: Dict[str, Any],
-        config: SessionConfig,
-        fingerprint: str,
-    ) -> Tuple[str, str, Dict[str, Any], Optional[Dict[str, Any]]]:
-        """``(key, "hit"|"miss", result_dict, routed_board_dict)``.
+        self, payload: Dict[str, Any], digest: Optional[bytes]
+    ) -> Tuple[str, str, Dict[str, Any], Any]:
+        """``(key, "hit"|"miss", result_dict, routed_board)``.
 
         On a hit nothing of the pipeline runs — not even board
-        decoding.  On a miss the board is routed in-process with crash
-        capture, and any non-crashed outcome (ok *and* failed are both
-        deterministic verdicts) is published to the cache.
+        decoding — and of the stored entry only ``result`` is decoded
+        (its status sets the HTTP code); both values keep their stored
+        bytes for the transport to splice.  On a miss the board is
+        routed in-process with crash capture, and any non-crashed
+        outcome (ok *and* failed are both deterministic verdicts) is
+        published to the cache.
         """
-        key = cache_key(board_dict, fingerprint)
+        key, config = self._key(payload, digest)
         entry = self.cache.get(key)
         if entry is not None:
-            return key, "hit", entry["result"], entry.get("routed_board")
-        if not isinstance(board_dict, dict):
-            raise RequestError("board must be a JSON object (see repro.io)")
+            return key, "hit", entry["result"], entry.lazy("routed_board")
+        if config is None:
+            config = self._resolve_config(payload)
         try:
-            board = board_from_dict(board_dict)
+            board = board_from_dict(payload["board"])
         except (ValueError, KeyError, TypeError) as exc:
             raise RequestError(f"invalid board document: {exc}") from exc
         result = RoutingSession(board, config=config).run(capture_errors=True)
@@ -390,20 +442,22 @@ class RouterApp:
             "kind": "result_response",
             "key": key,
             "result": entry["result"],
-            "routed_board": entry.get("routed_board"),
+            "routed_board": entry.lazy("routed_board"),
         }
 
-    def route(self, payload: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Single-board ``POST /route``: status-mapped JSON response."""
+    def route(
+        self, payload: Dict[str, Any], body: Optional[bytes] = None
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Single-board ``POST /route``: status-mapped JSON response.
+
+        ``body`` is the request's raw bytes when the transport has them:
+        their digest keys the memo that lets a byte-identical repeat
+        skip canonicalising its board.
+        """
         self._count("route")
+        digest = hashlib.sha256(body).digest() if body is not None else None
         try:
-            config = self._resolve_config(payload)
-            board_dict = payload.get("board")
-            if board_dict is None:
-                raise RequestError("missing 'board' (send 'boards' for a batch)")
-            outcome = self._with_deadline(
-                lambda: self._route_one(board_dict, config, config.fingerprint())
-            )
+            outcome = self._with_deadline(lambda: self._route_one(payload, digest))
             if isinstance(outcome, tuple) and len(outcome) == 2:
                 # The deadline helper already built the 504 answer.
                 return outcome
@@ -473,7 +527,7 @@ class RouterApp:
                         keys[index],
                         "hit",
                         entry["result"],
-                        entry.get("routed_board"),
+                        entry.lazy("routed_board"),
                     )
                 else:
                     try:
@@ -649,6 +703,23 @@ class _RequestTrace:
             pass
 
 
+def _json_body(payload: Dict[str, Any]) -> bytes:
+    """``json.dumps(payload, separators=(",", ":"))`` as bytes, with the
+    stored bytes of each :class:`~repro.io.Encoded` or
+    :class:`~repro.io.Deferred` value written verbatim instead of
+    encoding that value again."""
+    if not any(isinstance(v, (Encoded, Deferred)) for v in payload.values()):
+        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    items = []
+    for name, value in payload.items():
+        if isinstance(value, (Encoded, Deferred)):
+            raw = value.encoded
+        else:
+            raw = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        items.append(json.dumps(name).encode("utf-8") + b":" + raw)
+    return b"{" + b",".join(items) + b"}"
+
+
 def _endpoint_name(path: str) -> str:
     """The latency-metric label for a request path (``/result/<key>``
     collapses to ``result`` — content keys must not explode the label
@@ -683,9 +754,7 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 self.send_header("X-Repro-Trace", trace.trace_id)
 
         def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-            body = json.dumps(payload, separators=(",", ":")).encode(
-                "utf-8"
-            ) + b"\n"
+            body = _json_body(payload) + b"\n"
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -715,10 +784,7 @@ def _make_handler_class(app: RouterApp, quiet: bool):
             self.end_headers()
             self.close_connection = True
             for event in events:
-                data = (
-                    json.dumps(event, separators=(",", ":")).encode("utf-8")
-                    + b"\n"
-                )
+                data = _json_body(event) + b"\n"
                 spec = faults.decide("transport.stream", path=self.path)
                 if spec is not None and spec.mode == "disconnect":
                     # Mid-body abort: write *half* an event, then drop
@@ -732,7 +798,8 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 self.wfile.write(data)
                 self.wfile.flush()
 
-        def _read_payload(self) -> Dict[str, Any]:
+        def _read_payload(self) -> Tuple[Dict[str, Any], bytes]:
+            """The request's JSON object and its raw bytes."""
             text = (self.headers.get("Content-Length") or "0").strip()
             if not (text.isascii() and text.isdigit()):
                 # The body's extent is unknown: answer, then drop the
@@ -746,16 +813,18 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                     f"request body of {length} bytes exceeds the "
                     f"{MAX_BODY_BYTES}-byte limit"
                 )
-            raw = self.rfile.read(length) if length else b""
+            with obs.span("server.read_body", bytes=length):
+                raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise RequestError("empty request body; send a JSON object")
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise RequestError(f"invalid JSON body: {exc}") from exc
+            with obs.span("server.parse_body"):
+                try:
+                    payload = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise RequestError(f"invalid JSON body: {exc}") from exc
             if not isinstance(payload, dict):
                 raise RequestError("request body must be a JSON object")
-            return payload
+            return payload, raw
 
         # -- dispatch -------------------------------------------------------
 
@@ -843,12 +912,12 @@ def _make_handler_class(app: RouterApp, quiet: bool):
             started = time.perf_counter()
             try:
                 with app.request_trace(self.path):
-                    payload = self._read_payload()
+                    payload, raw = self._read_payload()
                     if self.path == "/route":
                         if "boards" in payload:
                             self._send_ndjson(app.route_batch_events(payload))
                         else:
-                            self._send_json(*app.route(payload))
+                            self._send_json(*app.route(payload, body=raw))
                     elif self.path == "/check":
                         self._send_json(*app.check(payload))
                     elif self.path == "/corpus":

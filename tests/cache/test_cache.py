@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from repro._version import __version__
 from repro.api import SessionConfig
-from repro.cache import ResultCache, cache_key
+from repro.cache import CACHE_FORMAT_VERSION, QUARANTINE_DIR, ResultCache, cache_key
 from repro.io import board_to_dict
 from repro.model import Board, DesignRules
 
@@ -79,6 +80,25 @@ class TestCacheKey:
             doc, SessionConfig.preset("fast").fingerprint()
         ) != cache_key(doc, SessionConfig.preset("quality").fingerprint())
 
+    def test_pinned_key(self):
+        # One fixed document's address, as every earlier release computed
+        # it: a canonicalisation change that re-addresses existing stores
+        # (or splits in-process keys from the daemon's) fails here.  The
+        # document is the 1-tile ``tiled``/``serpentine_bus`` seed-0 board,
+        # both as the encoder emits it and as a client re-parses its JSON.
+        from repro.scenarios import generate
+
+        board = generate(
+            "tiled",
+            seed=0,
+            params={"tiles": 1, "base": "serpentine_bus", "base_params": {}},
+        )
+        doc = board_to_dict(board)
+        fp = SessionConfig.preset("default").fingerprint()
+        pinned = "d945aecba280918e5c6313c994138de8efa6d425e7b03d9631553ae5406e6557"
+        assert cache_key(doc, fp, version="1.5.0") == pinned
+        assert cache_key(json.loads(json.dumps(doc)), fp, version="1.5.0") == pinned
+
     def test_version_change_changes_key(self):
         doc = board_to_dict(_board())
         fp = SessionConfig.preset("fast").fingerprint()
@@ -97,6 +117,47 @@ class TestCacheStore:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 0
         assert stats["entries"] == 1 and stats["bytes"] > 0
+
+    def test_entry_format_2(self, cache):
+        # A one-line header, then each part encoded once: the header
+        # names the parts' byte lengths and the sha256 of what follows.
+        import hashlib
+
+        key = "ab" * 32
+        payload = {"result": {"status": "ok", "x": [1.5, 2]}, "routed_board": None}
+        path = cache.put(key, payload)
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        parts = [json.dumps(v, separators=(",", ":")).encode() for v in payload.values()]
+        assert json.loads(head) == {
+            "kind": "cache_entry",
+            "version": CACHE_FORMAT_VERSION,
+            "repro_version": __version__,
+            "key": key,
+            "parts": {"result": len(parts[0]), "routed_board": len(parts[1])},
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        assert CACHE_FORMAT_VERSION == 2
+        assert body == parts[0] + b"\n" + parts[1] + b"\n"
+
+    def test_entry_decodes_parts_lazily_and_keeps_their_bytes(self, cache):
+        key = "ab" * 32
+        payload = {"result": {"status": "ok"}, "routed_board": {"name": "b"}}
+        cache.put(key, payload)
+        entry = cache.get(key)
+        assert "routed_board" in entry and "other" not in entry
+        assert entry.encoded == {
+            name: json.dumps(value, separators=(",", ":")).encode()
+            for name, value in payload.items()
+        }
+        assert entry["result"] == {"status": "ok"}
+        assert entry["result"] is entry["result"]  # decoded once
+        assert entry["result"].encoded == entry.encoded["result"]
+        assert entry.lazy("routed_board").encoded == entry.encoded["routed_board"]
+        assert entry.lazy("absent") is None
+        with pytest.raises(TypeError):
+            entry["result"] = {}  # read-only
+        assert dict(entry) == payload and list(entry) == list(payload)
 
     def test_absent_key_is_a_miss(self, cache):
         assert cache.get("cd" * 32) is None
@@ -169,6 +230,49 @@ class TestCorruption:
         os.replace(path_a, os.path.join(cache.cache_dir, f"{key_b}.json"))
         assert cache.get(key_b) is None
         assert cache.stats()["corrupt"] == 1
+
+
+    def test_flipped_byte_inside_a_part_is_quarantined(self, cache):
+        # Same length, valid JSON, wrong bytes: only the digest sees it.
+        key = "bd" * 32
+        path = cache.put(key, {"result": {"status": "ok", "n": 1234}})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        tampered = data.replace(b'"n":1234', b'"n":1235')
+        assert tampered != data and len(tampered) == len(data)
+        with open(path, "wb") as fh:
+            fh.write(tampered)
+        assert cache.get(key) is None
+        stats = cache.stats()
+        assert stats["corrupt"] == 1 and stats["quarantined"] == 1
+        quarantined = os.path.join(cache.cache_dir, QUARANTINE_DIR, f"{key}.json")
+        with open(quarantined, "rb") as fh:
+            assert fh.read() == tampered
+
+    def test_stale_format_entry_is_a_plain_miss(self, cache):
+        # A version-1 entry, written exactly as the format-1 writer did:
+        # after an upgrade every entry of a store looks like this.  It is
+        # deleted, not quarantined, and not counted as corrupt.
+        key = "ce" * 32
+        path = os.path.join(cache.cache_dir, f"{key}.json")
+        document = {
+            "kind": "cache_entry",
+            "version": 1,
+            "repro_version": __version__,
+            "key": key,
+            "payload": {"result": {"status": "ok"}, "routed_board": None},
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, separators=(",", ":"))
+        assert cache.get(key) is None
+        assert not os.path.exists(path)
+        stats = cache.stats()
+        assert stats["misses"] == 1
+        assert stats["corrupt"] == 0 and stats["quarantined"] == 0
+        qdir = os.path.join(cache.cache_dir, QUARANTINE_DIR)
+        assert not os.path.isdir(qdir) or not os.listdir(qdir)
+        cache.put(key, {"v": 2})
+        assert cache.get(key) == {"v": 2}
 
 
 class TestEviction:
