@@ -24,12 +24,18 @@ Design points:
   :class:`CacheEntry` that decodes a part the first time it is read and
   exposes every part's stored bytes (``entry.encoded``).  The daemon
   answers a hit by decoding only ``result`` and splicing the stored
-  bytes into its response; the routed board is never parsed.
-* **Stale formats are misses** — an entry whose header is a
-  ``cache_entry`` of another format version (every entry of a store
-  that predates an upgrade) is deleted and counted as a plain miss, not
-  as corruption: quarantining a whole upgraded store would move it into
-  a sidecar that nothing bounds.
+  bytes into its response; the routed board is decoded only when the
+  request asks for it back.
+* **Other formats are misses** — an entry whose header is a
+  ``cache_entry`` of another format version is counted as a plain miss,
+  not as corruption.  An older one (every entry of a store that
+  predates an upgrade) is deleted: quarantining a whole upgraded store
+  would move it into a sidecar that nothing bounds.  A newer one is left
+  in place.  The delete never removes an entry that a writer renamed
+  into place after the read.  Daemons of different formats must not
+  share one store: each re-routes the other's keys and overwrites their
+  entries, and a format-1 daemon (which predates this rule) quarantines
+  every format-2 entry it reads as corrupt.
 * **Atomic writes** — entries are written to a same-directory temp file
   and ``os.replace``'d into place, so concurrent writers of the same
   key race benignly (last rename wins, both files are complete) and a
@@ -81,13 +87,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from .._version import __version__
 from .. import faults, obs
-from ..io import (
-    Deferred,
-    Encoded,
-    board_to_dict,
-    canonical_json,
-    run_result_to_dict,
-)
+from ..io import Encoded, board_to_dict, canonical_json, run_result_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import RunResult
@@ -133,6 +133,10 @@ def cache_key(
 class StaleEntry(Exception):
     """An entry written by another cache format version: a plain miss."""
 
+    def __init__(self, version: int) -> None:
+        super().__init__(f"cache entry format {version}")
+        self.version = version
+
 
 class CacheEntry(Mapping):
     """One stored payload: read-only, each part decoded on first read.
@@ -169,19 +173,13 @@ class CacheEntry(Mapping):
     def __len__(self) -> int:
         return len(self.encoded)
 
-    def lazy(self, name: str) -> Any:
-        """Part ``name`` left undecoded: a :class:`~repro.io.Deferred`
-        for an object, its value otherwise (``None`` when absent)."""
-        raw = self.encoded.get(name, b"null")
-        return Deferred(raw) if raw[:1] == b"{" else json.loads(raw)
-
 
 def _encode_parts(payload: Dict[str, Any]) -> Dict[str, bytes]:
     """Each top-level value of ``payload`` as compact JSON bytes, reusing
-    the bytes an :class:`~repro.io.Encoded` or ``Deferred`` value carries."""
+    the bytes an :class:`~repro.io.Encoded` value carries."""
     return {
         name: value.encoded
-        if isinstance(value, (Encoded, Deferred))
+        if isinstance(value, Encoded)
         else json.dumps(value, separators=(",", ":")).encode("ascii")
         for name, value in payload.items()
     }
@@ -213,7 +211,7 @@ def _decode_entry(data: bytes, key: str) -> CacheEntry:
     version = header.get("version")
     if version != CACHE_FORMAT_VERSION:
         if type(version) is int:
-            raise StaleEntry(f"cache entry format {version}")
+            raise StaleEntry(version)
         raise ValueError("cache entry without a format version")
     parts = header.get("parts")
     if header.get("key") != key or not isinstance(parts, dict):
@@ -302,7 +300,7 @@ class ResultCache:
         document, a part whose bytes fail the header's digest — is
         quarantined and counted as corrupt *and* a miss: callers always
         either get a valid payload or re-route.  An entry of another
-        format version is deleted and counted as a plain miss.
+        format version is a plain miss; an older one is also deleted.
         """
         started = time.perf_counter()
         with obs.span("cache.get", key=key[:16]) as sp:
@@ -327,21 +325,20 @@ class ResultCache:
                 pass
         try:
             with open(path, "rb") as fh:
-                data = fh.read()
-            entry = _decode_entry(data, key)
+                try:
+                    entry = _decode_entry(fh.read(), key)
+                except StaleEntry as exc:
+                    # Another format version: a plain miss.  An older
+                    # entry (every entry of a store that predates an
+                    # upgrade) is deleted rather than quarantined — the
+                    # sidecar is neither counted against ``max_bytes``
+                    # nor evicted, so a whole upgraded store would
+                    # otherwise move into it.  A newer one is left alone.
+                    if exc.version < CACHE_FORMAT_VERSION:
+                        self._drop_stale(path, os.fstat(fh.fileno()))
+                    self.metrics.inc("repro_cache_misses_total")
+                    return None
         except FileNotFoundError:
-            self.metrics.inc("repro_cache_misses_total")
-            return None
-        except StaleEntry:
-            # Written by another format version (every entry of a store
-            # that predates an upgrade): a plain miss.  Delete it rather
-            # than quarantine it — the sidecar is neither counted against
-            # ``max_bytes`` nor evicted, so a whole upgraded store would
-            # otherwise move into it.
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
             self.metrics.inc("repro_cache_misses_total")
             return None
         except (OSError, ValueError):
@@ -470,6 +467,31 @@ class ResultCache:
         return removed
 
     # -- bookkeeping --------------------------------------------------------
+
+    def _drop_stale(self, path: str, read: os.stat_result) -> None:
+        """Delete the older-format entry that was just read from ``path``
+        (``read`` is its ``fstat``), but never an entry that a writer
+        renamed into place after the read: the file is renamed aside
+        first and put back when it is not the one that was read."""
+        try:
+            fd, aside = tempfile.mkstemp(
+                prefix=".stale.", suffix=".tmp", dir=self.cache_dir
+            )
+            os.close(fd)
+        except OSError:
+            return  # left in place: the next put of the key replaces it
+        try:
+            os.replace(path, aside)
+            moved = os.stat(aside)
+            if (moved.st_dev, moved.st_ino) != (read.st_dev, read.st_ino):
+                os.replace(aside, path)
+        except OSError:
+            pass
+        finally:
+            try:
+                os.unlink(aside)
+            except OSError:
+                pass
 
     def _quarantine_corrupt(self, path: str) -> None:
         """Move a corrupt entry into the quarantine sidecar (falling

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Mapping
 from typing import Any, Dict, List, Optional, Tuple
 
 from ._version import __version__
@@ -527,30 +526,6 @@ class Encoded(dict):
     def of(cls, value: Dict[str, Any]) -> "Encoded":
         """``value`` with its encoding computed once, here."""
         return cls(value, json.dumps(value, separators=(",", ":")).encode("ascii"))
-
-
-class Deferred(Mapping):
-    """A JSON object held as its compact bytes, decoded on first read."""
-
-    __slots__ = ("encoded", "_value")
-
-    def __init__(self, encoded: bytes) -> None:
-        self.encoded = encoded
-        self._value: Optional[Dict[str, Any]] = None
-
-    def _decoded(self) -> Dict[str, Any]:
-        if self._value is None:
-            self._value = json.loads(self.encoded)
-        return self._value
-
-    def __getitem__(self, name: str) -> Any:
-        return self._decoded()[name]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def __len__(self) -> int:
-        return len(self._decoded())
 
 
 def route_response(

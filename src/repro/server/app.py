@@ -37,7 +37,6 @@ from ..api.executor import run_batch
 from ..cache import DEFAULT_MAX_BYTES, ResultCache, cache_key
 from ..drc import check_board
 from ..io import (
-    Deferred,
     Encoded,
     board_from_dict,
     board_to_dict,
@@ -339,8 +338,9 @@ class RouterApp:
 
         On a hit nothing of the pipeline runs — not even board
         decoding — and of the stored entry only ``result`` is decoded
-        (its status sets the HTTP code); both values keep their stored
-        bytes for the transport to splice.  On a miss the board is
+        (its status sets the HTTP code), plus the routed board when the
+        request asks for it back; both keep their stored bytes for the
+        transport to splice.  On a miss the board is
         routed in-process with crash capture, and any non-crashed
         outcome (ok *and* failed are both deterministic verdicts) is
         published to the cache.
@@ -348,7 +348,8 @@ class RouterApp:
         key, config = self._key(payload, digest)
         entry = self.cache.get(key)
         if entry is not None:
-            return key, "hit", entry["result"], entry.lazy("routed_board")
+            routed = entry["routed_board"] if payload.get("return_board") else None
+            return key, "hit", entry["result"], routed
         if config is None:
             config = self._resolve_config(payload)
         try:
@@ -442,7 +443,7 @@ class RouterApp:
             "kind": "result_response",
             "key": key,
             "result": entry["result"],
-            "routed_board": entry.lazy("routed_board"),
+            "routed_board": entry.get("routed_board"),
         }
 
     def route(
@@ -527,7 +528,7 @@ class RouterApp:
                         keys[index],
                         "hit",
                         entry["result"],
-                        entry.lazy("routed_board"),
+                        entry["routed_board"] if return_board else None,
                     )
                 else:
                     try:
@@ -705,14 +706,11 @@ class _RequestTrace:
 
 def _json_body(payload: Dict[str, Any]) -> bytes:
     """``json.dumps(payload, separators=(",", ":"))`` as bytes, with the
-    stored bytes of each :class:`~repro.io.Encoded` or
-    :class:`~repro.io.Deferred` value written verbatim instead of
-    encoding that value again."""
-    if not any(isinstance(v, (Encoded, Deferred)) for v in payload.values()):
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    stored bytes of each :class:`~repro.io.Encoded` value written
+    verbatim instead of encoding that value again."""
     items = []
     for name, value in payload.items():
-        if isinstance(value, (Encoded, Deferred)):
+        if isinstance(value, Encoded):
             raw = value.encoded
         else:
             raw = json.dumps(value, separators=(",", ":")).encode("utf-8")

@@ -153,8 +153,8 @@ class TestCacheStore:
         assert entry["result"] == {"status": "ok"}
         assert entry["result"] is entry["result"]  # decoded once
         assert entry["result"].encoded == entry.encoded["result"]
-        assert entry.lazy("routed_board").encoded == entry.encoded["routed_board"]
-        assert entry.lazy("absent") is None
+        assert entry["routed_board"].encoded == entry.encoded["routed_board"]
+        assert entry.get("absent") is None
         with pytest.raises(TypeError):
             entry["result"] = {}  # read-only
         assert dict(entry) == payload and list(entry) == list(payload)
@@ -273,6 +273,47 @@ class TestCorruption:
         assert not os.path.isdir(qdir) or not os.listdir(qdir)
         cache.put(key, {"v": 2})
         assert cache.get(key) == {"v": 2}
+
+    def test_newer_format_entry_is_a_miss_left_in_place(self, cache):
+        # Written by a newer daemon sharing the store: this one cannot
+        # read it, but must neither quarantine nor delete it.
+        key = "cf" * 32
+        path = os.path.join(cache.cache_dir, f"{key}.json")
+        header = {
+            "kind": "cache_entry",
+            "version": CACHE_FORMAT_VERSION + 1,
+            "key": key,
+        }
+        data = json.dumps(header).encode() + b"\nwhatever comes next\n"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert cache.get(key) is None
+        with open(path, "rb") as fh:
+            assert fh.read() == data
+        stats = cache.stats()
+        assert stats["misses"] == 1
+        assert stats["corrupt"] == 0 and stats["quarantined"] == 0
+
+    def test_stale_delete_spares_an_entry_renamed_in_after_the_read(
+        self, cache, monkeypatch
+    ):
+        # A writer publishes a current entry between this reader's read
+        # of the old-format file and its delete: the new entry survives.
+        key = "cd" * 32
+        path = os.path.join(cache.cache_dir, f"{key}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": "cache_entry", "version": 1, "key": key}, fh)
+        real_drop = ResultCache._drop_stale
+
+        def drop_after_a_put(self, stale_path, read):
+            self._put(key, {"v": 2})
+            real_drop(self, stale_path, read)
+
+        monkeypatch.setattr(ResultCache, "_drop_stale", drop_after_a_put)
+        assert cache.get(key) is None
+        monkeypatch.undo()
+        assert cache.get(key) == {"v": 2}
+        assert sorted(os.listdir(cache.cache_dir)) == [f"{key}.json"]
 
 
 class TestEviction:

@@ -20,8 +20,8 @@ import pytest
 import repro.server.app as app_mod
 from repro import obs
 from repro.api import SessionConfig
-from repro.cache import cache_key
-from repro.io import Deferred, board_to_dict, load_trace, route_response
+from repro.cache import CacheEntry, cache_key
+from repro.io import Encoded, board_to_dict, load_trace, route_response
 from repro.server import RouterApp, make_http_server
 
 from test_app import failing_payload, good_board  # same-directory module
@@ -87,19 +87,50 @@ class TestHitBytes:
         assert miss.replace(b'"cache":"miss"', b'"cache":"hit"', 1) == hit
         assert (b'"routed_board":' in hit) == return_board
 
-    def test_hit_with_return_board_decodes_only_the_result(self, tmp_path):
+    def test_hit_decodes_the_board_only_when_asked(self, tmp_path, monkeypatch):
         app = RouterApp(str(tmp_path / "cache"))
-        payload = dict(ok_payload(), return_board=True)
-        _, miss = app.route(payload)
+        payload = ok_payload()
+        _, miss = app.route(dict(payload, return_board=True))
+        read = []
+        real_getitem = CacheEntry.__getitem__
+
+        def recording_getitem(entry, name):
+            read.append(name)
+            return real_getitem(entry, name)
+
+        monkeypatch.setattr(CacheEntry, "__getitem__", recording_getitem)
         status, hit = app.route(payload)
         assert status == 200 and hit["cache"] == "hit"
-        # Both values carry the bytes the miss encoded and stored; the
-        # board stays those bytes until someone reads it.
-        assert hit["result"].encoded == miss["result"].encoded
-        assert isinstance(hit["routed_board"], Deferred)
-        assert hit["routed_board"].encoded == miss["routed_board"].encoded
-        assert hit["routed_board"] == miss["routed_board"]
-        assert hit["result"] == miss["result"]
+        assert read == ["result"] and "routed_board" not in hit
+
+        read.clear()
+        status, hit = app.route(dict(payload, return_board=True))
+        assert status == 200 and sorted(read) == ["result", "routed_board"]
+        # Both values are plain dicts that carry the bytes the miss
+        # encoded and stored, so the envelope still encodes as JSON.
+        for name in ("result", "routed_board"):
+            assert isinstance(hit[name], Encoded)
+            assert hit[name].encoded == miss[name].encoded
+            assert hit[name] == miss[name]
+        assert app_mod._json_body(hit) == json.dumps(
+            hit, separators=(",", ":")
+        ).encode()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"kind": "healthz_response", "ok": True, "uptime_s": 1.5, "x": None},
+        {"name": "caf\u00e9 \u2192", "nested": {"b": [1, 2.0], "a": "\u00e9"}},
+        {"result": Encoded.of({"status": "ok", "v": [0.1, -2]}), "k": "v"},
+    ],
+    ids=["empty", "scalars", "non-ascii", "encoded"],
+)
+def test_json_body_equals_json_dumps(payload):
+    assert app_mod._json_body(payload) == json.dumps(
+        payload, separators=(",", ":")
+    ).encode()
 
 
 def post_batch(server, body: bytes):
