@@ -23,8 +23,9 @@ Phases
                pruned count, with the traced run's ``digest``;
 ``region``     Sec. III region assignment on ``tiled``/``mixed_groups``
                boards with their routable areas cleared: the grid
-               decomposition alone and the whole assignment (decompose
-               plus LP), with a sha256 ``digest`` of the assignment;
+               decomposition alone, the whole assignment (decompose
+               plus LP) and storing the areas on the board, with a
+               sha256 ``digest`` of the assignment and the areas;
 ``scaling``    cold end-to-end :class:`~repro.api.RoutingSession` runs
                (``fast`` preset) on ``tiled`` seed 0 boards of 6 to 48
                tiles, with the pipeline's ``ok`` and a sha256 ``digest``
@@ -350,28 +351,31 @@ def _region_board(tiles: int) -> Board:
     return board
 
 
-def _assignment_digest(assignment: Any) -> str:
-    """sha256 of an assignment: every trace's cells and every LP value."""
+def _assignment_digest(assignment: Any, areas: Dict[str, Polygon]) -> str:
+    """sha256 of an assignment and the areas it stored: every trace's
+    cells, every LP value and every area polygon by ``repr``."""
     return _sha256_lines(
         [f"{name}:{cells}" for name, cells in sorted(assignment.cells.items())]
         + [
             f"{ridx},{name},{amount!r}"
             for (ridx, name), amount in sorted(assignment.usage.items())
         ]
+        + [f"{name}:{poly!r}" for name, poly in sorted(areas.items())]
     )
 
 
 def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
-    """The region stage's two layers, timed apart per board size.
+    """The region stage's layers, timed apart per board size.
 
     ``decompose_s`` is the grid decomposition alone, ``assign_s`` the
     whole :func:`~repro.region.assign_regions` (decomposition, LP build
-    and solve, integerisation); ``cells``, ``variables`` and ``rows``
-    are read from the ``region.decompose``/``region.lp`` spans of one
-    traced call.
+    and solve, integerisation) and ``apply_s`` the
+    :func:`~repro.region.apply_assignment` that turns the cells into
+    area polygons; ``cells``, ``variables`` and ``rows`` are read from
+    the ``region.decompose``/``region.lp`` spans of one traced call.
     """
     from .. import obs
-    from ..region import assign_regions, decompose
+    from ..region import apply_assignment, assign_regions, decompose
 
     config = SessionConfig.preset("default")
     rows: List[Dict[str, Any]] = []
@@ -393,6 +397,11 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
             lambda: decompose(board, traces, cell, config.region.reach), repeats
         )
         assign_s, assignment = _time_repeats(assign, repeats)
+        apply_s, _ = _time_repeats(
+            lambda: apply_assignment(board, assignment), repeats
+        )
+        areas = dict(board.routable_areas)
+        board.routable_areas.clear()
         with obs.trace(f"bench region tiles={k}") as collected:
             assign()
         attrs = {
@@ -408,7 +417,8 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
                 "rows": attrs["region.lp"]["rows"],
                 "decompose_s": decompose_s,
                 "assign_s": assign_s,
-                "digest": _assignment_digest(assignment),
+                "apply_s": apply_s,
+                "digest": _assignment_digest(assignment, areas),
             }
         )
     return rows
@@ -782,6 +792,7 @@ def run_perf(
                 f"  variables={row['variables']:>5}"
                 f"  decompose {row['decompose_s']*1e3:.1f} ms"
                 f"  assign {row['assign_s']*1e3:.1f} ms"
+                f"  apply {row['apply_s']*1e3:.1f} ms"
                 f"  digest {row['digest'][:12]}"
             )
         for row in phases["scaling"]:

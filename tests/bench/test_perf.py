@@ -111,6 +111,7 @@ class TestRunPerfQuick:
             assert row["variables"] > 0 and row["rows"] > 0
             assert 0 < row["decompose_s"]
             assert 0 < row["assign_s"]
+            assert 0 < row["apply_s"]
         # The assignment is the one the per-cell decomposition loop
         # gives, bit for bit.
         monkeypatch.setattr("repro.region.assign.decompose", decompose_reference)
