@@ -55,6 +55,10 @@ from ..io import (
 #: endpoints always answer 200 and carry per-board status per line.
 STATUS_TO_HTTP = {"ok": 200, "failed": 422, "crashed": 500}
 
+#: Why a board that is not a JSON object is refused (400 for a single
+#: board, that board's ``crashed`` line in a batch).
+NOT_AN_OBJECT = "board must be a JSON object (see repro.io)"
+
 
 class RequestError(ValueError):
     """A malformed request (missing field, bad board document, unknown
@@ -322,7 +326,7 @@ class RouterApp:
             if board_dict is None:
                 raise RequestError("missing 'board' (send 'boards' for a batch)")
             if not isinstance(board_dict, dict):
-                raise RequestError("board must be a JSON object (see repro.io)")
+                raise RequestError(NOT_AN_OBJECT)
             key = cache_key(board_dict, config.fingerprint())
             if digest is not None:
                 with self._lock:
@@ -492,7 +496,12 @@ class RouterApp:
         workers = self._request_workers(payload)
         fingerprint = config.fingerprint()
 
-        keys = [cache_key(b, fingerprint) for b in boards]
+        # A non-object board has no content address: it is neither keyed
+        # nor probed, only answered with its own ``crashed`` line.
+        keys = [
+            cache_key(b, fingerprint) if isinstance(b, dict) else None
+            for b in boards
+        ]
         counts = {"ok": 0, "failed": 0, "crashed": 0}
         hits = 0
         misses: list = []  # (input index, decoded board) pairs
@@ -520,7 +529,7 @@ class RouterApp:
         def generate() -> Iterator[Dict[str, Any]]:
             nonlocal hits
             for index, board_dict in enumerate(boards):
-                entry = self.cache.get(keys[index])
+                entry = None if keys[index] is None else self.cache.get(keys[index])
                 if entry is not None:
                     hits += 1
                     yield board_event(
@@ -532,6 +541,8 @@ class RouterApp:
                     )
                 else:
                     try:
+                        if keys[index] is None:
+                            raise TypeError(NOT_AN_OBJECT)
                         misses.append((index, board_from_dict(board_dict)))
                     except (ValueError, KeyError, TypeError) as exc:
                         # One malformed board in a batch is that board's
@@ -548,7 +559,7 @@ class RouterApp:
                         yield board_event(
                             index,
                             keys[index],
-                            "miss",
+                            None if keys[index] is None else "miss",
                             run_result_to_dict(result),
                             None,
                         )
@@ -596,6 +607,8 @@ class RouterApp:
         board_dict = payload.get("board")
         if board_dict is None:
             return 400, error_response(RequestError("missing 'board'"))
+        if not isinstance(board_dict, dict):
+            return 400, error_response(RequestError(NOT_AN_OBJECT))
         try:
             board = board_from_dict(board_dict)
         except (ValueError, KeyError, TypeError) as exc:

@@ -259,6 +259,32 @@ class TestNonObjectBoard:
         _, stats = app.stats()
         assert stats["cache"]["misses"] == 0
 
+    @pytest.mark.parametrize("board", [[1, 2], "x", 7])
+    def test_batch_streams_its_crashed_line_and_goes_on(self, tmp_path, board):
+        app = RouterApp(str(tmp_path / "cache"))
+        boards = [board, board_to_dict(good_board("after"))]
+        events = list(app.route_batch_events({"boards": boards, "preset": "fast"}))
+        assert [(e["event"], e.get("index")) for e in events] == [
+            ("board_done", 0),
+            ("board_done", 1),
+            ("batch_done", None),
+        ]
+        bad, good, done = events
+        assert bad["status"] == "crashed" and bad["cache"] is None
+        assert bad["key"] is None
+        assert "JSON object" in bad["error"]["message"]
+        assert good["status"] == "ok" and good["cache"] == "miss"
+        assert done["crashed"] == 1 and done["ok"] == 1
+        json.dumps(events)  # every line is NDJSON-encodable
+        _, stats = app.stats()
+        assert stats["cache"]["misses"] == 1  # the valid board's alone
+
+    def test_check_refuses_it_with_400(self, tmp_path):
+        app = RouterApp(str(tmp_path / "cache"))
+        status, envelope = app.check({"board": [1, 2]})
+        assert status == 400
+        assert "JSON object" in envelope["error"]["message"]
+
     def test_undecodable_object_board_still_probes(self, tmp_path):
         # A hit never decodes, so an object board is looked up first.
         app = RouterApp(str(tmp_path / "cache"))
