@@ -26,6 +26,7 @@ from .polygon import (
 )
 from .transform import Frame, Rotation, rotation_about
 from .ops import (
+    cells_union_boundaries,
     cells_union_boundary,
     offset_polyline,
     polyline_inside_polygon,
@@ -60,6 +61,7 @@ __all__ = [
     "Frame",
     "Rotation",
     "rotation_about",
+    "cells_union_boundaries",
     "cells_union_boundary",
     "offset_polyline",
     "polyline_inside_polygon",

@@ -24,14 +24,13 @@ trace's path crosses to that trace before the LP runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..geometry import Polygon, cells_union_boundary
+from ..geometry import Polygon, cells_union_boundaries
 from ..model import Board, DesignRules, Trace
 from .capacity import trace_requirement
 from .decompose import Decomposition, decompose
@@ -75,11 +74,8 @@ class Assignment:
         when the cells are disconnected (the caller typically uses the one
         containing the trace).
         """
-        out: Dict[str, List[Polygon]] = {}
-        for name, idxs in self.cells.items():
-            rects = [self.decomposition.region(i).rect() for i in idxs]
-            out[name] = cells_union_boundary(rects) if rects else []
-        return out
+        rects = [self.decomposition.rects(idxs) for idxs in self.cells.values()]
+        return dict(zip(self.cells, cells_union_boundaries(rects)))
 
 
 def assign_regions(
@@ -102,104 +98,101 @@ def assign_regions(
     with obs.span("region.decompose") as sp:
         deco = decompose(board, traces, cell, reach)
         sp.set(cells=len(deco.regions))
-    distances = deco.distances
+    names = deco.traces
     requirements = {
         t.name: trace_requirement(t, targets[t.name], rules, safety) for t in traces
     }
+    pairs = deco.pairs
+    n_cells = len(deco.capacity)
 
     # Pin crossed cells: the original routing must stay inside the area.
-    pinned: Dict[int, str] = {}
-    for region in deco.regions:
-        if len(region.crossed_by) == 1:
-            pinned[region.index] = region.crossed_by[0]
-        elif len(region.crossed_by) > 1:
-            # Shared corridor cell: give it to the closest trace; the cell
-            # size should be below the trace pitch to avoid this.
-            pinned[region.index] = min(
-                region.crossed_by, key=lambda name: distances[(region.index, name)]
-            )
+    # A shared corridor cell goes to the closest crossing trace, the
+    # first in trace order on a tie; the cell size should be below the
+    # trace pitch to avoid this.
+    crossed = np.flatnonzero(pairs.crossed)
+    crossed = crossed[np.lexsort((pairs.distance[crossed], pairs.cell[crossed]))]
+    first = np.diff(pairs.cell[crossed], prepend=-1) != 0
+    pinned = np.full(n_cells, -1)
+    pinned[pairs.cell[crossed[first]]] = pairs.trace[crossed[first]]
 
-    variables: List[Tuple[int, str]] = []
-    for t in traces:
-        for ridx in deco.neighbours[t.name]:
-            if ridx in pinned and pinned[ridx] != t.name:
-                continue  # neighbour validity after pinning
-            variables.append((ridx, t.name))
-    if not variables:
+    # Variables x_ij, trace by trace, each trace's cells ascending; a cell
+    # pinned to another trace is no valid neighbour.
+    pin = pinned[pairs.cell]
+    valid = pairs.neighbour & ((pin < 0) | (pin == pairs.trace))
+    var_cell, var_trace = pairs.cell[valid], pairs.trace[valid]
+    n_vars = len(var_cell)
+    if not n_vars:
         raise AssignmentInfeasible("no neighbour regions for any trace")
-    n_vars = len(variables)
+    counts = np.bincount(var_trace, minlength=len(names))
 
     # Objective: distance-weighted usage.
-    costs = 1.0 + np.array([distances[v] for v in variables])
+    costs = 1.0 + pairs.distance[valid]
 
-    # Capacity rows: sum_j x_ij <= Cap_i.
-    by_region: Dict[int, List[int]] = {}
-    by_trace: Dict[str, List[int]] = {}
-    for k, (ridx, name) in enumerate(variables):
-        by_region.setdefault(ridx, []).append(k)
-        by_trace.setdefault(name, []).append(k)
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    rhs_ub: List[float] = []
-    for ridx, ks in by_region.items():
-        rows.extend([len(rhs_ub)] * len(ks))
-        cols.extend(ks)
-        vals.extend([1.0] * len(ks))
-        rhs_ub.append(deco.region(ridx).capacity)
-    # Sufficiency rows: -sum_i x_ij <= -Req_j.
-    for t in traces:
-        ks = by_trace.get(t.name, [])
-        req = requirements[t.name]
-        if req <= 0:
-            continue
-        if not ks:
-            raise AssignmentInfeasible(
-                f"trace '{t.name}' needs {req:.2f} of space but has no regions"
-            )
-        rows.extend([len(rhs_ub)] * len(ks))
-        cols.extend(ks)
-        vals.extend([-1.0] * len(ks))
-        rhs_ub.append(-req)
+    # Capacity rows: sum_j x_ij <= Cap_i, one per cell in the order its
+    # first variable appears, each row's variables ascending.
+    cells, first_var = np.unique(var_cell, return_index=True)
+    row_cells = cells[np.argsort(first_var)]
+    row_of_cell = np.empty(n_cells, dtype=np.int64)
+    row_of_cell[row_cells] = np.arange(len(row_cells))
+    var_row = row_of_cell[var_cell]
+    cap_cols = np.argsort(var_row, kind="stable")
+    # Sufficiency rows: -sum_i x_ij <= -Req_j, for each trace that needs
+    # space, over its variables.
+    req = np.array([requirements[name] for name in names])
+    needs = req > 0
+    if (needs & (counts == 0)).any():
+        j = int(np.flatnonzero(needs & (counts == 0))[0])
+        raise AssignmentInfeasible(
+            f"trace '{names[j]}' needs {req[j]:.2f} of space but has no regions"
+        )
+    suff_cols = np.flatnonzero(needs[var_trace])
+    n_rows = len(row_cells) + int(needs.sum())
+    rows = np.concatenate(
+        (
+            var_row[cap_cols],
+            len(row_cells) + np.repeat(np.arange(needs.sum()), counts[needs]),
+        )
+    )
+    cols = np.concatenate((cap_cols, suff_cols))
+    vals = np.concatenate((np.ones(n_vars), np.full(len(suff_cols), -1.0)))
+    b_ub = np.concatenate((deco.capacity[row_cells], -req[needs]))
     with obs.span("region.scipy_import"):
         from scipy.sparse import csc_array
-    a_ub = csc_array((vals, (rows, cols)), shape=(len(rhs_ub), n_vars))
+    a_ub = csc_array((vals, (rows, cols)), shape=(n_rows, n_vars))
 
-    with obs.span("region.lp", variables=n_vars, rows=len(rhs_ub)):
+    with obs.span("region.lp", variables=n_vars, rows=n_rows):
         result = linprog(
-            c=costs,
-            A_ub=a_ub,
-            b_ub=np.array(rhs_ub),
-            bounds=[(0, None)] * n_vars,
-            method="highs",
+            c=costs, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs"
         )
     if not result.success:
         raise AssignmentInfeasible(f"LP infeasible: {result.message}")
 
-    usage = {
-        variables[k]: float(result.x[k])
-        for k in range(n_vars)
-        if result.x[k] > 1e-9
-    }
+    used = np.flatnonzero(result.x > 1e-9)
+    amounts = result.x[used]
+    usage = dict(
+        zip(
+            zip(var_cell[used].tolist(), [names[j] for j in var_trace[used].tolist()]),
+            amounts.tolist(),
+        )
+    )
 
-    # Integerise: every cell goes to its dominant user; pinned cells stay
-    # pinned; cells nobody uses stay unassigned.
-    cells: Dict[str, List[int]] = {t.name: [] for t in traces}
-    claimed: Dict[int, Tuple[str, float]] = {}
-    for (ridx, name), amount in usage.items():
-        cur = claimed.get(ridx)
-        if cur is None or amount > cur[1]:
-            claimed[ridx] = (name, amount)
-    for ridx, owner in pinned.items():
-        claimed[ridx] = (owner, math.inf)
-    for ridx, (owner, _) in claimed.items():
-        cells[owner].append(ridx)
-    for name in cells:
-        cells[name].sort()
+    # Integerise: every cell goes to its dominant user, the first largest
+    # amount in variable order; pinned cells stay pinned; cells nobody
+    # uses stay unassigned.
+    used_cell = var_cell[used]
+    order = np.lexsort((used, -amounts, used_cell))
+    dominant = order[np.diff(used_cell[order], prepend=-1) != 0]
+    owner = np.full(n_cells, -1)
+    owner[used_cell[dominant]] = var_trace[used][dominant]
+    owner[pinned >= 0] = pinned[pinned >= 0]
+    owned = np.flatnonzero(owner >= 0)
+    by_owner = owned[np.argsort(owner[owned], kind="stable")]
+    bounds = np.cumsum(np.bincount(owner[owned], minlength=len(names)))
+    cells_of = np.split(by_owner, bounds[:-1])
     return Assignment(
         decomposition=deco,
         usage=usage,
-        cells=cells,
+        cells={name: c.tolist() for name, c in zip(names, cells_of)},
         requirements=requirements,
     )
 

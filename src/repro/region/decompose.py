@@ -14,29 +14,48 @@ scalar geometry's.  Only the final ``hypot`` differs: ``np.hypot`` and
 ``math.hypot`` disagree in the last bit on a small share of inputs, so
 ``np.hypot`` merely filters, and every (cell, trace) pair that lands
 near the crossed/neighbour threshold is decided by ``math.hypot`` over
-the trace's segments — the exact value ``Segment.distance_to_point``
-gives.
+the segments whose ``np.hypot`` is within a margin of the closest one —
+the exact value ``Segment.distance_to_point`` gives.
+
+The result stays arrays: no Python object is built per grid cell unless
+a caller reads :attr:`Decomposition.regions`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..geometry import EPS, Point, Polygon, rectangle
 from ..model import Board, Trace
 
-#: Cells per block of the per-trace distance kernel.  Its work arrays
-#: are (block cells x trace segments), so this bounds their memory.
-BLOCK_CELLS = 256
+#: Most (cell, segment) pairs the distance kernel holds at once (and
+#: most (trace, cell) pairs its window test does): its work arrays are
+#: this long, so this bounds their memory.
+BLOCK_PAIRS = 1 << 17
 
 #: Relative margin above the decision threshold within which a pair's
 #: ``np.hypot`` distance is replaced by the exact ``math.hypot`` one.
 #: The two differ by at most one ulp (~2e-16 relative).
 _HYPOT_MARGIN = 1e-12
+
+#: Absolute slack on that margin, for distances so small that one ulp
+#: is no longer relative (subnormals).
+_HYPOT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -64,18 +83,138 @@ class Region:
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
 
+class Pairs(NamedTuple):
+    """Every (trace, cell) pair where the trace crosses or neighbours the
+    cell, trace by trace in input order, each trace's cells ascending."""
+
+    trace: np.ndarray        # index into Decomposition.traces
+    cell: np.ndarray         # cell index
+    distance: np.ndarray     # exact centre-to-path distance
+    crossed: np.ndarray      # the path enters the cell (bool)
+    neighbour: np.ndarray    # the cell lies within reach (bool)
+
+
+_NO_PAIRS = Pairs(
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0),
+    np.zeros(0, dtype=bool),
+    np.zeros(0, dtype=bool),
+)
+
+
+class _Regions(SequenceABC):
+    """``Decomposition.regions``: its length is the cell count, and the
+    :class:`Region` objects are built on first element access."""
+
+    def __init__(self, deco: "Decomposition") -> None:
+        self._deco = deco
+        self._items: Optional[List[Region]] = None
+
+    def _list(self) -> List[Region]:
+        if self._items is None:
+            self._items = self._deco._build_regions()
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._deco.capacity)
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator[Region]:
+        return iter(self._list())
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
 @dataclass
 class Decomposition:
-    """The grid, plus trace adjacency used by the LP."""
+    """The grid, plus trace adjacency used by the LP, as arrays.
 
-    regions: List[Region]
-    neighbours: Dict[str, List[int]]   # trace name -> region indices
-    #: Exact centre-to-path distance by (region index, trace name), for
-    #: every pair where the trace crosses or neighbours the region.
-    distances: Dict[Tuple[int, str], float] = field(default_factory=dict)
+    Cells are numbered row-major, rows slow.  ``columns`` and ``rows``
+    hold each axis's lower and upper cell bounds as Python numbers (an
+    upper bound the outline clips is the outline's own number); the
+    per-cell :class:`Region` objects, the neighbour lists and the
+    distance map are built from the arrays only when read.
+    """
+
+    columns: Tuple[List[float], List[float]]
+    rows: Tuple[List[float], List[float]]
+    capacity: np.ndarray                  # usable area per cell
+    traces: Tuple[str, ...]               # trace names, input order
+    pairs: Pairs
+
+    @cached_property
+    def regions(self) -> Sequence[Region]:
+        return _Regions(self)
+
+    @cached_property
+    def neighbours(self) -> Dict[str, List[int]]:
+        """Trace name -> indices of the cells within reach."""
+        out: Dict[str, List[int]] = {name: [] for name in self.traces}
+        pairs = self.pairs
+        near = pairs.neighbour
+        for name, cells in zip(self.traces, self._by_trace(pairs.cell[near], pairs.trace[near])):
+            if len(cells):
+                out[name] = cells.tolist()
+        return out
+
+    @cached_property
+    def distances(self) -> Dict[Tuple[int, str], float]:
+        """Exact centre-to-path distance by (region index, trace name),
+        for every pair where the trace crosses or neighbours the region."""
+        names = self.traces
+        pairs = self.pairs
+        return {
+            (index, names[j]): d
+            for j, index, d in zip(
+                pairs.trace.tolist(), pairs.cell.tolist(), pairs.distance.tolist()
+            )
+        }
 
     def region(self, index: int) -> Region:
         return self.regions[index]
+
+    def rects(self, indices: Iterable[int]) -> List[Tuple[float, float, float, float]]:
+        """``Region.rect()`` of each cell, without building the regions."""
+        (x0, x1), (y0, y1) = self.columns, self.rows
+        ncols = len(x0)
+        out = []
+        for index in indices:
+            iy, ix = divmod(index, ncols)
+            out.append((x0[ix], y0[iy], x1[ix], y1[iy]))
+        return out
+
+    def _by_trace(self, values: np.ndarray, trace: np.ndarray) -> List[np.ndarray]:
+        """``values`` (ordered by ``trace``) split into one array per trace."""
+        bounds = np.cumsum(np.bincount(trace, minlength=len(self.traces)))[:-1]
+        return np.split(values, bounds)
+
+    def _build_regions(self) -> List[Region]:
+        crossed: List[List[str]] = [[] for _ in range(len(self.capacity))]
+        pairs = self.pairs
+        hit = pairs.crossed
+        for j, index in zip(pairs.trace[hit].tolist(), pairs.cell[hit].tolist()):
+            crossed[index].append(self.traces[j])
+        capacities = self.capacity.tolist()
+        regions: List[Region] = []
+        for y0, y1 in zip(*self.rows):
+            for x0, x1 in zip(*self.columns):
+                index = len(regions)
+                regions.append(
+                    Region(
+                        index=index,
+                        xmin=x0,
+                        ymin=y0,
+                        xmax=x1,
+                        ymax=y1,
+                        capacity=capacities[index],
+                        crossed_by=tuple(crossed[index]),
+                    )
+                )
+        return regions
 
 
 def _grid_axis(
@@ -109,31 +248,55 @@ def _half_diagonals(widths: np.ndarray, heights: np.ndarray) -> np.ndarray:
     return (table[hinv][:, winv] / 2.0).ravel()
 
 
-def _segment_arrays(pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _segment_arrays(pts: np.ndarray, first: np.ndarray) -> Tuple[np.ndarray, ...]:
     """``a``, ``v = b - a`` and the clamped-projection denominator of
-    every segment of the chain ``pts`` (``Segment.project_param``'s
-    terms)."""
-    ax, ay = pts[:-1, 0], pts[:-1, 1]
-    vx = pts[1:, 0] - ax
-    vy = pts[1:, 1] - ay
+    every segment of the chains stored back to back in ``pts`` (chain
+    ``j`` starts at row ``first[j]``): ``Segment.project_param``'s
+    terms."""
+    starts = np.ones(len(pts), dtype=bool)
+    starts[np.r_[first[1:], len(pts)] - 1] = False  # a chain's last point
+    a = np.flatnonzero(starts)
+    ax, ay = pts[a, 0], pts[a, 1]
+    vx = pts[a + 1, 0] - ax
+    vy = pts[a + 1, 1] - ay
     den = vx * vx + vy * vy
     degenerate = den <= EPS * EPS
     return ax, ay, vx, vy, np.where(degenerate, 1.0, den), degenerate
 
 
-def _block_offsets(
-    px: np.ndarray, py: np.ndarray, segs: Tuple[np.ndarray, ...]
+def _pair_offsets(
+    px: np.ndarray, py: np.ndarray, segs: Tuple[np.ndarray, ...], seg: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(cells x segments) offsets from each centre's closest point on
-    each segment to the centre, bit-identical to
+    """Per (centre, segment) pair, the offset from the centre's closest
+    point on the segment to the centre, bit-identical to
     ``Segment.closest_point(p) - p``."""
-    ax, ay, vx, vy, den, degenerate = segs
-    px = px[:, None]
-    py = py[:, None]
+    ax, ay, vx, vy, den, degenerate = (arr[seg] for arr in segs)
     t = ((px - ax) * vx + (py - ay) * vy) / den
     t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
     t = np.where(degenerate, 0.0, t)
     return (ax + vx * t) - px, (ay + vy * t) - py
+
+
+def _exact_min_hypot(
+    dx: np.ndarray,
+    dy: np.ndarray,
+    dist: np.ndarray,
+    closest: np.ndarray,
+    group: np.ndarray,
+) -> np.ndarray:
+    """Per group of pairs, ``min(map(math.hypot, dx, dy))``.
+
+    ``group`` numbers each pair's group (non-decreasing), ``dist`` is
+    ``np.hypot(dx, dy)`` and ``closest`` its group minimum, repeated per
+    pair.  The two hypots differ by an ulp at most, so only the pairs
+    whose ``np.hypot`` lies within the margin of the group minimum can
+    hold the exact minimum; ``math.hypot`` runs on those alone (usually
+    one per group).
+    """
+    pick = np.flatnonzero(dist <= closest * (1.0 + _HYPOT_MARGIN) + _HYPOT_FLOOR)
+    exact = list(map(math.hypot, dx[pick].tolist(), dy[pick].tolist()))
+    group_start = np.flatnonzero(np.diff(group[pick], prepend=-1) != 0)
+    return np.minimum.reduceat(np.array(exact), group_start)
 
 
 def decompose(
@@ -178,68 +341,88 @@ def decompose(
     # scalar loop's behaviour for a NaN reach (never a neighbour).
     threshold = np.fmax(half_diag, reach)
     cutoff = threshold * (1.0 + _HYPOT_MARGIN)
-    band = float(cutoff.max()) if n else 0.0
+    return Decomposition(
+        columns=(col0.tolist(), col_upper),
+        rows=(row0.tolist(), row_upper),
+        capacity=capacity,
+        traces=tuple(t.name for t in traces),
+        pairs=_trace_pairs(
+            traces, mx, my, half_diag, cutoff, reach, (xmin, ymin, xmax, ymax)
+        ),
+    )
 
-    crossed: List[List[str]] = [[] for _ in range(n)]
-    neighbours: Dict[str, List[int]] = {t.name: [] for t in traces}
-    distances: Dict[Tuple[int, str], float] = {}
-    for trace in traces:
-        pts = np.array([(p.x, p.y) for p in trace.path.points], dtype=np.float64)
-        segs = _segment_arrays(pts)
-        (txmin, tymin), (txmax, tymax) = pts.min(axis=0), pts.max(axis=0)
-        # Cells whose centre is farther than the band from the trace's
-        # bounding box cannot be within it; the slack covers the rounding
-        # of a projected point past the box.
-        scale = 1.0 + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax))
-        scale += float(np.abs(pts).max())
-        pad = band + 1e-9 * (band + scale)
-        window = np.flatnonzero(
-            (mx >= txmin - pad)
-            & (mx <= txmax + pad)
-            & (my >= tymin - pad)
-            & (my <= tymax + pad)
+
+def _trace_pairs(
+    traces: Sequence[Trace],
+    mx: np.ndarray,
+    my: np.ndarray,
+    half_diag: np.ndarray,
+    cutoff: np.ndarray,
+    reach: float,
+    outline: Tuple[float, float, float, float],
+) -> Pairs:
+    """The (trace, cell) pairs of every trace at once: the cells in each
+    trace's padded bounding box, then one row per trace segment."""
+    n = len(mx)
+    if not traces or not n:
+        return _NO_PAIRS
+    # Every trace's points back to back; chain j starts at row first[j].
+    pts = np.array(
+        [(p.x, p.y) for t in traces for p in t.path.points], dtype=np.float64
+    )
+    n_points = np.array([len(t.path.points) for t in traces])
+    first = np.cumsum(n_points) - n_points
+    segs = _segment_arrays(pts, first)
+    n_segs = n_points - 1
+    first_seg = np.cumsum(n_segs) - n_segs
+    # Cells whose centre is farther than the band from a trace's bounding
+    # box cannot be within it; the slack covers the rounding of a
+    # projected point past the box.
+    band = float(cutoff.max())
+    tmin = np.minimum.reduceat(pts, first, axis=0)
+    tmax = np.maximum.reduceat(pts, first, axis=0)
+    scale = 1.0 + max(abs(v) for v in outline)
+    scale = scale + np.maximum.reduceat(np.abs(pts).max(axis=1), first)
+    pad = band + 1e-9 * (band + scale)
+    lo_x, lo_y = tmin[:, 0] - pad, tmin[:, 1] - pad
+    hi_x, hi_y = tmax[:, 0] + pad, tmax[:, 1] + pad
+
+    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    per_block = max(1, BLOCK_PAIRS // n)
+    for t0 in range(0, len(traces), per_block):
+        window = slice(t0, t0 + per_block)
+        inside = (
+            (mx >= lo_x[window, None])
+            & (mx <= hi_x[window, None])
+            & (my >= lo_y[window, None])
+            & (my <= hi_y[window, None])
         )
-        near_cells: List[np.ndarray] = []
-        exact: List[float] = []
-        for start in range(0, len(window), BLOCK_CELLS):
-            block = window[start:start + BLOCK_CELLS]
-            dx, dy = _block_offsets(mx[block], my[block], segs)
-            near = np.hypot(dx, dy).min(axis=1) <= cutoff[block]
-            if not near.any():
-                continue
-            near_cells.append(block[near])
-            exact.extend(
-                min(map(math.hypot, rx, ry))
-                for rx, ry in zip(dx[near].tolist(), dy[near].tolist())
-            )
-        if not exact:
-            continue
-        cells = np.concatenate(near_cells)
-        dist = np.array(exact)
-        is_crossed = dist <= half_diag[cells]
-        is_neighbour = dist <= reach
-        name = trace.name
-        for index in cells[is_crossed].tolist():
-            crossed[index].append(name)
-        neighbours[name] = cells[is_neighbour].tolist()
-        keep = is_crossed | is_neighbour
-        for index, d in zip(cells[keep].tolist(), dist[keep].tolist()):
-            distances[(index, name)] = d
-
-    capacities = capacity.tolist()
-    regions: List[Region] = []
-    for y0, y1 in zip(row0.tolist(), row_upper):
-        for x0, x1 in zip(col0.tolist(), col_upper):
-            index = len(regions)
-            regions.append(
-                Region(
-                    index=index,
-                    xmin=x0,
-                    ymin=y0,
-                    xmax=x1,
-                    ymax=y1,
-                    capacity=capacities[index],
-                    crossed_by=tuple(crossed[index]),
+        pair_trace, pair_cell = np.nonzero(inside)  # trace-major, cells ascending
+        pair_trace += t0
+        rows = n_segs[pair_trace]
+        ends = np.cumsum(rows)
+        lo = done = 0
+        while lo < len(pair_trace):
+            hi = max(lo + 1, int(np.searchsorted(ends, done + BLOCK_PAIRS, "right")))
+            tr, cells, k = pair_trace[lo:hi], pair_cell[lo:hi], rows[lo:hi]
+            group = np.repeat(np.arange(hi - lo), k)
+            seg = np.arange(len(group)) - np.repeat(np.cumsum(k) - k - first_seg[tr], k)
+            dx, dy = _pair_offsets(mx[cells][group], my[cells][group], segs, seg)
+            dist = np.hypot(dx, dy)
+            closest = np.minimum.reduceat(dist, np.cumsum(k) - k)
+            close = closest <= cutoff[cells]
+            if close.any():
+                keep = close[group]
+                exact = _exact_min_hypot(
+                    dx[keep], dy[keep], dist[keep], closest[group][keep], group[keep]
                 )
-            )
-    return Decomposition(regions=regions, neighbours=neighbours, distances=distances)
+                found.append((tr[close], cells[close], exact))
+            done = int(ends[hi - 1])
+            lo = hi
+    if not found:
+        return _NO_PAIRS
+    tr, cells, dist = (np.concatenate(parts) for parts in zip(*found))
+    crossed = dist <= half_diag[cells]
+    neighbour = dist <= reach
+    keep = crossed | neighbour
+    return Pairs(tr[keep], cells[keep], dist[keep], crossed[keep], neighbour[keep])

@@ -3,8 +3,8 @@
 ``Polygon.contains_point`` gives the exact boundary-distance test only to
 edges whose padded box holds the point, ``polyline_inside_polygon`` gives
 the exact intersection test only to (segment, edge) pairs whose padded
-boxes meet, and ``cells_union_boundary`` slices its cut lists with
-``bisect``.  ``tests/oracles/geometry.py`` keeps the loops they replaced.
+boxes meet, and ``cells_union_boundary`` generates and cancels its cell
+edges with array operations.  ``tests/oracles/geometry.py`` keeps the loops they replaced.
 Every call a route makes is recorded and replayed through both, on the
 corpus (every family × seeds 0–4, explicit and region-assigned areas)
 and on the 48 boards of the ``unassigned_mixed_12`` benchmark workload;
@@ -45,7 +45,7 @@ def recording():
     calls = {"point": [], "line": [], "cells": []}
     point_fn = Polygon.contains_point
     line_fn = checker.polyline_inside_polygon
-    union_fn = assign.cells_union_boundary
+    union_fn = assign.cells_union_boundaries
 
     def contains_point(self, p, eps=EPS):
         calls["point"].append((self, p, eps))
@@ -55,20 +55,20 @@ def recording():
         calls["line"].append((line, poly, eps))
         return line_fn(line, poly, eps)
 
-    def union(cells):
-        cells = list(cells)
-        calls["cells"].append(cells)
-        return union_fn(cells)
+    def unions(groups):
+        groups = [list(cells) for cells in groups]
+        calls["cells"].extend(groups)
+        return union_fn(groups)
 
     Polygon.contains_point = contains_point
     checker.polyline_inside_polygon = inside
-    assign.cells_union_boundary = union
+    assign.cells_union_boundaries = unions
     try:
         yield calls
     finally:
         Polygon.contains_point = point_fn
         checker.polyline_inside_polygon = line_fn
-        assign.cells_union_boundary = union_fn
+        assign.cells_union_boundaries = union_fn
 
 
 def _route(board, preset):

@@ -2,9 +2,10 @@
 
 :func:`contains_point`, :func:`polyline_inside_polygon` and
 :func:`cells_union_boundary` are the loops production replaced with
-early-outs: every boundary edge gets the exact distance test, every
-(segment, edge) pair the exact intersection test, every cell edge a scan
-of every global cut.  The equivalence suite
+early-outs and arrays: every boundary edge gets the exact distance test,
+every (segment, edge) pair the exact intersection test, every cell edge
+a scan of every global cut and a dict of directed edges, every walked
+node a ``Point``.  The equivalence suite
 (``tests/geometry/test_early_outs.py``) diffs production against them:
 the same verdicts and, for the cell unions, the same polygons by
 ``repr``.
@@ -20,7 +21,6 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.geometry import EPS, Point, Polygon, Polyline, Segment, orientation
-from repro.geometry.ops import _merge_collinear
 
 
 def contains_point(poly: Polygon, p: Point, eps: float = EPS) -> bool:
@@ -156,6 +156,23 @@ def cells_union_boundary(
             poly = Polygon(Point(x, y) for x, y in walk)
             polygons.append(_merge_collinear(poly))
     return polygons
+
+
+def _merge_collinear(poly: Polygon, eps: float = EPS) -> Polygon:
+    """Remove boundary nodes collinear with both neighbours."""
+    pts = list(poly.points)
+    out: List[Point] = []
+    n = len(pts)
+    for i in range(n):
+        a = pts[(i - 1) % n]
+        b = pts[i]
+        c = pts[(i + 1) % n]
+        cross = (b - a).cross(c - b)
+        if abs(cross) > eps:
+            out.append(b)
+    if len(out) < 3:
+        return poly
+    return Polygon(out)
 
 
 # -- test-only polygon helpers ---------------------------------------------------

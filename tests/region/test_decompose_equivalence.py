@@ -6,6 +6,7 @@ bounds, capacity and crossing traces), every neighbour list and every
 exact distance the decomposition keeps for the LP.
 """
 
+import importlib
 import math
 import random
 
@@ -18,9 +19,11 @@ from repro.geometry import Point, Polyline
 from repro.model import Board, DesignRules, Trace, rect_keepout
 from repro.region import decompose
 from repro.region.capacity import meander_pitch
-from repro.region.decompose import BLOCK_CELLS
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
+
+#: The module (``repro.region.decompose`` is also the function's name).
+DECOMPOSE = importlib.import_module("repro.region.decompose")
 
 
 def assert_same(board, traces, cell, reach=None):
@@ -105,18 +108,21 @@ class TestHandMadeBoards:
         assert deco.neighbours["far"] == []
         assert not any("far" in r.crossed_by for r in deco.regions)
 
-    def test_cell_count_not_a_multiple_of_the_block(self):
+    def test_cell_count_not_a_multiple_of_the_block(self, monkeypatch):
         board = Board.with_rect_outline(0, 0, 100, 60, RULES)
         traces = [
             _trace("t0", (5, 10), (50, 55), (95, 12)),
             _trace("t1", (3, 30), (97, 31)),
+            _trace("t2", (20, 5), (20, 5), (80, 50), (10, 40)),
         ]
-        # A reach past the board puts every cell in every trace's window,
-        # so the kernel runs full blocks and one partial block.
-        deco = assert_same(board, traces, cell=3.3, reach=1e3)
-        assert len(deco.regions) > BLOCK_CELLS
-        assert len(deco.regions) % BLOCK_CELLS
-        assert deco.neighbours["t0"] == list(range(len(deco.regions)))
+        # A reach past the board puts every cell in every trace's window;
+        # a small pair budget splits the traces into blocks and each
+        # block's (cell, segment) pairs into full and partial sub-blocks.
+        for block in (1, 7, 100, 1000, DECOMPOSE.BLOCK_PAIRS):
+            monkeypatch.setattr(DECOMPOSE, "BLOCK_PAIRS", block)
+            deco = assert_same(board, traces, cell=3.3, reach=1e3)
+            assert deco.neighbours["t0"] == list(range(len(deco.regions)))
+        assert 1000 < len(deco.regions) * len(traces) < DECOMPOSE.BLOCK_PAIRS
 
     def test_shared_corridor_cells(self):
         board = Board.with_rect_outline(0, 0, 100, 40, RULES)
@@ -175,3 +181,17 @@ def test_rejects_bad_cell(cell):
     board = Board.with_rect_outline(0, 0, 100, 60, RULES)
     with pytest.raises(ValueError, match="cell size"):
         decompose(board, [_trace("t0", (5, 10), (95, 10))], cell=cell)
+
+
+def test_cell_count_builds_no_region(monkeypatch):
+    # The region stage (and the benchmark's tracer) reads len(regions)
+    # after every decomposition; only reading a region builds them.
+    def no_region(**fields):
+        raise AssertionError("a Region was built")
+
+    board = Board.with_rect_outline(0, 0, 100, 60, RULES)
+    deco = decompose(board, [_trace("t0", (5, 10), (95, 10))], cell=7.0)
+    monkeypatch.setattr(DECOMPOSE, "Region", no_region)
+    assert len(deco.regions) == 15 * 9
+    monkeypatch.undo()
+    assert deco.regions[-1].index == 15 * 9 - 1
