@@ -174,11 +174,11 @@ def _intersection_reach(edge_lengths, scale: float, eps: float):
 # -- rectilinear cell unions ----------------------------------------------------
 
 
-#: Direction codes of the union walk: +x, +y, -x, -y.
-_EAST, _NORTH, _WEST, _SOUTH = range(4)
-
-#: ``math.atan2`` of each direction's unit vector.
-_ANGLES = tuple(math.atan2(dy, dx) for dx, dy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+#: ``math.atan2`` of the unit vector of each direction code of the union
+#: walk: 0 is +x, 1 is +y, 2 is -x, 3 is -y.
+_ANGLES = tuple(
+    math.atan2(dy, dx) for dx, dy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+)
 
 #: ``_TURN[prev][d]``: how far left a step in direction ``d`` turns after
 #: a step in ``prev``; the walk takes the largest (the left-most turn).

@@ -20,6 +20,11 @@ wrap); ``sys.modules`` caches the import after the first call.
 The paper's follow-up requirement — "the preserved original routing is
 contained in the rouTable area" — is enforced by pinning every cell a
 trace's path crosses to that trace before the LP runs.
+
+Pins, variables, the LP matrix and the integerisation are array
+operations over the decomposition's (trace, cell) pairs; the loops they
+replaced are kept in ``tests/oracles/region.py``, which the tests hold
+them to bit for bit.
 """
 
 from __future__ import annotations

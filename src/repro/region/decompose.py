@@ -153,13 +153,12 @@ class Decomposition:
     @cached_property
     def neighbours(self) -> Dict[str, List[int]]:
         """Trace name -> indices of the cells within reach."""
-        out: Dict[str, List[int]] = {name: [] for name in self.traces}
         pairs = self.pairs
         near = pairs.neighbour
-        for name, cells in zip(self.traces, self._by_trace(pairs.cell[near], pairs.trace[near])):
-            if len(cells):
-                out[name] = cells.tolist()
-        return out
+        trace = pairs.trace[near]
+        bounds = np.cumsum(np.bincount(trace, minlength=len(self.traces)))[:-1]
+        cells = np.split(pairs.cell[near], bounds)
+        return {name: c.tolist() for name, c in zip(self.traces, cells)}
 
     @cached_property
     def distances(self) -> Dict[Tuple[int, str], float]:
@@ -186,11 +185,6 @@ class Decomposition:
             iy, ix = divmod(index, ncols)
             out.append((x0[ix], y0[iy], x1[ix], y1[iy]))
         return out
-
-    def _by_trace(self, values: np.ndarray, trace: np.ndarray) -> List[np.ndarray]:
-        """``values`` (ordered by ``trace``) split into one array per trace."""
-        bounds = np.cumsum(np.bincount(trace, minlength=len(self.traces)))[:-1]
-        return np.split(values, bounds)
 
     def _build_regions(self) -> List[Region]:
         crossed: List[List[str]] = [[] for _ in range(len(self.capacity))]
