@@ -19,7 +19,6 @@ from .stages import (
     LengthMatchingStage,
     RegionAssignmentStage,
     Stage,
-    StageFailure,
     default_stages,
 )
 from .session import RoutingSession
@@ -39,7 +38,6 @@ __all__ = [
     "LengthMatchingStage",
     "RegionAssignmentStage",
     "Stage",
-    "StageFailure",
     "default_stages",
     "RoutingSession",
     "crashed_result",

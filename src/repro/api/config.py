@@ -64,37 +64,6 @@ class RegionConfig:
     #: Neighbourhood radius for the x_ij variables; ``None`` lets the
     #: decomposition pick its default.
     reach: Optional[float] = None
-    #: Raise on an infeasible LP instead of recording a failed stage and
-    #: continuing without assigned areas.
-    strict: bool = False
-
-
-def _finite(value: Any) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _check_region(region: RegionConfig) -> None:
-    """Reject region knobs the decomposition cannot run with.
-
-    A NaN ``cell`` used to crash the region stage and a NaN or negative
-    ``reach`` silently left every trace without neighbour regions.
-    """
-    if region.cell is not None and not (_finite(region.cell) and region.cell > 0):
-        raise ValueError(
-            f"region.cell must be a finite number > 0 or null, got {region.cell!r}"
-        )
-    if not (_finite(region.safety) and region.safety > 0):
-        raise ValueError(
-            f"region.safety must be a finite number > 0, got {region.safety!r}"
-        )
-    if region.reach is not None and not (_finite(region.reach) and region.reach >= 0):
-        raise ValueError(
-            f"region.reach must be a finite number >= 0 or null, got {region.reach!r}"
-        )
 
 
 @dataclass
@@ -104,8 +73,6 @@ class DrcConfig:
     enabled: bool = True
     #: Also check containment in assigned routable areas.
     check_areas: bool = True
-    #: Raise on violations instead of recording a failed stage.
-    strict: bool = False
 
 
 @dataclass
@@ -200,10 +167,8 @@ class SessionConfig(RouterConfig):
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are ignored so snapshots stay loadable across
-        versions that add knobs.  Raises :class:`ValueError` on region
-        knobs the decomposition cannot run with (a non-finite or
-        non-positive ``cell``/``safety``, a non-finite or negative
-        ``reach``).
+        versions that add or remove knobs.  Raises :class:`ValueError`
+        on any knob :meth:`check` refuses.
         """
         def pick(dc_cls, payload):
             names = {f.name for f in fields(dc_cls)}
@@ -212,7 +177,70 @@ class SessionConfig(RouterConfig):
         data = dict(data)
         extension = pick(ExtensionConfig, data.pop("extension", {}))
         region = pick(RegionConfig, data.pop("region", {}))
-        _check_region(region)
         drc = pick(DrcConfig, data.pop("drc", {}))
         base = pick(cls, data)
-        return replace(base, extension=extension, region=region, drc=drc)
+        config = replace(base, extension=extension, region=region, drc=drc)
+        config.check()
+        return config
+
+    def check(self) -> None:
+        """Refuse knob values the pipeline cannot run with.
+
+        Raises :class:`ValueError` naming the first bad knob.  A NaN
+        tolerance would turn every miss into a false ``ok`` (``abs(miss)
+        > nan`` is never true), ``max_points`` below 2 or a zero
+        ``ldisc`` divides by zero, and a string count fails deep inside
+        the router.  Tolerances follow :class:`~repro.model.MatchGroup`'s
+        rule; bools are not counts and counts are not flags.
+        """
+        ext, region, drc = self.extension, self.region, self.drc
+        _positive("tolerance", self.tolerance, optional=True)
+        _positive("extension.tolerance", ext.tolerance)
+        _positive("extension.ldisc", ext.ldisc, optional=True)
+        _count("extension.max_points", ext.max_points, minimum=2)
+        _count("extension.max_iterations", ext.max_iterations)
+        _count("pair_topup_rounds", self.pair_topup_rounds)
+        _count("breakout_nodes", self.breakout_nodes)
+        _positive("region.cell", region.cell, optional=True)
+        _positive("region.safety", region.safety)
+        if region.reach is not None and not (
+            _finite(region.reach) and region.reach >= 0
+        ):
+            raise ValueError(
+                "region.reach must be a finite number >= 0 or null, "
+                f"got {region.reach!r}"
+            )
+        for name, value in (
+            ("compensate_pairs", self.compensate_pairs),
+            ("apply_miter", self.apply_miter),
+            ("extension.allow_node_feet", ext.allow_node_feet),
+            ("extension.mirrored_chevrons", ext.mirrored_chevrons),
+            ("extension.allow_plocal", ext.allow_plocal),
+            ("region.enabled", region.enabled),
+            ("drc.enabled", drc.enabled),
+            ("drc.check_areas", drc.check_areas),
+        ):
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _finite(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _positive(name: str, value: Any, optional: bool = False) -> None:
+    if value is None and optional:
+        return
+    if not (_finite(value) and value > 0):
+        null = " or null" if optional else ""
+        raise ValueError(f"{name} must be a finite number > 0{null}, got {value!r}")
+
+
+def _count(name: str, value: Any, minimum: int = 0) -> None:
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")

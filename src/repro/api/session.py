@@ -138,8 +138,7 @@ class RoutingSession:
         record of what happened, with ``status`` stamped ``"ok"`` /
         ``"failed"`` / ``"crashed"``.
 
-        By default an exception escaping a stage (a strict-mode
-        :class:`~repro.api.stages.StageFailure`, or any crash in
+        By default an exception escaping a stage (any crash in
         router/geometry code) propagates to the caller.  With
         ``capture_errors=True`` — the batch executor's mode — the crash
         is captured instead: the stages that already ran keep their
@@ -182,12 +181,7 @@ class RoutingSession:
                         if not capture_errors:
                             result.runtime = time.perf_counter() - started
                             raise
-                        # An exception that names its own stage (StageFailure
-                        # raised by a helper on behalf of another stage) wins
-                        # over the loop's current stage.
-                        result.error = error_record(
-                            exc, stage=getattr(exc, "stage", "") or stage.name
-                        )
+                        result.error = error_record(exc, stage=stage.name)
                         record = StageRecord(
                             stage.name,
                             STATUS_CRASHED,

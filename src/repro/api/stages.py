@@ -36,20 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .session import RoutingSession
 
 
-class StageFailure(RuntimeError):
-    """A stage failed and its config says that is fatal (``strict``).
-
-    ``stage`` names the raising stage when the raiser provides it; the
-    session's crash capture (``run(capture_errors=True)``) and the batch
-    executor surface it in ``RunResult.error["stage"]`` either way, so
-    a strict failure inside a batch marks only its own board crashed.
-    """
-
-    def __init__(self, message: str, stage: str = "") -> None:
-        super().__init__(message)
-        self.stage = stage
-
-
 @runtime_checkable
 class Stage(Protocol):
     """The stage contract: mutate the board, report what happened."""
@@ -69,9 +55,8 @@ class RegionAssignmentStage:
     explicit routable area yet participate — areas supplied by the
     caller (or a previous stage) are authoritative.  An infeasible LP is
     recorded as a failed stage and the pipeline continues with
-    unconstrained areas, unless ``region.strict`` asks for a raise; the
-    paper defers infeasibility to rip-up/re-route, which this library
-    does not implement.
+    unconstrained areas; the paper defers infeasibility to
+    rip-up/re-route, which this library does not implement.
     """
 
     name = "region"
@@ -131,10 +116,6 @@ class RegionAssignmentStage:
                 reach=cfg.reach,
             )
         except AssignmentInfeasible as exc:
-            if cfg.strict:
-                raise StageFailure(
-                    f"region assignment infeasible: {exc}", stage=self.name
-                ) from exc
             return StageRecord(self.name, STATUS_FAILED, detail=str(exc))
         apply_assignment(board, assignment)
         return StageRecord(
@@ -212,8 +193,6 @@ class DrcVerifyStage:
         result.drc = report
         if report.is_clean():
             return StageRecord(self.name, STATUS_OK, data={"violations": 0})
-        if cfg.strict:
-            raise StageFailure(f"DRC failed:\n{report}", stage=self.name)
         return StageRecord(
             self.name,
             STATUS_FAILED,

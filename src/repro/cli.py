@@ -45,10 +45,10 @@ distinguish parse error (2), validation-fatal or ``--strict`` warnings
 
 Exit codes (documented in README, gated by CI): **0** on success; **1**
 when routing ends un-OK (failed stage, missed targets, or DRC
-violations remain), when a plain ``check`` finds violations, when a
-``strict``-configured stage raises, or when ``corpus run`` misses its
-feasible-success gate; **2** on bad usage or unreadable/invalid input
-(argparse's convention).  A batch is never all-or-nothing: a board
+violations remain), when a plain ``check`` finds violations, or when
+``corpus run`` misses its feasible-success gate; **2** on bad usage or
+unreadable/invalid input (argparse's convention), a ``--tolerance``
+included.  A batch is never all-or-nothing: a board
 whose pipeline crashes becomes a ``status="crashed"`` report row
 counted against the gate, and ``corpus run --resume <outdir>`` restarts
 a killed sweep from its per-case artifacts.
@@ -63,7 +63,6 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from .api import RoutingSession, SessionConfig
-from .api.stages import StageFailure
 from .drc import check_board
 from .io import (
     board_to_json,
@@ -448,6 +447,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     config = SessionConfig.preset(args.preset)
     if args.tolerance is not None:
         config.tolerance = args.tolerance
+        config.check()
     if args.no_region:
         config.region.enabled = False
     if args.no_drc:
@@ -1012,12 +1012,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except StageFailure as exc:
-        # A strict-configured stage refused the board: a real routing
-        # failure, reported like any other un-OK run (exit 1, no
-        # traceback).
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         # Bad input file, unreadable path, unsupported format version:
         # user errors, not crashes.  (Unknown scenario names are handled

@@ -70,7 +70,6 @@ class DPConfig:
     h_min: float
     h_init: float
     g: float
-    max_width_steps: Optional[int] = None
     #: Permit pattern feet on the segment's end nodes (Fig. 3(d)).  Median
     #: traces of differential pairs disable this: a foot on a node changes
     #: the corner decomposition, which breaks the exact skew-neutrality of
@@ -156,7 +155,7 @@ class SegmentDP:
                 cfg.h_init,
                 cfg.h_min,
                 cfg.w_min,
-                cfg.max_width_steps or (cfg.n - 1),
+                cfg.n - 1,
             )
         h = table.item(il, ir)
         if math.isnan(h):
@@ -217,7 +216,6 @@ class SegmentDP:
         def dir_index(direction: int) -> int:
             return 0 if direction == 1 else 1
 
-        w_max_global = cfg.max_width_steps or (n - 1)
         # Feet whose bound rules out any pattern of height h_min: every
         # shrink on them returns 0, so the DP can skip the call.
         floor = foot_floor(cfg)
@@ -242,8 +240,7 @@ class SegmentDP:
                 if self._right_ub[direction][i] < floor:
                     continue
 
-                w_hi = min(i, w_max_global)
-                for w in range(cfg.w_min, w_hi + 1):
+                for w in range(cfg.w_min, i + 1):
                     il = i - w
                     best_pred: Optional[Tuple[float, int, int]] = None
                     # Candidates in priority order (Fig. 4/5): connected

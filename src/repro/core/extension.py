@@ -55,6 +55,10 @@ from .pattern import Pattern, patterns_to_chain
 from .scene import ClearanceScene
 from .shrink import ShrinkEnvironment
 
+#: A DP result or trimmed pattern set gaining no more than this is
+#: treated as no gain at all.
+MIN_EXTENSION_GAIN = 1e-6
+
 
 @dataclass
 class ExtensionConfig:
@@ -70,9 +74,6 @@ class ExtensionConfig:
     max_points: int = 96
     tolerance: float = 1e-3
     max_iterations: int = 400
-    max_width_steps: Optional[int] = None
-    verify_after_apply: bool = True
-    min_extension_gain: float = 1e-6
     #: See DPConfig.allow_node_feet; the router disables this for median
     #: traces so pair restoration stays exact.
     allow_node_feet: bool = True
@@ -104,10 +105,6 @@ class ExtensionResult:
     @property
     def gain(self) -> float:
         return self.achieved - self.original.length()
-
-    @property
-    def reached(self) -> bool:
-        return abs(self.target - self.achieved) <= 1e-3 or self.achieved >= self.target
 
     def error(self) -> float:
         """Relative matching error ``(l_target - l) / l_target``."""
@@ -326,9 +323,7 @@ class TraceExtender:
                 chain, applied = outcome
                 candidate = state.path.replace_segment(index, chain)
                 t_verify = perf_counter()
-                conflict = cfg.verify_after_apply and self._conflicts(
-                    candidate, index, len(chain), trace.width
-                )
+                conflict = self._conflicts(candidate, index, len(chain), trace.width)
                 if sp.live:
                     sp.set(verify_s=perf_counter() - t_verify)
                 if conflict:
@@ -438,14 +433,16 @@ class TraceExtender:
         cfg = self.config
         h_min = max(self.rules.dprotect, 1e-6)
         residual = target - ltrace
-        if cfg.tolerance < residual < 2.0 * h_min and math.isfinite(residual):
-            if cfg.mirrored_chevrons:
-                chevroned = self._insert_mirrored_chevrons(path, residual, width)
-            else:
-                chevroned = self._insert_chevron(path, residual, width)
-            if chevroned is not None:
-                path = chevroned
-                ltrace = path.length()
+        with obs.span("extension.finish_chevron", residual=residual) as sp:
+            if cfg.tolerance < residual < 2.0 * h_min and math.isfinite(residual):
+                if cfg.mirrored_chevrons:
+                    chevroned = self._insert_mirrored_chevrons(path, residual, width)
+                else:
+                    chevroned = self._insert_chevron(path, residual, width)
+                sp.set(applied=chevroned is not None)
+                if chevroned is not None:
+                    path = chevroned
+                    ltrace = path.length()
         return path, ltrace
 
     # -- per-segment machinery ---------------------------------------------------
@@ -478,7 +475,6 @@ class TraceExtender:
             h_min=h_min,
             h_init=h_init,
             g=g,
-            max_width_steps=cfg.max_width_steps,
             allow_node_feet=cfg.allow_node_feet,
             allow_plocal=cfg.allow_plocal,
         )
@@ -607,7 +603,7 @@ class TraceExtender:
             shrinks=dp.shrinks,
             scalar_shrinks=dp.scalar_shrinks,
         )
-        if result.gain <= self.config.min_extension_gain or not result.patterns:
+        if result.gain <= MIN_EXTENSION_GAIN or not result.patterns:
             return None
         patterns = self._trim_to_need(result.patterns, need, envs, dp_cfg)
         if not patterns:
@@ -650,7 +646,7 @@ class TraceExtender:
             patterns = self._trim_total(
                 patterns, need - 2.0 * dp_cfg.h_min, tol, envs, dp_cfg
             )
-        if sum(p.gain() for p in patterns) <= self.config.min_extension_gain:
+        if sum(p.gain() for p in patterns) <= MIN_EXTENSION_GAIN:
             return []
         return patterns
 

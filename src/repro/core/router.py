@@ -103,13 +103,6 @@ class GroupReport:
             return 0.0
         return max((self.target - m.length_before) / self.target for m in self.members)
 
-    def initial_avg_error(self) -> float:
-        if not self.members:
-            return 0.0
-        return sum(
-            (self.target - m.length_before) / self.target for m in self.members
-        ) / len(self.members)
-
 
 class LengthMatchingRouter:
     """Obstacle-aware any-direction length matching on a board."""
@@ -137,10 +130,6 @@ class LengthMatchingRouter:
                 self._scene.update_trace(trace)
 
     # -- public API --------------------------------------------------------------
-
-    def match_all(self) -> List[GroupReport]:
-        """Match every group on the board, in declaration order."""
-        return [self.match_group(g) for g in self.board.groups]
 
     def match_group(
         self,
@@ -276,11 +265,13 @@ class LengthMatchingRouter:
         base_rules = self.board.rules.rules_for_points(
             list(pair.trace_p.path.points) + list(pair.trace_n.path.points)
         )
-        conversion = convert_pair(
-            pair, base_rules, breakout=self.config.breakout_nodes
-        )
+        with obs.span("dtw.convert_pair", member=pair.name):
+            conversion = convert_pair(
+                pair, base_rules, breakout=self.config.breakout_nodes
+            )
 
-        dry = restore_pair(conversion, conversion.median, compensate=False)
+        with obs.span("dtw.restore_pair", member=pair.name, round="dry"):
+            dry = restore_pair(conversion, conversion.median, compensate=False)
         delta = (
             dry.pair.length() + dry.skew_before / 2.0 - conversion.median.length()
         )
@@ -300,19 +291,20 @@ class LengthMatchingRouter:
             allow_node_feet=False,
         )
         extended = extender.extend(conversion.median, median_target)
-        restoration = restore_pair(
-            conversion,
-            extended.trace,
-            compensate=self.config.compensate_pairs,
-            min_bump_width=base_rules.dprotect,
-        )
+        with obs.span("dtw.restore_pair", member=pair.name, round=0):
+            restoration = restore_pair(
+                conversion,
+                extended.trace,
+                compensate=self.config.compensate_pairs,
+                min_bump_width=base_rules.dprotect,
+            )
         iterations = extended.iterations
         patterns = extended.patterns_applied
         rollbacks = extended.rollbacks
         # Top-up: with node feet off the restoration is skew-exact and can
         # only undershoot (extension never overshoots); close the residue.
         current = extended.trace
-        for _ in range(self.config.pair_topup_rounds):
+        for topup in range(1, self.config.pair_topup_rounds + 1):
             deficit = target - restoration.pair.length()
             if deficit <= tolerance:
                 break
@@ -323,12 +315,13 @@ class LengthMatchingRouter:
             iterations += extended.iterations
             patterns += extended.patterns_applied
             rollbacks += extended.rollbacks
-            restoration = restore_pair(
-                conversion,
-                current,
-                compensate=self.config.compensate_pairs,
-                min_bump_width=base_rules.dprotect,
-            )
+            with obs.span("dtw.restore_pair", member=pair.name, round=topup):
+                restoration = restore_pair(
+                    conversion,
+                    current,
+                    compensate=self.config.compensate_pairs,
+                    min_bump_width=base_rules.dprotect,
+                )
         self.board.replace_pair(restoration.pair)
         self._scene_updated(restoration.pair.trace_p, restoration.pair.trace_n)
         return MemberReport(
@@ -342,4 +335,3 @@ class LengthMatchingRouter:
             patterns=patterns,
             rollbacks=rollbacks,
         )
-

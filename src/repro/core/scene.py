@@ -39,12 +39,12 @@ transform — the feed of :class:`~repro.core.shrink.ShrinkEnvironment`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..geometry import Polygon, oriented_rectangle
+from ..geometry import oriented_rectangle
 from ..model import Board, Obstacle, Trace
 
 
@@ -99,8 +99,8 @@ class ClearanceScene:
             if self.obstacles
             else np.empty((0, 4))
         )
-        # inflation -> per-obstacle (Polygon, (k, 2) array) caches.
-        self._inflated: Dict[Tuple[int, float], Tuple[Polygon, object]] = {}
+        # (obstacle, inflation) -> inflated hull as a (k, 2) array.
+        self._inflated: Dict[Tuple[int, float], object] = {}
         # Concatenated per-segment arrays over all entries, rebuilt lazily
         # after registrations/updates (_dirty).
         self._dirty = True
@@ -184,17 +184,15 @@ class ClearanceScene:
 
     # -- queries -------------------------------------------------------------------
 
-    def _inflated_obstacle(
-        self, idx: int, inflation: float
-    ) -> Tuple[Polygon, object]:
+    def _inflated_obstacle(self, idx: int, inflation: float):
+        """Corner array of ``obstacles[idx].inflated(inflation)`` (cached)."""
         key = (idx, inflation)
-        cached = self._inflated.get(key)
-        if cached is None:
+        pts = self._inflated.get(key)
+        if pts is None:
             poly = self.obstacles[idx].inflated(inflation)
             pts = np.array([(p.x, p.y) for p in poly.points])
-            cached = (poly, pts)
-            self._inflated[key] = cached
-        return cached
+            self._inflated[key] = pts
+        return pts
 
     def _obstacle_hits(self, window):
         """Obstacle indices hitting ``window``, in board order.
@@ -260,49 +258,14 @@ class ClearanceScene:
         exhaustive scan's polygon order exactly.
         """
         for idx in self._obstacle_hits(window):
-            _, pts = self._inflated_obstacle(int(idx), inflation)
+            pts = self._inflated_obstacle(int(idx), inflation)
             chunks.append(pts)
             sizes.append(len(pts))
         for ei, si, half in self._segment_hits(window, dgap, exclude):
             chunks.append(self._entries[ei].rect_pts(si, half))
             sizes.append(4)
 
-    def query_polygons(
-        self,
-        window,
-        dgap: float,
-        inflation: float,
-        exclude: FrozenSet[str] = frozenset(),
-    ) -> List[Polygon]:
-        """The window's world polygons as Polygon objects.
-
-        The equivalence surface: this list must equal what the seed's
-        exhaustive world-polygon scan produced for the same window (minus
-        the area and self polygons, which stay with the extender); the
-        scan survives as ``tests/oracles/extension.py``.
-        """
-        out: List[Polygon] = []
-        for idx in self._obstacle_hits(window):
-            poly, _ = self._inflated_obstacle(int(idx), inflation)
-            out.append(poly)
-        for ei, si, half in self._segment_hits(window, dgap, exclude):
-            out.append(oriented_rectangle(self._entries[ei].segments[si], half))
-        return out
-
-    # -- introspection ---------------------------------------------------------------
-
-    def trace_names(self) -> List[str]:
-        return [e.name for e in self._entries]
-
-    @classmethod
-    def from_context(
-        cls, obstacles: Sequence[Obstacle], traces: Iterable[Trace]
-    ) -> "ClearanceScene":
-        """A scene over explicit obstacle and context-trace lists."""
-        scene = cls(obstacles)
-        for t in traces:
-            scene.add_trace(t)
-        return scene
+    # -- construction ---------------------------------------------------------------
 
     @classmethod
     def from_board(cls, board: Board) -> "ClearanceScene":

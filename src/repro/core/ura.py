@@ -60,18 +60,9 @@ class URA:
             self.h_ob - 2.0 * self.g,
         )
 
-    def has_inner_region(self) -> bool:
-        """True when the inner border encloses a region of positive area."""
-        xmin, ymin, xmax, ymax = self.inner_rect()
-        return xmax > xmin and ymax > ymin
-
     def pattern_height(self) -> float:
         """The pattern height this outer border admits (Eq. 10)."""
         return max(0.0, self.h_ob - self.g)
-
-    def shrunk_to(self, h_ob: float) -> "URA":
-        """The URA with a lower outer border."""
-        return URA(self.x_left, self.x_right, self.g, h_ob)
 
     # -- point classification ----------------------------------------------------
 

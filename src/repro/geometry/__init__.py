@@ -2,17 +2,14 @@
 
 Everything the router needs from a geometry engine, implemented from
 scratch: points, segments, polylines, simple polygons, segment-local
-frames and composite operations (offsets, clearances, rectilinear
+frames and composite operations (offsets, containment, rectilinear
 unions).
 """
 
-from .primitives import EPS, ORIGIN, Point, almost_equal, centroid, clamp, orientation
+from .primitives import EPS, ORIGIN, Point, centroid, clamp, orientation
 from .segment import (
     Segment,
-    angle_between,
     collinear_overlap,
-    segment_crosses_horizontal_line,
-    segment_crosses_vertical_line,
     segment_intersection_point,
     segments_intersect,
 )
@@ -30,25 +27,17 @@ from .ops import (
     cells_union_boundary,
     offset_polyline,
     polyline_inside_polygon,
-    polyline_min_clearance,
-    polyline_self_clearance,
-    polyline_to_polygon_clearance,
-    resample_polyline,
 )
 
 __all__ = [
     "EPS",
     "ORIGIN",
     "Point",
-    "almost_equal",
     "centroid",
     "clamp",
     "orientation",
     "Segment",
-    "angle_between",
     "collinear_overlap",
-    "segment_crosses_horizontal_line",
-    "segment_crosses_vertical_line",
     "segment_intersection_point",
     "segments_intersect",
     "Polyline",
@@ -65,8 +54,4 @@ __all__ = [
     "cells_union_boundary",
     "offset_polyline",
     "polyline_inside_polygon",
-    "polyline_min_clearance",
-    "polyline_self_clearance",
-    "polyline_to_polygon_clearance",
-    "resample_polyline",
 ]

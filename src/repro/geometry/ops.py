@@ -1,9 +1,9 @@
 """Composite geometric operations.
 
 Hosts the algorithms that combine the primitive classes: polyline
-offsetting (differential-pair restoration), clearance computations between
-polylines (DRC), and rectilinear cell-union boundary extraction (routable
-areas built from region-assignment cells).
+offsetting (differential-pair restoration), polyline containment, and
+rectilinear cell-union boundary extraction (routable areas built from
+region-assignment cells).
 """
 
 from __future__ import annotations
@@ -59,54 +59,6 @@ def offset_polyline(line: Polyline, distance: float) -> Polyline:
         out.append(pts[i] + bisector * (distance / cos_half))
     out.append(pts[-1] + normals[-1] * distance)
     return Polyline(out)
-
-
-def polyline_min_clearance(
-    a: Polyline, b: Polyline
-) -> float:
-    """Minimum distance between two polylines (centreline to centreline)."""
-    best = math.inf
-    for sa in a.segments():
-        for sb in b.segments():
-            d = sa.distance_to_segment(sb)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return best
-
-
-def polyline_self_clearance(
-    line: Polyline, skip_adjacent: int = 1
-) -> float:
-    """Minimum distance between non-adjacent segments of one polyline.
-
-    ``skip_adjacent`` is the number of neighbouring segments on each side
-    exempt from the check (adjacent segments share a node, so their mutual
-    distance is always 0 and is not a violation).  This is the self-DRC
-    oracle for meandered traces.
-    """
-    segs = line.segments()
-    best = math.inf
-    n = len(segs)
-    for i in range(n):
-        for j in range(i + skip_adjacent + 1, n):
-            d = segs[i].distance_to_segment(segs[j])
-            if d < best:
-                best = d
-    return best
-
-
-def polyline_to_polygon_clearance(line: Polyline, poly: Polygon) -> float:
-    """Minimum distance between a polyline and a polygon (0 on overlap)."""
-    best = math.inf
-    for seg in line.segments():
-        d = poly.distance_to_segment(seg)
-        if d < best:
-            best = d
-            if best == 0.0:
-                return 0.0
-    return best
 
 
 def polyline_inside_polygon(line: Polyline, poly: Polygon, eps: float = EPS) -> bool:
@@ -390,12 +342,3 @@ def _merge_collinear(
         map(objs.__getitem__, yi[keep].tolist()),
     )
     return [Polygon(islice(points, count)) for count in counts]
-
-
-def resample_polyline(line: Polyline, step: float) -> List[Point]:
-    """Points along ``line`` every ``step`` of arc length, including ends."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    total = line.length()
-    count = max(1, int(math.ceil(total / step)))
-    return [line.point_at_arclength(total * i / count) for i in range(count + 1)]

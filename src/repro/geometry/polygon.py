@@ -69,10 +69,6 @@ class Polygon:
         """Unsigned enclosed area."""
         return abs(self.signed_area())
 
-    def perimeter(self) -> float:
-        """Total boundary length."""
-        return sum(e.length() for e in self.edges())
-
     def centroid(self) -> Point:
         """Arithmetic mean of the nodes (sufficient for our convex shapes)."""
         return centroid(self.points)
@@ -232,10 +228,6 @@ class Polygon:
                 continue
             out.append(cur + bisector * (margin / cos_half))
         return Polygon(out)
-
-    def rounded(self, digits: int = 9) -> "Polygon":
-        """Polygon with coordinates rounded (stable hashing in caches)."""
-        return Polygon(p.round_to(digits) for p in self.points)
 
 
 # -- common constructors ---------------------------------------------------------

@@ -18,11 +18,6 @@ from typing import Iterable, Iterator
 EPS = 1e-7
 
 
-def almost_equal(a: float, b: float, eps: float = EPS) -> bool:
-    """Return True when ``a`` and ``b`` differ by at most ``eps``."""
-    return abs(a - b) <= eps
-
-
 def clamp(value: float, lo: float, hi: float) -> float:
     """Clamp ``value`` into the closed interval [lo, hi]."""
     if value < lo:
@@ -122,10 +117,6 @@ class Point:
     def almost_equals(self, other: "Point", eps: float = EPS) -> bool:
         """Component-wise closeness test."""
         return abs(self.x - other.x) <= eps and abs(self.y - other.y) <= eps
-
-    def round_to(self, digits: int = 9) -> "Point":
-        """Point with coordinates rounded; used to key geometric hashes."""
-        return Point(round(self.x, digits), round(self.y, digits))
 
 
 #: The origin, used as a default reference all over the tests.

@@ -7,7 +7,6 @@ ultimately reduces to the functions in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -208,65 +207,3 @@ def collinear_overlap(s1: Segment, s2: Segment, eps: float = EPS) -> Optional[Se
     if hi < lo - eps:
         return None
     return Segment(s1.point_at(clamp(lo, 0.0, 1.0)), s1.point_at(clamp(hi, 0.0, 1.0)))
-
-
-def segment_crosses_vertical_line(
-    seg: Segment, x: float, y_lo: float, y_hi: float, eps: float = EPS
-) -> Optional[float]:
-    """Intersection ordinate of ``seg`` with the vertical segment at ``x``.
-
-    This is the primitive of the URA "sides" shrinking (Eq. 11): the sides of
-    an axis-aligned URA are vertical segments, and we only need the *y* of
-    the crossing.  Returns the ordinate clamped into [y_lo, y_hi] when the
-    segment crosses the vertical line within that span, else None.  For a
-    segment collinear with the line, the lowest overlapping ordinate is
-    returned.
-    """
-    x1, x2 = seg.a.x, seg.b.x
-    if abs(x1 - x2) <= eps:
-        if abs(x1 - x) > eps:
-            return None
-        lo = min(seg.a.y, seg.b.y)
-        hi = max(seg.a.y, seg.b.y)
-        if hi < y_lo - eps or lo > y_hi + eps:
-            return None
-        return clamp(lo, y_lo, y_hi)
-    if (x1 - x) * (x2 - x) > eps:
-        return None  # both endpoints strictly on the same side
-    t = (x - x1) / (x2 - x1)
-    t = clamp(t, 0.0, 1.0)
-    y = seg.a.y + (seg.b.y - seg.a.y) * t
-    if y < y_lo - eps or y > y_hi + eps:
-        return None
-    return clamp(y, y_lo, y_hi)
-
-
-def segment_crosses_horizontal_line(
-    seg: Segment, y: float, x_lo: float, x_hi: float, eps: float = EPS
-) -> Optional[float]:
-    """Mirror of :func:`segment_crosses_vertical_line` for horizontal lines."""
-    y1, y2 = seg.a.y, seg.b.y
-    if abs(y1 - y2) <= eps:
-        if abs(y1 - y) > eps:
-            return None
-        lo = min(seg.a.x, seg.b.x)
-        hi = max(seg.a.x, seg.b.x)
-        if hi < x_lo - eps or lo > x_hi + eps:
-            return None
-        return clamp(lo, x_lo, x_hi)
-    if (y1 - y) * (y2 - y) > eps:
-        return None
-    t = (y - y1) / (y2 - y1)
-    t = clamp(t, 0.0, 1.0)
-    x = seg.a.x + (seg.b.x - seg.a.x) * t
-    if x < x_lo - eps or x > x_hi + eps:
-        return None
-    return clamp(x, x_lo, x_hi)
-
-
-def angle_between(s1: Segment, s2: Segment) -> float:
-    """Unsigned angle between two segment directions, in [0, pi]."""
-    d1 = s1.direction()
-    d2 = s2.direction()
-    c = clamp(d1.dot(d2), -1.0, 1.0)
-    return math.acos(c)

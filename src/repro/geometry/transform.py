@@ -82,24 +82,12 @@ class Frame:
     def polygon_to_world(self, poly: Polygon) -> Polygon:
         return Polygon(self.to_world(p) for p in poly.points)
 
-    def polyline_to_local(self, line: Polyline) -> Polyline:
-        return Polyline(self.to_local(p) for p in line.points)
-
-    def polyline_to_world(self, line: Polyline) -> Polyline:
-        return Polyline(self.to_world(p) for p in line.points)
-
     def points_to_world(self, points: Iterable[Point]) -> List[Point]:
         return [self.to_world(p) for p in points]
-
-    # -- sanity ---------------------------------------------------------------
 
     def angle(self) -> float:
         """Rotation angle of the frame's x-axis in the world, radians."""
         return math.atan2(self.sin_a, self.cos_a)
-
-    def is_valid(self) -> bool:
-        """True when the rotation part is a unit vector (numerically)."""
-        return abs(self.cos_a * self.cos_a + self.sin_a * self.sin_a - 1.0) < 1e-6
 
 
 def rotation_about(center: Point, angle: float) -> "Rotation":

@@ -3,7 +3,7 @@
 from .rules import DesignRuleArea, DesignRules, RuleSet
 from .trace import Trace
 from .diffpair import DifferentialPair
-from .obstacle import Obstacle, rect_keepout, via, via_grid
+from .obstacle import Obstacle, rect_keepout, via
 from .group import MatchGroup, Member
 from .board import Board
 from .synth import (
@@ -22,7 +22,6 @@ __all__ = [
     "Obstacle",
     "rect_keepout",
     "via",
-    "via_grid",
     "MatchGroup",
     "Member",
     "Board",

@@ -64,10 +64,6 @@ class DifferentialPair:
         """Nominal centre-to-centre distance of the coupled sub-traces."""
         return self.rule
 
-    def edge_gap(self) -> float:
-        """Edge-to-edge copper gap inside the pair."""
-        return self.rule - self.width()
-
     def virtual_width(self) -> float:
         """Width of the pair seen as one wide trace: ``r + w``.
 

@@ -8,7 +8,6 @@ area" — concretely, its inflated hull participates in URA shrinking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..geometry import Point, Polygon, rectangle, regular_polygon
 
@@ -44,21 +43,3 @@ def rect_keepout(
 ) -> Obstacle:
     """A rectangular keep-out region."""
     return Obstacle(rectangle(xmin, ymin, xmax, ymax), kind="keepout", name=name)
-
-
-def via_grid(
-    origin: Point,
-    rows: int,
-    cols: int,
-    pitch_x: float,
-    pitch_y: float,
-    radius: float,
-    sides: int = 8,
-) -> List[Obstacle]:
-    """A regular array of vias — the "dense vias" of the Table II design."""
-    out: List[Obstacle] = []
-    for r in range(rows):
-        for c in range(cols):
-            center = Point(origin.x + c * pitch_x, origin.y + r * pitch_y)
-            out.append(via(center, radius, sides, name=f"via_{r}_{c}"))
-    return out

@@ -16,7 +16,7 @@ for differential pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..geometry import Point, Polygon
@@ -41,47 +41,6 @@ class DesignRules:
             raise ValueError("d_protect must be finite and not negative")
         if not 0 <= self.dmiter < math.inf:
             raise ValueError("d_miter must be finite and not negative")
-
-    # -- derived quantities -------------------------------------------------
-
-    def half_gap(self) -> float:
-        """The URA inflation, half of ``d_gap`` (paper Fig. 6)."""
-        return self.dgap / 2.0
-
-    def obstacle_inflation(self) -> float:
-        """Extra inflation applied to obstacles before URA tests.
-
-        URAs already keep ``d_gap/2`` from the trace; pre-inflating each
-        obstacle by ``max(0, d_obs - d_gap/2)`` makes the single URA test
-        enforce the (generally different) ``d_obs`` rule too.
-        """
-        return max(0.0, self.dobs - self.half_gap())
-
-    def snapped_to_step(self, ldisc: float) -> "DesignRules":
-        """Rules with ``d_gap``/``d_protect`` rounded *up* to multiples of
-        ``ldisc``.
-
-        The paper: "We may slightly increase d_gap and d_protect or adjust
-        l_disc to make the former divisible by the latter."  Rounding up is
-        always safe (more conservative DRC).
-        """
-        if ldisc <= 0:
-            raise ValueError("ldisc must be positive")
-
-        def up(value: float) -> float:
-            steps = math.ceil(value / ldisc - 1e-9)
-            return max(1, steps) * ldisc
-
-        return replace(self, dgap=up(self.dgap), dprotect=up(self.dprotect))
-
-    def with_scaled(self, factor: float) -> "DesignRules":
-        """All distances scaled by ``factor`` (used by virtual DRC)."""
-        return DesignRules(
-            dgap=self.dgap * factor,
-            dobs=self.dobs * factor,
-            dprotect=self.dprotect * factor,
-            dmiter=self.dmiter * factor,
-        )
 
 
 @dataclass(frozen=True)

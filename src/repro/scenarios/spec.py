@@ -51,12 +51,6 @@ class ScenarioSpec:
         """The generated board's identifier, e.g. ``serpentine_bus-s3``."""
         return f"{self.name}-s{self.seed}"
 
-    def with_params(self, **overrides: Any) -> "ScenarioSpec":
-        """A new spec with ``overrides`` merged over the current params."""
-        merged = dict(self.params)
-        merged.update(overrides)
-        return ScenarioSpec(name=self.name, seed=self.seed, params=merged)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

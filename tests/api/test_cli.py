@@ -397,34 +397,6 @@ class TestExitCodes:
     def test_missing_board_file_is_usage_error(self, tmp_path):
         assert run_cli(["check", "no_such.json"], tmp_path).returncode == 2
 
-    def test_strict_stage_failure_exits_one_without_traceback(
-        self, dirty_file, tmp_path, monkeypatch
-    ):
-        # In-process: route a dirty board with a strict DRC stage and
-        # assert StageFailure maps to exit 1 (not a crash/traceback).
-        from repro.api import RoutingSession, SessionConfig
-        from repro.api.stages import StageFailure
-        from repro import load_board
-
-        config = SessionConfig.preset("fast")
-        config.drc.strict = True
-        with pytest.raises(StageFailure):
-            RoutingSession(load_board(dirty_file), config).run()
-
-        import repro.cli as cli
-
-        original_preset = SessionConfig.preset
-
-        def strict_preset(name):
-            cfg = original_preset(name)
-            cfg.drc.strict = True
-            return cfg
-
-        monkeypatch.setattr(
-            cli.SessionConfig, "preset", staticmethod(strict_preset)
-        )
-        assert cli.main(["route", dirty_file, "--quiet"]) == 1
-
 
 class TestServeAndRemote:
     """``serve`` + ``route --remote`` end to end, as real subprocesses."""

@@ -127,11 +127,11 @@ class TestFingerprintSensitivity:
     @pytest.mark.parametrize(
         "name, fingerprint",
         [
-            ("default", "dd02ebd88f1d07a93d0d23e7ce0156ff75393ce56622c26a45f91cc5642e9570"),
-            ("paper", "dd02ebd88f1d07a93d0d23e7ce0156ff75393ce56622c26a45f91cc5642e9570"),
-            ("fast", "995ae566cb3fd2682eaec1c5356f1b5f9687109b4cd8c398cf46f353374f7ac4"),
-            ("quality", "d818ce8044fa6674bf6f2e2ad63de4c8aa86c68758988f9eeee51b64c7eb1e72"),
-            ("bench", "6c9ae0ef63dccebd5253d0c9912e2128e3036db3c45111b1031c626881c5e24d"),
+            ("default", "004bb6b300ed1ec6aa1f77e5af605366c795519c66cb2c4caada956ecfedcd65"),
+            ("paper", "004bb6b300ed1ec6aa1f77e5af605366c795519c66cb2c4caada956ecfedcd65"),
+            ("fast", "6eaad7f6459082a527c4e6359e30277eddced5745b818c4207b37ea96853c47e"),
+            ("quality", "655c7a17f3751f766e407c71db4b0b262f0c72ff379d0b848b155bc24bb355c3"),
+            ("bench", "25c888ef4db3646b35670574766422e607be631d510c8191eeccaa1e4f67cdef"),
         ],
     )
     def test_preset_fingerprint_is_pinned(self, name, fingerprint):

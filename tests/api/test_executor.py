@@ -109,20 +109,6 @@ class TestRunCaptureErrors:
         assert "CRASHED" in text
         assert "ZeroDivisionError" in text
 
-    def test_strict_stage_failure_captured_with_stage_name(self):
-        from repro.api import RegionConfig, SessionConfig
-
-        board = Board.with_rect_outline(0, 0, 30, 8, RULES)
-        t = board.add_trace(
-            Trace("t0", Polyline([Point(2, 4), Point(28, 4)]), width=1.0)
-        )
-        board.add_group(MatchGroup("g", members=[t], target_length=2000.0))
-        config = SessionConfig(region=RegionConfig(strict=True))
-        result = RoutingSession(board, config).run(capture_errors=True)
-        assert result.status == STATUS_CRASHED
-        assert result.error["type"] == "StageFailure"
-        assert result.error["stage"] == "region"
-
 
 class TestSerialIsolation:
     def test_poisoned_board_does_not_sink_batch(self):

@@ -14,7 +14,6 @@ from repro import (
     default_stages,
 )
 from repro.api import DrcConfig, RegionConfig, StageRecord
-from repro.api.stages import StageFailure
 from repro.core import LengthMatchingRouter, RouterConfig
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
@@ -123,16 +122,6 @@ class TestPipeline:
         assert record.status == "failed"
         assert "missed target" in record.detail
         assert not result.ok()
-
-    def test_region_infeasible_strict_raises(self):
-        board = Board.with_rect_outline(0, 0, 30, 8, RULES)
-        t = board.add_trace(
-            Trace("t0", Polyline([Point(2, 4), Point(28, 4)]), width=1.0)
-        )
-        board.add_group(MatchGroup("g", members=[t], target_length=2000.0))
-        config = SessionConfig(region=RegionConfig(strict=True))
-        with pytest.raises(StageFailure):
-            RoutingSession(board, config).run()
 
 
 @pytest.mark.smoke

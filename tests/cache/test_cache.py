@@ -95,7 +95,7 @@ class TestCacheKey:
         )
         doc = board_to_dict(board)
         fp = SessionConfig.preset("default").fingerprint()
-        pinned = "d945aecba280918e5c6313c994138de8efa6d425e7b03d9631553ae5406e6557"
+        pinned = "c5c8bc044a2e9d79eec492d45bfbe68f2131181fa77c7d75b4aca77104f6990f"
         assert cache_key(doc, fp, version="1.5.0") == pinned
         assert cache_key(json.loads(json.dumps(doc)), fp, version="1.5.0") == pinned
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
+from oracles.extension import context_scene
+from repro.core import ExtensionConfig, TraceExtender
 from repro.drc import check_obstacle_clearance, check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, offset_polyline, rectangle
 from repro.model import DesignRules, Trace, via
@@ -17,7 +18,7 @@ def extender(obstacles=(), other=(), **cfg) -> TraceExtender:
     return TraceExtender(
         RULES,
         AREA,
-        ClearanceScene.from_context(obstacles, other),
+        context_scene(obstacles, other),
         ExtensionConfig(**cfg),
     )
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from oracles.extension import chevron_clear_scan
+from oracles.extension import chevron_clear_scan, context_scene
 from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.geometry import Point, Polygon, Polyline, rectangle
 from repro.model import DesignRules, Obstacle, Trace
@@ -147,7 +147,7 @@ def test_zero_length_trace_blocks_a_chain():
     # The chain passes within 1.9 of a zero-length trace of width 1: with
     # dgap 2 and chain width 1 it needs 3, so the point alone rejects it.
     dot = Trace("dot", Polyline([Point(5.0, 1.5), Point(5.0, 1.5)]), width=1.0)
-    scene = ClearanceScene.from_context([], [dot])
+    scene = context_scene([], [dot])
     rules = DesignRules(dgap=2.0, dobs=1.0, dprotect=1.0)
     extender = TraceExtender(rules, AREA, scene=scene)
     chain = [Point(0, 0), Point(4, 0), Point(5, -0.5), Point(6, 0), Point(10, 0)]

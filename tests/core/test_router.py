@@ -49,16 +49,10 @@ class TestGroupMatching:
         LengthMatchingRouter(board).match_group(board.groups[0])
         assert check_board(board).is_clean()
 
-    def test_match_all(self):
-        board = board_with_traces([80.0, 100.0])
-        reports = LengthMatchingRouter(board).match_all()
-        assert len(reports) == 1
-
     def test_initial_error_metrics(self):
         board = board_with_traces([80.0, 100.0])
         report = LengthMatchingRouter(board).match_group(board.groups[0])
         assert math.isclose(report.initial_max_error(), 0.2)
-        assert math.isclose(report.initial_avg_error(), 0.1)
 
     def test_member_reports_populated(self):
         board = board_with_traces([80.0, 100.0])
@@ -82,7 +76,6 @@ class TestEmptyGroupReport:
         assert report.max_error() == 0.0
         assert report.avg_error() == 0.0
         assert report.initial_max_error() == 0.0
-        assert report.initial_avg_error() == 0.0
 
 
 class TestMemberObserver:

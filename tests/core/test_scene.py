@@ -1,14 +1,13 @@
 """ClearanceScene vs. the exhaustive world-polygon scan.
 
-The scene's window queries must reproduce the seed extender's
-``_world_polygons`` context scan (``tests/oracles/extension.py``) *exactly* — same polygons, same floats,
-same order — under registration, exclusion and in-place trace updates.
-The oracle here is a verbatim reimplementation of that scan's context
-portion (obstacles + other-trace clearance rectangles; the area and the
-trace's own segments stay with the extender and are out of scope).
-``TestFromBoard`` checks that :meth:`ClearanceScene.from_board` plus a
-member's exclusion set yields exactly the context list the router used
-to build per member.
+The scene's window query, :meth:`ClearanceScene.collect_window` (what
+the extender calls), must reproduce the seed extender's context scan
+(:func:`oracles.extension.context_polygons`) *exactly* — same polygons,
+same floats, same order — under registration, exclusion and in-place
+trace updates.  The area and the trace's own segments stay with the
+extender and are out of scope.  ``TestFromBoard`` checks that
+:meth:`ClearanceScene.from_board` plus a member's exclusion set yields
+exactly the context list the router used to build per member.
 """
 
 import random
@@ -16,39 +15,30 @@ import random
 import pytest
 
 from oracles.digests import corpus_families
+from oracles.extension import context_polygons
 from repro.core import ClearanceScene
-from repro.geometry import Point, Polygon, Polyline, Segment, oriented_rectangle
+from repro.geometry import Point, Polygon, Polyline
 from repro.model import Board, DifferentialPair, Obstacle, Trace
 from repro.scenarios import generate
 
 
-def _bbox_hits(b, window):
-    return (
-        b[0] <= window[2]
-        and window[0] <= b[2]
-        and b[1] <= window[3]
-        and window[1] <= b[3]
-    )
-
-
 def reference_polygons(obstacles, traces, window, dgap, inflation, exclude):
-    """The seed extender's context scan, verbatim (order included)."""
-    out = []
-    for obstacle in obstacles:
-        if _bbox_hits(obstacle.bounds(), window):
-            out.append(obstacle.inflated(inflation))
-    for trace, owner in traces:
-        if trace.name in exclude or (owner is not None and owner in exclude):
-            continue
-        half = (trace.width + dgap) / 2.0
-        for seg in trace.segments():
-            if seg.is_degenerate():
-                continue
-            b = seg.bounds()
-            inflated = (b[0] - half, b[1] - half, b[2] + half, b[3] + half)
-            if _bbox_hits(inflated, window):
-                out.append(oriented_rectangle(seg, half))
-    return out
+    """The seed extender's context scan over ``(trace, owner)`` pairs,
+    dropping traces excluded by name or by owning pair."""
+    kept = [
+        trace
+        for trace, owner in traces
+        if not (trace.name in exclude or (owner is not None and owner in exclude))
+    ]
+    return context_polygons(obstacles, kept, window, dgap, inflation)
+
+
+def window_polygons(scene, window, dgap, inflation, exclude=frozenset()):
+    """``collect_window``'s blocks as lists of ``(x, y)`` floats."""
+    chunks, sizes = [], []
+    scene.collect_window(chunks, sizes, window, dgap, inflation, exclude)
+    assert sizes == [len(pts) for pts in chunks]
+    return [[(float(x), float(y)) for x, y in pts] for pts in chunks]
 
 
 def random_board(seed, n_obstacles=6, n_traces=5):
@@ -98,7 +88,7 @@ def random_window(rng):
 
 
 def assert_same_polygons(got, want):
-    assert [tuple(p.points) for p in got] == [tuple(p.points) for p in want]
+    assert got == [[(p.x, p.y) for p in poly.points] for poly in want]
 
 
 class TestQueryEquivalence:
@@ -112,7 +102,7 @@ class TestQueryEquivalence:
             dgap = rng.choice((2.5, 4.0))
             inflation = rng.uniform(0.0, 3.0)
             assert_same_polygons(
-                scene.query_polygons(window, dgap, inflation),
+                window_polygons(scene, window, dgap, inflation),
                 reference_polygons(
                     obstacles, traces, window, dgap, inflation, frozenset()
                 ),
@@ -133,14 +123,14 @@ class TestQueryEquivalence:
             frozenset({"no-such-trace"}),
         ):
             assert_same_polygons(
-                scene.query_polygons(window, 4.0, 1.0, exclude),
+                window_polygons(scene, window, 4.0, 1.0, exclude),
                 reference_polygons(obstacles, traces, window, 4.0, 1.0, exclude),
             )
 
     def test_whole_board_and_empty_windows(self):
         obstacles, traces = random_board(3)
         scene = make_scene(obstacles, traces)
-        everything = scene.query_polygons((-1e9, -1e9, 1e9, 1e9), 4.0, 1.0)
+        everything = window_polygons(scene, (-1e9, -1e9, 1e9, 1e9), 4.0, 1.0)
         assert_same_polygons(
             everything,
             reference_polygons(
@@ -148,7 +138,7 @@ class TestQueryEquivalence:
             ),
         )
         assert len(everything) > 0
-        assert scene.query_polygons((900.0, 900.0, 901.0, 901.0), 4.0, 1.0) == []
+        assert window_polygons(scene, (900.0, 900.0, 901.0, 901.0), 4.0, 1.0) == []
 
     def test_degenerate_segments_never_reported(self):
         trace = Trace(
@@ -158,18 +148,18 @@ class TestQueryEquivalence:
         )
         scene = ClearanceScene([])
         scene.add_trace(trace)
-        got = scene.query_polygons((-10, -10, 20, 20), 4.0, 0.0)
+        got = window_polygons(scene, (-10, -10, 20, 20), 4.0, 0.0)
         assert len(got) == 2  # the zero-length middle segment is dropped
 
-    def test_collect_window_matches_query_polygons(self):
+    def test_collect_window_matches_oracle(self):
         obstacles, traces = random_board(7)
         scene = make_scene(obstacles, traces)
         window = (-30.0, -30.0, 30.0, 30.0)
-        polys = scene.query_polygons(window, 2.5, 0.75)
+        want = reference_polygons(obstacles, traces, window, 2.5, 0.75, frozenset())
         chunks, sizes = [], []
         scene.collect_window(chunks, sizes, window, 2.5, 0.75)
-        assert len(chunks) == len(sizes) == len(polys)
-        for pts, size, poly in zip(chunks, sizes, polys):
+        assert len(chunks) == len(sizes) == len(want)
+        for pts, size, poly in zip(chunks, sizes, want):
             assert size == len(pts) == len(poly.points)
             assert [(p.x, p.y) for p in poly.points] == [
                 (float(x), float(y)) for x, y in pts
@@ -182,20 +172,20 @@ class TestMutation:
         scene = ClearanceScene([])
         scene.add_trace(trace)
         window = (-5.0, -5.0, 15.0, 5.0)
-        before = scene.query_polygons(window, 4.0, 0.0)
+        before = window_polygons(scene, window, 4.0, 0.0)
         assert len(before) == 1
 
         moved = Trace("t", Polyline([Point(0, 100), Point(10, 100)]), width=1.0)
         scene.update_trace(moved)
-        assert scene.query_polygons(window, 4.0, 0.0) == []
-        assert len(scene.query_polygons((-5, 95, 15, 105), 4.0, 0.0)) == 1
+        assert window_polygons(scene, window, 4.0, 0.0) == []
+        assert len(window_polygons(scene, (-5, 95, 15, 105), 4.0, 0.0)) == 1
 
     def test_update_unknown_trace_is_ignored(self):
         scene = ClearanceScene([])
         scene.update_trace(
             Trace("ghost", Polyline([Point(0, 0), Point(1, 0)]), width=1.0)
         )
-        assert scene.trace_names() == []
+        assert scene._entries == []
 
     def test_duplicate_registration_rejected(self):
         scene = ClearanceScene([])
@@ -224,9 +214,8 @@ class TestMutation:
         rng = random.Random(42)
         for _ in range(10):
             window = random_window(rng)
-            assert_same_polygons(
-                scene.query_polygons(window, 4.0, 1.0),
-                fresh.query_polygons(window, 4.0, 1.0),
+            assert window_polygons(scene, window, 4.0, 1.0) == window_polygons(
+                fresh, window, 4.0, 1.0
             )
 
 
@@ -258,7 +247,7 @@ class TestFromBoard:
         for name, exclude in members:
             context = [(t, None) for t in context_traces(board, exclude)]
             assert_same_polygons(
-                scene.query_polygons(window, 2.5, 0.75, frozenset(exclude)),
+                window_polygons(scene, window, 2.5, 0.75, frozenset(exclude)),
                 reference_polygons(
                     board.obstacles, context, window, 2.5, 0.75, frozenset()
                 ),
@@ -273,5 +262,5 @@ class TestFromBoard:
         board.add_pair(DifferentialPair("d", traces[3][0], traces[4][0], rule=2.0))
         scene = ClearanceScene.from_board(board)
         assert scene.obstacles == board.obstacles
-        assert scene.trace_names() == ["t0", "t1", "t2", "t3", "t4"]
+        assert [e.name for e in scene._entries] == ["t0", "t1", "t2", "t3", "t4"]
         assert [e.owner for e in scene._entries] == [None, None, None, "d", "d"]

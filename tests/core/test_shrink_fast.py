@@ -368,7 +368,7 @@ def check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max):
 
 def check_dp_input(cfg, envs):
     xs = np.arange(cfg.n) * cfg.step
-    w_max = cfg.max_width_steps or (cfg.n - 1)
+    w_max = cfg.n - 1
     busy = 0
     for d, vec in fresh_envs(envs).items():
         busy += check_pair_heights(

@@ -27,18 +27,6 @@ class TestBorders:
     def test_pattern_height_clamped_at_zero(self):
         assert URA(0, 4, 3.0, 2.0).pattern_height() == 0.0
 
-    def test_has_inner_region(self, ura):
-        assert ura.has_inner_region()
-
-    def test_narrow_pattern_no_inner_region(self):
-        assert not URA(0, 3, 2.0, 10.0).has_inner_region()
-
-    def test_shallow_pattern_no_inner_region(self):
-        assert not URA(0, 10, 2.0, 3.0).has_inner_region()
-
-    def test_shrunk_to(self, ura):
-        assert ura.shrunk_to(5.0).h_ob == 5.0
-
     def test_validates_feet(self):
         with pytest.raises(ValueError):
             URA(5, 5, 1, 10)

@@ -2,9 +2,6 @@
 
 import math
 
-import pytest
-from hypothesis import given, strategies as st
-
 from repro.geometry import (
     Point,
     Polyline,
@@ -12,11 +9,7 @@ from repro.geometry import (
     offset_polyline,
     polyline_from_pairs,
     polyline_inside_polygon,
-    polyline_min_clearance,
-    polyline_self_clearance,
-    polyline_to_polygon_clearance,
     rectangle,
-    resample_polyline,
 )
 
 
@@ -54,35 +47,6 @@ class TestOffset:
             s.distance_to_point(Point(5, 1.5)) for s in line.segments()
         )
         assert math.isclose(d, 1.5)
-
-
-class TestClearances:
-    def test_min_clearance_parallel(self):
-        a = polyline_from_pairs([(0, 0), (10, 0)])
-        b = polyline_from_pairs([(0, 3), (10, 3)])
-        assert math.isclose(polyline_min_clearance(a, b), 3.0)
-
-    def test_min_clearance_crossing_zero(self):
-        a = polyline_from_pairs([(0, 0), (10, 10)])
-        b = polyline_from_pairs([(0, 10), (10, 0)])
-        assert polyline_min_clearance(a, b) == 0.0
-
-    def test_self_clearance_serpentine(self):
-        line = polyline_from_pairs(
-            [(0, 0), (2, 0), (2, 5), (6, 5), (6, 0), (10, 0), (10, 5), (14, 5), (14, 0), (16, 0)]
-        )
-        # Nearest non-adjacent approach: legs at x=6 and x=10.
-        assert math.isclose(polyline_self_clearance(line), 4.0)
-
-    def test_polygon_clearance(self):
-        line = polyline_from_pairs([(0, 0), (10, 0)])
-        poly = rectangle(4, 2, 6, 4)
-        assert math.isclose(polyline_to_polygon_clearance(line, poly), 2.0)
-
-    def test_polygon_clearance_zero_when_crossing(self):
-        line = polyline_from_pairs([(0, 0), (10, 0)])
-        poly = rectangle(4, -1, 6, 1)
-        assert polyline_to_polygon_clearance(line, poly) == 0.0
 
 
 class TestContainment:
@@ -141,20 +105,3 @@ class TestCellUnion:
         assert poly.contains_point(Point(1.5, 0.5))
         assert poly.contains_point(Point(0.5, 1.5))
         assert not poly.contains_point(Point(1.5, 1.5))
-
-
-class TestResample:
-    def test_includes_endpoints(self):
-        line = polyline_from_pairs([(0, 0), (10, 0)])
-        pts = resample_polyline(line, 3.0)
-        assert pts[0] == line.start and pts[-1].almost_equals(line.end)
-
-    def test_spacing_at_most_step(self):
-        line = polyline_from_pairs([(0, 0), (10, 0), (10, 10)])
-        pts = resample_polyline(line, 2.5)
-        for a, b in zip(pts, pts[1:]):
-            assert a.distance_to(b) <= 2.5 + 1e-9
-
-    def test_validates_step(self):
-        with pytest.raises(ValueError):
-            resample_polyline(polyline_from_pairs([(0, 0), (1, 0)]), 0.0)

@@ -61,9 +61,6 @@ class TestMeasures:
     def test_l_shape_area(self, l_shape):
         assert l_shape.area() == 3.0
 
-    def test_perimeter(self, unit_square):
-        assert unit_square.perimeter() == 4.0
-
     def test_signed_area_ccw_positive(self, unit_square):
         assert unit_square.signed_area() > 0
 

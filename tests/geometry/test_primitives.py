@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import EPS, ORIGIN, Point, almost_equal, centroid, clamp, orientation
+from repro.geometry import ORIGIN, Point, centroid, clamp, orientation
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -93,10 +93,6 @@ class TestDirections:
 
 
 class TestHelpers:
-    def test_almost_equal(self):
-        assert almost_equal(1.0, 1.0 + EPS / 2)
-        assert not almost_equal(1.0, 1.0 + 10 * EPS)
-
     def test_clamp(self):
         assert clamp(5, 0, 3) == 3
         assert clamp(-1, 0, 3) == 0
@@ -121,9 +117,6 @@ class TestHelpers:
 
     def test_origin(self):
         assert ORIGIN == Point(0.0, 0.0)
-
-    def test_round_to(self):
-        assert Point(1.23456789, -2.0).round_to(3) == Point(1.235, -2.0)
 
 
 class TestPointProperties:

@@ -8,10 +8,7 @@ from hypothesis import given, strategies as st
 from repro.geometry import (
     Point,
     Segment,
-    angle_between,
     collinear_overlap,
-    segment_crosses_horizontal_line,
-    segment_crosses_vertical_line,
     segment_intersection_point,
     segments_intersect,
 )
@@ -136,35 +133,6 @@ class TestDistances:
 
     def test_distance_skew(self):
         assert math.isclose(seg(0, 0, 1, 0).distance_to_segment(seg(4, 0, 5, 0)), 3)
-
-    def test_angle_between_perpendicular(self):
-        assert math.isclose(angle_between(seg(0, 0, 1, 0), seg(0, 0, 0, 2)), math.pi / 2)
-
-    def test_angle_between_parallel(self):
-        assert math.isclose(angle_between(seg(0, 0, 1, 0), seg(5, 5, 9, 5)), 0, abs_tol=1e-9)
-
-
-class TestLineCrossings:
-    def test_vertical_crossing(self):
-        y = segment_crosses_vertical_line(seg(0, 1, 4, 5), 2.0, 0.0, 10.0)
-        assert math.isclose(y, 3.0)
-
-    def test_vertical_no_crossing(self):
-        assert segment_crosses_vertical_line(seg(3, 1, 4, 5), 2.0, 0.0, 10.0) is None
-
-    def test_vertical_out_of_span(self):
-        assert segment_crosses_vertical_line(seg(0, 20, 4, 24), 2.0, 0.0, 10.0) is None
-
-    def test_vertical_collinear_returns_lowest(self):
-        y = segment_crosses_vertical_line(seg(2, 3, 2, 8), 2.0, 0.0, 10.0)
-        assert math.isclose(y, 3.0)
-
-    def test_horizontal_crossing(self):
-        x = segment_crosses_horizontal_line(seg(1, 0, 5, 4), 2.0, 0.0, 10.0)
-        assert math.isclose(x, 3.0)
-
-    def test_horizontal_none(self):
-        assert segment_crosses_horizontal_line(seg(1, 5, 5, 9), 2.0, 0.0, 10.0) is None
 
 
 class TestSegmentProperties:

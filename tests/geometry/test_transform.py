@@ -42,9 +42,6 @@ class TestFrameBasics:
         f = Frame.from_segment(s, -1)
         assert f.to_local(Point(5, -3)).y > 0
 
-    def test_is_valid(self):
-        assert Frame.from_segment(seg_at(1.1), 1).is_valid()
-
     def test_angle(self):
         f = Frame.from_segment(seg_at(math.radians(30)), 1)
         assert math.isclose(f.angle(), math.radians(30), abs_tol=1e-12)
@@ -76,13 +73,6 @@ class TestRoundTrips:
         poly = rectangle(1, 1, 4, 3)
         back = f.polygon_to_world(f.polygon_to_local(poly))
         for p, q in zip(poly.points, back.points):
-            assert p.almost_equals(q, 1e-9)
-
-    def test_polyline_roundtrip(self):
-        f = Frame.from_segment(seg_at(-1.2), -1)
-        line = Polyline([Point(0, 0), Point(3, 1), Point(5, -2)])
-        back = f.polyline_to_world(f.polyline_to_local(line))
-        for p, q in zip(line.points, back.points):
             assert p.almost_equals(q, 1e-9)
 
     def test_area_preserved_under_mirror(self):

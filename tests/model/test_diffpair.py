@@ -23,10 +23,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             make_pair(center=0.5, width=0.6)
 
-    def test_edge_gap(self):
-        pair = make_pair(2.0, width=0.6)
-        assert math.isclose(pair.edge_gap(), 1.4)
-
     def test_virtual_width_is_envelope(self):
         pair = make_pair(2.0, width=0.6)
         assert math.isclose(pair.virtual_width(), 2.6)

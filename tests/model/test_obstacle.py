@@ -3,7 +3,7 @@
 import math
 
 from repro.geometry import Point
-from repro.model import rect_keepout, via, via_grid
+from repro.model import rect_keepout, via
 
 
 class TestVia:
@@ -34,18 +34,3 @@ class TestRectKeepout:
 
     def test_area(self):
         assert math.isclose(rect_keepout(0, 0, 2, 3).polygon.area(), 6.0)
-
-
-class TestViaGrid:
-    def test_count(self):
-        grid = via_grid(Point(0, 0), rows=3, cols=4, pitch_x=5, pitch_y=5, radius=1)
-        assert len(grid) == 12
-
-    def test_positions(self):
-        grid = via_grid(Point(0, 0), rows=2, cols=2, pitch_x=10, pitch_y=20, radius=1)
-        centers = {tuple(o.polygon.centroid().round_to(6)) for o in grid}
-        assert (10.0, 20.0) in centers
-
-    def test_names_unique(self):
-        grid = via_grid(Point(0, 0), rows=2, cols=3, pitch_x=5, pitch_y=5, radius=1)
-        assert len({o.name for o in grid}) == 6

@@ -29,33 +29,6 @@ class TestDesignRules:
         with pytest.raises(ValueError):
             DesignRules(dmiter=-0.1)
 
-    def test_half_gap(self):
-        assert DesignRules(dgap=8).half_gap() == 4
-
-    def test_obstacle_inflation_positive(self):
-        r = DesignRules(dgap=2, dobs=4)
-        assert r.obstacle_inflation() == 3.0
-
-    def test_obstacle_inflation_clamped(self):
-        r = DesignRules(dgap=8, dobs=2)
-        assert r.obstacle_inflation() == 0.0
-
-    def test_snap_rounds_up(self):
-        r = DesignRules(dgap=7, dprotect=2.5).snapped_to_step(3.0)
-        assert r.dgap == 9.0 and r.dprotect == 3.0
-
-    def test_snap_exact_multiple_unchanged(self):
-        r = DesignRules(dgap=6, dprotect=3).snapped_to_step(3.0)
-        assert r.dgap == 6.0 and r.dprotect == 3.0
-
-    def test_snap_validates_step(self):
-        with pytest.raises(ValueError):
-            DesignRules().snapped_to_step(0)
-
-    def test_scaled(self):
-        r = DesignRules(dgap=4, dobs=2, dprotect=1, dmiter=0.5).with_scaled(2.0)
-        assert (r.dgap, r.dobs, r.dprotect, r.dmiter) == (8, 4, 2, 1)
-
     def test_frozen(self):
         with pytest.raises(Exception):
             DesignRules().dgap = 1.0

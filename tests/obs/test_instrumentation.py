@@ -248,6 +248,80 @@ class TestLayerSpans:
 
 
 @pytest.mark.smoke
+class TestPairSpans:
+    """MSDTW conversion, each pair restoration and each chevron finish
+    have spans, and the module-level calls stay patchable."""
+
+    def _spans(self):
+        with obs.trace("pairs") as trace:
+            result = RoutingSession(
+                scenarios.generate("diffpair_cluster", seed=0), "fast"
+            ).run()
+        assert result.ok()
+        spans = trace.to_dict()["spans"]
+        return spans, {s["id"]: s for s in spans}
+
+    def test_convert_and_restore_spans_per_pair(self):
+        spans, by_id = self._spans()
+        pairs = [s for s in spans if s["name"] == "router.match_pair"]
+        assert pairs
+        topup_rounds = SessionConfig.preset("fast").pair_topup_rounds
+        for pair in pairs:
+            member = pair["attrs"]["member"]
+            children = [s for s in spans if s["parent"] == pair["id"]]
+            converts = [s for s in children if s["name"] == "dtw.convert_pair"]
+            assert [s["attrs"]["member"] for s in converts] == [member]
+            rounds = [
+                s["attrs"]["round"]
+                for s in children
+                if s["name"] == "dtw.restore_pair"
+            ]
+            # The dry restoration, the first one, then one per top-up.
+            assert rounds[:2] == ["dry", 0]
+            assert rounds[2:] == list(range(1, len(rounds) - 1))
+            assert len(rounds) - 2 <= topup_rounds
+
+    def test_one_chevron_finish_span_per_extension(self):
+        spans, by_id = self._spans()
+        finishes = [s for s in spans if s["name"] == "extension.finish_chevron"]
+        for span in finishes:
+            assert by_id[span["parent"]]["name"] in (
+                "router.match_pair",
+                "router.match_trace",
+            )
+            assert "residual" in span["attrs"]
+        assert any(span["attrs"].get("applied") for span in finishes)
+        # Every pair restoration but the dry one follows one extension
+        # of the median.
+        restores = [s for s in spans if s["name"] == "dtw.restore_pair"]
+        median_finishes = [
+            s for s in finishes if by_id[s["parent"]]["name"] == "router.match_pair"
+        ]
+        assert len(median_finishes) == sum(
+            1 for s in restores if s["attrs"]["round"] != "dry"
+        )
+
+    def test_pair_calls_go_through_the_router_module(self, monkeypatch):
+        import repro.core.router as router
+
+        calls = {"convert_pair": 0, "restore_pair": 0}
+        for name in calls:
+            original = getattr(router, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(router, name, counted)
+        spans, _ = self._spans()
+        assert calls["convert_pair"] == sum(
+            1 for s in spans if s["name"] == "dtw.convert_pair"
+        )
+        assert calls["restore_pair"] == sum(
+            1 for s in spans if s["name"] == "dtw.restore_pair"
+        )
+
+
 class TestObservabilityIsInert:
     """Tracing must not leak into results, fingerprints, or cache keys."""
 

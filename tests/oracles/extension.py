@@ -29,7 +29,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.core.dp import DPConfig, SegmentDP
-from repro.core.extension import ExtensionResult, TraceExtender, _trimmed
+from repro.core.extension import (
+    MIN_EXTENSION_GAIN,
+    ExtensionResult,
+    TraceExtender,
+    _trimmed,
+)
 from repro.core.pattern import Pattern, chain_new_segments, patterns_to_chain
 from repro.core.scene import ClearanceScene
 from repro.geometry import Frame, Point, Polygon, Polyline, Segment, oriented_rectangle
@@ -78,6 +83,38 @@ def scene_context(
         )
     ]
     return list(scene.obstacles), traces
+
+
+def context_scene(obstacles, traces) -> ClearanceScene:
+    """A scene over explicit obstacle and trace lists, registered in order."""
+    scene = ClearanceScene(obstacles)
+    for trace in traces:
+        scene.add_trace(trace)
+    return scene
+
+
+def context_polygons(
+    obstacles, traces, window, dgap: float, inflation: float
+) -> List[Polygon]:
+    """The exhaustive scan's context polygons for ``window``.
+
+    Obstacles hitting the window inflated by ``inflation`` (board order),
+    then the clearance rectangle of every non-degenerate segment of every
+    trace whose rectangle box hits the window (list order) — what
+    :meth:`ClearanceScene.collect_window` must reproduce exactly.
+    """
+    polys: List[Polygon] = []
+    for obstacle in obstacles:
+        if _bbox_hits(obstacle.bounds(), window):
+            polys.append(obstacle.inflated(inflation))
+    for other in traces:
+        half = (other.width + dgap) / 2.0
+        for oseg in other.segments():
+            if oseg.is_degenerate():
+                continue
+            if _bbox_hits(_inflate_bounds(oseg.bounds(), half), window):
+                polys.append(oriented_rectangle(oseg, half))
+    return polys
 
 
 def chevron_clear_scan(extender: TraceExtender, chain: List[Point], width: float) -> bool:
@@ -178,9 +215,7 @@ class ReferenceTraceExtender(TraceExtender):
                 chain, applied = outcome
                 candidate = path.replace_segment(index, chain)
                 t_verify = perf_counter()
-                conflict = cfg.verify_after_apply and self._conflicts(
-                    candidate, index, len(chain), trace.width
-                )
+                conflict = self._conflicts(candidate, index, len(chain), trace.width)
                 if sp.live:
                     sp.set(verify_s=perf_counter() - t_verify)
                 if conflict:
@@ -253,18 +288,13 @@ class ReferenceTraceExtender(TraceExtender):
         window = (xmin - reach, ymin - reach, xmax + reach, ymax + reach)
 
         obstacles, other_traces = scene_context(self._scene, self._exclude)
-        polys: List[Polygon] = [self.area]
         inflation = max(0.0, self.rules.dobs + width / 2.0 - g)
-        for obstacle in obstacles:
-            if _bbox_hits(obstacle.bounds(), window):
-                polys.append(obstacle.inflated(inflation))
-        for other in other_traces:
-            half = (other.width + self.rules.dgap) / 2.0
-            for oseg in other.segments():
-                if oseg.is_degenerate():
-                    continue
-                if _bbox_hits(_inflate_bounds(oseg.bounds(), half), window):
-                    polys.append(oriented_rectangle(oseg, half))
+        polys: List[Polygon] = [self.area]
+        polys.extend(
+            context_polygons(
+                obstacles, other_traces, window, self.rules.dgap, inflation
+            )
+        )
         polys.extend(self._self_polygons(path, index, g, window))
         return polys
 
@@ -312,7 +342,7 @@ class ReferenceTraceExtender(TraceExtender):
         result = dp.run()
         t2 = perf_counter()
         obs.annotate(env_query_s=t1 - t0, dp_s=t2 - t1, pruned=False)
-        if result.gain <= self.config.min_extension_gain or not result.patterns:
+        if result.gain <= MIN_EXTENSION_GAIN or not result.patterns:
             return None
         patterns = self._trim_to_need(result.patterns, need, envs, dp_cfg)
         if not patterns:

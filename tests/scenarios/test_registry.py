@@ -136,10 +136,6 @@ class TestSpec:
         spec = ScenarioSpec.from_dict({"name": "x"})
         assert spec.seed == 0 and dict(spec.params) == {}
 
-    def test_with_params_merges(self):
-        spec = ScenarioSpec("x", 1, {"a": 1}).with_params(b=2)
-        assert dict(spec.params) == {"a": 1, "b": 2}
-
     def test_to_dict_is_safe_to_mutate(self):
         spec = ScenarioSpec("tiled", 0, {"base_params": {"traces": 2}})
         original_hash = hash(spec)
