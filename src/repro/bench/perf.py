@@ -18,8 +18,8 @@ Phases
 ``extension``  the Alg. 1 extension loop on the Table II via-field
                design, with a sha256 ``digest`` of every routed float;
 ``extension_breakdown``  the same workload at d_gap 4.0 under a
-               :mod:`repro.obs` trace: the env-query / DP / trim /
-               verify stage split, iteration-time percentiles and the
+               :mod:`repro.obs` trace: the env-query / DP setup /
+               DP / trim / verify stage split, iteration-time percentiles and the
                pruned count, with the traced run's ``digest``;
 ``region``     Sec. III region assignment on ``tiled``/``mixed_groups``
                boards with their routable areas cleared: the grid
@@ -300,8 +300,9 @@ def _phase_extension_breakdown(dgap: float) -> List[Dict[str, Any]]:
     The ``extension`` phase's workload at ``dgap``, run once under a
     collector.  Its ``extension.iteration`` spans give the iteration-time
     percentiles and the stage split summed over every iteration:
-    environment window queries vs. the DP itself vs. the trim/chain
-    build vs. post-apply verification.  ``other_s`` is what the four
+    environment window queries vs. the DP's setup (foot bounds and the
+    side prefill) vs. the DP itself vs. the trim/chain build vs.
+    post-apply verification.  ``other_s`` is what the five
     annotated stages don't cover (queue work, span overhead, length
     accounting); ``pruned_iterations`` counts iterations the upper-bound
     gate skipped before running the DP.  ``digest`` is the traced run's
@@ -319,7 +320,7 @@ def _phase_extension_breakdown(dgap: float) -> List[Dict[str, Any]]:
             durations.append(span["duration_s"])
     stages = {
         key: sum(attrs.get(key) or 0.0 for attrs in iter_attrs)
-        for key in ("env_query_s", "dp_s", "trim_s", "verify_s")
+        for key in ("env_query_s", "dp_setup_s", "dp_s", "trim_s", "verify_s")
     }
     stages["other_s"] = max(0.0, sum(durations) - sum(stages.values()))
     stages["pruned_iterations"] = sum(1 for attrs in iter_attrs if attrs.get("pruned"))
@@ -780,6 +781,7 @@ def run_perf(
                 f"  p50 {row['iteration_ms']['p50']:.2f} ms"
                 f"  p99 {row['iteration_ms']['p99']:.2f} ms"
                 f"  env {stages['env_query_s']*1e3:.1f} ms"
+                f"  dp setup {stages['dp_setup_s']*1e3:.1f} ms"
                 f"  dp {stages['dp_s']*1e3:.1f} ms"
                 f"  trim {stages['trim_s']*1e3:.1f} ms"
                 f"  verify {stages['verify_s']*1e3:.1f} ms"

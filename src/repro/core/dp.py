@@ -17,20 +17,24 @@ Ties prefer states that end with a pattern at the current point (they keep
 ``p_local`` transitions available — Fig. 4 — and connected patterns create
 capacity for later meander-on-meander iterations — Fig. 5).
 
+The best predecessor depends only on the left foot and the side, so it is
+chosen once per (left foot, side), as soon as every state it reads is
+final.  Exact heights are read on demand: the side step from per-foot
+values, the scalar fixpoint only where a node lies in the pattern's URA.
+
 Each state stores ``transit[i][dir] = (i', dir', w')`` (Eq. 14) so the
 chosen patterns are restored by backtracking in O(n).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .pattern import Pattern
-from .shrink import TOUCH_EPS, ShrinkEnvironment
+from .shrink import TOUCH_EPS, ShrinkEnvironment, foot_sides
 
 #: Height comparisons happen in board units; gains below this are noise.
 GAIN_EPS = 1e-9
@@ -105,62 +109,60 @@ class SegmentDP:
         self.config = config
         self.envs = envs
         self._height_cache: Dict[Tuple[int, int, int], float] = {}
-        # Per-direction, per-foot admissible height upper bounds, one list
-        # for left feet and one for right feet.  A foot at x bounds the
-        # height by the lowest node in its arm column (column_bounds) and
-        # by the lowest side crossing S on its outer side line, which
-        # max_pattern_height caps h_ob at (Eq. 11).  The side lines are
-        # built as x_left - g / x_right + g exactly as the shrink builds
-        # them, so the one batch pass also fills the shrink's side memo
-        # for every foot the DP can probe.
+        #: Heights the box test left to the scalar fixpoint.
+        self.scalar_shrinks = 0
+        # Per direction and foot: the admissible height upper bounds of a
+        # left and of a right foot, and the side step's inputs to the
+        # exact height, h1 = min(h_init + g, S(x - g)) and S(x + g).  A
+        # foot at x bounds the height by the lowest node in its arm
+        # column (column_bounds) and by the lowest side crossing S on its
+        # outer side line, which max_pattern_height caps h_ob at
+        # (Eq. 11).  The side lines are built as x_left - g / x_right + g
+        # exactly as the shrink builds them, so the one batch pass also
+        # fills the shrink's side memo for every foot the DP can probe.
         n, g = config.n, config.g
         xs = np.arange(n) * config.step
         self._feet = xs
-        # direction -> pair_heights table, built at the first height
-        # lookup of that direction (inside run(), so segments feasible()
-        # drops never pay for it).
-        self._tables: Dict[int, np.ndarray] = {}
-        #: Heights the batch table left to the scalar fixpoint.
-        self.scalar_shrinks = 0
         self._left_ub: Dict[int, List[float]] = {}
         self._right_ub: Dict[int, List[float]] = {}
-        for d, env in envs.items():
-            col = np.minimum(
-                config.h_init, np.asarray(env.column_bounds(xs, g)) - g
-            )
-            side = np.asarray(env.side_minima(np.concatenate([xs - g, xs + g])))
+        self._h1: Dict[int, List[float]] = {}
+        self._side_r: Dict[int, List[float]] = {}
+        for d, (side, col) in foot_sides(envs, xs, g).items():
+            col = np.minimum(config.h_init, col - g)
             self._left_ub[d] = np.minimum(col, side[:n] - g).tolist()
             self._right_ub[d] = np.minimum(col, side[n:] - g).tolist()
+            self._h1[d] = np.minimum(config.h_init + g, side[:n]).tolist()
+            self._side_r[d] = side[n:].tolist()
+        # direction -> ShrinkEnvironment.box_index, built at the first
+        # exact height of that direction (inside run(), so segments
+        # feasible() drops never pay for it).
+        self._boxes: Dict[int, Tuple[List[int], List[int], List[List[float]]]] = {}
 
     # -- heights ---------------------------------------------------------------
 
     def height(self, il: int, ir: int, direction: int) -> float:
         """Max valid height for feet at points ``il``/``ir`` (cached).
 
-        Read from the direction's :meth:`ShrinkEnvironment.pair_heights`
-        table; a NaN entry (a node in the pair's URA, or a pair outside
-        the width band) runs the scalar shrink.
+        The scalar shrink's side step, from the per-foot values:
+        ``h2 = min(h1, S(x_r + g))`` and ``h = min(h_init, h2 - g)``.  It
+        returns 0 when ``h_init``, ``h1 - g`` or ``h2 - g`` lies below
+        ``h_min``; since ``h2 <= h1`` and rounding is monotone, all of
+        these are ``h < h_min``.  Otherwise ``h`` is the answer unless a
+        node lies in the pair's ``P_check`` box, where the scalar
+        fixpoint runs.
         """
         key = (il, ir, direction)
         cached = self._height_cache.get(key)
         if cached is not None:
             return cached
         cfg = self.config
-        env = self.envs[direction]
-        table = self._tables.get(direction)
-        if table is None:
-            table = self._tables[direction] = env.pair_heights(
-                self._feet,
-                cfg.g,
-                cfg.h_init,
-                cfg.h_min,
-                cfg.w_min,
-                cfg.n - 1,
-            )
-        h = table.item(il, ir)
-        if math.isnan(h):
+        h2 = min(self._h1[direction][il], self._side_r[direction][ir])
+        h = min(cfg.h_init, h2 - cfg.g)
+        if h < cfg.h_min:
+            h = 0.0
+        elif self._busy(il, ir, direction, h2 - TOUCH_EPS):
             self.scalar_shrinks += 1
-            h = env.max_pattern_height(
+            h = self.envs[direction].max_pattern_height(
                 il * cfg.step,
                 ir * cfg.step,
                 cfg.g,
@@ -170,16 +172,30 @@ class SegmentDP:
         self._height_cache[key] = h
         return h
 
+    def _busy(self, il: int, ir: int, direction: int, top: float) -> bool:
+        """Whether a node lies in the box of feet ``il``/``ir`` whose top
+        is ``top = h2 - TOUCH_EPS``: the lowest box-eligible node of the
+        run between the feet's x-windows, from two sparse-table reads."""
+        box = self._boxes.get(direction)
+        if box is None:
+            cfg = self.config
+            box = self._boxes[direction] = self.envs[direction].box_index(
+                self._feet, cfg.g, cfg.h_init
+            )
+        lo_of, hi_of, levels = box
+        lo = lo_of[il]
+        hi = hi_of[ir]
+        if lo >= hi:
+            return False
+        k = (hi - lo).bit_length() - 1
+        level = levels[k]
+        return min(level[lo], level[hi - (1 << k)]) <= top
+
     @property
     def shrinks(self) -> int:
         """Exact heights (:meth:`height` evaluations) made so far, from
-        the batch table or the scalar shrink."""
+        the side step or the scalar shrink."""
         return len(self._height_cache)
-
-    def height_upper_bound(self, il: int, ir: int, direction: int) -> float:
-        """Cheap admissible bound used to prune exact shrinks: whenever
-        ``height(il, ir, direction)`` is positive it is at most this."""
-        return min(self._left_ub[direction][il], self._right_ub[direction][ir])
 
     def feasible(self) -> bool:
         """Whether any pattern can clear ``h_min`` in either direction.
@@ -203,140 +219,152 @@ class SegmentDP:
     def run(self) -> DPResult:
         cfg = self.config
         n = cfg.n
-        dirs = (1, -1)
-        # State arrays indexed [i][dir_index]; dir_index 0 -> +1, 1 -> -1.
-        value = [[0.0, 0.0] for _ in range(n)]
-        ends_here = [[False, False] for _ in range(n)]
-        # transit[i][d] = (prev_i, prev_dir_index, w); w == 0 marks states
+        # Per direction index (0 -> +1, 1 -> -1), lists over the points.
+        value = ([0.0] * n, [0.0] * n)
+        ends_here = ([False] * n, [False] * n)
+        # transit[d][i] = (prev_i, prev_dir_index, w); w == 0 marks states
         # not transited through a newly inserted pattern (Eq. 14).
-        transit: List[List[Tuple[int, int, int]]] = [
-            [(-1, 0, 0), (-1, 0, 0)] for _ in range(n)
-        ]
-
-        def dir_index(direction: int) -> int:
-            return 0 if direction == 1 else 1
+        transit: Tuple[List[Tuple[int, int, int]], ...] = (
+            [(-1, 0, 0)] * n,
+            [(-1, 0, 0)] * n,
+        )
+        # pred[d][il]: the best admissible predecessor state (value,
+        # point, direction index) of a pattern on side d whose left foot
+        # is il, or None.  It reads only states at or before il, so it is
+        # chosen once, when il becomes final.
+        pred: Tuple[List[Optional[Tuple[float, int, int]]], ...] = (
+            [None] * n,
+            [None] * n,
+        )
+        if cfg.allow_node_feet:
+            # Foot on the segment node (Fig. 3(d)).
+            pred[0][0] = (0.0, 0, 0)
+            pred[1][0] = (0.0, 0, 1)
 
         # Feet whose bound rules out any pattern of height h_min: every
-        # shrink on them returns 0, so the DP can skip the call.
+        # shrink on them returns 0, so the DP can skip the call.  Read
+        # from the module per run, like BOUND_SLACK below.
         floor = foot_floor(cfg)
+        slack = BOUND_SLACK
+        full = 2.0 * cfg.h_init
+        height = self.height
 
         for i in range(1, n):
-            for direction in dirs:
-                d = dir_index(direction)
-                left_ub = self._left_ub[direction]
+            # Right-foot admissibility (Alg. 1 line 7): the stub from the
+            # foot to the segment end must be absent or >= d_protect.
+            if i == n - 1:
+                right_ok = cfg.allow_node_feet
+            else:
+                right_ok = (n - 1 - i) * cfg.step >= cfg.h_min - GAIN_EPS
+            for d, direction in ((0, 1), (1, -1)):
+                val = value[d]
                 # Inherit (Eq. 6).
-                value[i][d] = value[i - 1][d]
-                ends_here[i][d] = False
-                transit[i][d] = (i - 1, d, 0)
-
-                # Right-foot admissibility (Alg. 1 line 7): the stub from
-                # the foot to the segment end must be absent or >= d_protect.
-                right_stub = (n - 1 - i) * cfg.step
-                if i == n - 1:
-                    if not cfg.allow_node_feet:
-                        continue
-                elif right_stub < cfg.h_min - GAIN_EPS:
-                    continue
-                if self._right_ub[direction][i] < floor:
-                    continue
-
-                for w in range(cfg.w_min, i + 1):
-                    il = i - w
-                    best_pred: Optional[Tuple[float, int, int]] = None
-                    # Candidates in priority order (Fig. 4/5): connected
-                    # (p_local / node) first, then opposite, then same side.
-                    if il == 0:
-                        # Foot on the segment node (Fig. 3(d)).
-                        if not cfg.allow_node_feet:
+                cur = val[i - 1]
+                ends = False
+                step = (i - 1, d, 0)
+                right_ub = self._right_ub[direction][i]
+                if right_ok and right_ub >= floor:
+                    left_ub = self._left_ub[direction]
+                    preds = pred[d]
+                    for il in range(i - cfg.w_min, -1, -1):
+                        best = preds[il]
+                        if best is None:
                             continue
-                        best_pred = (0.0, 0, d)
-                    else:
-                        cand: List[Tuple[float, int, int]] = []
-                        opp = 1 - d
-                        if cfg.allow_plocal and ends_here[il][opp]:
-                            cand.append((value[il][opp], il, opp))
-                        p_prot = il - cfg.k_protect
-                        if p_prot >= 0:
-                            v = value[p_prot][opp]
-                            if self._stub_ok(v, il, cfg):
-                                cand.append((v, p_prot, opp))
-                        p_gap = il - cfg.k_gap
-                        if p_gap >= 0:
-                            v = value[p_gap][d]
-                            if self._stub_ok(v, il, cfg):
-                                cand.append((v, p_gap, d))
-                        for entry in cand:
-                            if best_pred is None or entry[0] > best_pred[0] + GAIN_EPS:
-                                best_pred = entry
-                    if best_pred is None:
-                        continue
-                    pred_value = best_pred[0]
-
-                    cur = value[i][d]
-                    # Dominance break: predecessor values are non-increasing
-                    # in w (value[] is monotone in i), so once even a
-                    # full-height pattern cannot beat the current state, no
-                    # wider pattern can either.
-                    if pred_value + 2.0 * cfg.h_init <= cur + GAIN_EPS:
-                        break
-                    # After the break, never before it: skipping past the
-                    # break would reach wider patterns the break stops at.
-                    if left_ub[il] < floor:
-                        continue
-                    # Prune: even the optimistic height cannot beat the
-                    # current state.
-                    h_ub = self.height_upper_bound(il, i, direction) + BOUND_SLACK
-                    if pred_value + 2.0 * h_ub < cur - GAIN_EPS:
-                        continue
-                    h = self.height(il, i, direction)
-                    if h <= 0.0:
-                        continue
-                    cand_value = pred_value + 2.0 * h
-                    if cand_value > cur + GAIN_EPS or (
-                        cand_value > cur - GAIN_EPS and not ends_here[i][d]
-                    ):
-                        value[i][d] = cand_value
-                        ends_here[i][d] = True
-                        transit[i][d] = (best_pred[1], best_pred[2], w)
+                        pred_value = best[0]
+                        # Dominance break: predecessor values are
+                        # non-increasing in w (value[] is monotone in i),
+                        # so once even a full-height pattern cannot beat
+                        # the current state, no wider pattern can either.
+                        if pred_value + full <= cur + GAIN_EPS:
+                            break
+                        # After the break, never before it: skipping past
+                        # the break would reach wider patterns the break
+                        # stops at.
+                        lub = left_ub[il]
+                        if lub < floor:
+                            continue
+                        # Prune: even the optimistic height cannot beat
+                        # the current state.  (min(lub, right_ub), ties
+                        # included.)
+                        h_ub = (right_ub if right_ub < lub else lub) + slack
+                        if pred_value + 2.0 * h_ub < cur - GAIN_EPS:
+                            continue
+                        h = height(il, i, direction)
+                        if h <= 0.0:
+                            continue
+                        cand_value = pred_value + 2.0 * h
+                        if cand_value > cur + GAIN_EPS or (
+                            cand_value > cur - GAIN_EPS and not ends
+                        ):
+                            cur = cand_value
+                            ends = True
+                            step = (best[1], best[2], i - il)
+                val[i] = cur
+                ends_here[d][i] = ends
+                transit[d][i] = step
+            if i <= n - 1 - cfg.w_min:
+                self._settle(i, value, ends_here, pred)
 
         # Choose the best final state (Sec. IV-C).
-        if value[n - 1][0] >= value[n - 1][1]:
+        if value[0][n - 1] >= value[1][n - 1]:
             final_d = 0
         else:
             final_d = 1
-        best = value[n - 1][final_d]
+        best = value[final_d][n - 1]
         if best <= GAIN_EPS:
             return DPResult(gain=0.0)
         patterns = self._restore(n - 1, final_d, transit)
         return DPResult(gain=best, patterns=patterns)
 
-    # -- helpers ------------------------------------------------------------------------
+    def _settle(self, il: int, value, ends_here, pred) -> None:
+        """Choose the best predecessor of left foot ``il`` (>= 1) on both
+        sides, now that every state at or before ``il`` is final.
 
-    @staticmethod
-    def _stub_ok(pred_value: float, il: int, cfg: DPConfig) -> bool:
-        """Left-stub rule for predecessors without any pattern.
+        Candidates in priority order (Fig. 4/5): connected (p_local)
+        first, then opposite side, then same side; a later candidate wins
+        only when it is better by more than ``GAIN_EPS``.
 
-        A predecessor with value 0 has no pattern (every pattern gains
-        ``2*h >= 2*h_min > 0``), so the straight stub from the segment
-        start to the new left foot must itself satisfy ``d_protect``.
+        Left-stub rule: a predecessor with value 0 has no pattern (every
+        pattern gains ``2*h >= 2*h_min > 0``), so the straight stub from
+        the segment start to the new left foot must itself satisfy
+        ``d_protect``.
         """
-        if pred_value > GAIN_EPS:
-            return True
-        if il == 0:
-            return cfg.allow_node_feet
-        return il * cfg.step >= cfg.h_min - GAIN_EPS
+        cfg = self.config
+        p_prot = il - cfg.k_protect
+        p_gap = il - cfg.k_gap
+        stub_ok = il * cfg.step >= cfg.h_min - GAIN_EPS
+        for d in (0, 1):
+            opp = 1 - d
+            best: Optional[Tuple[float, int, int]] = None
+            if cfg.allow_plocal and ends_here[opp][il]:
+                best = (value[opp][il], il, opp)
+            if p_prot >= 0:
+                v = value[opp][p_prot]
+                if (v > GAIN_EPS or stub_ok) and (
+                    best is None or v > best[0] + GAIN_EPS
+                ):
+                    best = (v, p_prot, opp)
+            if p_gap >= 0:
+                v = value[d][p_gap]
+                if (v > GAIN_EPS or stub_ok) and (
+                    best is None or v > best[0] + GAIN_EPS
+                ):
+                    best = (v, p_gap, d)
+            pred[d][il] = best
+
+    # -- helpers ------------------------------------------------------------------------
 
     def _restore(
         self,
         i: int,
         d: int,
-        transit: List[List[Tuple[int, int, int]]],
+        transit: Tuple[List[Tuple[int, int, int]], ...],
     ) -> List[Pattern]:
         """Backtrack the transit table into the chosen patterns (O(n))."""
         cfg = self.config
         patterns: List[Pattern] = []
         while i > 0:
-            prev_i, prev_d, w = transit[i][d]
+            prev_i, prev_d, w = transit[d][i]
             if w > 0:
                 il = i - w
                 direction = 1 if d == 0 else -1

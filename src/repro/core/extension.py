@@ -492,7 +492,8 @@ class TraceExtender:
         maps them through the segment frame in one vectorized pass (the
         same IEEE expressions :meth:`Frame.to_local` evaluates per point),
         and mirrors the -1 direction by negating y — exactly what the
-        mirrored frame does.
+        mirrored frame does — into a twin that shares the x-derived
+        arrays (:meth:`ShrinkEnvironment.mirrored`).
         """
         seg = state.segments[index]
         g = dp_cfg.g
@@ -515,10 +516,8 @@ class TraceExtender:
         dy = pts[:, 1] - seg.a.y
         lx = dx * d.x + dy * d.y
         ly = -dx * d.y + dy * d.x
-        return {
-            1: ShrinkEnvironment(lx, ly, sizes_arr),
-            -1: ShrinkEnvironment(lx, -ly, sizes_arr),
-        }
+        env = ShrinkEnvironment(lx, ly, sizes_arr)
+        return {1: env, -1: env.mirrored()}
 
     def _collect_self_window(
         self,
@@ -586,11 +585,17 @@ class TraceExtender:
         obs.annotate(candidates=dp_cfg.n, segment_length=seg.length())
         t0 = perf_counter()
         envs = self._environments(state, index, width, dp_cfg)
-        dp = SegmentDP(dp_cfg, envs)
         t1 = perf_counter()
+        dp = SegmentDP(dp_cfg, envs)
+        t_setup = perf_counter()
         if not dp.feasible():
             obs.annotate(
-                env_query_s=t1 - t0, dp_s=0.0, pruned=True, shrinks=0, scalar_shrinks=0
+                env_query_s=t1 - t0,
+                dp_setup_s=t_setup - t1,
+                dp_s=0.0,
+                pruned=True,
+                shrinks=0,
+                scalar_shrinks=0,
             )
             obs.REGISTRY.inc("repro_extension_pruned_total")
             return None
@@ -598,7 +603,8 @@ class TraceExtender:
         t2 = perf_counter()
         obs.annotate(
             env_query_s=t1 - t0,
-            dp_s=t2 - t1,
+            dp_setup_s=t_setup - t1,
+            dp_s=t2 - t_setup,
             pruned=False,
             shrinks=dp.shrinks,
             scalar_shrinks=dp.scalar_shrinks,
@@ -671,20 +677,23 @@ class TraceExtender:
         3. otherwise clamp the tallest pattern to ``h_min`` (its full
            headroom is, by the case split, at most the excess) and loop.
         """
-        def total() -> float:
-            return sum(p.gain() for p in patterns)
-
-        while patterns and total() - patterns[-1].gain() >= target_total - tol:
+        # gains[k] is patterns[k].gain(); every total re-sums the list
+        # (not a running total), so it rounds exactly as summing the
+        # patterns' gains would.
+        gains = [p.gain() for p in patterns]
+        while patterns and sum(gains) - gains[-1] >= target_total - tol:
             patterns.pop()
+            gains.pop()
         guard = 4 * len(patterns) + 8
-        while patterns and total() > target_total + tol and guard > 0:
+        while patterns and sum(gains) > target_total + tol and guard > 0:
             guard -= 1
-            excess = total() - target_total
+            excess = sum(gains) - target_total
             idx = max(range(len(patterns)), key=lambda k: patterns[k].height)
             p = patterns[idx]
             headroom = 2.0 * (p.height - dp_cfg.h_min)
             if headroom <= 1e-12:
                 patterns.pop()
+                gains.pop()
                 continue
             if excess <= headroom:
                 target_h = p.height - excess / 2.0
@@ -695,8 +704,10 @@ class TraceExtender:
             )
             if h_valid >= dp_cfg.h_min and h_valid < p.height - 1e-12:
                 patterns[idx] = p.with_height(h_valid)
+                gains[idx] = patterns[idx].gain()
             else:
                 patterns.pop()
+                gains.pop()
         return patterns
 
     # -- chevron finishing -------------------------------------------------------------

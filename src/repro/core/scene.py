@@ -51,7 +51,9 @@ from ..model import Board, Obstacle, Trace
 class _TraceEntry:
     """One registered trace: its segments plus per-width caches."""
 
-    __slots__ = ("name", "owner", "width", "segments", "seg_bounds", "_rects")
+    __slots__ = (
+        "name", "owner", "width", "segments", "seg_bounds", "degenerate", "_rects"
+    )
 
     def __init__(self, name: str, owner: Optional[str], trace: Trace):
         self.name = name
@@ -61,7 +63,14 @@ class _TraceEntry:
     def load(self, trace: Trace) -> None:
         self.width = trace.width
         self.segments = trace.segments()
-        self.seg_bounds = [s.bounds() for s in self.segments]
+        # (k, 4) segment boxes and (k,) degenerate flags: the entry's
+        # block of the scene's concatenated arrays.
+        self.seg_bounds = np.array(
+            [s.bounds() for s in self.segments], dtype=float
+        ).reshape(-1, 4)
+        self.degenerate = np.array(
+            [s.is_degenerate() for s in self.segments], dtype=bool
+        )
         # half-width -> per-segment rectangle corner arrays; one entry per
         # distinct querying d_gap (usually exactly one).
         self._rects: Dict[float, List[Optional[object]]] = {}
@@ -142,28 +151,23 @@ class ClearanceScene:
         self._dirty = True
 
     def _rebuild(self) -> None:
-        bounds: List[Tuple[float, float, float, float]] = []
-        entry_idx: List[int] = []
-        seg_idx: List[int] = []
-        widths: List[float] = []
-        degen: List[bool] = []
-        # The rebuild re-walks every entry after each update, so its cost
-        # grows with the board per update; the span makes that visible.
+        # The rebuild concatenates every entry's blocks after each update,
+        # so its cost grows with the board per update; the span makes
+        # that visible.
         with obs.span("scene.rebuild") as sp:
-            for ei, entry in enumerate(self._entries):
-                for si, seg in enumerate(entry.segments):
-                    bounds.append(entry.seg_bounds[si])
-                    entry_idx.append(ei)
-                    seg_idx.append(si)
-                    widths.append(entry.width)
-                    degen.append(seg.is_degenerate())
-            n = len(bounds)
+            entries = self._entries
+            counts = np.array([len(e.segments) for e in entries], dtype=np.intp)
+            n = int(counts.sum())
             sp.set(segments=n)
-            self._seg_bounds = np.array(bounds) if n else np.empty((0, 4))
-            self._seg_entry = np.array(entry_idx, dtype=np.intp)
-            self._seg_index = np.array(seg_idx, dtype=np.intp)
-            self._seg_width = np.array(widths)
-            self._seg_degen = np.array(degen, dtype=bool)
+            if n:
+                self._seg_bounds = np.concatenate([e.seg_bounds for e in entries])
+                self._seg_degen = np.concatenate([e.degenerate for e in entries])
+            else:
+                self._seg_bounds = np.empty((0, 4))
+                self._seg_degen = np.zeros(0, dtype=bool)
+            self._seg_entry = np.repeat(np.arange(len(entries)), counts)
+            self._seg_index = np.arange(n) - np.repeat(counts.cumsum() - counts, counts)
+            self._seg_width = np.repeat(np.array([e.width for e in entries]), counts)
             self._exclude_masks.clear()
             self._dirty = False
 

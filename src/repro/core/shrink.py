@@ -32,9 +32,12 @@ arrays: the ``P_check`` node query of Sec. IV-D is one vectorized box
 mask, side-line crossings are evaluated for a batch of abscissas at once
 and memoized per abscissa, and the per-column node bound the DP uses as
 an admissible upper-bound prefilter is one windowed-minimum sweep.  The
-DP's exact heights come from one batch pass over its foot pairs
-(:meth:`ShrinkEnvironment.pair_heights`); the scalar fixpoint runs only
-for pairs with a node inside the URA.
+DP reads its exact heights on demand from per-foot side values, with an
+O(1) range-minimum test for a node in the pair's URA
+(:meth:`ShrinkEnvironment.box_index`); the scalar fixpoint runs only
+for pairs that have one.  The two sides of a segment share one
+environment's x-derived arrays (:meth:`ShrinkEnvironment.mirrored`), and
+:func:`foot_sides` evaluates both sides' crossings in one pass.
 ``tests/oracles/shrink.py`` keeps the seed's polygon-and-range-tree
 implementation, and ``tests/core/test_shrink_fast.py`` diffs the two bit
 for bit.
@@ -42,7 +45,8 @@ for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import copy
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,10 +61,6 @@ TOUCH_EPS = 1e-7
 #: the kernel's temporaries small on windows with many edges.
 SIDE_BLOCK = 1 << 16
 
-#: Most entries of one temporary of :meth:`ShrinkEnvironment.pair_heights`:
-#: foot pairs per block, and (node, foot) pairs of its box test.
-PAIR_BLOCK = 1 << 16
-
 
 class ShrinkEnvironment:
     """All foreign geometry of one segment extension, in the local frame.
@@ -71,7 +71,8 @@ class ShrinkEnvironment:
     concatenated vertex coordinates and ``sizes`` the per-polygon vertex
     counts; :meth:`from_polygons` builds the arrays from
     :class:`~repro.geometry.Polygon` objects.  The environment is built
-    once per (segment, direction) and queried O(n^2) times by the DP, so
+    once per segment and side (the other side as its :meth:`mirrored`
+    twin) and queried by the DP for up to O(n^2) foot pairs, so
     construction is a handful of O(N) array ops.
 
     Query results do not depend on evaluation order: the same float
@@ -82,7 +83,6 @@ class ShrinkEnvironment:
 
     def __init__(self, xs, ys, sizes):
         self._xs = xs
-        self._ys = ys
         self._sizes = sizes
         ends = np.cumsum(sizes)
         self._starts = ends - sizes
@@ -90,26 +90,47 @@ class ShrinkEnvironment:
         n = len(xs)
         # Edge i runs from vertex i to the next vertex of the same polygon,
         # wrapping at polygon boundaries.
-        nxt = np.arange(1, n + 1)
+        self._next = np.arange(1, n + 1)
         if n:
-            nxt[ends - 1] = self._starts
-        self._bx = xs[nxt] if n else xs
-        self._by = ys[nxt] if n else ys
+            self._next[ends - 1] = self._starts
+        self._bx = xs[self._next] if n else xs
         # Each edge's x-extent, for pairing side lines with edges.
         self._edge_lo = np.minimum(xs, self._bx)
         self._edge_hi = np.maximum(xs, self._bx)
-        # Nodes sorted by x for the column-bound windowed minimum.
-        order = np.argsort(xs, kind="stable")
-        self._xs_sorted = xs[order]
-        ys_sorted = ys[order]
+        # Nodes sorted by x for the column-bound windowed minimum and the
+        # box test's x-windows.
+        self._order = np.argsort(xs, kind="stable")
+        self._xs_sorted = xs[self._order]
+        #: The environment this one mirrors (:meth:`mirrored`), if any.
+        self.mirror_of: Optional[ShrinkEnvironment] = None
+        self._set_ys(ys)
+
+    def _set_ys(self, ys) -> None:
+        """Install the ordinates and everything derived from them."""
+        self._ys = ys
+        self._by = ys[self._next] if len(ys) else ys
+        self._ys_sorted = ys[self._order]
         # Nodes at or below TOUCH_EPS never bound a column (strict
         # interior rule); mask them to +inf once.
-        self._col_ys = np.where(ys_sorted > TOUCH_EPS, ys_sorted, np.inf)
+        self._col_ys = np.where(self._ys_sorted > TOUCH_EPS, self._ys_sorted, np.inf)
         self._poly_cache: Dict[int, Tuple[Point, ...]] = {}
         # x -> lowest crossing ordinate of the side line at x (inf when
         # none).  The crossing set does not depend on the current h_ob,
         # so one evaluation serves every shrink of the environment.
         self._side_memo: Dict[float, float] = {}
+
+    def mirrored(self) -> "ShrinkEnvironment":
+        """The environment of the segment's other side: every ordinate
+        negated, which is what the mirrored local frame produces.
+
+        The twin shares this environment's x-derived arrays (edges, x
+        order) and has ``mirror_of`` set to it, so :func:`foot_sides`
+        can serve both from one pass.
+        """
+        twin = copy.copy(self)
+        twin._set_ys(-self._ys)
+        twin.mirror_of = self
+        return twin
 
     @classmethod
     def from_polygons(cls, polygons: Sequence[Polygon]) -> "ShrinkEnvironment":
@@ -181,20 +202,39 @@ class ShrinkEnvironment:
         sorted lines are processed in blocks of at most
         :data:`SIDE_BLOCK` / E lines, which bounds the pairs per block.
         """
+        return self._side_minima(xs, None)[0]
+
+    def _side_minima(self, xs, twin):
+        """S over ``xs`` for this environment and, when ``twin`` is its
+        :meth:`mirrored` twin, for the twin from the same crossings.
+
+        The twin's crossing ordinate is exactly ``-y``: its edge ends are
+        ``-ay``/``-by`` at the same ``t``, and ``(-by) - (-ay)``, the
+        product and the sum each round to the negation of this
+        environment's value.  So its S is the minimum of ``-y`` over
+        ``-y > TOUCH_EPS``.
+        """
         xs = np.asarray(xs, dtype=float)
         order = xs.argsort(kind="stable")
         lines = xs[order]
-        out = np.full(len(xs), np.inf)
+        envs = (self,) if twin is None else (self, twin)
+        outs = [np.full(len(xs), np.inf) for _ in envs]
         if len(self._xs):
             rows = max(1, SIDE_BLOCK // len(self._xs))
             for lo in range(0, len(lines), rows):
                 block = order[lo : lo + rows]
-                out[block] = self._side_block(lines[lo : lo + rows])
-        self._side_memo.update(zip(xs.tolist(), out.tolist()))
-        return out
+                line, y = self._side_block(lines[lo : lo + rows])
+                outs[0][block] = _lowest(line, y, len(block))
+                if twin is not None:
+                    outs[1][block] = _lowest(line, -y, len(block))
+        keys = xs.tolist()
+        for env, out in zip(envs, outs):
+            env._side_memo.update(zip(keys, out.tolist()))
+        return outs
 
     def _side_block(self, lines):
-        """S over ascending ``lines``."""
+        """Every strict crossing over ascending ``lines``: the line index
+        and the crossing ordinate of each."""
         first = lines.searchsorted(self._edge_lo, side="right")
         counts = lines.searchsorted(self._edge_hi, side="left") - first
         counts = np.maximum(counts, 0)
@@ -214,21 +254,7 @@ class ShrinkEnvironment:
         e = edge[keep]
         t = da / (da - db)
         ay = self._ys[e]
-        y = ay + (self._by[e] - ay) * t
-        sel = y > TOUCH_EPS
-        out = np.full(len(lines), np.inf)
-        np.minimum.at(out, line[keep][sel], y[sel])
-        return out
-
-    def _side_values(self, lines):
-        """S at each of ``lines``: the memoized values, or one batch pass
-        when any is missing."""
-        try:
-            return np.fromiter(
-                map(self._side_memo.__getitem__, lines.tolist()), float, len(lines)
-            )
-        except KeyError:
-            return self.side_minima(lines)
+        return line[keep], ay + (self._by[e] - ay) * t
 
     # -- column node bound (DP prefilter) -----------------------------------------
 
@@ -246,11 +272,20 @@ class ShrinkEnvironment:
         ``x + g - TOUCH_EPS`` is inside the inner border, where an
         enclosed polygon does not shrink ``h_ob``.
         """
+        return self._column_min(*self._column_windows(xs, g))
+
+    def _column_windows(self, xs, g: float):
+        """``[lo, hi)`` ranges of the x-sorted nodes strictly inside each
+        column; x-derived, so a :meth:`mirrored` twin shares them."""
         xs = np.asarray(xs)
         lo = np.searchsorted(self._xs_sorted, xs - g + TOUCH_EPS, side="right")
         hi = np.searchsorted(self._xs_sorted, xs + g - TOUCH_EPS, side="left")
+        return lo, hi
+
+    def _column_min(self, lo, hi):
+        """The lowest masked ordinate over each ``[lo, hi)`` window."""
         if len(self._xs_sorted) == 0:
-            return np.full(len(xs), np.inf)
+            return np.full(len(lo), np.inf)
         # minimum.reduceat over interleaved [lo, hi) pairs; the +inf
         # sentinel keeps hi == len legal, empty windows are patched after.
         arr = np.append(self._col_ys, np.inf)
@@ -258,68 +293,36 @@ class ShrinkEnvironment:
         mins = np.minimum.reduceat(arr, idx)[::2]
         return np.where(lo < hi, mins, np.inf)
 
-    # -- batched heights over a foot grid (DP) -----------------------------------------
+    # -- the P_check box test over a foot grid (DP) ------------------------------
 
-    def pair_heights(self, xs, g, h_init, h_min, w_min, w_max):
-        """:meth:`max_pattern_height` of the foot pairs over the grid
-        ``xs`` wherever the answer needs no fixpoint, in one pass.
+    def box_index(self, xs, g: float, h_init: float):
+        """What the DP needs to test, in O(1) per foot pair over the grid
+        ``xs``, whether a node lies in the closed box the scalar
+        fixpoint starts from (``P_check``, Sec. IV-D).
 
-        Returns an ``(n, n)`` table indexed ``[il, ir]`` for feet at
-        ``xs[il]``/``xs[ir]``, filled on the bounding box of the band
-        ``w_min <= ir - il <= w_max`` with the scalar shrink's height bit
-        for bit.  It is NaN outside that box and at *busy* pairs, those
-        with a node in the closed box the fixpoint starts from
-        (``P_check``, Sec. IV-D).
-
-        Each element is the scalar shrink's expression, in its order:
-        ``h2 = min(min(h_init + g, S(x_l - g)), S(x_r + g))`` and
-        ``h = min(h_init, h2 - g)``.  The scalar returns 0 when
-        ``h_init``, ``h1 - g`` or ``h2 - g`` lies below ``h_min`` and
-        floors ``h`` at ``h_min``; since ``h2 <= h1`` and rounding is
-        monotone, all four tests are ``h < h_min``.
-
-        The box is ``[(x_l - g) + TOUCH_EPS, (x_r + g) - TOUCH_EPS] x
-        [TOUCH_EPS, h2 - TOUCH_EPS]``.  Monotone rounding also makes
-        ``h2 - TOUCH_EPS`` the smaller of ``h1 - TOUCH_EPS`` and
-        ``S(x_r + g) - TOUCH_EPS``, so a node lies in the box exactly
-        when it passes a test on the left foot alone and one on the
-        right foot alone; a pair is busy when some node passes both, a
-        0/1 matrix product over the nodes.  Only nodes with ``TOUCH_EPS
-        <= y <= (h_init + g) - TOUCH_EPS`` can pass (``h2 <= h_init +
-        g``).  Right feet are processed in blocks of at most
-        :data:`PAIR_BLOCK` / n pairs; with more than :data:`PAIR_BLOCK`
-        (node, foot) entries every pair the side step keeps is NaN.
+        The box of feet ``xs[il]``/``xs[ir]`` is ``[(x_l - g) +
+        TOUCH_EPS, (x_r + g) - TOUCH_EPS] x [TOUCH_EPS, h2 - TOUCH_EPS]``.
+        Only nodes with ``TOUCH_EPS <= y <= (h_init + g) - TOUCH_EPS``
+        can lie in one (``h2 <= h_init + g`` and rounding is monotone);
+        sorted by x, the pair's nodes are the run ``[lo[il], hi[ir])``.
+        Returns ``(lo, hi, levels)``: ``levels[k][j]`` is the lowest
+        ordinate of the kept nodes ``j .. j + 2**k - 1`` (a sparse
+        table), so two entries give the run's lowest node, and the pair
+        is busy exactly when that node is at or under ``h2 - TOUCH_EPS``.
         """
-        xs = np.asarray(xs, dtype=float)
-        n = len(xs)
-        out = np.full((n, n), np.nan)
-        h1 = np.minimum(h_init + g, self._side_values(xs - g))
-        side_r = self._side_values(xs + g)
-        keep = (self._ys >= TOUCH_EPS) & (self._ys <= (h_init + g) - TOUCH_EPS)
-        node_xs = self._xs[keep][:, None]
-        node_ys = self._ys[keep][:, None]
-        m = len(node_xs)
-        box_test = 0 < m and m * n <= PAIR_BLOCK
-        if box_test:
-            in_left = (node_xs >= (xs - g) + TOUCH_EPS) & (node_ys <= h1 - TOUCH_EPS)
-            in_right = (node_xs <= (xs + g) - TOUCH_EPS) & (
-                node_ys <= side_r - TOUCH_EPS
-            )
-            in_left = in_left.T.astype(float)
-            in_right = in_right.astype(float)
-        cols = max(1, PAIR_BLOCK // max(n, 1))
-        for lo in range(w_min, n, cols):
-            hi = min(n, lo + cols)
-            left = slice(max(0, lo - w_max), hi - w_min)
-            h2 = np.minimum(h1[left, None], side_r[lo:hi])
-            h = np.minimum(h_init, h2 - g)
-            valid = h >= h_min
-            if box_test:
-                h = np.where(in_left[left] @ in_right[:, lo:hi] > 0.0, np.nan, h)
-            elif m:
-                h = np.full_like(h, np.nan)
-            out[left, lo:hi] = np.where(valid, h, 0.0)
-        return out
+        ys = self._ys_sorted
+        keep = (ys >= TOUCH_EPS) & (ys <= (h_init + g) - TOUCH_EPS)
+        kept_xs = self._xs_sorted[keep]
+        lo = kept_xs.searchsorted((xs - g) + TOUCH_EPS, side="left").tolist()
+        hi = kept_xs.searchsorted((xs + g) - TOUCH_EPS, side="right").tolist()
+        level = ys[keep]
+        levels = [level.tolist()]
+        span = 1
+        while 2 * span <= len(levels[0]):
+            level = np.minimum(level[:-span], level[span:])
+            levels.append(level.tolist())
+            span *= 2
+        return lo, hi, levels
 
     # -- the full shrink (Alg. 2 + Eqs. 10-13) ---------------------------------------
 
@@ -403,3 +406,37 @@ class ShrinkEnvironment:
 
         h = min(h_init, h_ob - g)
         return h if h >= h_min else 0.0
+
+
+def _lowest(line, y, count: int):
+    """Per line index below ``count``, the minimum of ``y`` over
+    ``y > TOUCH_EPS`` (inf when none)."""
+    sel = y > TOUCH_EPS
+    out = np.full(count, np.inf)
+    np.minimum.at(out, line[sel], y[sel])
+    return out
+
+
+def foot_sides(envs: Dict[int, ShrinkEnvironment], xs, g: float):
+    """Per direction, the DP's per-foot inputs over the grid ``xs``: S on
+    every foot's outer side lines (``xs - g``, then ``xs + g``) and the
+    column node bounds, with the side memos filled.
+
+    When ``envs[-1]`` is ``envs[1]``'s :meth:`~ShrinkEnvironment.mirrored`
+    twin, as the extender builds them, one crossing pass and one column
+    window search serve both sides.
+    """
+    xs = np.asarray(xs, dtype=float)
+    lines = np.concatenate([xs - g, xs + g])
+    pos, neg = envs[1], envs[-1]
+    if neg.mirror_of is pos:
+        sides = pos._side_minima(lines, neg)
+        windows = pos._column_windows(xs, g)
+        return {
+            1: (sides[0], pos._column_min(*windows)),
+            -1: (sides[1], neg._column_min(*windows)),
+        }
+    return {
+        d: (env.side_minima(lines), env.column_bounds(xs, g))
+        for d, env in envs.items()
+    }

@@ -148,6 +148,7 @@ class TestRunPerfQuick:
         stages = row["stages"]
         assert set(stages) == {
             "env_query_s",
+            "dp_setup_s",
             "dp_s",
             "trim_s",
             "verify_s",
@@ -156,6 +157,7 @@ class TestRunPerfQuick:
         }
         assert all(v >= 0 for v in stages.values())
         assert stages["env_query_s"] > 0 and stages["dp_s"] > 0
+        assert stages["dp_setup_s"] > 0
         assert 0 <= stages["pruned_iterations"] <= row["iterations"]
         # Tracing does not change the routed answer.
         extension = {r["dgap"]: r for r in payload["phases"]["extension"]}

@@ -55,6 +55,11 @@ def make_dp(
     return SegmentDP(cfg, envs)
 
 
+def upper_bound(dp, il, ir, direction):
+    """The per-foot bound the DP's value prune reads for feet ``il``/``ir``."""
+    return min(dp._left_ub[direction][il], dp._right_ub[direction][ir])
+
+
 class TestFreeSpace:
     def test_positive_gain(self):
         result = make_dp().run()
@@ -181,13 +186,13 @@ class TestRestoration:
 class TestUpperBoundPrefilter:
     def test_prefilter_matches_exact_when_unobstructed(self):
         dp = make_dp()
-        assert dp.height_upper_bound(5, 9, 1) >= dp.height(5, 9, 1)
+        assert upper_bound(dp, 5, 9, 1) >= dp.height(5, 9, 1)
 
     def test_prefilter_admissible_with_obstacles(self):
         box = rectangle(4.0, 3.0, 6.0, 5.0)
         dp = make_dp(polys=[box])
         for il, ir in ((3, 7), (4, 8), (2, 10)):
-            assert dp.height_upper_bound(il, ir, 1) >= dp.height(il, ir, 1) - 1e-9
+            assert upper_bound(dp, il, ir, 1) >= dp.height(il, ir, 1) - 1e-9
 
 
 #: Where real DP inputs come from: one routed board per corpus family,
@@ -235,14 +240,11 @@ class TestFootBounds:
                             continue
                         side_r = env.side_bound(ir * cfg.step + cfg.g, math.inf)
                         assert h <= min(side_l - cfg.g, side_r - cfg.g)
-                        assert h <= dp.height_upper_bound(il, ir, d) + TOUCH_EPS
+                        assert h <= upper_bound(dp, il, ir, d) + TOUCH_EPS
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_unpruned_run_gives_the_same_result(self, source, monkeypatch):
         pruned = [repr(dp.run()) for dp in real_dps(source)]
-        monkeypatch.setattr(
-            SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
-        )
         without_prunes(monkeypatch)
         assert [repr(dp.run()) for dp in real_dps(source)] == pruned
 
@@ -250,9 +252,6 @@ class TestFootBounds:
     def test_unpruned_hand_cases_same_result(self, kwargs, monkeypatch):
         pruned = make_dp(**kwargs)
         result = repr(pruned.run())
-        monkeypatch.setattr(
-            SegmentDP, "height_upper_bound", lambda self, il, ir, d: math.inf
-        )
         without_prunes(monkeypatch)
         unpruned = make_dp(**kwargs)
         assert repr(unpruned.run()) == result
@@ -271,7 +270,7 @@ class TestFootBounds:
         # bound alone is h_init, the side crossing caps the foot at 4 - g.
         wedge = Polygon([Point(-4.0, 4.0), Point(4.5, 4.0), Point(-4.0, 8.0)])
         dp = make_dp(polys=[wedge], h_init=8.0)
-        assert dp.height_upper_bound(2, 8, 1) == 4.0 - 2.0
+        assert upper_bound(dp, 2, 8, 1) == 4.0 - 2.0
         assert dp.height(2, 8, 1) <= 4.0 - 2.0
 
     def test_node_at_the_column_window_end(self, monkeypatch):
@@ -282,7 +281,7 @@ class TestFootBounds:
         tri = Polygon([Point(x_end, 1.0), Point(9.0, 1.0), Point(8.0, 2.0)])
         dp = make_dp(polys=[tri])
         assert dp.height(5, 15, 1) == 5.0
-        assert dp.height(5, 15, 1) <= dp.height_upper_bound(5, 15, 1) + TOUCH_EPS
+        assert dp.height(5, 15, 1) <= upper_bound(dp, 5, 15, 1) + TOUCH_EPS
         result = repr(make_dp(polys=[tri]).run())
         without_prunes(monkeypatch)
         assert repr(make_dp(polys=[tri]).run()) == result

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
-from oracles.extension import context_scene
+from oracles.extension import context_scene, trim_total_reference
+from repro.api import RoutingSession, SessionConfig
 from repro.core import ClearanceScene, ExtensionConfig, TraceExtender
 from repro.drc import check_obstacle_clearance, check_segment_lengths, check_self_clearance
 from repro.geometry import Point, Polyline, rectangle
 from repro.model import DesignRules, Trace, via
+from repro.scenarios import generate
 
 RULES = DesignRules(dgap=4.0, dobs=2.0, dprotect=2.0)
 AREA = rectangle(-20.0, -40.0, 120.0, 40.0)
@@ -203,3 +205,36 @@ class TestConfig:
     def test_custom_ldisc(self):
         result = extender(ldisc=1.0).extend(straight(), 130.0)
         assert math.isclose(result.achieved, 130.0, abs_tol=1e-3)
+
+
+def recorded_trims(family, seed, monkeypatch):
+    """Every ``_trim_total`` call of a ``fast`` route: its arguments and
+    the patterns it returned."""
+    calls = []
+    production = TraceExtender._trim_total
+
+    def recording(self, patterns, target_total, tol, envs, dp_cfg):
+        args = (list(patterns), target_total, tol, envs, dp_cfg)
+        out = production(self, patterns, target_total, tol, envs, dp_cfg)
+        calls.append((args, list(out)))
+        return out
+
+    monkeypatch.setattr(TraceExtender, "_trim_total", recording)
+    board = generate(family, seed=seed)
+    RoutingSession(board, config=SessionConfig.preset("fast")).run()
+    monkeypatch.undo()
+    return calls
+
+
+class TestTrim:
+    @pytest.mark.parametrize(
+        "family, seed", [("serpentine_bus", 0), ("tiled", 1), ("obstacle_maze", 2)]
+    )
+    def test_same_patterns_as_resumming_trim(self, family, seed, monkeypatch):
+        # The gains list re-sums with sum() exactly where the old trim
+        # re-summed every pattern's gain, so every recorded call returns
+        # the same patterns, bit for bit.
+        calls = recorded_trims(family, seed, monkeypatch)
+        assert any(len(args[0]) != len(out) for args, out in calls)
+        for args, out in calls:
+            assert repr(trim_total_reference(*args)) == repr(out)

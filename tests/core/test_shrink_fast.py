@@ -29,8 +29,8 @@ from oracles.dp_inputs import (
     table2_dp_inputs,
 )
 from oracles.shrink import ShrinkEnvironment as OracleShrinkEnvironment
-from repro.core import ShrinkEnvironment
-from repro.core.shrink import TOUCH_EPS
+from repro.core import DPConfig, SegmentDP, ShrinkEnvironment
+from repro.core.shrink import TOUCH_EPS, foot_sides
 from repro.geometry import Point, Polygon
 
 
@@ -149,6 +149,27 @@ class TestSideMinima:
         ref, vec = both_envs(random_polygons(seed))
         xs = np.linspace(-62.0, 62.0, 97)
         assert vec.side_minima(xs).tolist() == ref.side_minima(xs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mirrored_pair_in_one_pass(self, seed):
+        # foot_sides serves a mirrored pair from one crossing pass and one
+        # column window search: each side must read what an environment
+        # built on its own polygons reads, memo included.
+        polys = random_polygons(seed)
+        env = both_envs(polys)[1]
+        twin = env.mirrored()
+        xs, g = np.linspace(-60.0, 60.0, 41), 1.7
+        lines = np.concatenate([xs - g, xs + g])
+        got = foot_sides({1: env, -1: twin}, xs, g)
+        for d, shape in ((1, polys), (-1, flipped(polys))):
+            ref, vec = both_envs(shape)
+            side, col = got[d]
+            assert side.tolist() == vec.side_minima(lines).tolist()
+            assert side.tolist() == ref.side_minima(lines)
+            assert col.tolist() == vec.column_bounds(xs, g).tolist()
+            mine = env if d == 1 else twin
+            for x in lines.tolist():
+                assert mine.side_bound(x, 30.0) == ref.side_bound(x, 30.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocks_do_not_change_the_answer(self, seed, monkeypatch):
@@ -327,54 +348,48 @@ def side_step(ref, x_left, x_right, g, h_init):
     return min(h_ob, ref.side_bound(x_right + g, h_ob))
 
 
-def check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max):
-    """Production's batch table against the oracle's scalar loop over the
-    band: a NaN exactly where the scalar shrink passes the side step and
-    finds a node in its ``P_check`` box, the oracle's height (by
-    ``repr``) everywhere else.  Returns the number of NaN pairs."""
-    got = vec.pair_heights(xs, g, h_init, h_min, w_min, w_max)
-    want = ref.pair_heights(xs, g, h_init, h_min, w_min, w_max)
-    n = len(xs)
-    assert got.shape == (n, n)
-    busy = 0
-    for ir in range(n):
-        for il in range(max(0, ir - w_max), ir - w_min + 1):
-            x_left, x_right = float(xs[il]), float(xs[ir])
-            h_ob = side_step(ref, x_left, x_right, g, h_init)
-            boxed = (
-                h_init >= h_min
-                and h_ob - g >= h_min
-                and len(
-                    ref._nodes_in_box(
-                        (x_left - g) + TOUCH_EPS,
-                        (x_right + g) - TOUCH_EPS,
-                        TOUCH_EPS,
-                        h_ob - TOUCH_EPS,
+def check_heights(dp, refs):
+    """Production's on-demand heights against the oracle's scalar shrink,
+    over every foot pair at least ``w_min`` steps apart of each direction
+    in ``refs``: the same height (by ``repr``), with the scalar fixpoint
+    run exactly where the scalar shrink passes the side step and finds a
+    node in its ``P_check`` box.  Returns ``{(d, il, ir): (h, busy)}``."""
+    cfg = dp.config
+    out = {}
+    for d, ref in refs.items():
+        for ir in range(cfg.n):
+            for il in range(ir - cfg.w_min + 1):
+                x_left, x_right = il * cfg.step, ir * cfg.step
+                h_ob = side_step(ref, x_left, x_right, cfg.g, cfg.h_init)
+                boxed = (
+                    cfg.h_init >= cfg.h_min
+                    and h_ob - cfg.g >= cfg.h_min
+                    and len(
+                        ref._nodes_in_box(
+                            (x_left - cfg.g) + TOUCH_EPS,
+                            (x_right + cfg.g) - TOUCH_EPS,
+                            TOUCH_EPS,
+                            h_ob - TOUCH_EPS,
+                        )
                     )
+                    > 0
                 )
-                > 0
-            )
-            h = float(got[il, ir])
-            assert math.isnan(h) == boxed, (il, ir)
-            if boxed:
-                busy += 1
-            else:
-                assert repr(h) == repr(float(want[il, ir])), (il, ir)
-    # Nothing outside the band's bounding box is filled.
-    assert np.isnan(got[:, :w_min]).all()
-    assert np.isnan(got[n - w_min :, :]).all()
-    return busy
+                before = dp.scalar_shrinks
+                h = dp.height(il, ir, d)
+                assert (dp.scalar_shrinks > before) == boxed, (d, il, ir)
+                want = ref.max_pattern_height(
+                    x_left, x_right, cfg.g, cfg.h_init, cfg.h_min
+                )
+                assert repr(h) == repr(want), (d, il, ir)
+                out[d, il, ir] = (h, boxed)
+    return out
 
 
 def check_dp_input(cfg, envs):
-    xs = np.arange(cfg.n) * cfg.step
-    w_max = cfg.n - 1
-    busy = 0
-    for d, vec in fresh_envs(envs).items():
-        busy += check_pair_heights(
-            vec, oracle_env(envs[d]), xs, cfg.g, cfg.h_init, cfg.h_min, cfg.w_min, w_max
-        )
-    return busy
+    """Both directions of a captured DP input; returns the busy pairs."""
+    dp = SegmentDP(cfg, fresh_envs(envs))
+    refs = {d: oracle_env(arrays) for d, arrays in envs.items()}
+    return sum(busy for _, busy in check_heights(dp, refs).values())
 
 
 def point(x, y):
@@ -382,20 +397,37 @@ def point(x, y):
     return Polygon([Point(x, y)] * 3)
 
 
+def flipped(polys):
+    """``polys`` seen from the segment's other side."""
+    return [Polygon([Point(p.x, -p.y) for p in poly.points]) for poly in polys]
+
+
 class TestPairHeights:
-    """The DP's batch heights against the oracle's scalar shrink loop."""
+    """The DP's on-demand heights against the oracle's scalar shrink."""
 
     # Hand cases: feet every unit, g = 1, so the pair (3, 8) has its
     # outer side lines at x = 2 and x = 9, its P_check box at
     # [2 + TOUCH_EPS, 9 - TOUCH_EPS] x [TOUCH_EPS, h2 - TOUCH_EPS], and
     # h2 = h_init + g = 6 without side crossings.
-    XS = np.arange(12) * 1.0
-    G, H_INIT, H_MIN = 1.0, 5.0, 1.0
+    N, G, H_INIT, H_MIN = 12, 1.0, 5.0, 1.0
 
-    def hand(self, polys, h_init=H_INIT, h_min=H_MIN, w_min=2, w_max=11):
-        ref, vec = both_envs(polys)
-        check_pair_heights(vec, ref, self.XS, self.G, h_init, h_min, w_min, w_max)
-        return vec.pair_heights(self.XS, self.G, h_init, h_min, w_min, w_max)
+    def hand(self, polys, h_init=H_INIT, h_min=H_MIN, w_min=2):
+        """Heights of the +1 side over ``polys``, checked against the
+        oracle, keyed ``(il, ir)`` to ``(h, busy)``."""
+        cfg = DPConfig(
+            step=1.0,
+            n=self.N,
+            k_gap=3,
+            k_protect=1,
+            w_min=w_min,
+            h_min=h_min,
+            h_init=h_init,
+            g=self.G,
+        )
+        env = ShrinkEnvironment.from_polygons(polys)
+        dp = SegmentDP(cfg, {1: env, -1: env.mirrored()})
+        got = check_heights(dp, {1: OracleShrinkEnvironment(polys)})
+        return {(il, ir): v for (_, il, ir), v in got.items()}
 
     @pytest.mark.parametrize("source", corpus_families() + ["table2"])
     def test_corpus_dp_inputs_match_oracle(self, source):
@@ -418,14 +450,30 @@ class TestPairHeights:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_soups_match_oracle(self, seed):
+        # The feet start at x = 0, so the soup moves right by 50 to put
+        # it over them; both sides, mirrored as the extender builds them.
         rng = random.Random(seed + 5000)
-        ref, vec = both_envs(random_polygons(seed))
-        xs = np.arange(40) * rng.uniform(1.0, 3.0) - 50.0
-        g = rng.uniform(0.5, 3.0)
-        h_init, h_min = rng.uniform(1.0, 40.0), rng.uniform(0.1, 3.0)
-        w_min = rng.randrange(1, 4)
-        w_max = rng.choice([39, rng.randrange(w_min, 20)])
-        check_pair_heights(vec, ref, xs, g, h_init, h_min, w_min, w_max)
+        polys = [
+            Polygon([Point(p.x + 50.0, p.y) for p in poly.points])
+            for poly in random_polygons(seed)
+        ]
+        cfg = DPConfig(
+            step=rng.uniform(1.0, 3.0),
+            n=40,
+            k_gap=3,
+            k_protect=1,
+            w_min=rng.randrange(1, 4),
+            h_min=rng.uniform(0.1, 3.0),
+            h_init=rng.uniform(1.0, 40.0),
+            g=rng.uniform(0.5, 3.0),
+        )
+        env = ShrinkEnvironment.from_polygons(polys)
+        dp = SegmentDP(cfg, {1: env, -1: env.mirrored()})
+        refs = {
+            1: OracleShrinkEnvironment(polys),
+            -1: OracleShrinkEnvironment(flipped(polys)),
+        }
+        check_heights(dp, refs)
 
     @pytest.mark.parametrize(
         "x, in_box",
@@ -439,10 +487,10 @@ class TestPairHeights:
         ],
     )
     def test_node_at_the_box_sides(self, x, in_box):
-        table = self.hand([point(x, 3.0)])
-        assert math.isnan(table[3, 8]) == in_box
+        h, busy = self.hand([point(x, 3.0)])[3, 8]
+        assert busy == in_box
         if not in_box:
-            assert table[3, 8] == self.H_INIT
+            assert h == self.H_INIT
 
     @pytest.mark.parametrize(
         "y, in_box",
@@ -457,76 +505,33 @@ class TestPairHeights:
         ],
     )
     def test_node_at_the_box_bottom_and_top(self, y, in_box):
-        table = self.hand([point(5.0, y)])
-        assert math.isnan(table[3, 8]) == in_box
+        assert self.hand([point(5.0, y)])[3, 8][1] == in_box
 
     def test_node_at_a_side_lowered_top(self):
         # An edge from (7, 8) to (11, 0) crosses x = 9 at y = 4 with both
         # ends outside every box: h2 = 4 for the pair (3, 8).
         wedge = Polygon([Point(7.0, 8.0), Point(11.0, 0.0), Point(11.0, 8.0)])
         for y, in_box in ((4.0 - TOUCH_EPS, True), (4.0 - TOUCH_EPS / 2, False)):
-            table = self.hand([wedge, point(5.0, y)])
-            assert math.isnan(table[3, 8]) == in_box
+            h, busy = self.hand([wedge, point(5.0, y)])[3, 8]
+            assert busy == in_box
             if not in_box:
-                assert table[3, 8] == 4.0 - self.G
+                assert h == 4.0 - self.G
 
     def test_side_crossing_puts_h2_on_h_min(self):
         # Crossings of x = 9 at y = 2 exactly (h2 - g == h_min: kept) and
-        # just under it (zero).  A node in the box does not turn a pair
-        # the side step zeroes into a NaN.
+        # just under it (zero).  A node in the box does not send a pair
+        # the side step zeroes to the fixpoint.
         exact = Polygon([Point(7.0, 4.0), Point(11.0, 0.0), Point(11.0, 4.0)])
-        table = self.hand([exact, point(5.0, 0.5)])
-        assert math.isnan(table[3, 8])
-        table = self.hand([exact])
-        assert table[3, 8] == self.H_MIN
+        assert self.hand([exact, point(5.0, 0.5)])[3, 8][1]
+        assert self.hand([exact])[3, 8] == (self.H_MIN, False)
         low = Polygon([Point(7.0, 4.0 - 1e-6), Point(11.0, 0.0), Point(11.0, 4.0)])
         for polys in ([low], [low, point(5.0, 0.5)]):
-            table = self.hand(polys)
-            assert table[3, 8] == 0.0
+            assert self.hand(polys)[3, 8] == (0.0, False)
 
     def test_h_init_below_h_min(self):
-        table = self.hand([point(5.0, 3.0)], h_init=0.5, h_min=1.0)
-        assert table[3, 8] == 0.0
-        assert not np.isnan(table[np.triu_indices(12, 2)]).any()
+        heights = self.hand([point(5.0, 3.0)], h_init=0.5, h_min=1.0)
+        assert set(heights.values()) == {(0.0, False)}
 
     def test_empty_environment(self):
-        table = self.hand([])
-        band = table[np.triu_indices(12, 2)]
-        assert (band == self.H_INIT).all()
-
-    @pytest.mark.parametrize("block", [1, 7, 30])
-    def test_band_cut_by_max_width_steps(self, block, monkeypatch):
-        # With narrow blocks each block's left feet start at lo - w_max.
-        # The wedge's crossings vary the heights; its nodes lie outside
-        # every box's ordinates, so no node test applies.
-        polys = [Polygon([Point(4.0, 9.0), Point(11.0, 0.0), Point(11.0, 9.0)])]
-        whole = self.hand(polys, w_max=4)
-        monkeypatch.setattr(shrink_mod, "PAIR_BLOCK", block)
-        table = self.hand(polys, w_max=4)
-        band = [(il, ir) for ir in range(12) for il in range(ir - 4, ir - 1) if il >= 0]
-        assert len({float(whole[il, ir]) for il, ir in band}) > 2
-        for il, ir in band:
-            assert repr(table[il, ir]) == repr(whole[il, ir])
-
-    def test_too_many_node_entries_leave_kept_pairs_to_the_fixpoint(
-        self, monkeypatch
-    ):
-        # Three nodes x 12 feet exceed a PAIR_BLOCK of 35: the box test
-        # is skipped, so every pair the side step keeps is NaN and every
-        # pair it zeroes is 0.
-        low = Polygon([Point(7.0, 4.0 - 1e-6), Point(11.0, 0.0), Point(11.0, 4.0)])
-        polys = [low, point(5.0, 3.0)]
-        monkeypatch.setattr(shrink_mod, "PAIR_BLOCK", 35)
-        ref, vec = both_envs(polys)
-        table = vec.pair_heights(self.XS, self.G, self.H_INIT, self.H_MIN, 2, 11)
-        zeros = 0
-        for il, ir in zip(*np.triu_indices(12, 2)):
-            h_ob = side_step(ref, float(il), float(ir), self.G, self.H_INIT)
-            kept = h_ob - self.G >= self.H_MIN
-            assert math.isnan(table[il, ir]) == kept
-            if not kept:
-                zeros += 1
-                assert table[il, ir] == 0.0 == ref.max_pattern_height(
-                    float(il), float(ir), self.G, self.H_INIT, self.H_MIN
-                )
-        assert zeros
+        heights = self.hand([])
+        assert set(heights.values()) == {(self.H_INIT, False)}

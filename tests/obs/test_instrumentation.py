@@ -68,12 +68,18 @@ class TestSessionSpans:
         assert dp_spans
         for attrs in dp_spans:
             assert isinstance(attrs["shrinks"], int)
-            # Heights the batch table left to the scalar fixpoint are a
+            # Heights the box test left to the scalar fixpoint are a
             # part of the heights the DP consumed.
             assert isinstance(attrs["scalar_shrinks"], int)
             assert 0 <= attrs["scalar_shrinks"] <= attrs["shrinks"]
+            # The DP's setup is timed apart from the window query and
+            # from the DP itself, pruned or not.
+            assert attrs["env_query_s"] > 0 and attrs["dp_setup_s"] > 0
             if attrs["pruned"]:
                 assert attrs["shrinks"] == 0
+                assert attrs["dp_s"] == 0.0
+            else:
+                assert attrs["dp_s"] > 0
         assert any(attrs["shrinks"] > 0 for attrs in dp_spans)
 
     def test_stage_metrics_recorded(self):

@@ -96,10 +96,19 @@ def spread(items, count: int):
     return [items[k * len(items) // count] for k in range(count)]
 
 
-def fresh_envs(envs: Dict[int, Arrays]):
-    """Production environments over captured arrays, memos empty."""
+def fresh_envs(envs: Dict[int, Arrays], mirrored: bool = True):
+    """Production environments over captured arrays, memos empty.
+
+    A pair captured from :meth:`ShrinkEnvironment.mirrored` (the -1 side
+    shares the +1 side's x array) is rebuilt the same way, so the DP takes
+    the extender's one-pass path; ``mirrored=False`` builds the two sides
+    independently instead.
+    """
     from repro.core.shrink import ShrinkEnvironment
 
+    if mirrored and envs[-1][0] is envs[1][0]:
+        env = ShrinkEnvironment(*envs[1])
+        return {1: env, -1: env.mirrored()}
     return {d: ShrinkEnvironment(*arrays) for d, arrays in envs.items()}
 
 

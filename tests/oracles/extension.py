@@ -6,8 +6,9 @@ environments).  This module keeps the loop it was derived from: every
 iteration rebuilds the clearance environment by an exhaustive scan of
 obstacles, other traces and the trace's own segments into
 :class:`~repro.geometry.Polygon` objects, shrinks against the
-polygon-based :class:`oracles.shrink.ShrinkEnvironment`, and addresses
-queue entries by rounded-coordinate segment keys.
+polygon-based :class:`oracles.shrink.ShrinkEnvironment`, runs the
+table-driven DP of :mod:`oracles.dp`, and addresses queue entries by
+rounded-coordinate segment keys.
 
 :class:`ReferenceTraceExtender` overrides :meth:`extend` (and therefore
 :meth:`extension_upper_bound`) with that loop, and the chevron clearance
@@ -28,7 +29,7 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
-from repro.core.dp import DPConfig, SegmentDP
+from repro.core.dp import DPConfig
 from repro.core.extension import (
     MIN_EXTENSION_GAIN,
     ExtensionResult,
@@ -40,6 +41,7 @@ from repro.core.scene import ClearanceScene
 from repro.geometry import Frame, Point, Polygon, Polyline, Segment, oriented_rectangle
 from repro.model import Obstacle, Trace
 
+from .dp import SegmentDP
 from .shrink import ShrinkEnvironment
 
 _KEY_DIGITS = 6
@@ -361,3 +363,38 @@ def _bbox_hits(b1, b2) -> bool:
 
 def _inflate_bounds(b, margin: float):
     return (b[0] - margin, b[1] - margin, b[2] + margin, b[3] + margin)
+
+
+def trim_total_reference(patterns, target_total, tol, envs, dp_cfg):
+    """The pattern trim as it re-summed every pattern's gain per step:
+    production's :meth:`TraceExtender._trim_total` keeps a gains list
+    and must return the same patterns."""
+
+    def total() -> float:
+        return sum(p.gain() for p in patterns)
+
+    patterns = list(patterns)
+    while patterns and total() - patterns[-1].gain() >= target_total - tol:
+        patterns.pop()
+    guard = 4 * len(patterns) + 8
+    while patterns and total() > target_total + tol and guard > 0:
+        guard -= 1
+        excess = total() - target_total
+        idx = max(range(len(patterns)), key=lambda k: patterns[k].height)
+        p = patterns[idx]
+        headroom = 2.0 * (p.height - dp_cfg.h_min)
+        if headroom <= 1e-12:
+            patterns.pop()
+            continue
+        if excess <= headroom:
+            target_h = p.height - excess / 2.0
+        else:
+            target_h = dp_cfg.h_min
+        h_valid = envs[p.direction].max_pattern_height(
+            p.x_left, p.x_right, dp_cfg.g, target_h, dp_cfg.h_min
+        )
+        if h_valid >= dp_cfg.h_min and h_valid < p.height - 1e-12:
+            patterns[idx] = p.with_height(h_valid)
+        else:
+            patterns.pop()
+    return patterns

@@ -161,8 +161,8 @@ class ShrinkEnvironment:
         ``w_min <= ir - il <= w_max`` over the grid ``xs``, as an
         ``(n, n)`` table indexed ``[il, ir]`` (NaN outside the band).
 
-        The scalar loop production's batch pass answers: it never leaves
-        a pair in the band to the caller.
+        The table :mod:`oracles.dp` reads on this environment, by the
+        scalar shrink: it never leaves a pair in the band to the caller.
         """
         n = len(xs)
         out = np.full((n, n), np.nan)
