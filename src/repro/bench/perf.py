@@ -21,11 +21,13 @@ Phases
                :mod:`repro.obs` trace: the env-query / DP setup /
                DP / trim / verify stage split, iteration-time percentiles and the
                pruned count, with the traced run's ``digest``;
-``region``     Sec. III region assignment on ``tiled``/``mixed_groups``
-               boards with their routable areas cleared: the grid
-               decomposition alone, the whole assignment (decompose
-               plus LP) and storing the areas on the board, with a
-               sha256 ``digest`` of the assignment and the areas;
+``region``     Sec. III region assignment on ``tiled`` boards with their
+               routable areas cleared: the grid decomposition alone,
+               the whole assignment (decompose plus LP) and storing the
+               areas on the board, with the LP's ``solver`` and a sha256
+               ``digest`` of the assignment and the areas.  The
+               ``mixed_groups`` rows take the closed form; one
+               ``serpentine_bus`` row keeps the HiGHS path guarded;
 ``scaling``    cold end-to-end :class:`~repro.api.RoutingSession` runs
                (``fast`` preset) on ``tiled`` seed 0 boards of 6 to 48
                tiles, with the pipeline's ``ok`` and a sha256 ``digest``
@@ -340,14 +342,19 @@ def _phase_extension_breakdown(dgap: float) -> List[Dict[str, Any]]:
     ]
 
 
-def _region_board(tiles: int) -> Board:
-    """``tiled``/``mixed_groups`` seed 0 without routable areas, the way
-    an imported board reaches the region stage."""
+#: The region phase's boards as ``(tiled base, tiles)``.  Every
+#: ``mixed_groups`` cell serves one trace, so their LPs take the closed
+#: form; ``serpentine_bus`` traces share cells, so its LP goes to HiGHS.
+REGION_BOARDS = (("mixed_groups", 6), ("mixed_groups", 12), ("serpentine_bus", 6))
+REGION_BOARDS_QUICK = (("mixed_groups", 6), ("serpentine_bus", 6))
+
+
+def _region_board(base: str, tiles: int) -> Board:
+    """``tiled``/``base`` seed 0 without routable areas, the way an
+    imported board reaches the region stage."""
     from ..scenarios import generate
 
-    board = generate(
-        "tiled", seed=0, params={"tiles": tiles, "base": "mixed_groups"}
-    )
+    board = generate("tiled", seed=0, params={"tiles": tiles, "base": base})
     board.routable_areas.clear()
     return board
 
@@ -365,23 +372,27 @@ def _assignment_digest(assignment: Any, areas: Dict[str, Polygon]) -> str:
     )
 
 
-def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
-    """The region stage's layers, timed apart per board size.
+def _phase_region(
+    boards: Sequence[Tuple[str, int]], repeats: int
+) -> List[Dict[str, Any]]:
+    """The region stage's layers, timed apart per ``(base, tiles)`` board.
 
     ``decompose_s`` is the grid decomposition alone, ``assign_s`` the
     whole :func:`~repro.region.assign_regions` (decomposition, LP build
     and solve, integerisation) and ``apply_s`` the
     :func:`~repro.region.apply_assignment` that turns the cells into
-    area polygons; ``cells``, ``variables`` and ``rows`` are read from
-    the ``region.decompose``/``region.lp`` spans of one traced call.
+    area polygons; ``cells``, ``variables``, ``rows`` and ``solver`` are
+    read from the ``region.decompose``/``region.lp`` spans of one traced
+    call.  That call runs first, so the lazy scipy import of a HiGHS
+    solve falls outside the timed repeats.
     """
     from .. import obs
     from ..region import apply_assignment, assign_regions, decompose
 
     config = SessionConfig.preset("default")
     rows: List[Dict[str, Any]] = []
-    for k in tiles:
-        board = _region_board(k)
+    for base, k in boards:
+        board = _region_board(base, k)
         traces, targets, cell = RegionAssignmentStage.inputs(board, config)
 
         def assign():
@@ -394,6 +405,12 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
                 reach=config.region.reach,
             )
 
+        with obs.trace(f"bench region {base} tiles={k}") as collected:
+            assign()
+        attrs = {
+            span["name"]: span.get("attrs") or {}
+            for span in collected.to_dict()["spans"]
+        }
         decompose_s, _ = _time_repeats(
             lambda: decompose(board, traces, cell, config.region.reach), repeats
         )
@@ -403,19 +420,15 @@ def _phase_region(tiles: Sequence[int], repeats: int) -> List[Dict[str, Any]]:
         )
         areas = dict(board.routable_areas)
         board.routable_areas.clear()
-        with obs.trace(f"bench region tiles={k}") as collected:
-            assign()
-        attrs = {
-            span["name"]: span.get("attrs") or {}
-            for span in collected.to_dict()["spans"]
-        }
         rows.append(
             {
+                "base": base,
                 "tiles": k,
                 "traces": len(traces),
                 "cells": attrs["region.decompose"]["cells"],
                 "variables": attrs["region.lp"]["variables"],
                 "rows": attrs["region.lp"]["rows"],
+                "solver": attrs["region.lp"]["solver"],
                 "decompose_s": decompose_s,
                 "assign_s": assign_s,
                 "apply_s": apply_s,
@@ -719,13 +732,16 @@ def run_perf(
         phases[name] = phase(*args, **kwargs)
 
     # Quick mode keeps every guarded phase at a key the committed full
-    # baseline also holds (64 nodes, both d_gaps, 6 tiles): the guard
-    # fails a phase that shares no key with the baseline.
+    # baseline also holds (64 nodes, both d_gaps, 6 tiles, both region
+    # solvers): the guard fails a phase that shares no key with the
+    # baseline.
     run_phase("dtw", _phase_dtw, [64] if quick else [64, 128, 256], repeats)
     run_phase("drc", _phase_drc, [1] if quick else [1, 2, 4, 8], repeats)
     run_phase("extension", _phase_extension, [2.5, 4.0], repeats)
     run_phase("extension_breakdown", _phase_extension_breakdown, 4.0)
-    run_phase("region", _phase_region, [6] if quick else [6, 12], repeats)
+    run_phase(
+        "region", _phase_region, REGION_BOARDS_QUICK if quick else REGION_BOARDS, repeats
+    )
     run_phase("scaling", _phase_scaling, [6] if quick else [6, 12, 24, 48], repeats)
     run_phase(
         "server_faults",
@@ -790,8 +806,9 @@ def run_perf(
             )
         for row in phases["region"]:
             print(
-                f"region    tiles={row['tiles']:>2}  cells={row['cells']:>5}"
-                f"  variables={row['variables']:>5}"
+                f"region    {row['base']:<14} tiles={row['tiles']:>2}"
+                f"  cells={row['cells']:>5}  variables={row['variables']:>5}"
+                f"  {row['solver']:<11}"
                 f"  decompose {row['decompose_s']*1e3:.1f} ms"
                 f"  assign {row['assign_s']*1e3:.1f} ms"
                 f"  apply {row['apply_s']*1e3:.1f} ms"
@@ -893,16 +910,20 @@ GUARD_MAX_RATIO = 2.0
 
 
 #: What the guard compares with the committed baseline, as ``(phase,
-#: row key, timed field)``.  Every row the two payloads share by key must
-#: carry the baseline row's ``digest``; a timed field must also stay
-#: within the calibrated allowance.
+#: row key fields, timed field)``.  Every row the two payloads share by
+#: key must carry the baseline row's ``digest``; a timed field must also
+#: stay within the calibrated allowance.
 _GUARDED_PHASES = (
-    ("dtw", "nodes", None),
-    ("extension", "dgap", "extend_s"),
-    ("extension_breakdown", "dgap", None),
-    ("region", "tiles", None),
-    ("scaling", "tiles", "run_s"),
+    ("dtw", ("nodes",), None),
+    ("extension", ("dgap",), "extend_s"),
+    ("extension_breakdown", ("dgap",), None),
+    ("region", ("base", "tiles"), None),
+    ("scaling", ("tiles",), "run_s"),
 )
+
+
+def _row_key(row: Dict[str, Any], fields: Sequence[str]) -> Tuple[Any, ...]:
+    return tuple(row.get(field) for field in fields)
 
 
 def check_perf_guard(
@@ -920,8 +941,9 @@ def check_perf_guard(
     fail here, not just in the test suite.  A baseline row without a
     digest fails too, as it cannot vouch for the answer.  The
     ``extension`` and ``scaling`` medians must not regress.  A current
-    ``startup`` row with ``scipy_loaded`` fails: only the region LP may
-    load scipy, and neither a bare import nor an idle daemon solves one.
+    ``startup`` row with ``scipy_loaded`` fails: only a region LP solved
+    by HiGHS may load scipy, and neither a bare import nor an idle
+    daemon solves one.
 
     CI machines and the machine that committed the baseline run at
     different speeds, so raw medians can't be compared directly.  Every
@@ -940,25 +962,26 @@ def check_perf_guard(
         problems.append("no calibration_s in both payloads to normalize machine speed")
         machine_scale = 1.0
 
-    for phase, key, time_field in _GUARDED_PHASES:
+    for phase, fields, time_field in _GUARDED_PHASES:
         base_rows = {
-            row[key]: row for row in baseline.get("phases", {}).get(phase, ())
+            _row_key(row, fields): row
+            for row in baseline.get("phases", {}).get(phase, ())
         }
         if not base_rows:
             continue
         shared = [
             row
             for row in current.get("phases", {}).get(phase, ())
-            if row[key] in base_rows
+            if _row_key(row, fields) in base_rows
         ]
         if not shared:
+            held = ", ".join("/".join(str(v) for v in k) for k in base_rows)
             problems.append(
-                f"{phase}: shares no {key} with the baseline "
-                f"({', '.join(str(k) for k in base_rows)})"
+                f"{phase}: shares no {'/'.join(fields)} with the baseline ({held})"
             )
         for row in shared:
-            base = base_rows[row[key]]
-            label = f"{phase} {key}={row[key]}"
+            base = base_rows[_row_key(row, fields)]
+            label = phase + "".join(f" {field}={row[field]}" for field in fields)
             if "digest" not in base:
                 problems.append(f"{label}: baseline row has no digest")
             elif row.get("digest") != base["digest"]:

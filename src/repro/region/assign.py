@@ -7,15 +7,25 @@ for neighbour pairs (constraint (1) pre-eliminates the rest).  The LP
     s.t. sum_j x_ij <= Cap_i        (feasibility, Eq. 2)
          sum_i x_ij >= Req_j        (sufficiency, Eq. 3)
 
-is solved with ``scipy.optimize.linprog``; since "find feasible" admits
-any objective, we minimise distance-weighted usage so traces prefer the
-regions closest to them — which also makes the subsequent cell
-integerisation (each cell goes to its dominant user) well behaved.
+admits any objective; we minimise distance-weighted usage so traces
+prefer the regions closest to them — which also makes the subsequent
+cell integerisation (each cell goes to its dominant user) well behaved.
 
-scipy is imported at the first solve, not with this module: boards that
-arrive with routable areas never pay its import time or memory.  The
-module-level :func:`linprog` is that import point (and the name tracers
-wrap); ``sys.modules`` caches the import after the first call.
+When every cell has one variable (no cell neighbours two traces once
+crossed cells are pinned) the LP splits into one fractional knapsack per
+trace, and :func:`_fill_cheapest_first` solves it in closed form: each
+trace fills its cells cheapest first.  That fill is the unique optimum
+when the marginal cell's cost stands clear of its neighbours'; within
+:data:`TIE_MARGIN` of a tie, on an unreachable requirement and on every
+coupled LP, ``scipy.optimize.linprog(method="highs")`` solves it with
+the same inputs as ever.
+
+scipy is imported at the first HiGHS solve, not with this module: boards
+that arrive with routable areas, or whose LP the closed form solves,
+never pay its import time or memory.  The module-level :func:`linprog`
+is that import point (and the name tracers wrap); ``sys.modules`` caches
+the import after the first call.  The ``region.lp`` span names the
+``solver`` that answered, ``closed_form`` or ``highs``.
 
 The paper's follow-up requirement — "the preserved original routing is
 contained in the rouTable area" — is enforced by pinning every cell a
@@ -45,12 +55,22 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use.
 
     The import gets its own ``region.scipy_import`` span (as does the
-    ``scipy.sparse`` import in :func:`assign_regions`) so a trace does
-    not book it as solver time.
+    ``scipy.sparse`` import in :func:`_solve_with_highs`) so a trace
+    does not book it as solver time.
     """
     with obs.span("region.scipy_import"):
         from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
+
+
+#: Smallest cost gap between a trace's marginal cell and its neighbours in
+#: cost order for which :func:`_fill_cheapest_first` answers instead of
+#: HiGHS.  HiGHS accepts a vertex as optimal once no reduced cost is below
+#: -1e-7 (its dual feasibility tolerance), so where two cells' costs are
+#: closer than that it may fill the dearer one first.  1e-5 leaves a factor
+#: of 100 above that tolerance; the smallest marginal gap on the 48
+#: ``unassigned_mixed_12`` boards of perfbench is 7.4e-4, 74 times larger.
+TIE_MARGIN = 1e-5
 
 
 class AssignmentInfeasible(RuntimeError):
@@ -134,15 +154,10 @@ def assign_regions(
     costs = 1.0 + pairs.distance[valid]
 
     # Capacity rows: sum_j x_ij <= Cap_i, one per cell in the order its
-    # first variable appears, each row's variables ascending.
+    # first variable appears.  Sufficiency rows: -sum_i x_ij <= -Req_j,
+    # one for each trace that needs space.
     cells, first_var = np.unique(var_cell, return_index=True)
     row_cells = cells[np.argsort(first_var)]
-    row_of_cell = np.empty(n_cells, dtype=np.int64)
-    row_of_cell[row_cells] = np.arange(len(row_cells))
-    var_row = row_of_cell[var_cell]
-    cap_cols = np.argsort(var_row, kind="stable")
-    # Sufficiency rows: -sum_i x_ij <= -Req_j, for each trace that needs
-    # space, over its variables.
     req = np.array([requirements[name] for name in names])
     needs = req > 0
     if (needs & (counts == 0)).any():
@@ -150,6 +165,83 @@ def assign_regions(
         raise AssignmentInfeasible(
             f"trace '{names[j]}' needs {req[j]:.2f} of space but has no regions"
         )
+    n_rows = len(row_cells) + int(needs.sum())
+
+    with obs.span("region.lp", variables=n_vars, rows=n_rows) as sp:
+        x = None
+        if len(row_cells) == n_vars:
+            x = _fill_cheapest_first(costs, deco.capacity[var_cell], counts, req)
+        sp.set(solver="highs" if x is None else "closed_form")
+        if x is None:
+            x = _solve_with_highs(
+                costs, var_cell, var_trace, counts, req, row_cells, deco.capacity
+            )
+    usage, cells_of = _integerise(x, var_cell, var_trace, pinned, names)
+    return Assignment(
+        decomposition=deco,
+        usage=usage,
+        cells=cells_of,
+        requirements=requirements,
+    )
+
+
+def _fill_cheapest_first(
+    costs: np.ndarray, caps: np.ndarray, counts: np.ndarray, req: np.ndarray
+) -> Optional[np.ndarray]:
+    """The LP's ``x`` when every cell has one variable, or ``None``.
+
+    With one variable per cell the capacity rows are bounds ``0 <= x <=
+    Cap`` and the LP splits into one fractional knapsack per trace.
+    Costs are positive, so a trace with no need uses nothing, and a
+    trace that needs space takes its cells cheapest first (stable in
+    variable order): full ``Cap`` up to the marginal cell, where the
+    running capacity reaches ``Req``, which gets the remainder.  When the
+    marginal cell's cost is strictly apart from both of its neighbours
+    in that order, this fill is the unique optimum.
+
+    Returns ``None``, and leaves the LP to HiGHS, where a requirement is
+    out of reach (so the infeasibility diagnosis stays HiGHS's) or the
+    marginal cell sits within :data:`TIE_MARGIN` of a neighbour (where
+    HiGHS may pick another optimum).  ``counts`` are the variables per
+    trace, which come trace by trace.
+    """
+    x = np.zeros(len(costs))
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(req > 0):
+        lo = ends[j] - counts[j]
+        order = lo + np.argsort(costs[lo : ends[j]], kind="stable")
+        cum = np.cumsum(caps[order])
+        m = int(np.searchsorted(cum, req[j]))
+        if m == len(order):
+            return None
+        near = costs[order[max(m - 1, 0) : m + 2]]
+        if (np.diff(near) <= TIE_MARGIN).any():
+            return None
+        x[order[:m]] = caps[order[:m]]
+        x[order[m]] = req[j] - cum[m - 1] if m else req[j]
+    return x
+
+
+def _solve_with_highs(
+    costs: np.ndarray,
+    var_cell: np.ndarray,
+    var_trace: np.ndarray,
+    counts: np.ndarray,
+    req: np.ndarray,
+    row_cells: np.ndarray,
+    capacity: np.ndarray,
+) -> np.ndarray:
+    """The LP's ``x`` from ``linprog(method="highs")``.
+
+    Each capacity row lists its variables ascending; each sufficiency
+    row lists its trace's variables.
+    """
+    n_vars = len(var_cell)
+    needs = req > 0
+    row_of_cell = np.empty(len(capacity), dtype=np.int64)
+    row_of_cell[row_cells] = np.arange(len(row_cells))
+    var_row = row_of_cell[var_cell]
+    cap_cols = np.argsort(var_row, kind="stable")
     suff_cols = np.flatnonzero(needs[var_trace])
     n_rows = len(row_cells) + int(needs.sum())
     rows = np.concatenate(
@@ -160,46 +252,48 @@ def assign_regions(
     )
     cols = np.concatenate((cap_cols, suff_cols))
     vals = np.concatenate((np.ones(n_vars), np.full(len(suff_cols), -1.0)))
-    b_ub = np.concatenate((deco.capacity[row_cells], -req[needs]))
+    b_ub = np.concatenate((capacity[row_cells], -req[needs]))
     with obs.span("region.scipy_import"):
         from scipy.sparse import csc_array
     a_ub = csc_array((vals, (rows, cols)), shape=(n_rows, n_vars))
-
-    with obs.span("region.lp", variables=n_vars, rows=n_rows):
-        result = linprog(
-            c=costs, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs"
-        )
+    result = linprog(c=costs, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not result.success:
         raise AssignmentInfeasible(f"LP infeasible: {result.message}")
+    return result.x
 
-    used = np.flatnonzero(result.x > 1e-9)
-    amounts = result.x[used]
+
+def _integerise(
+    x: np.ndarray,
+    var_cell: np.ndarray,
+    var_trace: np.ndarray,
+    pinned: np.ndarray,
+    names: Sequence[str],
+) -> Tuple[Dict[Tuple[int, str], float], Dict[str, List[int]]]:
+    """``(usage, cells)`` from the LP values.
+
+    Every cell goes to its dominant user, the first largest amount in
+    variable order; pinned cells stay pinned; cells nobody uses stay
+    unassigned.
+    """
+    used = np.flatnonzero(x > 1e-9)
+    amounts = x[used]
     usage = dict(
         zip(
             zip(var_cell[used].tolist(), [names[j] for j in var_trace[used].tolist()]),
             amounts.tolist(),
         )
     )
-
-    # Integerise: every cell goes to its dominant user, the first largest
-    # amount in variable order; pinned cells stay pinned; cells nobody
-    # uses stay unassigned.
     used_cell = var_cell[used]
     order = np.lexsort((used, -amounts, used_cell))
     dominant = order[np.diff(used_cell[order], prepend=-1) != 0]
-    owner = np.full(n_cells, -1)
+    owner = np.full(len(pinned), -1)
     owner[used_cell[dominant]] = var_trace[used][dominant]
     owner[pinned >= 0] = pinned[pinned >= 0]
     owned = np.flatnonzero(owner >= 0)
     by_owner = owned[np.argsort(owner[owned], kind="stable")]
     bounds = np.cumsum(np.bincount(owner[owned], minlength=len(names)))
     cells_of = np.split(by_owner, bounds[:-1])
-    return Assignment(
-        decomposition=deco,
-        usage=usage,
-        cells={name: c.tolist() for name, c in zip(names, cells_of)},
-        requirements=requirements,
-    )
+    return usage, {name: c.tolist() for name, c in zip(names, cells_of)}
 
 
 def apply_assignment(board: Board, assignment: Assignment) -> None:

@@ -104,7 +104,10 @@ class TestRunPerfQuick:
 
     def test_region_phase(self, payload, monkeypatch):
         rows = payload["phases"]["region"]
-        assert [r["tiles"] for r in rows] == [6]
+        boards = [(r["base"], r["tiles"]) for r in rows]
+        assert boards == [("mixed_groups", 6), ("serpentine_bus", 6)]
+        # One row per region solver, so both paths keep a guarded digest.
+        assert [r["solver"] for r in rows] == ["closed_form", "highs"]
         for row in rows:
             assert row["traces"] > 0
             assert row["cells"] > 0
@@ -115,7 +118,7 @@ class TestRunPerfQuick:
         # The assignment is the one the per-cell decomposition loop
         # gives, bit for bit.
         monkeypatch.setattr("repro.region.assign.decompose", decompose_reference)
-        reference = _phase_region([6], repeats=1)
+        reference = _phase_region(boards, repeats=1)
         assert [r["digest"] for r in reference] == [r["digest"] for r in rows]
         assert [r["cells"] for r in reference] == [r["cells"] for r in rows]
 
@@ -248,7 +251,14 @@ def _guard_payload(
             "dtw": [{"nodes": 64, "match_s": 0.001, "digest": dtw_digest}],
             "extension": [row],
             "extension_breakdown": [{"dgap": 4.0, "digest": "d1"}],
-            "region": [{"tiles": 6, "assign_s": 0.01, "digest": region_digest}],
+            "region": [
+                {
+                    "base": "mixed_groups",
+                    "tiles": 6,
+                    "assign_s": 0.01,
+                    "digest": region_digest,
+                }
+            ],
             "scaling": [{"tiles": 6, "run_s": scaling_s, "digest": scaling_digest}],
         },
     }
@@ -291,7 +301,7 @@ class TestPerfGuard:
         current = _guard_payload(region_digest="r2")
         problems = check_perf_guard(current, _guard_payload())
         assert problems == [
-            "region tiles=6: digest r2 differs from baseline r1 "
+            "region base=mixed_groups tiles=6: digest r2 differs from baseline r1 "
             "(routed answer changed)"
         ]
 
@@ -315,7 +325,9 @@ class TestPerfGuard:
         current = _guard_payload(region_digest="tampered")
         current["phases"]["region"][0]["tiles"] = 1
         problems = check_perf_guard(current, _guard_payload())
-        assert problems == ["region: shares no tiles with the baseline (6)"]
+        assert problems == [
+            "region: shares no base/tiles with the baseline (mixed_groups/6)"
+        ]
 
     def test_fails_when_baseline_row_lacks_digest(self):
         problems = check_perf_guard(_guard_payload(), _guard_payload(digest=None))
@@ -333,7 +345,7 @@ class TestPerfGuard:
             "dtw: shares no nodes with the baseline (64)",
             "extension: shares no dgap with the baseline (4.0)",
             "extension_breakdown: shares no dgap with the baseline (4.0)",
-            "region: shares no tiles with the baseline (6)",
+            "region: shares no base/tiles with the baseline (mixed_groups/6)",
             "scaling: shares no tiles with the baseline (6)",
         ]
 
@@ -368,8 +380,14 @@ class TestPerfGuard:
         for row in committed["phases"]["extension"]:
             assert "extend_s" in row and "dgap" in row
             assert len(row["digest"]) == 64
-        assert [row["tiles"] for row in committed["phases"]["region"]] == [6, 12]
-        for row in committed["phases"]["region"]:
+        region = committed["phases"]["region"]
+        assert [(row["base"], row["tiles"]) for row in region] == [
+            ("mixed_groups", 6),
+            ("mixed_groups", 12),
+            ("serpentine_bus", 6),
+        ]
+        assert [row["solver"] for row in region] == ["closed_form", "closed_form", "highs"]
+        for row in region:
             assert len(row["digest"]) == 64
         scaling = committed["phases"]["scaling"]
         assert [row["tiles"] for row in scaling] == [6, 12, 24, 48]
@@ -441,3 +459,32 @@ class TestCliPerf:
         assert "--profile" in capsys.readouterr().err
         assert main(["bench", "table1", "--guard", "BENCH_perf.json"]) == 2
         assert "--guard" in capsys.readouterr().err
+
+
+def test_region_phase_times_no_import():
+    # In a fresh interpreter the first HiGHS solve imports scipy; the
+    # phase's traced call runs first, so every timed repeat finds it
+    # loaded.
+    import subprocess
+
+    script = (
+        "import json, sys\n"
+        "import repro.bench.perf as perf\n"
+        "seen = []\n"
+        "timed = perf._time_repeats\n"
+        "def spy(fn, repeats):\n"
+        "    seen.append('scipy.optimize' in sys.modules)\n"
+        "    return timed(fn, repeats)\n"
+        "perf._time_repeats = spy\n"
+        "(row,) = perf._phase_region([('serpentine_bus', 6)], repeats=1)\n"
+        "print(json.dumps([row['solver'], seen]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    solver, seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert solver == "highs"
+    assert seen == [True, True, True]

@@ -104,15 +104,15 @@ SRC_DIR = os.path.join(
     "src",
 )
 
-# Two traced region-LP runs in one fresh interpreter; prints, per run,
-# the region.lp total and the region.scipy_import total under it.
+# Two traced coupled region-LP runs in one fresh interpreter; prints,
+# per run, the region.lp total and the region.scipy_import total under it.
 _FIRST_LP_SCRIPT = """
 import json
 from repro import RoutingSession, obs, scenarios
 
 out = []
 for _ in range(2):
-    board = scenarios.generate("mixed_groups", seed=0)
+    board = scenarios.generate("serpentine_bus", seed=0)
     board.routable_areas.clear()
     with obs.trace("lp") as trace:
         result = RoutingSession(board, "default").run()
@@ -132,22 +132,41 @@ print(json.dumps(out))
 
 
 class TestScipyImportSpan:
-    def test_import_spans_sit_under_the_region_stage_and_lp(self):
-        board = scenarios.generate("mixed_groups", seed=0)
+    @staticmethod
+    def _lp_spans(family):
+        board = scenarios.generate(family, seed=0)
         board.routable_areas.clear()
         with obs.trace("lp") as trace:
             result = RoutingSession(board, "default").run()
         assert result.stage("region").status == "ok"
         spans = trace.to_dict()["spans"]
-        by_id = {s["id"]: s for s in spans}
-        parents = sorted(
+        return spans, {s["id"]: s for s in spans}
+
+    def test_import_spans_sit_under_the_region_stage_and_lp(self):
+        # serpentine_bus traces share cells: the LP goes to HiGHS.
+        spans, by_id = self._lp_spans("serpentine_bus")
+        (lp,) = [s for s in spans if s["name"] == "region.lp"]
+        assert by_id[lp["parent"]]["name"] == "stage.region"
+        parents = [
             by_id[s["parent"]]["name"]
             for s in spans
             if s["name"] == "region.scipy_import"
-        )
+        ]
         # scipy.sparse for the constraint matrix, scipy.optimize in the
-        # linprog shim.
-        assert parents == ["region.lp", "stage.region"]
+        # linprog shim, both booked to the solve.
+        assert parents == ["region.lp", "region.lp"]
+
+    @pytest.mark.parametrize(
+        "family, solver",
+        [("mixed_groups", "closed_form"), ("serpentine_bus", "highs")],
+    )
+    def test_lp_span_names_its_solver(self, family, solver):
+        spans, _ = self._lp_spans(family)
+        (lp,) = [s for s in spans if s["name"] == "region.lp"]
+        assert lp["attrs"]["solver"] == solver
+        assert lp["attrs"]["variables"] > 0 and lp["attrs"]["rows"] > 0
+        imports = [s for s in spans if s["name"] == "region.scipy_import"]
+        assert bool(imports) == (solver == "highs")
 
     def test_first_solve_books_the_import_not_highs(self):
         env = dict(os.environ)

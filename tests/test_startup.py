@@ -1,9 +1,11 @@
-"""scipy loads at the first region-assignment LP, never at import.
+"""scipy loads at the first coupled region-assignment LP, never at import.
 
 Each case runs in a fresh interpreter, so nothing another test imported
-can hide a module-level ``import scipy``.  Only the Sec. III LP needs
-scipy; every process that never solves it (one-shot CLI calls, a daemon
-whose boards carry routable areas) must finish without loading it.
+can hide a module-level ``import scipy``.  Only a Sec. III LP whose cells
+serve more than one trace (or whose closed form declines) needs scipy;
+every process that never solves one (one-shot CLI calls, a daemon whose
+boards carry routable areas, a route whose LP the closed form solves)
+must finish without loading it.
 """
 
 import json
@@ -53,9 +55,16 @@ CASES = {
         "result = RoutingSession(board, 'default').run()\n"
         "region = result.stage('region').status"
     ),
-    "unassigned_run": (
+    "separable_lp_run": (
         "from repro import RoutingSession, scenarios\n"
         "board = scenarios.generate('mixed_groups', seed=0)\n"
+        "board.routable_areas.clear()\n"
+        "result = RoutingSession(board, 'default').run()\n"
+        "region = result.stage('region').status"
+    ),
+    "coupled_lp_run": (
+        "from repro import RoutingSession, scenarios\n"
+        "board = scenarios.generate('serpentine_bus', seed=0)\n"
         "board.routable_areas.clear()\n"
         "result = RoutingSession(board, 'default').run()\n"
         "region = result.stage('region').status"
@@ -88,7 +97,15 @@ def test_no_scipy_without_an_lp(case):
         assert report["region"] == "skipped"
 
 
+def test_separable_lp_solves_without_scipy():
+    # Every mixed_groups cell serves one trace: the closed form answers.
+    report = run_fresh("separable_lp_run")
+    assert report["region"] == "ok"
+    assert not report["scipy"]
+
+
 def test_first_lp_loads_scipy_optimize():
-    report = run_fresh("unassigned_run")
+    # serpentine_bus traces share cells, so its LP goes to HiGHS.
+    report = run_fresh("coupled_lp_run")
     assert report["region"] == "ok"
     assert report["scipy.optimize"]
