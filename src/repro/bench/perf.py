@@ -37,7 +37,10 @@ Phases
                first clean repeat must be an ``identical`` cache hit,
                then warm-request p50/p99 latency clean and under a
                seeded 1 % ``http_503`` fault plan (:mod:`repro.faults`)
-               against a retrying client (``all_ok``);
+               against a retrying client (``all_ok``).  A second row
+               (``body="reserialised"``) times hits whose bodies list
+               the board's keys in another order each time, so the
+               key memo cannot answer them;
 ``startup``    cold start: the median of fresh-interpreter ``import
                repro.cli`` runs, and one ``repro serve`` spawned until
                ``/healthz`` answers.  Each row carries ``scipy_loaded``
@@ -489,7 +492,14 @@ def _phase_server_faults(
     ``p50_ms``/``p99_ms`` show retries cost nothing on the 99 % of clean
     requests and the worst retried request stays bounded by the backoff
     cap; the clean percentiles ride along for the comparison.
+
+    Every one of those repeats is byte-identical, so the daemon's key
+    memo answers it without parsing the body (``body="repeat"``).  The
+    second row sends the same board with its keys in another order on
+    every request (``body="reserialised"``): each is a memo miss that
+    parses and canonicalises the board before its cache hit.
     """
+    import itertools
     import tempfile
 
     from .. import faults
@@ -501,6 +511,13 @@ def _phase_server_faults(
     board_dict = board_to_dict(
         generate("tiled", seed=0, params={"tiles": tiles})
     )
+    # The first permutation is the board's own key order.
+    reordered = [
+        {name: board_dict[name] for name in order}
+        for order in itertools.islice(
+            itertools.permutations(board_dict), 1, samples + 2
+        )
+    ]
     plan = faults.FaultPlan(
         "bench-1pct-overload",
         seed=0,
@@ -513,17 +530,16 @@ def _phase_server_faults(
         ],
     )
 
-    failures = 0  # warm requests that did not survive the plan
-
-    def warm_latencies(client: ServerClient) -> List[float]:
-        nonlocal failures
+    def warm_latencies(client: ServerClient, boards) -> Tuple[List[float], int]:
+        """Each request's seconds, and how many answers were not ok."""
         times: List[float] = []
-        for _ in range(samples):
+        failed = 0
+        for board in boards:
             t0 = time.perf_counter()
-            resp = client.route(board_dict, preset="fast")
+            resp = client.route(board, preset="fast")
             times.append(time.perf_counter() - t0)
-            failures += not resp.ok
-        return times
+            failed += not resp.ok
+        return times, failed
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-chaos-") as cache_dir:
         server = make_http_server(cache_dir, port=0)
@@ -538,7 +554,7 @@ def _phase_server_faults(
             warm = client.route(board_dict, preset="fast")
 
             clean_client = ServerClient(server.url, rng=random.Random(0))
-            clean = warm_latencies(clean_client)
+            clean, failed = warm_latencies(clean_client, [board_dict] * samples)
 
             faulted_client = ServerClient(
                 server.url,
@@ -548,8 +564,16 @@ def _phase_server_faults(
                 rng=random.Random(0),
             )
             with faults.activate(plan):
-                faulted = warm_latencies(faulted_client)
+                faulted, faulted_failed = warm_latencies(
+                    faulted_client, [board_dict] * samples
+                )
+            failed += faulted_failed
             fires = plan.fire_counts().get("transport.response:http_503", 0)
+
+            respelled = clean_client.route(reordered[0], preset="fast")
+            reserialised, reserialised_failed = warm_latencies(
+                clean_client, reordered[1:]
+            )
         finally:
             # shutdown() on a never-started server blocks forever (it
             # waits for an accept loop that never ran to exit); only
@@ -562,6 +586,7 @@ def _phase_server_faults(
         {
             "tiles": tiles,
             "samples": samples,
+            "body": "repeat",
             "fault_rate": fault_rate,
             "cold_status": cold.payload.get("status"),
             "miss_ms": miss_s * 1e3,
@@ -573,8 +598,19 @@ def _phase_server_faults(
             "p99_ms": _percentile(faulted, 99) * 1e3,
             "faults_fired": fires,
             "retries": faulted_client.retry_count,
-            "all_ok": failures == 0,
-        }
+            "all_ok": failed == 0,
+        },
+        {
+            "tiles": tiles,
+            "samples": samples,
+            "body": "reserialised",
+            "cache_hit": respelled.payload.get("cache") == "hit",
+            "identical": cold.payload.get("result")
+            == respelled.payload.get("result"),
+            "clean_p50_ms": _percentile(reserialised, 50) * 1e3,
+            "clean_p99_ms": _percentile(reserialised, 99) * 1e3,
+            "all_ok": reserialised_failed == 0,
+        },
     ]
 
 
@@ -821,6 +857,14 @@ def run_perf(
                 f"  digest {row['digest'][:12]}"
             )
         for row in phases["server_faults"]:
+            if row["body"] == "reserialised":
+                print(
+                    f"server    reserialised hits  cache_hit={row['cache_hit']}"
+                    f"  identical={row['identical']}"
+                    f"  p50 {row['clean_p50_ms']:.2f} ms"
+                    f"  p99 {row['clean_p99_ms']:.2f} ms"
+                )
+                continue
             print(
                 f"server    tiles={row['tiles']}  miss {row['miss_ms']:.1f} ms"
                 f" ({row['cold_status']})  cache_hit={row['cache_hit']}"

@@ -55,9 +55,13 @@ Design points:
 * **Bounded size** — ``max_bytes`` caps the store; when an insert
   pushes past it, a least-recently-used sweep (by file mtime, which
   :meth:`get` refreshes on every hit) evicts oldest entries until the
-  store fits again.  Concurrent evictors racing over one entry are
-  benign: the loser's ``FileNotFoundError`` counts the freed bytes but
-  not the eviction.
+  store fits again.  A put does not list the store: it adds its bytes
+  to the total the last sweep found, and sweeps only when that total
+  passes ``max_bytes`` or :data:`SWEEP_EVERY_PUTS` puts have passed
+  since (so what other writers of a shared store add is still
+  counted).  Concurrent evictors racing over one entry are benign: the
+  loser's ``FileNotFoundError`` counts the freed bytes but not the
+  eviction.
 * **Observable** — hit/miss/eviction/corruption/quarantine counters
   plus on-disk entry/byte totals surface through
   :meth:`ResultCache.stats`, which is what the server's ``GET /stats``
@@ -106,6 +110,10 @@ QUARANTINE_DIR = "quarantine"
 #: Default store budget: plenty for tens of thousands of results while
 #: staying invisible on a developer machine.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: Puts between two sweeps of a store that stays under budget by this
+#: instance's count: the sweep is what sees entries other writers added.
+SWEEP_EVERY_PUTS = 64
 
 
 def cache_key(
@@ -250,6 +258,11 @@ class ResultCache:
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
+        #: Bytes on disk at the last sweep plus what this instance has
+        #: written since (``None`` before the first sweep), and the puts
+        #: since that sweep.
+        self._known_bytes: Optional[int] = None
+        self._puts_since_sweep = 0
         #: Per-instance registry (two caches in one process must not
         #: bleed into each other's numbers — tests assert per-instance
         #: counts); the server merges it into ``GET /metrics``.
@@ -436,7 +449,19 @@ class ResultCache:
             self.metrics.inc("repro_cache_put_errors_total")
             self._degrade(f"cache write failed: {exc}")
             return None
-        self._evict_if_needed()
+        with self._lock:
+            sweep = self._known_bytes is None
+            if not sweep:
+                # An overwritten key counts twice: the total only errs
+                # high, which sweeps early.
+                self._known_bytes += len(data)
+                self._puts_since_sweep += 1
+                sweep = (
+                    self._known_bytes > self.max_bytes
+                    or self._puts_since_sweep >= SWEEP_EVERY_PUTS
+                )
+        if sweep:
+            self._evict_if_needed()
         return path
 
     def __contains__(self, key: str) -> bool:
@@ -543,6 +568,7 @@ class ResultCache:
         with self._lock:
             entries = self._entries()
             total = sum(size for _, size, _ in entries)
+            self._known_bytes, self._puts_since_sweep = total, 0
             if total <= self.max_bytes:
                 return 0
             evicted = 0
@@ -562,6 +588,7 @@ class ResultCache:
                     continue
                 total -= size
                 evicted += 1
+            self._known_bytes = total
             if evicted:
                 self.metrics.inc("repro_cache_evictions_total", evicted)
             return evicted
@@ -597,6 +624,7 @@ __all__ = [
     "CACHE_KIND",
     "DEFAULT_MAX_BYTES",
     "QUARANTINE_DIR",
+    "SWEEP_EVERY_PUTS",
     "CacheEntry",
     "ResultCache",
     "cache_key",

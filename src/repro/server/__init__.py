@@ -11,8 +11,10 @@ Surface:
 * :class:`RouterApp` — the transport-free application object: request
   payload in, ``(http_status, envelope)`` out.  Unit tests drive it
   directly; the HTTP layer is a thin adapter.
-* :func:`make_http_server` — a ``ThreadingHTTPServer`` bound to a
-  :class:`RouterApp` (what ``python -m repro serve`` runs).
+* :func:`make_http_server` — an HTTP server bound to a
+  :class:`RouterApp` (what ``python -m repro serve`` runs): a capped
+  pool of reused handler threads serves the connections, and a burst
+  past the cap and its short queue is answered 429 with ``Retry-After``.
 * :class:`~repro.server.client.ServerClient` — the stdlib client used
   by ``route --remote`` and the test-suite.
 

@@ -4,8 +4,10 @@
 method taking a parsed JSON payload and returning ``(http_status,
 envelope)`` or an iterator of NDJSON event dicts — so the whole protocol
 is unit-testable without sockets.  :func:`make_http_server` wraps it in
-a ``ThreadingHTTPServer`` whose handler only does wire work: read the
-body, dispatch, serialise.
+an ``HTTPServer`` whose accept loop hands each connection to a capped
+pool of reused handler threads (past the cap and a short queue, the
+accept thread answers 429 with ``Retry-After``); a handler only does
+wire work: read the body, dispatch, serialise.
 
 Every routing answer goes through the content-addressed cache first
 (:mod:`repro.cache`): the key is computed from the *request* (canonical
@@ -15,8 +17,10 @@ board — the poisoned-stage test in ``tests/server`` proves exactly
 that.  Of the stored entry a hit decodes only the ``result`` (its status
 sets the HTTP code); the transport writes the stored bytes verbatim, and
 a miss answers with the bytes it just stored, so each result is encoded
-once.  A byte-identical repeat request also skips keying: each app
-remembers the cache key of recent request bodies by their sha256.
+once.  A byte-identical repeat request also skips keying and parsing:
+each app remembers, by the sha256 of recent single-board request
+bodies, their cache key and whether they asked for the routed board, so
+a repeat whose entry is cached is answered without reading its JSON.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import hashlib
 import json
 import os
 import queue
+import socket
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from collections import OrderedDict, deque
+from http.server import HTTPServer
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .. import faults, obs
 from .._version import __version__
@@ -76,9 +82,34 @@ class PayloadTooLarge(RequestError):
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Most request-body digests one app remembers the cache key of (least
-#: recently used first out).  An entry is a 32-byte digest and a 64-char
-#: key, so the memo stays under a few megabytes.
+#: recently used first out).  An entry is a 32-byte digest, a 64-char
+#: key and a flag, so the memo stays under a few megabytes.
 KEY_MEMO_ENTRIES = 4096
+
+#: Most connections the daemon serves at once, one handler thread each.
+#: Routing holds the GIL, so more threads would not route faster; the
+#: cap bounds the daemon's threads and memory under a burst.
+HANDLER_THREADS = 16
+
+#: Accepted connections that may wait for a free handler thread.  Past
+#: ``HANDLER_THREADS + HANDLER_QUEUE`` connections the accept thread
+#: answers 429 itself.
+HANDLER_QUEUE = 8
+
+#: Seconds a connection may sit idle between keep-alive requests (or
+#: inside one) before its handler thread drops it, so an idle client
+#: cannot hold a slot for long.
+KEEPALIVE_IDLE_S = 10.0
+
+#: The ``Retry-After`` of a 429, in whole seconds.
+RETRY_AFTER_S = 1
+
+#: How long a refused connection stays half-open so the client can read
+#: its 429 before the socket closes, and how many may wait at once.
+#: Closing a socket that still holds unread request bytes resets the
+#: connection, and the client would lose the answer.
+REFUSED_LINGER_S = 2.0
+REFUSED_LINGER_MAX = 64
 
 
 class ShuttingDown(RuntimeError):
@@ -147,11 +178,16 @@ class RouterApp:
         #: Guards the request counters and the key memo.
         self._lock = threading.Lock()
         self._requests: Dict[str, int] = {}
-        #: ``sha256(request body)`` → cache key of that body's request.
-        #: The key is a pure function of the body bytes (board, preset
-        #: or config, version), so a byte-identical repeat skips the
+        #: ``sha256(request body)`` → the cache key of that body's
+        #: request and its ``return_board`` flag.  Both are pure
+        #: functions of the body bytes (board, preset or config,
+        #: version), so a byte-identical repeat skips the parse and the
         #: canonicalisation.
-        self._key_memo: "OrderedDict[bytes, str]" = OrderedDict()
+        self._key_memo: "OrderedDict[bytes, Tuple[str, bool]]" = OrderedDict()
+        #: Handler-pool counts of the HTTP transport serving this app
+        #: (set by :class:`ReproHTTPServer`; ``None`` without one).
+        self.transport_stats: Optional[Callable[[], Dict[str, int]]] = None
+        self.metrics.counter("repro_server_rejected_total")
         #: Graceful-shutdown state: once draining, new requests get 503
         #: while the in-flight count runs down to zero.
         self._draining = False
@@ -302,25 +338,40 @@ class RouterApp:
 
     # -- the cached routing core --------------------------------------------
 
-    def _key(
-        self, payload: Dict[str, Any], digest: Optional[bytes]
-    ) -> Tuple[str, Optional[SessionConfig]]:
-        """The request's cache key, plus its config when resolving the
-        key needed it (``None`` on a memo hit).
+    def memoized(self, digest: bytes) -> bool:
+        """Whether a request body with this sha256 was keyed before: it
+        is then a valid single-board request, and :meth:`route` can
+        answer it without its parsed payload."""
+        with self._lock:
+            return digest in self._key_memo
 
-        A body the memo knows passed every check below when it was
-        keyed, so a memo hit skips them along with the canonicalisation.
+    def _key(
+        self,
+        payload: Optional[Dict[str, Any]],
+        body: Optional[bytes],
+        digest: Optional[bytes],
+    ) -> Tuple[str, bool, Optional[Dict[str, Any]], Optional[SessionConfig]]:
+        """``(key, return_board, payload, config)`` of the request.
+
+        On a memo hit the payload is passed through as given (``None``
+        when the transport skipped the parse) and the config is
+        ``None``.  A body the memo knows passed every check below when
+        it was keyed, so a memo hit skips them along with the
+        canonicalisation.
         """
         with obs.span("cache.key") as sp:
-            key = None
+            memo = None
             if digest is not None:
                 with self._lock:
-                    key = self._key_memo.get(digest)
-                    if key is not None:
+                    memo = self._key_memo.get(digest)
+                    if memo is not None:
                         self._key_memo.move_to_end(digest)
-            sp.set(memo="miss" if key is None else "hit")
-            if key is not None:
-                return key, None
+            sp.set(memo="miss" if memo is None else "hit")
+            if memo is not None:
+                return memo[0], memo[1], payload, None
+            if payload is None:
+                # Dropped from the memo since the transport looked.
+                payload = _parse_body(body)
             config = self._resolve_config(payload)
             board_dict = payload.get("board")
             if board_dict is None:
@@ -328,32 +379,40 @@ class RouterApp:
             if not isinstance(board_dict, dict):
                 raise RequestError(NOT_AN_OBJECT)
             key = cache_key(board_dict, config.fingerprint())
+            return_board = bool(payload.get("return_board"))
             if digest is not None:
                 with self._lock:
-                    self._key_memo[digest] = key
+                    self._key_memo[digest] = (key, return_board)
                     if len(self._key_memo) > KEY_MEMO_ENTRIES:
                         self._key_memo.popitem(last=False)
-            return key, config
+            return key, return_board, payload, config
 
     def _route_one(
-        self, payload: Dict[str, Any], digest: Optional[bytes]
-    ) -> Tuple[str, str, Dict[str, Any], Any]:
-        """``(key, "hit"|"miss", result_dict, routed_board)``.
+        self,
+        payload: Optional[Dict[str, Any]],
+        body: Optional[bytes],
+        digest: Optional[bytes],
+    ) -> Tuple[str, str, Dict[str, Any], Any, bool]:
+        """``(key, "hit"|"miss", result_dict, routed_board,
+        return_board)``.
 
         On a hit nothing of the pipeline runs — not even board
-        decoding — and of the stored entry only ``result`` is decoded
-        (its status sets the HTTP code), plus the routed board when the
-        request asks for it back; both keep their stored bytes for the
-        transport to splice.  On a miss the board is
-        routed in-process with crash capture, and any non-crashed
-        outcome (ok *and* failed are both deterministic verdicts) is
-        published to the cache.
+        decoding, nor parsing the body when the memo knows it — and of
+        the stored entry only ``result`` is decoded (its status sets
+        the HTTP code), plus the routed board when the request asks for
+        it back; both keep their stored bytes for the transport to
+        splice.  On a miss the board is routed in-process with crash
+        capture, and any non-crashed outcome (ok *and* failed are both
+        deterministic verdicts) is published to the cache.
         """
-        key, config = self._key(payload, digest)
+        key, return_board, payload, config = self._key(payload, body, digest)
         entry = self.cache.get(key)
         if entry is not None:
-            routed = entry["routed_board"] if payload.get("return_board") else None
-            return key, "hit", entry["result"], routed
+            routed = entry["routed_board"] if return_board else None
+            return key, "hit", entry["result"], routed, return_board
+        if payload is None:
+            # A memoized body whose entry was evicted routes as a new one.
+            payload = _parse_body(body)
         if config is None:
             config = self._resolve_config(payload)
         try:
@@ -362,7 +421,7 @@ class RouterApp:
             raise RequestError(f"invalid board document: {exc}") from exc
         result = RoutingSession(board, config=config).run(capture_errors=True)
         result_dict, routed = self.cache.publish(key, result, board)
-        return key, "miss", result_dict, routed
+        return key, "miss", result_dict, routed, return_board
 
     # -- endpoints ----------------------------------------------------------
 
@@ -392,6 +451,11 @@ class RouterApp:
             "uptime_s": time.time() - self._started,
             "workers": self.workers,
             "requests": requests,
+            # Live/busy handler threads, queued connections, the caps
+            # and refusals; ``None`` when no HTTP transport serves us.
+            "handlers": (
+                self.transport_stats() if self.transport_stats is not None else None
+            ),
             "cache": self.cache.stats(),
             # Counter values plus histogram count/sum/p50/p90/p99 — the
             # JSON view of what /metrics serves in Prometheus format.
@@ -408,7 +472,8 @@ class RouterApp:
         Three registries concatenated — this app's request counters and
         latencies, its cache's hit/miss/eviction family, and the
         process-global registry (stage/DTW latencies, extension
-        iterations, fault fires) — plus build/uptime gauges.  Metric
+        iterations, fault fires) — plus build/uptime gauges and, when an
+        HTTP transport serves the app, its handler-pool gauges.  Metric
         names are disjoint across the three by construction.
         """
         self._count("metrics")
@@ -418,6 +483,16 @@ class RouterApp:
             "# TYPE repro_uptime_seconds gauge\n"
             f"repro_uptime_seconds {time.time() - self._started:.3f}\n"
         )
+        if self.transport_stats is not None:
+            pool = self.transport_stats()
+            for name, field in (
+                ("repro_server_handler_threads", "threads"),
+                ("repro_server_handler_threads_busy", "busy"),
+                ("repro_server_handler_threads_max", "max_threads"),
+                ("repro_server_queued_connections", "queued"),
+                ("repro_server_queued_connections_max", "max_queued"),
+            ):
+                preamble += f"# TYPE {name} gauge\n{name} {pool[field]}\n"
         body = preamble + obs.render_prometheus(
             self.metrics, self.cache.metrics, obs.REGISTRY
         )
@@ -451,26 +526,35 @@ class RouterApp:
         }
 
     def route(
-        self, payload: Dict[str, Any], body: Optional[bytes] = None
+        self,
+        payload: Optional[Dict[str, Any]],
+        body: Optional[bytes] = None,
+        digest: Optional[bytes] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         """Single-board ``POST /route``: status-mapped JSON response.
 
-        ``body`` is the request's raw bytes when the transport has them:
-        their digest keys the memo that lets a byte-identical repeat
-        skip canonicalising its board.
+        ``body`` is the request's raw bytes when the transport has them
+        (``digest``, their sha256, when it already computed it): the
+        digest keys the memo that lets a byte-identical repeat skip
+        canonicalising its board.  ``payload`` may be ``None`` for a
+        body the memo knows (:meth:`memoized`); it is then parsed only
+        if the cache no longer holds the answer.
         """
         self._count("route")
-        digest = hashlib.sha256(body).digest() if body is not None else None
+        if digest is None and body is not None:
+            digest = hashlib.sha256(body).digest()
         try:
-            outcome = self._with_deadline(lambda: self._route_one(payload, digest))
+            outcome = self._with_deadline(
+                lambda: self._route_one(payload, body, digest)
+            )
             if isinstance(outcome, tuple) and len(outcome) == 2:
                 # The deadline helper already built the 504 answer.
                 return outcome
-            key, cache_state, result_dict, routed = outcome
+            key, cache_state, result_dict, routed, return_board = outcome
         except RequestError as exc:
             return 400, error_response(exc)
         envelope = route_response(key, cache_state, result_dict)
-        if payload.get("return_board"):
+        if return_board:
             envelope["routed_board"] = routed
         http = STATUS_TO_HTTP.get(envelope["status"], 500)
         return http, envelope
@@ -717,6 +801,18 @@ class _RequestTrace:
             pass
 
 
+def _parse_body(raw: bytes) -> Dict[str, Any]:
+    """A request body's JSON object; :class:`RequestError` otherwise."""
+    with obs.span("server.parse_body"):
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise RequestError(f"invalid JSON body: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise RequestError("request body must be a JSON object")
+    return payload
+
+
 def _json_body(payload: Dict[str, Any]) -> bytes:
     """``json.dumps(payload, separators=(",", ":"))`` as bytes, with the
     stored bytes of each :class:`~repro.io.Encoded` value written
@@ -754,6 +850,9 @@ def _make_handler_class(app: RouterApp, quiet: bool):
         # Nagle would hold the tail behind a delayed ACK and put
         # milliseconds on every cache hit.
         disable_nagle_algorithm = True
+        # Every socket read and write; an idle keep-alive connection is
+        # dropped after this long, freeing its handler thread.
+        timeout = KEEPALIVE_IDLE_S
 
         # -- wire helpers ---------------------------------------------------
 
@@ -809,8 +908,8 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 self.wfile.write(data)
                 self.wfile.flush()
 
-        def _read_payload(self) -> Tuple[Dict[str, Any], bytes]:
-            """The request's JSON object and its raw bytes."""
+        def _read_body(self) -> bytes:
+            """The request's raw body bytes."""
             text = (self.headers.get("Content-Length") or "0").strip()
             if not (text.isascii() and text.isdigit()):
                 # The body's extent is unknown: answer, then drop the
@@ -828,14 +927,7 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise RequestError("empty request body; send a JSON object")
-            with obs.span("server.parse_body"):
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise RequestError(f"invalid JSON body: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise RequestError("request body must be a JSON object")
-            return payload, raw
+            return raw
 
         # -- dispatch -------------------------------------------------------
 
@@ -923,13 +1015,21 @@ def _make_handler_class(app: RouterApp, quiet: bool):
             started = time.perf_counter()
             try:
                 with app.request_trace(self.path):
-                    payload, raw = self._read_payload()
+                    raw = self._read_body()
                     if self.path == "/route":
-                        if "boards" in payload:
+                        # A body the key memo knows is a single-board
+                        # request: the app answers a cached one unparsed.
+                        digest = hashlib.sha256(raw).digest()
+                        payload = None if app.memoized(digest) else _parse_body(raw)
+                        if payload is not None and "boards" in payload:
                             self._send_ndjson(app.route_batch_events(payload))
                         else:
-                            self._send_json(*app.route(payload, body=raw))
-                    elif self.path == "/check":
+                            self._send_json(
+                                *app.route(payload, body=raw, digest=digest)
+                            )
+                        return
+                    payload = _parse_body(raw)
+                    if self.path == "/check":
                         self._send_json(*app.check(payload))
                     elif self.path == "/corpus":
                         self._send_ndjson(app.corpus_events(payload))
@@ -946,6 +1046,9 @@ def _make_handler_class(app: RouterApp, quiet: bool):
                 self._send_json(400, error_response(exc))
             except BrokenPipeError:
                 pass
+            except TimeoutError:
+                # The client went quiet inside its request: drop it.
+                self.close_connection = True
             except Exception as exc:
                 try:
                     self._send_json(500, error_response(exc))
@@ -964,8 +1067,176 @@ def _make_handler_class(app: RouterApp, quiet: bool):
     return Handler
 
 
+def _refusal_bytes(threads: int, queued: int) -> bytes:
+    """The whole 429 answer the accept thread writes when ``threads``
+    connections are in service and ``queued`` more wait."""
+    body = _json_body(
+        {
+            "kind": "error_response",
+            "error": {
+                "type": "TooManyRequests",
+                "message": (
+                    f"server busy: {threads} connections in service "
+                    f"and {queued} queued; retry after "
+                    f"{RETRY_AFTER_S} s"
+                ),
+            },
+        }
+    ) + b"\n"
+    head = (
+        "HTTP/1.1 429 Too Many Requests\r\n"
+        f"Server: repro-serve/{__version__}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Retry-After: {RETRY_AFTER_S}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+def _drained(sock: socket.socket) -> bool:
+    """Read and drop what a refused client has sent; whether it is done
+    (its end closed, or the socket failed)."""
+    try:
+        while True:
+            if not sock.recv(65536):
+                return True
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+
+
+class _PooledHTTPServer(HTTPServer):
+    """An ``HTTPServer`` whose accept loop hands each connection to a
+    capped pool of reused daemon handler threads.
+
+    A new thread starts only when no idle one can take the connection,
+    and never past :data:`HANDLER_THREADS`; up to :data:`HANDLER_QUEUE`
+    more connections wait for a free thread.  Past that the accept
+    thread answers 429 itself.  Idle threads block on a condition, so
+    nothing joins them at process exit.
+    """
+
+    # A burst is accepted (and served or refused) rather than left to
+    # SYN retries in a five-deep listen backlog.
+    request_queue_size = 64
+
+    def __init__(self, address, handler, app: RouterApp) -> None:
+        super().__init__(address, handler)
+        self._app = app
+        self.max_threads = HANDLER_THREADS
+        self.max_queued = HANDLER_QUEUE
+        self._refusal = _refusal_bytes(self.max_threads, self.max_queued)
+        self._cond = threading.Condition()
+        #: Accepted connections no handler thread has taken yet.
+        self._pending: Deque[Tuple[socket.socket, Any]] = deque()
+        self._threads = 0  # live handler threads
+        self._idle = 0  # of which waiting for a connection
+        self._admitted = 0  # connections queued or in service
+        self._closing = False
+        #: ``(close-by time, socket)`` of refused connections; touched
+        #: only by the accept thread (and by ``server_close`` after it).
+        self._refused: List[Tuple[float, socket.socket]] = []
+
+    def stats(self) -> Dict[str, int]:
+        with self._cond:
+            return {
+                "threads": self._threads,
+                "busy": self._threads - self._idle,
+                "queued": len(self._pending),
+                "max_threads": self.max_threads,
+                "max_queued": self.max_queued,
+                "rejected": int(
+                    self._app.metrics.value("repro_server_rejected_total")
+                ),
+            }
+
+    def process_request(self, request, client_address) -> None:
+        with self._cond:
+            admit = self._admitted < self.max_threads + self.max_queued
+            spawn = False
+            if admit:
+                self._admitted += 1
+                self._pending.append((request, client_address))
+                spawn = (
+                    len(self._pending) > self._idle
+                    and self._threads < self.max_threads
+                )
+                if spawn:
+                    self._threads += 1
+                else:
+                    self._cond.notify()
+        if not admit:
+            self._refuse(request)
+        elif spawn:
+            threading.Thread(
+                target=self._handle_connections, name="repro-handler", daemon=True
+            ).start()
+
+    def _handle_connections(self) -> None:
+        """One handler thread: serve queued connections until closing."""
+        while True:
+            with self._cond:
+                self._idle += 1
+                while not self._pending and not self._closing:
+                    self._cond.wait()
+                self._idle -= 1
+                if not self._pending:
+                    self._threads -= 1
+                    return
+                request, client_address = self._pending.popleft()
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+                with self._cond:
+                    self._admitted -= 1
+
+    def _refuse(self, request: socket.socket) -> None:
+        """Answer 429 on the accept thread, then half-close: the socket
+        stays open (see :data:`REFUSED_LINGER_S`) until the client has
+        read the answer."""
+        self._app.metrics.inc("repro_server_rejected_total")
+        try:
+            request.setblocking(False)
+            request.send(self._refusal)
+            request.shutdown(socket.SHUT_WR)
+        except OSError:
+            request.close()
+            return
+        self._refused.append((time.monotonic() + REFUSED_LINGER_S, request))
+        if len(self._refused) > REFUSED_LINGER_MAX:
+            self._refused.pop(0)[1].close()
+
+    def service_actions(self) -> None:
+        # Runs on the accept thread after each connection and each poll.
+        if self._refused:
+            now = time.monotonic()
+            waiting = []
+            for close_by, sock in self._refused:
+                if _drained(sock) or now >= close_by:
+                    sock.close()
+                else:
+                    waiting.append((close_by, sock))
+            self._refused = waiting
+
+    def server_close(self) -> None:
+        super().server_close()
+        for _, sock in self._refused:
+            sock.close()
+        self._refused = []
+        # Handler threads finish the queued connections (answered 503
+        # once the app drains), then exit.
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
+
+
 class ReproHTTPServer:
-    """A bound, ready-to-serve daemon (thin ThreadingHTTPServer wrapper).
+    """A bound, ready-to-serve daemon (a pooled ``HTTPServer`` wrapper).
 
     ``port=0`` binds an ephemeral port; read the real one back from
     :attr:`port` (the bench and tests rely on this).
@@ -978,12 +1249,10 @@ class ReproHTTPServer:
         port: int = 8765,
         quiet: bool = True,
     ) -> None:
-        from http.server import ThreadingHTTPServer
-
         self.app = app
         handler = _make_handler_class(app, quiet=quiet)
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._server.daemon_threads = True
+        self._server = _PooledHTTPServer((host, port), handler, app)
+        app.transport_stats = self._server.stats
         self._thread: Optional[threading.Thread] = None
 
     @property

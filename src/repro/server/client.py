@@ -26,8 +26,10 @@ half a stream may already have been consumed.
 
 Retryable signals: connection refused/reset (``URLError``), a
 mid-response disconnect (``IncompleteRead``/``ConnectionError``), a
-socket timeout, and HTTP 503 (the overload/draining answer) — never
-4xx/422/500, which are *verdicts* about the request, not the transport.
+socket timeout, HTTP 429 (the daemon's handler pool is full) and HTTP
+503 (the overload/draining answer) — never other 4xx/422/500, which are
+*verdicts* about the request, not the transport.  A retry after an
+answer that carries ``Retry-After`` waits at least that long.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ DEFAULT_TIMEOUT = 300.0
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_BASE = 0.1
 DEFAULT_BACKOFF_CAP = 2.0
+
+#: HTTP statuses that mean "not now" rather than a verdict: the daemon's
+#: handler pool is full (429), or it is overloaded or draining (503).
+RETRY_STATUSES = (429, 503)
+
+
+def _retry_after_s(exc: urllib.error.HTTPError) -> float:
+    """The answer's ``Retry-After`` in seconds (0 when absent, or an
+    HTTP date rather than a number)."""
+    try:
+        return max(0.0, float(exc.headers.get("Retry-After", 0)))
+    except (TypeError, ValueError):
+        return 0.0
 
 
 class TransportError(OSError):
@@ -135,7 +150,7 @@ class ServerClient:
     @staticmethod
     def _retryable(exc: BaseException) -> bool:
         if isinstance(exc, urllib.error.HTTPError):
-            return exc.code == 503
+            return exc.code in RETRY_STATUSES
         if isinstance(exc, urllib.error.URLError):
             return True
         return isinstance(
@@ -153,9 +168,9 @@ class ServerClient:
         self, request: urllib.request.Request, idempotent: bool
     ):
         """``urlopen`` with the retry/deadline policy; returns the live
-        response.  Non-503 ``HTTPError`` propagates to the caller (it
-        carries an envelope); exhausted transport failures become
-        :class:`ServerUnavailable`.
+        response.  An ``HTTPError`` outside :data:`RETRY_STATUSES`
+        propagates to the caller (it carries an envelope); exhausted
+        transport failures become :class:`ServerUnavailable`.
         """
         started = time.monotonic()
         attempts = self.retries + 1 if idempotent else 1
@@ -183,18 +198,16 @@ class ServerClient:
                     timeout = min(timeout, remaining)
                 return urllib.request.urlopen(request, timeout=timeout)
             except BaseException as exc:
-                if isinstance(
-                    exc, urllib.error.HTTPError
-                ) and exc.code != 503:
-                    raise  # a verdict envelope, not a transport failure
                 if not self._retryable(exc):
-                    raise
+                    raise  # a verdict envelope, or not a transport failure
                 last_exc = exc
+                floor = 0.0
                 if isinstance(exc, urllib.error.HTTPError):
+                    floor = _retry_after_s(exc)
                     exc.close()
                 if attempt >= attempts:
                     break
-                pause = self._backoff_s(attempt)
+                pause = max(floor, self._backoff_s(attempt))
                 if self.deadline is not None:
                     remaining = self.deadline - (time.monotonic() - started)
                     if remaining <= pause:
@@ -384,6 +397,7 @@ __all__ = [
     "DEFAULT_BACKOFF_CAP",
     "DEFAULT_RETRIES",
     "DEFAULT_TIMEOUT",
+    "RETRY_STATUSES",
     "ServerClient",
     "ServerResponse",
     "ServerUnavailable",

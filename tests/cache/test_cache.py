@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import repro.cache as cache_mod
 from repro._version import __version__
 from repro.api import SessionConfig
 from repro.cache import CACHE_FORMAT_VERSION, QUARANTINE_DIR, ResultCache, cache_key
@@ -335,6 +336,50 @@ class TestEviction:
             cache.put(f"{i:02x}" * 32, {"i": i})
         stats = cache.stats()
         assert stats["evictions"] == 0 and stats["entries"] == 4
+
+    def test_put_under_budget_does_not_list_the_store(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path / "c"), max_bytes=1024 * 1024)
+        cache.put("00" * 32, {"i": 0})  # the first put sweeps
+        listed = []
+        real_listdir = os.listdir
+
+        def listdir(path):
+            listed.append(path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        for i in range(1, cache_mod.SWEEP_EVERY_PUTS):
+            cache.put(f"{i:02x}" * 32, {"i": i})
+        assert listed == []
+        cache.put("ff" * 32, {"i": 255})
+        assert listed == [cache.cache_dir]
+
+    def test_two_instances_on_one_store_stay_within_budget(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_mod, "SWEEP_EVERY_PUTS", 8)
+        store = str(tmp_path / "c")
+
+        def put(cache, i):
+            cache.put(f"{i:04x}" * 16, {"pad": "x" * 256, "i": f"{i:04d}"})
+
+        a = ResultCache(store)
+        put(a, 0)  # a sweeps: its total is this one entry
+        entry = a.stats()["bytes"]
+        a.max_bytes = budget = 20 * entry
+        b = ResultCache(store, max_bytes=budget)
+        for i in range(1, 20):
+            put(b, i)
+        assert b.stats()["bytes"] == budget
+        # a's total still counts one entry and its own puts: the store
+        # runs over budget until a's eighth put since its sweep.
+        for i in range(20, 27):
+            put(a, i)
+        assert a.stats()["bytes"] == budget + 7 * entry
+        put(a, 27)
+        stats = a.stats()
+        assert stats["bytes"] == budget and stats["evictions"] == 8
+        assert b.stats()["evictions"] == 0
 
 
 #: Writer subprocess: hammer one key with complete distinct payloads.

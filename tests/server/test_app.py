@@ -468,6 +468,12 @@ class TestContentLength:
         assert status == 413
         assert envelope["error"]["type"] == "PayloadTooLarge"
 
+    def test_body_that_is_not_utf8_is_400(self, live_server):
+        body = b'{"board":"\xff"}'
+        status, envelope = raw_post(live_server, str(len(body)), body)
+        assert status == 400
+        assert envelope["error"]["message"].startswith("invalid JSON body:")
+
     def test_cap_sits_above_real_requests(self, live_server):
         body = json.dumps({"board": board_to_dict(good_board())}).encode()
         assert len(body) < app_mod.MAX_BODY_BYTES

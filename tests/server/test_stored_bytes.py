@@ -21,6 +21,7 @@ import repro.server.app as app_mod
 from repro import obs
 from repro.api import SessionConfig
 from repro.cache import CacheEntry, cache_key
+from repro.faults import stable_report_bytes
 from repro.io import Encoded, board_to_dict, load_trace, route_response
 from repro.server import RouterApp, make_http_server
 
@@ -244,8 +245,8 @@ class TestKeyMemo:
             hashlib.sha256(body).digest(): cache_key(json.loads(body)["board"], fingerprint)
             for body in bodies
         }
-        for digest, key in app._key_memo.items():
-            assert expected[digest] == key
+        for digest, (key, return_board) in app._key_memo.items():
+            assert expected[digest] == key and return_board is False
 
 
 class TestNonObjectBoard:
@@ -305,13 +306,109 @@ class TestDaemonSpans:
 
     def test_body_and_key_spans(self, server):
         body = json.dumps(ok_payload()).encode()
-        memo = []
+        memo, parsed = [], []
         for _ in range(2):
             status, _, trace_id = post(server, body)
             assert status == 200
             trace = self._trace(server, trace_id)
             spans = {s["name"]: s for s in trace.to_dict()["spans"]}
             assert spans["server.read_body"]["attrs"]["bytes"] == len(body)
-            assert "server.parse_body" in spans
+            parsed.append("server.parse_body" in spans)
             memo.append(spans["cache.key"]["attrs"]["memo"])
         assert memo == ["miss", "hit"]
+        # A memo hit whose entry is cached is answered unparsed.
+        assert parsed == [True, False]
+
+
+class TestMemoHitPath:
+    """A body the key memo knows is answered without parsing it; every
+    answer must be byte-identical to the one the parse path gives."""
+
+    @staticmethod
+    def _unparsable(monkeypatch):
+        def refuse(raw):
+            raise AssertionError("a memo hit parsed its body")
+
+        monkeypatch.setattr(app_mod, "_parse_body", refuse)
+
+    @pytest.mark.parametrize("return_board", [False, True])
+    def test_memo_hit_equals_the_parse_path(
+        self, tmp_path, monkeypatch, return_board
+    ):
+        payload = ok_payload()
+        if return_board:
+            payload["return_board"] = True
+        body = json.dumps(payload).encode()
+        app = RouterApp(str(tmp_path / "cache"))
+        app.route(payload, body=body)
+        # A fresh app on the same store keys the body from its payload.
+        parsed = RouterApp(str(tmp_path / "cache")).route(payload, body=body)
+        assert app.memoized(hashlib.sha256(body).digest())
+        self._unparsable(monkeypatch)
+        status, envelope = app.route(None, body=body)
+        assert (status, envelope["cache"]) == (200, "hit")
+        assert status == parsed[0]
+        assert app_mod._json_body(envelope) == app_mod._json_body(parsed[1])
+        assert ("routed_board" in envelope) == return_board
+
+    def test_memo_hit_over_http_is_unparsed_and_identical(
+        self, server, tmp_path, monkeypatch
+    ):
+        body = json.dumps(dict(ok_payload(), return_board=True)).encode()
+        post(server, body)
+        _, memo_hit, _ = post(server, body)
+        srv = make_http_server(server.app.cache.cache_dir, port=0).start_background()
+        try:
+            _, parsed_hit, _ = post(srv, body)
+        finally:
+            srv.shutdown(drain_timeout=5.0)
+        assert memo_hit == parsed_hit and json.loads(memo_hit)["cache"] == "hit"
+        self._unparsable(monkeypatch)
+        assert post(server, body)[1] == memo_hit
+
+    def test_evicted_entry_parses_and_routes(self, tmp_path):
+        app = RouterApp(str(tmp_path / "cache"))
+        body = json.dumps(ok_payload()).encode()
+        _, miss = app.route(json.loads(body), body=body)
+        app.cache.clear()
+        assert app.memoized(hashlib.sha256(body).digest())
+        with obs.trace("evicted") as trace:
+            status, again = app.route(None, body=body)
+        names = [s["name"] for s in trace.to_dict()["spans"]]
+        assert "server.parse_body" in names
+        assert status == 200 and again["cache"] == "miss"
+        assert again["key"] == miss["key"]
+        # Routed again: the same verdict, other wall-clock timings.
+        assert stable_report_bytes(again["result"]) == stable_report_bytes(
+            miss["result"]
+        )
+        assert app.route(None, body=body)[1]["cache"] == "hit"
+
+    def test_memoized_invalid_board_gets_the_same_400(self, server):
+        body = json.dumps({"board": {"name": "junk"}}).encode()
+        answers = [post(server, body)[:2] for _ in range(3)]
+        assert hashlib.sha256(body).digest() in server.app._key_memo
+        assert answers[0][0] == 400
+        assert answers[1:] == answers[:1] * 2
+        message = json.loads(answers[0][1])["error"]["message"]
+        assert message.startswith("invalid board document:")
+
+    def test_respelled_body_misses_the_memo_and_hits_the_entry(self, server):
+        payload = ok_payload()
+        first = json.dumps(payload).encode()
+        second = json.dumps(respelled(payload)).encode()
+        post(server, first)
+        _, memo_hit, _ = post(server, first)
+        _, respelled_hit, _ = post(server, second)
+        assert respelled_hit == memo_hit
+        assert json.loads(respelled_hit)["cache"] == "hit"
+
+    def test_batch_bodies_are_never_memoized(self, server):
+        body = json.dumps(
+            {"boards": [board_to_dict(good_board())], "preset": "fast"}
+        ).encode()
+        post_batch(server, body)
+        hit, done = post_batch(server, body)
+        assert json.loads(hit)["cache"] == "hit"
+        assert json.loads(done)["event"] == "batch_done"
+        assert not server.app._key_memo

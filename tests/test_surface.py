@@ -32,6 +32,10 @@ ALLOWED = {
         "BaseHTTPRequestHandler dispatches POST here",
     "src/repro/server/app.py::_make_handler_class.Handler.log_message":
         "BaseHTTPRequestHandler hook; silences the access log",
+    "src/repro/server/app.py::_PooledHTTPServer.process_request":
+        "socketserver's accept loop hands each connection here",
+    "src/repro/server/app.py::_PooledHTTPServer.service_actions":
+        "socketserver's serve loop calls this after each poll",
     "src/repro/io.py::load_result":
         "public API: reads back a saved run result",
     # Certification checks the DRC gate will name rule by rule.
