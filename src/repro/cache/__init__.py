@@ -12,36 +12,43 @@ version changes the key).
 
 Design points:
 
-* **Entry format 2: parts encoded once** — an entry file is a one-line
-  JSON header (``kind``, ``version`` 2, ``key``, each part's byte length
-  and the ``sha256`` of everything after the header line) followed by
-  each top-level payload value as compact JSON, one per line.
+* **Entry format 3: parts encoded once, the answer in the header** —
+  an entry file is a one-line JSON header followed by each top-level
+  payload value as compact JSON, one per line.  The header holds
+  ``kind``, ``version`` 3, ``key``, each part's byte length, the
+  ``status``, ``error`` and ``board`` of the ``result`` part when that
+  part is an object (:data:`~repro.io.ANSWER_FIELDS`, which are what an
+  answer repeats outside the result), and a ``sha256`` that covers those
+  three fields and everything after the header line.
   :meth:`ResultCache.put` encodes each value once (:meth:`publish`
   reuses the bytes it already made for the answer), and the stored
   bytes are exactly ``json.dumps(value, separators=(",", ":"))``.
-* **Digest-checked, lazily decoded reads** — :meth:`ResultCache.get`
-  checks the header and the digest, then returns a read-only
-  :class:`CacheEntry` that decodes a part the first time it is read and
-  exposes every part's stored bytes (``entry.encoded``).  The daemon
-  answers a hit by decoding only ``result`` and splicing the stored
-  bytes into its response; the routed board is decoded only when the
-  request asks for it back.
+* **Digest-checked reads that decode nothing** — :meth:`ResultCache.get`
+  checks the header, the answer fields' types and the digest, then
+  returns a read-only :class:`CacheEntry` whose ``answer`` holds the
+  header's fields and whose object parts are :class:`StoredObject`
+  dicts that decode on first read.  The daemon builds a hit's envelope
+  from ``answer`` and splices each part's stored bytes into its
+  response, so a hit decodes no part; an in-process caller still reads
+  the parts as dicts.
 * **Other formats are misses** — an entry whose header is a
   ``cache_entry`` of another format version is counted as a plain miss,
   not as corruption.  An older one (every entry of a store that
-  predates an upgrade) is deleted: quarantining a whole upgraded store
-  would move it into a sidecar that nothing bounds.  A newer one is left
-  in place.  The delete never removes an entry that a writer renamed
-  into place after the read.  Daemons of different formats must not
-  share one store: each re-routes the other's keys and overwrites their
-  entries, and a format-1 daemon (which predates this rule) quarantines
-  every format-2 entry it reads as corrupt.
+  predates an upgrade) is deleted, so an upgrade re-routes each board
+  once: quarantining a whole upgraded store would move it into a
+  sidecar that nothing bounds.  A newer one is left in place.  The
+  delete never removes an entry that a writer renamed into place after
+  the read.  Daemons of different formats must not share one store:
+  each re-routes the other's keys and overwrites their entries, and a
+  format-1 daemon (which predates this rule) quarantines every newer
+  entry it reads as corrupt.
 * **Atomic writes** — entries are written to a same-directory temp file
   and ``os.replace``'d into place, so concurrent writers of the same
   key race benignly (last rename wins, both files are complete) and a
   reader can never observe a torn entry.
 * **Corruption is a miss, and evidence is kept** — a truncated or
-  garbage entry file, or one whose parts fail the header's digest, is
+  garbage entry file, one whose header lacks or mistypes an answer
+  field, or one whose fields or parts fail the header's digest, is
   counted, *quarantined* into the ``quarantine/`` sidecar directory
   (not silently deleted — the bytes are the forensic record of whatever
   tore them) and reported as a miss; the next route re-populates the
@@ -91,14 +98,21 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from .._version import __version__
 from .. import faults, obs
-from ..io import Encoded, board_to_dict, canonical_json, run_result_to_dict
+from ..io import (
+    ANSWER_FIELDS,
+    Encoded,
+    answer_fields,
+    board_to_dict,
+    canonical_json,
+    run_result_to_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import RunResult
     from ..model import Board
 
 #: Entry documents are self-describing like every other repro artifact.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 CACHE_KIND = "cache_entry"
 
 #: A cache key: a lowercase hex digest, never a path fragment.
@@ -146,30 +160,104 @@ class StaleEntry(Exception):
         self.version = version
 
 
-class CacheEntry(Mapping):
-    """One stored payload: read-only, each part decoded on first read.
+class StoredObject(Encoded):
+    """An object part of an entry, decoded the first time it is read.
 
-    An object part decodes to an :class:`~repro.io.Encoded` dict that
-    keeps its stored bytes, so a caller that answers with it splices
-    them instead of encoding the part again; ``encoded[name]`` holds
-    every part's bytes.
+    Until then its dict storage holds one placeholder item, because
+    ``json``'s C encoder writes an empty dict as ``{}`` without calling
+    any method; a non-empty dict subclass is asked for its ``items()``,
+    which decodes.  Every read decodes first, every write raises
+    ``TypeError``, and a copy (``copy()``, ``copy.deepcopy``, pickle)
+    is a plain dict.  A writer that splices ``encoded`` reads nothing.
     """
 
-    __slots__ = ("encoded", "_decoded")
+    __slots__ = ("_pending",)
 
-    def __init__(self, encoded: Dict[str, bytes]) -> None:
+    def __init__(self, encoded: bytes) -> None:
+        dict.__init__(self, {_PLACEHOLDER: None})
         self.encoded = encoded
-        self._decoded: Dict[str, Any] = {}
+        self._pending = True
+
+    def _load(self) -> "StoredObject":
+        if self._pending:
+            # Never empty in between: a racing reader sees either the
+            # placeholder (and loads too) or the whole object.
+            dict.update(self, json.loads(self.encoded))
+            dict.pop(self, _PLACEHOLDER, None)
+            self._pending = False
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StoredObject):
+            other._load()
+        return dict.__eq__(self._load(), other)
+
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, StoredObject):
+            other._load()
+        return dict.__ne__(self._load(), other)
+
+    def __reduce_ex__(self, protocol: int):
+        return dict, (dict.copy(self._load()),)
+
+
+#: The key of a :class:`StoredObject`'s storage until it decodes.
+_PLACEHOLDER = object()
+
+
+def _reader(name: str):
+    method = getattr(dict, name)
+
+    def read(self, *args):
+        return method(self._load(), *args)
+
+    read.__name__ = read.__qualname__ = name
+    return read
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a stored cache part is read-only")
+
+
+for _name in (
+    "__getitem__", "__contains__", "__iter__", "__reversed__", "__len__",
+    "__repr__", "__or__", "__ror__", "get", "keys", "values", "items", "copy",
+):
+    setattr(StoredObject, _name, _reader(_name))
+for _name in (
+    "__setitem__", "__delitem__", "__ior__",
+    "clear", "pop", "popitem", "setdefault", "update",
+):
+    setattr(StoredObject, _name, _read_only)
+
+
+class CacheEntry(Mapping):
+    """One stored payload: read-only, parts decoded on first read.
+
+    An object part is a :class:`StoredObject` that decodes the first
+    time it is read, so a caller that answers with it splices its stored
+    bytes and decodes nothing; ``encoded[name]`` holds every part's
+    bytes.  ``answer`` is the header's copy of the ``result`` part's
+    :data:`~repro.io.ANSWER_FIELDS` (``None`` when that part is not an
+    object).
+    """
+
+    __slots__ = ("encoded", "answer", "_parts")
+
+    def __init__(
+        self, encoded: Dict[str, bytes], answer: Optional[Dict[str, Any]] = None
+    ) -> None:
+        self.encoded = encoded
+        self.answer = answer
+        self._parts: Dict[str, Any] = {}
 
     def __getitem__(self, name: str) -> Any:
         try:
-            return self._decoded[name]
+            return self._parts[name]
         except KeyError:
             raw = self.encoded[name]
-            value = json.loads(raw)
-            if isinstance(value, dict):
-                value = Encoded(value, raw)
-            self._decoded[name] = value
+            value = StoredObject(raw) if raw[:1] == b"{" else json.loads(raw)
+            self._parts[name] = value
             return value
 
     def __contains__(self, name: object) -> bool:
@@ -193,10 +281,39 @@ def _encode_parts(payload: Dict[str, Any]) -> Dict[str, bytes]:
     }
 
 
-def _entry_bytes(key: str, parts: Dict[str, bytes]) -> bytes:
-    """The format-2 entry file: a one-line JSON header, then each part
-    followed by a newline.  The header's ``sha256`` covers everything
-    after the header line."""
+def _check_answer(answer: Dict[str, Any]) -> None:
+    """``ValueError`` unless the answer fields have the types a
+    run's do: ``status`` and ``board`` strings, ``error`` an object or
+    ``None``."""
+    if not (
+        type(answer["status"]) is str
+        and type(answer["board"]) is str
+        and (answer["error"] is None or type(answer["error"]) is dict)
+    ):
+        raise ValueError("cache entry answer fields are malformed")
+
+
+#: ``json.dumps(value, separators=(",", ":"))`` without building an
+#: encoder per call (the digest encodes the answer fields on every read).
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _digest(answer: Optional[Dict[str, Any]], body: bytes) -> str:
+    """The entry digest: the answer fields' compact JSON (``null``
+    without them), a newline, then every part."""
+    hasher = hashlib.sha256(_COMPACT.encode(answer).encode("ascii"))
+    hasher.update(b"\n")
+    hasher.update(body)
+    return hasher.hexdigest()
+
+
+def _entry_bytes(
+    key: str, parts: Dict[str, bytes], answer: Optional[Dict[str, Any]]
+) -> bytes:
+    """The format-3 entry file: a one-line JSON header, then each part
+    followed by a newline.  The header carries ``answer``, the
+    ``result`` part's answer fields (when it is an object), and a
+    ``sha256`` that covers them and everything after the header line."""
     body = b"".join(part + b"\n" for part in parts.values())
     header = {
         "kind": CACHE_KIND,
@@ -204,8 +321,10 @@ def _entry_bytes(key: str, parts: Dict[str, bytes]) -> bytes:
         "repro_version": __version__,
         "key": key,
         "parts": {name: len(part) for name, part in parts.items()},
-        "sha256": hashlib.sha256(body).hexdigest(),
     }
+    if answer is not None:
+        header.update(answer)
+    header["sha256"] = _digest(answer, body)
     return json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n" + body
 
 
@@ -224,8 +343,6 @@ def _decode_entry(data: bytes, key: str) -> CacheEntry:
     parts = header.get("parts")
     if header.get("key") != key or not isinstance(parts, dict):
         raise ValueError("not a cache entry for this key")
-    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
-        raise ValueError("cache entry digest mismatch")
     encoded: Dict[str, bytes] = {}
     offset = 0
     for name, length in parts.items():
@@ -238,7 +355,16 @@ def _decode_entry(data: bytes, key: str) -> CacheEntry:
         offset = end + 1
     if offset != len(body):
         raise ValueError("cache entry part lengths do not match")
-    return CacheEntry(encoded)
+    answer = None
+    if encoded.get("result", b"")[:1] == b"{":
+        try:
+            answer = {name: header[name] for name in ANSWER_FIELDS}
+        except KeyError:
+            raise ValueError("cache entry header lacks the answer fields")
+        _check_answer(answer)
+    if _digest(answer, body) != header.get("sha256"):
+        raise ValueError("cache entry digest mismatch")
+    return CacheEntry(encoded, answer)
 
 
 class ResultCache:
@@ -306,11 +432,13 @@ class ResultCache:
     def get(self, key: str) -> Optional[CacheEntry]:
         """The entry payload for ``key``, or ``None`` on a miss.
 
-        The payload is a read-only :class:`CacheEntry` that decodes a
-        part the first time it is read.  A hit refreshes the entry's
-        mtime (the LRU clock).  A present but unreadable entry —
-        truncated write from a killed process, garbage bytes, a foreign
-        document, a part whose bytes fail the header's digest — is
+        The payload is a read-only :class:`CacheEntry` that carries the
+        header's answer fields and decodes a part the first time it is
+        read.  A hit refreshes the entry's mtime (the LRU clock).  A
+        present but unreadable entry — truncated write from a killed
+        process, garbage bytes, a foreign document, a missing or
+        mistyped answer field, fields or parts that fail the header's
+        digest — is
         quarantined and counted as corrupt *and* a miss: callers always
         either get a valid payload or re-route.  An entry of another
         format version is a plain miss; an older one is also deleted.
@@ -371,6 +499,11 @@ class ResultCache:
         """Store ``payload`` under ``key``; returns the entry path, or
         ``None`` when the store is (or just became) degraded.
 
+        When ``payload["result"]`` is an object, its answer fields go
+        into the entry header (``ValueError`` when they have the wrong
+        types: a status or board name that is not a string, an error
+        that is not an object or ``None``).
+
         The temp file lives in the cache directory itself so the final
         ``os.replace`` is a same-filesystem atomic rename: concurrent
         writers of one key each publish a complete entry and the last
@@ -415,7 +548,12 @@ class ResultCache:
         path = self._path(key)
         if self.degraded is not None:
             return None
-        data = _entry_bytes(key, _encode_parts(payload))
+        result = payload.get("result")
+        answer = None
+        if isinstance(result, dict):
+            answer = answer_fields(result)
+            _check_answer(answer)
+        data = _entry_bytes(key, _encode_parts(payload), answer)
         spec = faults.decide("cache.write", key=key)
         try:
             if spec is not None and spec.mode == "torn":
@@ -627,5 +765,6 @@ __all__ = [
     "SWEEP_EVERY_PUTS",
     "CacheEntry",
     "ResultCache",
+    "StoredObject",
     "cache_key",
 ]

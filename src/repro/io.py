@@ -528,8 +528,25 @@ class Encoded(dict):
         return cls(value, json.dumps(value, separators=(",", ":")).encode("ascii"))
 
 
+#: The fields of an encoded run that an answer repeats outside it, each
+#: with the value a result without it reads as.
+ANSWER_FIELDS = {"status": "ok", "error": None, "board": ""}
+
+
+def answer_fields(result_dict: Dict[str, Any]) -> Dict[str, Any]:
+    """The :data:`ANSWER_FIELDS` of an encoded run (the cache keeps them
+    in its entry header, so a hit answers without decoding the run)."""
+    return {
+        name: result_dict.get(name, default)
+        for name, default in ANSWER_FIELDS.items()
+    }
+
+
 def route_response(
-    key: str, cache: Optional[str], result_dict: Dict[str, Any]
+    key: str,
+    cache: Optional[str],
+    result_dict: Dict[str, Any],
+    fields: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The ``route_response`` envelope around one encoded run.
 
@@ -537,16 +554,20 @@ def route_response(
     local run, which consults no cache but still names the content
     address a daemon would serve for the same request.  A crash record
     in the result is repeated at the top level for 422/500 consumers.
+    ``fields`` are the run's :func:`answer_fields` when the caller has
+    them already; ``result_dict`` is then not read.
     """
+    if fields is None:
+        fields = answer_fields(result_dict)
     envelope: Dict[str, Any] = {
         "kind": "route_response",
         "key": key,
         "cache": cache,
-        "status": result_dict.get("status", "ok"),
+        "status": fields["status"],
         "result": result_dict,
     }
-    if result_dict.get("error") is not None:
-        envelope["error"] = result_dict["error"]
+    if fields["error"] is not None:
+        envelope["error"] = fields["error"]
     return envelope
 
 

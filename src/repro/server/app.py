@@ -14,10 +14,13 @@ Every routing answer goes through the content-addressed cache first
 board JSON + config fingerprint + library version), so a hit is served
 without constructing a session, running a stage, or even decoding the
 board — the poisoned-stage test in ``tests/server`` proves exactly
-that.  Of the stored entry a hit decodes only the ``result`` (its status
-sets the HTTP code); the transport writes the stored bytes verbatim, and
-a miss answers with the bytes it just stored, so each result is encoded
-once.  A byte-identical repeat request also skips keying and parsing:
+that.  A hit decodes no part of the stored entry either: the result's
+status (which sets the HTTP code), error and board name come from the
+entry header, and the transport writes the stored bytes verbatim.  A
+miss answers with the bytes it just stored, so each result is encoded
+once, and concurrent misses of one key route it once: the others wait
+for its entry.  A byte-identical repeat request also skips keying and
+parsing:
 each app remembers, by the sha256 of recent single-board request
 bodies, their cache key and whether they asked for the routed board, so
 a repeat whose entry is cached is answered without reading its JSON.
@@ -34,7 +37,17 @@ import threading
 import time
 from collections import OrderedDict, deque
 from http.server import HTTPServer
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .. import faults, obs
 from .._version import __version__
@@ -44,6 +57,7 @@ from ..cache import DEFAULT_MAX_BYTES, ResultCache, cache_key
 from ..drc import check_board
 from ..io import (
     Encoded,
+    answer_fields,
     board_from_dict,
     board_to_dict,
     check_response,
@@ -175,7 +189,7 @@ class RouterApp:
         #: with the cache's and the process-global one at /metrics.
         self.metrics = obs.MetricsRegistry()
         self._started = time.time()
-        #: Guards the request counters and the key memo.
+        #: Guards the request counters, the key memo and ``_routing``.
         self._lock = threading.Lock()
         self._requests: Dict[str, int] = {}
         #: ``sha256(request body)`` → the cache key of that body's
@@ -184,6 +198,10 @@ class RouterApp:
         #: version), so a byte-identical repeat skips the parse and the
         #: canonicalisation.
         self._key_memo: "OrderedDict[bytes, Tuple[str, bool]]" = OrderedDict()
+        #: Cache key of each single-board miss being routed → an event
+        #: set once that route is over, so concurrent requests for the
+        #: same board wait for it instead of routing it again.
+        self._routing: Dict[str, threading.Event] = {}
         #: Handler-pool counts of the HTTP transport serving this app
         #: (set by :class:`ReproHTTPServer`; ``None`` without one).
         self.transport_stats: Optional[Callable[[], Dict[str, int]]] = None
@@ -294,19 +312,22 @@ class RouterApp:
         thread.start()
         thread.join(self.request_deadline)
         if thread.is_alive():
-            return 504, {
-                "kind": "error_response",
-                "error": {
-                    "type": "DeadlineExceeded",
-                    "message": (
-                        f"request exceeded the server's "
-                        f"{self.request_deadline} s deadline"
-                    ),
-                },
-            }
+            return self._deadline_exceeded()
         if "error" in box:
             raise box["error"]
         return box["value"]
+
+    def _deadline_exceeded(self) -> Tuple[int, Dict[str, Any]]:
+        return 504, {
+            "kind": "error_response",
+            "error": {
+                "type": "DeadlineExceeded",
+                "message": (
+                    f"request exceeded the server's "
+                    f"{self.request_deadline} s deadline"
+                ),
+            },
+        }
 
     # -- config resolution --------------------------------------------------
 
@@ -392,36 +413,61 @@ class RouterApp:
         payload: Optional[Dict[str, Any]],
         body: Optional[bytes],
         digest: Optional[bytes],
-    ) -> Tuple[str, str, Dict[str, Any], Any, bool]:
-        """``(key, "hit"|"miss", result_dict, routed_board,
-        return_board)``.
+    ) -> Union[Dict[str, Any], Tuple[int, Dict[str, Any]]]:
+        """The request's ``route_response`` envelope (with the routed
+        board when it asks for it back), or the 504 answer of a request
+        that waited past the deadline for another one's route.
 
         On a hit nothing of the pipeline runs — not even board
-        decoding, nor parsing the body when the memo knows it — and of
-        the stored entry only ``result`` is decoded (its status sets
-        the HTTP code), plus the routed board when the request asks for
-        it back; both keep their stored bytes for the transport to
-        splice.  On a miss the board is routed in-process with crash
-        capture, and any non-crashed outcome (ok *and* failed are both
-        deterministic verdicts) is published to the cache.
+        decoding, nor parsing the body when the memo knows it — and no
+        part of the stored entry is decoded: the envelope's status and
+        error come from the entry header, and the stored parts ride in
+        it for the transport to splice.  On a miss the board is routed
+        in-process with crash capture, and any non-crashed outcome (ok
+        *and* failed are both deterministic verdicts) is published to
+        the cache.  A miss whose key another request is routing waits
+        for that route and answers from the cache; it routes the board
+        itself only when nothing was stored (a crash, a degraded cache,
+        an eviction).
         """
         key, return_board, payload, config = self._key(payload, body, digest)
         entry = self.cache.get(key)
+        routing = None
+        if entry is None:
+            with self._lock:
+                waiting = self._routing.get(key)
+                if waiting is None:
+                    routing = self._routing[key] = threading.Event()
+            if waiting is not None:
+                if not waiting.wait(self.request_deadline):
+                    return self._deadline_exceeded()
+                entry = self.cache.get(key)
         if entry is not None:
-            routed = entry["routed_board"] if return_board else None
-            return key, "hit", entry["result"], routed, return_board
-        if payload is None:
-            # A memoized body whose entry was evicted routes as a new one.
-            payload = _parse_body(body)
-        if config is None:
-            config = self._resolve_config(payload)
+            envelope = route_response(key, "hit", entry["result"], entry.answer)
+            if return_board:
+                envelope["routed_board"] = entry["routed_board"]
+            return envelope
         try:
-            board = board_from_dict(payload["board"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise RequestError(f"invalid board document: {exc}") from exc
-        result = RoutingSession(board, config=config).run(capture_errors=True)
-        result_dict, routed = self.cache.publish(key, result, board)
-        return key, "miss", result_dict, routed, return_board
+            if payload is None:
+                # A memoized body whose entry was evicted routes as a new one.
+                payload = _parse_body(body)
+            if config is None:
+                config = self._resolve_config(payload)
+            try:
+                board = board_from_dict(payload["board"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise RequestError(f"invalid board document: {exc}") from exc
+            result = RoutingSession(board, config=config).run(capture_errors=True)
+            result_dict, routed = self.cache.publish(key, result, board)
+        finally:
+            if routing is not None:
+                with self._lock:
+                    del self._routing[key]
+                routing.set()
+        envelope = route_response(key, "miss", result_dict)
+        if return_board:
+            envelope["routed_board"] = routed
+        return envelope
 
     # -- endpoints ----------------------------------------------------------
 
@@ -544,20 +590,14 @@ class RouterApp:
         if digest is None and body is not None:
             digest = hashlib.sha256(body).digest()
         try:
-            outcome = self._with_deadline(
+            envelope = self._with_deadline(
                 lambda: self._route_one(payload, body, digest)
             )
-            if isinstance(outcome, tuple) and len(outcome) == 2:
-                # The deadline helper already built the 504 answer.
-                return outcome
-            key, cache_state, result_dict, routed, return_board = outcome
         except RequestError as exc:
             return 400, error_response(exc)
-        envelope = route_response(key, cache_state, result_dict)
-        if return_board:
-            envelope["routed_board"] = routed
-        http = STATUS_TO_HTTP.get(envelope["status"], 500)
-        return http, envelope
+        if isinstance(envelope, tuple):
+            return envelope  # the 504 answer of an overrun
+        return STATUS_TO_HTTP.get(envelope["status"], 500), envelope
 
     def route_batch_events(
         self, payload: Dict[str, Any]
@@ -596,13 +636,16 @@ class RouterApp:
             cache_state: str,
             result_dict: Dict[str, Any],
             routed: Optional[Dict[str, Any]],
+            fields: Optional[Dict[str, Any]] = None,
         ) -> Dict[str, Any]:
-            envelope = route_response(key, cache_state, result_dict)
+            if fields is None:
+                fields = answer_fields(result_dict)
+            envelope = route_response(key, cache_state, result_dict, fields)
             counts[envelope["status"]] = counts.get(envelope["status"], 0) + 1
             event = {
                 "event": "board_done",
                 "index": index,
-                "board": result_dict.get("board", ""),
+                "board": fields["board"],
                 **envelope,
             }
             event["kind"] = "route_event"
@@ -622,6 +665,7 @@ class RouterApp:
                         "hit",
                         entry["result"],
                         entry["routed_board"] if return_board else None,
+                        entry.answer,
                     )
                 else:
                     try:

@@ -63,7 +63,8 @@ class TestCacheKey:
 
         path = str(tmp_path / "b.json")
         save_board(_board(), path)
-        disk = json.load(open(path))
+        with open(path) as fh:
+            disk = json.load(fh)
         mem = board_to_dict(load_board(path))
         assert canonical_json(disk) == canonical_json(mem)
         fp = SessionConfig.preset("fast").fingerprint()
@@ -119,27 +120,56 @@ class TestCacheStore:
         assert stats["hits"] == 1 and stats["misses"] == 0
         assert stats["entries"] == 1 and stats["bytes"] > 0
 
-    def test_entry_format_2(self, cache):
+    def test_entry_format_3(self, cache):
         # A one-line header, then each part encoded once: the header
-        # names the parts' byte lengths and the sha256 of what follows.
+        # names the parts' byte lengths, repeats the result's status,
+        # error and board name, and its sha256 covers those three fields
+        # and everything after the header line.
         import hashlib
 
         key = "ab" * 32
-        payload = {"result": {"status": "ok", "x": [1.5, 2]}, "routed_board": None}
+        result = {"status": "failed", "x": [1.5, 2], "board": "b", "error": None}
+        payload = {"result": result, "routed_board": None}
         path = cache.put(key, payload)
         with open(path, "rb") as fh:
             head, _, body = fh.read().partition(b"\n")
         parts = [json.dumps(v, separators=(",", ":")).encode() for v in payload.values()]
+        fields = b'{"status":"failed","error":null,"board":"b"}'
         assert json.loads(head) == {
             "kind": "cache_entry",
             "version": CACHE_FORMAT_VERSION,
             "repro_version": __version__,
             "key": key,
             "parts": {"result": len(parts[0]), "routed_board": len(parts[1])},
-            "sha256": hashlib.sha256(body).hexdigest(),
+            "status": "failed",
+            "error": None,
+            "board": "b",
+            "sha256": hashlib.sha256(fields + b"\n" + body).hexdigest(),
         }
-        assert CACHE_FORMAT_VERSION == 2
+        assert CACHE_FORMAT_VERSION == 3
         assert body == parts[0] + b"\n" + parts[1] + b"\n"
+        assert cache.get(key).answer == {"status": "failed", "error": None, "board": "b"}
+
+    def test_answer_fields_default_like_the_envelope(self, cache):
+        # A result without the fields stores what an answer reads for
+        # them; an entry without a result object stores none.
+        key = "ab" * 32
+        cache.put(key, {"result": {"n": 1}})
+        assert cache.get(key).answer == {"status": "ok", "error": None, "board": ""}
+        cache.put(key, {"v": 1})
+        with open(os.path.join(cache.cache_dir, f"{key}.json"), "rb") as fh:
+            assert b'"status"' not in fh.readline()
+        assert cache.get(key).answer is None
+
+    @pytest.mark.parametrize(
+        "result",
+        [{"status": 200}, {"status": "ok", "board": None}, {"error": "boom"}],
+        ids=["status", "board", "error"],
+    )
+    def test_put_refuses_mistyped_answer_fields(self, cache, result):
+        with pytest.raises(ValueError):
+            cache.put("ab" * 32, {"result": result})
+        assert cache.stats()["entries"] == 0
 
     def test_entry_decodes_parts_lazily_and_keeps_their_bytes(self, cache):
         key = "ab" * 32
@@ -152,13 +182,46 @@ class TestCacheStore:
             for name, value in payload.items()
         }
         assert entry["result"] == {"status": "ok"}
-        assert entry["result"] is entry["result"]  # decoded once
+        assert entry["result"] is entry["result"]  # read once
         assert entry["result"].encoded == entry.encoded["result"]
         assert entry["routed_board"].encoded == entry.encoded["routed_board"]
         assert entry.get("absent") is None
         with pytest.raises(TypeError):
             entry["result"] = {}  # read-only
         assert dict(entry) == payload and list(entry) == list(payload)
+
+    def test_object_part_decodes_on_first_read(self, cache, monkeypatch):
+        import copy
+        import pickle
+
+        key = "ab" * 32
+        value = {"status": "ok", "v": [0.1, {"w": None}]}
+        cache.put(key, {"result": value})
+        part = cache.get(key)["result"]
+        assert isinstance(part, dict) and isinstance(part, cache_mod.StoredObject)
+        loads = []
+        monkeypatch.setattr(
+            cache_mod, "json", type("J", (), {"loads": lambda raw: loads.append(raw)})
+        )
+        assert part.encoded == json.dumps(value, separators=(",", ":")).encode()
+        assert loads == []
+        monkeypatch.undo()
+        # The encoder, comparisons and copies all see the decoded object.
+        assert json.dumps(part, separators=(",", ":")).encode() == part.encoded
+        other = cache.get(key)["result"]
+        assert other == part == value and not (other != value)
+        assert len(part) == 2 and list(part) == ["status", "v"] and "v" in part
+        for clone in (part.copy(), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+            assert type(clone) is dict and clone == value
+        for write in (
+            lambda p: p.__setitem__("x", 1),
+            lambda p: p.update(x=1),
+            lambda p: p.pop("v"),
+            lambda p: p.clear(),
+        ):
+            with pytest.raises(TypeError):
+                write(part)
+        assert part == value
 
     def test_absent_key_is_a_miss(self, cache):
         assert cache.get("cd" * 32) is None

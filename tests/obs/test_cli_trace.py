@@ -43,7 +43,8 @@ class TestRouteTrace:
         names = [s["name"] for s in trace.to_dict()["spans"]]
         assert names[0].startswith("route ")
         assert "session.run" in names and "stage.match" in names
-        result_doc = json.load(open(result_path))
+        with open(result_path) as fh:
+            result_doc = json.load(fh)
         assert result_doc["trace_ref"] == trace_path
 
     def test_untraced_route_has_no_ref(self, board_file, tmp_path, capsys):
@@ -51,7 +52,8 @@ class TestRouteTrace:
         assert main(
             ["route", board_file, "--preset", "fast", "--out", result_path, "--quiet"]
         ) == 0
-        assert "trace_ref" not in json.load(open(result_path))
+        with open(result_path) as fh:
+            assert "trace_ref" not in json.load(fh)
 
     def test_trace_with_remote_is_usage_error(self, board_file, tmp_path, capsys):
         code = main(

@@ -146,7 +146,8 @@ class TestSerialization:
             pass
         path = str(tmp_path / "t.json")
         save_trace(trace, path)
-        doc = json.load(open(path))
+        with open(path) as fh:
+            doc = json.load(fh)
         assert doc["kind"] == "trace"
         assert doc["version"] == obs.TRACE_FORMAT_VERSION
         assert doc["name"] == "shape"

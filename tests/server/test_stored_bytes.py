@@ -17,10 +17,11 @@ import time
 
 import pytest
 
+import repro.cache as cache_mod
 import repro.server.app as app_mod
 from repro import obs
 from repro.api import SessionConfig
-from repro.cache import CacheEntry, cache_key
+from repro.cache import cache_key
 from repro.faults import stable_report_bytes
 from repro.io import Encoded, board_to_dict, load_trace, route_response
 from repro.server import RouterApp, make_http_server
@@ -88,34 +89,194 @@ class TestHitBytes:
         assert miss.replace(b'"cache":"miss"', b'"cache":"hit"', 1) == hit
         assert (b'"routed_board":' in hit) == return_board
 
-    def test_hit_decodes_the_board_only_when_asked(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("return_board", [False, True])
+    def test_hit_decodes_no_part(self, tmp_path, no_part_decoding, return_board):
         app = RouterApp(str(tmp_path / "cache"))
-        payload = ok_payload()
-        _, miss = app.route(dict(payload, return_board=True))
-        read = []
-        real_getitem = CacheEntry.__getitem__
-
-        def recording_getitem(entry, name):
-            read.append(name)
-            return real_getitem(entry, name)
-
-        monkeypatch.setattr(CacheEntry, "__getitem__", recording_getitem)
+        payload = dict(ok_payload(), return_board=return_board)
+        _, miss = app.route(payload)
+        no_part_decoding()
         status, hit = app.route(payload)
         assert status == 200 and hit["cache"] == "hit"
-        assert read == ["result"] and "routed_board" not in hit
-
-        read.clear()
-        status, hit = app.route(dict(payload, return_board=True))
-        assert status == 200 and sorted(read) == ["result", "routed_board"]
-        # Both values are plain dicts that carry the bytes the miss
-        # encoded and stored, so the envelope still encodes as JSON.
-        for name in ("result", "routed_board"):
+        assert ("routed_board" in hit) == return_board
+        assert app_mod._json_body(hit) == app_mod._json_body(miss).replace(
+            b'"cache":"miss"', b'"cache":"hit"', 1
+        )
+        no_part_decoding.undo()
+        # In process the parts read as the dicts the miss encoded and
+        # stored, so the envelope still encodes as JSON.
+        for name in ("result", "routed_board") if return_board else ("result",):
             assert isinstance(hit[name], Encoded)
             assert hit[name].encoded == miss[name].encoded
             assert hit[name] == miss[name]
         assert app_mod._json_body(hit) == json.dumps(
             hit, separators=(",", ":")
         ).encode()
+
+
+@pytest.fixture
+def no_part_decoding(monkeypatch):
+    """Call to poison ``json.loads`` in :mod:`repro.cache` for everything
+    but an entry's header line; ``.undo()`` lifts it."""
+    real = cache_mod.json
+
+    class PoisonedJson:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        @staticmethod
+        def loads(raw, *args, **kwargs):
+            if not raw.startswith(b'{"kind":"cache_entry"'):
+                raise AssertionError("a cache hit decoded a stored part")
+            return real.loads(raw, *args, **kwargs)
+
+    def poison():
+        monkeypatch.setattr(cache_mod, "json", PoisonedJson())
+
+    poison.undo = monkeypatch.undo
+    return poison
+
+
+class TestHitsOverHttpDecodeNoPart:
+    """Every hit answer is built from the entry header and the stored
+    bytes, and is byte-identical to its miss but for ``"cache"``."""
+
+    @pytest.mark.parametrize("return_board", [False, True])
+    @pytest.mark.parametrize(
+        "make, http_status",
+        [(ok_payload, 200), (failing_payload, 422)],
+        ids=["ok", "failed"],
+    )
+    def test_route(self, server, no_part_decoding, make, http_status, return_board):
+        payload = dict(make(), return_board=return_board)
+        body = json.dumps(payload).encode()
+        miss_status, miss, _ = post(server, body)
+        no_part_decoding()
+        hit = miss.replace(b'"cache":"miss"', b'"cache":"hit"', 1)
+        # A memo hit, then a respelled body that is parsed and keyed.
+        assert post(server, body)[:2] == (http_status, hit)
+        assert post(server, json.dumps(respelled(payload)).encode())[:2] == (
+            http_status,
+            hit,
+        )
+        assert miss_status == http_status
+
+    def test_batch(self, server, no_part_decoding):
+        body = json.dumps(
+            {
+                "boards": [board_to_dict(good_board()), failing_payload()["board"]],
+                "preset": "fast",
+                "return_board": True,
+            }
+        ).encode()
+        miss = post_batch(server, body)
+        no_part_decoding()
+        hit = post_batch(server, body)
+        assert [json.loads(line).get("cache") for line in hit] == ["hit", "hit", None]
+        by_index = {json.loads(line).get("index"): line for line in miss[:2]}
+        for line in hit[:2]:
+            expected = by_index[json.loads(line)["index"]]
+            assert line == expected.replace(b'"cache":"miss"', b'"cache":"hit"', 1)
+        assert json.loads(hit[2])["cache_hits"] == 2
+
+    def test_result_endpoint(self, server, no_part_decoding):
+        _, miss, _ = post(server, json.dumps(dict(ok_payload(), return_board=True)).encode())
+        envelope = json.loads(miss)
+        no_part_decoding()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        try:
+            conn.request("GET", f"/result/{envelope['key']}")
+            resp = conn.getresponse()
+            status, body = resp.status, resp.read()
+        finally:
+            conn.close()
+        assert status == 200
+        assert body == compact(
+            {
+                "kind": "result_response",
+                "key": envelope["key"],
+                "result": envelope["result"],
+                "routed_board": envelope["routed_board"],
+            }
+        )
+
+
+def entry_file(app, key):
+    return os.path.join(app.cache.cache_dir, f"{key}.json")
+
+
+def rewrite_header(path, edit, redigest):
+    """Apply ``edit`` to an entry's header; with ``redigest`` recompute
+    its sha256 the way the format-3 writer does."""
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    if redigest:
+        fields = {name: header.get(name) for name in ("status", "error", "board")}
+        answer = json.dumps(fields, separators=(",", ":")).encode()
+        header["sha256"] = hashlib.sha256(answer + b"\n" + body).hexdigest()
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n" + body)
+
+
+class TestEntryHeader:
+    def test_format_2_entry_is_a_plain_miss_and_is_rewritten(self, tmp_path):
+        app = RouterApp(str(tmp_path / "cache"))
+        payload = ok_payload()
+        _, miss = app.route(payload)
+        path = entry_file(app, miss["key"])
+        with open(path, "rb") as fh:
+            head, _, body = fh.read().partition(b"\n")
+        header = json.loads(head)
+        assert header["version"] == 3
+        # What the format-2 writer wrote: no answer fields, and a digest
+        # of the parts alone.
+        for name in ("status", "error", "board"):
+            del header[name]
+        header.update(version=2, sha256=hashlib.sha256(body).hexdigest())
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + body)
+
+        status, again = app.route(payload)
+        assert (status, again["cache"]) == (200, "miss")
+        stats = app.cache.stats()
+        assert stats["corrupt"] == 0 and stats["quarantined"] == 0
+        assert stats["entries"] == 1
+        with open(path, "rb") as fh:
+            rewritten = json.loads(fh.readline())
+        assert rewritten["version"] == 3 and rewritten["status"] == "ok"
+        assert app.route(payload)[1]["cache"] == "hit"
+
+    @pytest.mark.parametrize(
+        "edit, redigest",
+        [
+            (lambda header: header.pop("status"), True),
+            (lambda header: header.update(status=200), True),
+            (lambda header: header.update(status=None), True),
+            (lambda header: header.update(error="boom"), True),
+            (lambda header: header.update(status="failed"), False),
+            (lambda header: header.update(board="other"), False),
+        ],
+        ids=[
+            "status-missing",
+            "status-int",
+            "status-null",
+            "error-string",
+            "status-edited",
+            "board-edited",
+        ],
+    )
+    def test_bad_header_is_quarantined_and_rerouted(self, tmp_path, edit, redigest):
+        app = RouterApp(str(tmp_path / "cache"))
+        payload = ok_payload()
+        _, miss = app.route(payload)
+        rewrite_header(entry_file(app, miss["key"]), edit, redigest)
+        status, again = app.route(payload)
+        assert (status, again["cache"], again["status"]) == (200, "miss", "ok")
+        stats = app.cache.stats()
+        assert stats["corrupt"] == 1 and stats["quarantined"] == 1
+        status, hit = app.route(payload)
+        assert (status, hit["cache"]) == (200, "hit")
 
 
 @pytest.mark.parametrize(
