@@ -20,17 +20,16 @@ Design points:
   part is an object (:data:`~repro.io.ANSWER_FIELDS`, which are what an
   answer repeats outside the result), and a ``sha256`` that covers those
   three fields and everything after the header line.
-  :meth:`ResultCache.put` encodes each value once (:meth:`publish`
-  reuses the bytes it already made for the answer), and the stored
-  bytes are exactly ``json.dumps(value, separators=(",", ":"))``.
-* **Digest-checked reads that decode nothing** — :meth:`ResultCache.get`
-  checks the header, the answer fields' types and the digest, then
-  returns a read-only :class:`CacheEntry` whose ``answer`` holds the
-  header's fields and whose object parts are :class:`StoredObject`
-  dicts that decode on first read.  The daemon builds a hit's envelope
-  from ``answer`` and splices each part's stored bytes into its
-  response, so a hit decodes no part; an in-process caller still reads
-  the parts as dicts.
+  :meth:`CacheEntry.of` encodes each value once, and the stored bytes
+  are exactly ``json.dumps(value, separators=(",", ":"))``.
+* **One entry type for reads and writes** — a :class:`CacheEntry` is a
+  plain record of each part's bytes (``encoded``) and the answer
+  fields (``answer``).  :meth:`ResultCache.get` checks the header, the
+  answer fields' types and the digest and returns the stored bytes
+  undecoded; :meth:`ResultCache.publish` returns the entry it just
+  encoded and stored.  The daemon answers a hit and a miss alike from
+  ``answer`` and the part bytes, and a caller that wants a part as a
+  value decodes it with ``json.loads``.
 * **Other formats are misses** — an entry whose header is a
   ``cache_entry`` of another format version is counted as a plain miss,
   not as corruption.  An older one (every entry of a store that
@@ -93,14 +92,13 @@ import re
 import tempfile
 import threading
 import time
-from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from .._version import __version__
 from .. import faults, obs
 from ..io import (
     ANSWER_FIELDS,
-    Encoded,
     answer_fields,
     board_to_dict,
     canonical_json,
@@ -160,127 +158,6 @@ class StaleEntry(Exception):
         self.version = version
 
 
-class StoredObject(Encoded):
-    """An object part of an entry, decoded the first time it is read.
-
-    Until then its dict storage holds one placeholder item, because
-    ``json``'s C encoder writes an empty dict as ``{}`` without calling
-    any method; a non-empty dict subclass is asked for its ``items()``,
-    which decodes.  Every read decodes first, every write raises
-    ``TypeError``, and a copy (``copy()``, ``copy.deepcopy``, pickle)
-    is a plain dict.  A writer that splices ``encoded`` reads nothing.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, encoded: bytes) -> None:
-        dict.__init__(self, {_PLACEHOLDER: None})
-        self.encoded = encoded
-        self._pending = True
-
-    def _load(self) -> "StoredObject":
-        if self._pending:
-            # Never empty in between: a racing reader sees either the
-            # placeholder (and loads too) or the whole object.
-            dict.update(self, json.loads(self.encoded))
-            dict.pop(self, _PLACEHOLDER, None)
-            self._pending = False
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StoredObject):
-            other._load()
-        return dict.__eq__(self._load(), other)
-
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, StoredObject):
-            other._load()
-        return dict.__ne__(self._load(), other)
-
-    def __reduce_ex__(self, protocol: int):
-        return dict, (dict.copy(self._load()),)
-
-
-#: The key of a :class:`StoredObject`'s storage until it decodes.
-_PLACEHOLDER = object()
-
-
-def _reader(name: str):
-    method = getattr(dict, name)
-
-    def read(self, *args):
-        return method(self._load(), *args)
-
-    read.__name__ = read.__qualname__ = name
-    return read
-
-
-def _read_only(self, *args, **kwargs):
-    raise TypeError("a stored cache part is read-only")
-
-
-for _name in (
-    "__getitem__", "__contains__", "__iter__", "__reversed__", "__len__",
-    "__repr__", "__or__", "__ror__", "get", "keys", "values", "items", "copy",
-):
-    setattr(StoredObject, _name, _reader(_name))
-for _name in (
-    "__setitem__", "__delitem__", "__ior__",
-    "clear", "pop", "popitem", "setdefault", "update",
-):
-    setattr(StoredObject, _name, _read_only)
-
-
-class CacheEntry(Mapping):
-    """One stored payload: read-only, parts decoded on first read.
-
-    An object part is a :class:`StoredObject` that decodes the first
-    time it is read, so a caller that answers with it splices its stored
-    bytes and decodes nothing; ``encoded[name]`` holds every part's
-    bytes.  ``answer`` is the header's copy of the ``result`` part's
-    :data:`~repro.io.ANSWER_FIELDS` (``None`` when that part is not an
-    object).
-    """
-
-    __slots__ = ("encoded", "answer", "_parts")
-
-    def __init__(
-        self, encoded: Dict[str, bytes], answer: Optional[Dict[str, Any]] = None
-    ) -> None:
-        self.encoded = encoded
-        self.answer = answer
-        self._parts: Dict[str, Any] = {}
-
-    def __getitem__(self, name: str) -> Any:
-        try:
-            return self._parts[name]
-        except KeyError:
-            raw = self.encoded[name]
-            value = StoredObject(raw) if raw[:1] == b"{" else json.loads(raw)
-            self._parts[name] = value
-            return value
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.encoded
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.encoded)
-
-    def __len__(self) -> int:
-        return len(self.encoded)
-
-
-def _encode_parts(payload: Dict[str, Any]) -> Dict[str, bytes]:
-    """Each top-level value of ``payload`` as compact JSON bytes, reusing
-    the bytes an :class:`~repro.io.Encoded` value carries."""
-    return {
-        name: value.encoded
-        if isinstance(value, Encoded)
-        else json.dumps(value, separators=(",", ":")).encode("ascii")
-        for name, value in payload.items()
-    }
-
-
 def _check_answer(answer: Dict[str, Any]) -> None:
     """``ValueError`` unless the answer fields have the types a
     run's do: ``status`` and ``board`` strings, ``error`` an object or
@@ -298,6 +175,35 @@ def _check_answer(answer: Dict[str, Any]) -> None:
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
+@dataclass(slots=True)
+class CacheEntry:
+    """One stored payload: each part's compact JSON bytes and the answer.
+
+    ``encoded`` maps each top-level payload name to exactly
+    ``json.dumps(value, separators=(",", ":"))`` as ASCII bytes, which is
+    what the entry file stores and what the daemon writes into its
+    answers.  ``answer`` is the ``result`` part's
+    :data:`~repro.io.ANSWER_FIELDS` (``None`` when that part is not an
+    object), which the entry header repeats.  A reader that wants a part
+    as a value decodes its bytes with ``json.loads``.
+    """
+
+    encoded: Dict[str, bytes]
+    answer: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def of(cls, payload: Dict[str, Any]) -> "CacheEntry":
+        """``payload`` with each value encoded once, here."""
+        result = payload.get("result")
+        return cls(
+            {
+                name: _COMPACT.encode(value).encode("ascii")
+                for name, value in payload.items()
+            },
+            answer_fields(result) if isinstance(result, dict) else None,
+        )
+
+
 def _digest(answer: Optional[Dict[str, Any]], body: bytes) -> str:
     """The entry digest: the answer fields' compact JSON (``null``
     without them), a newline, then every part."""
@@ -307,24 +213,22 @@ def _digest(answer: Optional[Dict[str, Any]], body: bytes) -> str:
     return hasher.hexdigest()
 
 
-def _entry_bytes(
-    key: str, parts: Dict[str, bytes], answer: Optional[Dict[str, Any]]
-) -> bytes:
+def _entry_bytes(key: str, entry: CacheEntry) -> bytes:
     """The format-3 entry file: a one-line JSON header, then each part
-    followed by a newline.  The header carries ``answer``, the
-    ``result`` part's answer fields (when it is an object), and a
-    ``sha256`` that covers them and everything after the header line."""
-    body = b"".join(part + b"\n" for part in parts.values())
+    followed by a newline.  The header carries the entry's ``answer``
+    fields (when the ``result`` part is an object) and a ``sha256`` that
+    covers them and everything after the header line."""
+    body = b"".join(part + b"\n" for part in entry.encoded.values())
     header = {
         "kind": CACHE_KIND,
         "version": CACHE_FORMAT_VERSION,
         "repro_version": __version__,
         "key": key,
-        "parts": {name: len(part) for name, part in parts.items()},
+        "parts": {name: len(part) for name, part in entry.encoded.items()},
     }
-    if answer is not None:
-        header.update(answer)
-    header["sha256"] = _digest(answer, body)
+    if entry.answer is not None:
+        header.update(entry.answer)
+    header["sha256"] = _digest(entry.answer, body)
     return json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n" + body
 
 
@@ -430,18 +334,19 @@ class ResultCache:
     # -- core operations ----------------------------------------------------
 
     def get(self, key: str) -> Optional[CacheEntry]:
-        """The entry payload for ``key``, or ``None`` on a miss.
+        """The :class:`CacheEntry` stored under ``key``, or ``None`` on a
+        miss.
 
-        The payload is a read-only :class:`CacheEntry` that carries the
-        header's answer fields and decodes a part the first time it is
-        read.  A hit refreshes the entry's mtime (the LRU clock).  A
+        Its ``encoded`` parts are the stored bytes (no part is decoded)
+        and its ``answer`` is the header's copy of the result's answer
+        fields.  A hit refreshes the entry's mtime (the LRU clock).  A
         present but unreadable entry — truncated write from a killed
         process, garbage bytes, a foreign document, a missing or
         mistyped answer field, fields or parts that fail the header's
-        digest — is
-        quarantined and counted as corrupt *and* a miss: callers always
-        either get a valid payload or re-route.  An entry of another
-        format version is a plain miss; an older one is also deleted.
+        digest — is quarantined and counted as corrupt *and* a miss:
+        callers always either get a valid entry or re-route.  An entry
+        of another format version is a plain miss; an older one is also
+        deleted.
         """
         started = time.perf_counter()
         with obs.span("cache.get", key=key[:16]) as sp:
@@ -495,11 +400,14 @@ class ResultCache:
         self.metrics.inc("repro_cache_hits_total")
         return entry
 
-    def put(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
+    def put(
+        self, key: str, payload: Union[Dict[str, Any], CacheEntry]
+    ) -> Optional[str]:
         """Store ``payload`` under ``key``; returns the entry path, or
         ``None`` when the store is (or just became) degraded.
 
-        When ``payload["result"]`` is an object, its answer fields go
+        A dict payload is encoded with :meth:`CacheEntry.of`; an entry
+        is written as it is.  The answer fields of a ``result`` object go
         into the entry header (``ValueError`` when they have the wrong
         types: a status or board name that is not a string, an error
         that is not an object or ``None``).
@@ -523,37 +431,38 @@ class ResultCache:
         )
         return path
 
-    def publish(
-        self, key: str, result: "RunResult", board: "Board"
-    ) -> Tuple[Encoded, Encoded]:
+    def publish(self, key: str, result: "RunResult", board: "Board") -> CacheEntry:
         """Encode one finished run and store it under ``key``.
 
-        Returns ``(result_dict, routed_board_dict)`` as
-        :class:`~repro.io.Encoded` dicts: each is encoded once, and the
-        same bytes are stored and spliced into the caller's answer.  Ok
-        and failed runs are deterministic verdicts and are stored as
-        ``{"result", "routed_board"}``; a crashed run is encoded but not
-        stored — a crash may be transient (resources, a timeout, a
-        killed worker), and caching it would pin the failure past its
-        cause.
+        Returns the :class:`CacheEntry` of ``{"result", "routed_board"}``,
+        the same one a later :meth:`get` returns: each part is encoded
+        once, and its bytes are both stored and written into the
+        caller's answer.  Ok and failed runs are deterministic verdicts
+        and are stored; a crashed run is encoded but not stored — a crash
+        may be transient (resources, a timeout, a killed worker), and
+        caching it would pin the failure past its cause.
         """
         with obs.span("cache.encode", status=result.status):
-            result_dict = Encoded.of(run_result_to_dict(result))
-            routed = Encoded.of(board_to_dict(board))
+            entry = CacheEntry.of(
+                {
+                    "result": run_result_to_dict(result),
+                    "routed_board": board_to_dict(board),
+                }
+            )
         if result.status != "crashed":
-            self.put(key, {"result": result_dict, "routed_board": routed})
-        return result_dict, routed
+            self.put(key, entry)
+        return entry
 
-    def _put(self, key: str, payload: Dict[str, Any]) -> Optional[str]:
+    def _put(
+        self, key: str, payload: Union[Dict[str, Any], CacheEntry]
+    ) -> Optional[str]:
         path = self._path(key)
         if self.degraded is not None:
             return None
-        result = payload.get("result")
-        answer = None
-        if isinstance(result, dict):
-            answer = answer_fields(result)
-            _check_answer(answer)
-        data = _entry_bytes(key, _encode_parts(payload), answer)
+        entry = payload if isinstance(payload, CacheEntry) else CacheEntry.of(payload)
+        if entry.answer is not None:
+            _check_answer(entry.answer)
+        data = _entry_bytes(key, entry)
         spec = faults.decide("cache.write", key=key)
         try:
             if spec is not None and spec.mode == "torn":
@@ -765,6 +674,5 @@ __all__ = [
     "SWEEP_EVERY_PUTS",
     "CacheEntry",
     "ResultCache",
-    "StoredObject",
     "cache_key",
 ]

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ._version import __version__
 from .api.result import RunResult, StageRecord
@@ -506,28 +506,6 @@ def load_result(path: str) -> RunResult:
 # same order.
 
 
-class Encoded(dict):
-    """A decoded JSON object that carries its own compact encoding.
-
-    ``encoded`` is exactly ``json.dumps(self, separators=(",", ":"))`` as
-    ASCII bytes, so a writer can splice it instead of encoding the
-    object again (the daemon answers cache hits and misses this way, and
-    the cache stores the same bytes).  Treat it as read-only: a mutated
-    object would no longer match its bytes.
-    """
-
-    __slots__ = ("encoded",)
-
-    def __init__(self, value: Dict[str, Any], encoded: bytes) -> None:
-        super().__init__(value)
-        self.encoded = encoded
-
-    @classmethod
-    def of(cls, value: Dict[str, Any]) -> "Encoded":
-        """``value`` with its encoding computed once, here."""
-        return cls(value, json.dumps(value, separators=(",", ":")).encode("ascii"))
-
-
 #: The fields of an encoded run that an answer repeats outside it, each
 #: with the value a result without it reads as.
 ANSWER_FIELDS = {"status": "ok", "error": None, "board": ""}
@@ -545,7 +523,7 @@ def answer_fields(result_dict: Dict[str, Any]) -> Dict[str, Any]:
 def route_response(
     key: str,
     cache: Optional[str],
-    result_dict: Dict[str, Any],
+    result_dict: Union[Dict[str, Any], bytes],
     fields: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The ``route_response`` envelope around one encoded run.
@@ -555,7 +533,8 @@ def route_response(
     address a daemon would serve for the same request.  A crash record
     in the result is repeated at the top level for 422/500 consumers.
     ``fields`` are the run's :func:`answer_fields` when the caller has
-    them already; ``result_dict`` is then not read.
+    them already; ``result_dict`` is then not read, and may be the run's
+    stored compact JSON bytes (the daemon's answers carry those).
     """
     if fields is None:
         fields = answer_fields(result_dict)

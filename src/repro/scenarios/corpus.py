@@ -17,6 +17,7 @@ round-trips through :func:`repro.io.save_corpus_report` and is what the
 
 from __future__ import annotations
 
+import json
 import os
 import statistics
 import time
@@ -335,13 +336,14 @@ def run_corpus(
             entry = cache_obj.get(key)
             if entry is None:
                 continue
-            result = run_result_from_dict(entry["result"])
-            if entry.get("routed_board") is not None:
+            result = run_result_from_dict(json.loads(entry.encoded["result"]))
+            routed = json.loads(entry.encoded.get("routed_board", b"null"))
+            if routed is not None:
                 # Adopt the cached routed geometry so skew/DRC metrics
                 # see the board exactly as the producing run left it.
                 from ..api.executor import _adopt_routed
 
-                _adopt_routed(board, board_from_dict(entry["routed_board"]))
+                _adopt_routed(board, board_from_dict(routed))
             case = _case_metrics(board, result)
             cases_by_board[board.name] = case
             cached_names.add(board.name)

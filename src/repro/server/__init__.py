@@ -3,8 +3,8 @@
 A long-lived, stdlib-only HTTP/JSON daemon that keeps the library
 imported and fronts every routing request with the persistent
 content-addressed result cache (:mod:`repro.cache`), so a repeated
-identical request is served in microseconds without executing any
-pipeline stage.
+identical request is answered from its stored bytes without executing
+any pipeline stage.
 
 Surface:
 

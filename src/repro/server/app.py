@@ -33,6 +33,7 @@ import json
 import os
 import queue
 import socket
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -53,11 +54,9 @@ from .. import faults, obs
 from .._version import __version__
 from ..api import RoutingSession, SessionConfig
 from ..api.executor import run_batch
-from ..cache import DEFAULT_MAX_BYTES, ResultCache, cache_key
+from ..cache import DEFAULT_MAX_BYTES, CacheEntry, ResultCache, cache_key
 from ..drc import check_board
 from ..io import (
-    Encoded,
-    answer_fields,
     board_from_dict,
     board_to_dict,
     check_response,
@@ -131,6 +130,21 @@ class ShuttingDown(RuntimeError):
     in-flight ones run to completion (the SIGTERM contract)."""
 
 
+def _helper_thread(target: Callable[[], None]) -> threading.Thread:
+    """Start ``target`` on a daemon thread that adopts the caller's trace
+    (collectors are thread-local), so the pipeline's spans land in the
+    request's trace."""
+    parent_trace = obs.current_trace()
+
+    def run() -> None:
+        with obs.use_trace(parent_trace):
+            target()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
 def _stream(
     work: Callable[[Callable[[Dict[str, Any]], None]], None]
 ) -> Iterator[Dict[str, Any]]:
@@ -138,22 +152,17 @@ def _stream(
 
     ``run_batch`` and ``run_corpus`` report only through callbacks; the
     thread turns that push interface into the pull iterator a chunked
-    HTTP response needs.  The helper adopts the caller's trace
-    (collectors are thread-local), so the pipeline's spans land in the
-    request's trace.
+    HTTP response needs.
     """
     events: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
-    parent_trace = obs.current_trace()
 
     def run() -> None:
         try:
-            with obs.use_trace(parent_trace):
-                work(events.put)
+            work(events.put)
         finally:
             events.put(None)
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
+    thread = _helper_thread(run)
     while True:
         event = events.get()
         if event is None:
@@ -297,19 +306,14 @@ class RouterApp:
         if self.request_deadline is None:
             return fn()
         box: Dict[str, Any] = {}
-        # Collectors are thread-local; the helper adopts the request
-        # thread's trace so the pipeline's spans land in it.
-        parent_trace = obs.current_trace()
 
         def call() -> None:
             try:
-                with obs.use_trace(parent_trace):
-                    box["value"] = fn()
+                box["value"] = fn()
             except BaseException as exc:  # re-raised on the request thread
                 box["error"] = exc
 
-        thread = threading.Thread(target=call, daemon=True)
-        thread.start()
+        thread = _helper_thread(call)
         thread.join(self.request_deadline)
         if thread.is_alive():
             return self._deadline_exceeded()
@@ -351,7 +355,7 @@ class RouterApp:
         requested = payload.get("workers")
         if requested is None:
             return self.workers
-        if not isinstance(requested, int) or requested < 1:
+        if type(requested) is not int or requested < 1:
             raise RequestError("'workers' must be a positive integer")
         if self.workers is not None:
             return min(requested, self.workers)
@@ -420,15 +424,13 @@ class RouterApp:
 
         On a hit nothing of the pipeline runs — not even board
         decoding, nor parsing the body when the memo knows it — and no
-        part of the stored entry is decoded: the envelope's status and
-        error come from the entry header, and the stored parts ride in
-        it for the transport to splice.  On a miss the board is routed
-        in-process with crash capture, and any non-crashed outcome (ok
-        *and* failed are both deterministic verdicts) is published to
-        the cache.  A miss whose key another request is routing waits
-        for that route and answers from the cache; it routes the board
-        itself only when nothing was stored (a crash, a degraded cache,
-        an eviction).
+        part of the stored entry is decoded (see :func:`_answer`).  On a
+        miss the board is routed in-process with crash capture, and any
+        non-crashed outcome (ok *and* failed are both deterministic
+        verdicts) is published to the cache.  A miss whose key another
+        request is routing waits for that route and answers from the
+        cache; it routes the board itself only when nothing was stored
+        (a crash, a degraded cache, an eviction).
         """
         key, return_board, payload, config = self._key(payload, body, digest)
         entry = self.cache.get(key)
@@ -443,10 +445,7 @@ class RouterApp:
                     return self._deadline_exceeded()
                 entry = self.cache.get(key)
         if entry is not None:
-            envelope = route_response(key, "hit", entry["result"], entry.answer)
-            if return_board:
-                envelope["routed_board"] = entry["routed_board"]
-            return envelope
+            return _answer(key, "hit", entry, return_board)
         try:
             if payload is None:
                 # A memoized body whose entry was evicted routes as a new one.
@@ -458,16 +457,13 @@ class RouterApp:
             except (ValueError, KeyError, TypeError) as exc:
                 raise RequestError(f"invalid board document: {exc}") from exc
             result = RoutingSession(board, config=config).run(capture_errors=True)
-            result_dict, routed = self.cache.publish(key, result, board)
+            entry = self.cache.publish(key, result, board)
         finally:
             if routing is not None:
                 with self._lock:
                     del self._routing[key]
                 routing.set()
-        envelope = route_response(key, "miss", result_dict)
-        if return_board:
-            envelope["routed_board"] = routed
-        return envelope
+        return _answer(key, "miss", entry, return_board)
 
     # -- endpoints ----------------------------------------------------------
 
@@ -567,8 +563,8 @@ class RouterApp:
         return 200, {
             "kind": "result_response",
             "key": key,
-            "result": entry["result"],
-            "routed_board": entry.get("routed_board"),
+            "result": entry.encoded["result"],
+            "routed_board": entry.encoded.get("routed_board"),
         }
 
     def route(
@@ -631,26 +627,17 @@ class RouterApp:
         misses: list = []  # (input index, decoded board) pairs
 
         def board_event(
-            index: int,
-            key: str,
-            cache_state: str,
-            result_dict: Dict[str, Any],
-            routed: Optional[Dict[str, Any]],
-            fields: Optional[Dict[str, Any]] = None,
+            index: int, cache_state: Optional[str], entry: CacheEntry
         ) -> Dict[str, Any]:
-            if fields is None:
-                fields = answer_fields(result_dict)
-            envelope = route_response(key, cache_state, result_dict, fields)
+            envelope = _answer(keys[index], cache_state, entry, return_board)
             counts[envelope["status"]] = counts.get(envelope["status"], 0) + 1
             event = {
                 "event": "board_done",
                 "index": index,
-                "board": fields["board"],
+                "board": entry.answer["board"],
                 **envelope,
             }
             event["kind"] = "route_event"
-            if return_board:
-                event["routed_board"] = routed
             return event
 
         def generate() -> Iterator[Dict[str, Any]]:
@@ -659,14 +646,7 @@ class RouterApp:
                 entry = None if keys[index] is None else self.cache.get(keys[index])
                 if entry is not None:
                     hits += 1
-                    yield board_event(
-                        index,
-                        keys[index],
-                        "hit",
-                        entry["result"],
-                        entry["routed_board"] if return_board else None,
-                        entry.answer,
-                    )
+                    yield board_event(index, "hit", entry)
                 else:
                     try:
                         if keys[index] is None:
@@ -686,25 +666,17 @@ class RouterApp:
                         )
                         yield board_event(
                             index,
-                            keys[index],
                             None if keys[index] is None else "miss",
-                            run_result_to_dict(result),
-                            None,
+                            CacheEntry.of({"result": run_result_to_dict(result)}),
                         )
             if misses:
                 indices = [index for index, _ in misses]
 
                 def work(emit) -> None:
                     def on_board_done(pos: int, board, result) -> None:
-                        key = keys[indices[pos]]
-                        result_dict, routed = self.cache.publish(
-                            key, result, board
-                        )
-                        emit(
-                            board_event(
-                                indices[pos], key, "miss", result_dict, routed
-                            )
-                        )
+                        index = indices[pos]
+                        entry = self.cache.publish(keys[index], result, board)
+                        emit(board_event(index, "miss", entry))
 
                     run_batch(
                         [board for _, board in misses],
@@ -759,7 +731,7 @@ class RouterApp:
         incremental far beyond ``--resume``.
         """
         self._count("corpus")
-        from ..scenarios import run_corpus
+        from ..scenarios import CORPUS_GATE, run_corpus
         from ..scenarios.registry import get as get_scenario
 
         names = payload.get("scenarios")
@@ -772,7 +744,18 @@ class RouterApp:
                 except KeyError as exc:
                     raise RequestError(str(exc.args[0])) from exc
         seeds = payload.get("seeds")
-        quick = bool(payload.get("quick", False))
+        if seeds is not None and not (
+            isinstance(seeds, list) and all(type(seed) is int for seed in seeds)
+        ):
+            raise RequestError("'seeds' must be a list of integers")
+        quick = payload.get("quick", False)
+        if type(quick) is not bool:
+            raise RequestError("'quick' must be true or false")
+        gate = payload.get("gate")
+        if gate is not None and not (
+            type(gate) in (int, float) and abs(gate) <= sys.float_info.max
+        ):
+            raise RequestError("'gate' must be a finite number")
         preset = payload.get("preset", "fast")
         if preset not in SessionConfig.PRESETS:
             raise RequestError(
@@ -780,24 +763,21 @@ class RouterApp:
                 f"{', '.join(SessionConfig.PRESETS)}"
             )
         workers = self._request_workers(payload)
-        gate = payload.get("gate")
 
         def work(emit) -> None:
-            kwargs: Dict[str, Any] = dict(
-                scenarios=names,
-                seeds=seeds,
-                quick=quick,
-                preset=preset,
-                workers=workers,
-                cache=self.cache,
-                on_case=lambda case: emit(
-                    {"kind": "corpus_event", "event": "case_done", **case}
-                ),
-            )
             try:
-                if gate is not None:
-                    kwargs["gate"] = float(gate)
-                report = run_corpus(**kwargs)
+                report = run_corpus(
+                    scenarios=names,
+                    seeds=seeds,
+                    quick=quick,
+                    preset=preset,
+                    workers=workers,
+                    cache=self.cache,
+                    gate=CORPUS_GATE if gate is None else float(gate),
+                    on_case=lambda case: emit(
+                        {"kind": "corpus_event", "event": "case_done", **case}
+                    ),
+                )
             except Exception as exc:  # surfaced as the final event
                 emit(
                     {
@@ -857,14 +837,31 @@ def _parse_body(raw: bytes) -> Dict[str, Any]:
     return payload
 
 
+def _answer(
+    key: Optional[str],
+    cache_state: Optional[str],
+    entry: CacheEntry,
+    return_board: bool,
+) -> Dict[str, Any]:
+    """The ``route_response`` envelope of a stored or just-published
+    entry, with its routed board when ``return_board``.  The status and
+    error come from ``entry.answer`` and the parts ride as their stored
+    bytes, which :func:`_json_body` writes verbatim: no part is decoded
+    or encoded again."""
+    envelope = route_response(key, cache_state, entry.encoded["result"], entry.answer)
+    if return_board:
+        envelope["routed_board"] = entry.encoded.get("routed_board")
+    return envelope
+
+
 def _json_body(payload: Dict[str, Any]) -> bytes:
-    """``json.dumps(payload, separators=(",", ":"))`` as bytes, with the
-    stored bytes of each :class:`~repro.io.Encoded` value written
-    verbatim instead of encoding that value again."""
+    """``json.dumps(payload, separators=(",", ":"))`` as bytes, where a
+    ``bytes`` value is JSON already encoded that way and is written
+    verbatim."""
     items = []
     for name, value in payload.items():
-        if isinstance(value, Encoded):
-            raw = value.encoded
+        if isinstance(value, bytes):
+            raw = value
         else:
             raw = json.dumps(value, separators=(",", ":")).encode("utf-8")
         items.append(json.dumps(name).encode("utf-8") + b":" + raw)

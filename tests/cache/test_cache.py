@@ -111,11 +111,11 @@ class TestCacheKey:
 
 @pytest.mark.smoke
 class TestCacheStore:
-    def test_put_get_roundtrip(self, cache):
+    def test_put_get_roundtrip(self, cache, decoded):
         key = "ab" * 32
         payload = {"result": {"status": "ok"}, "routed_board": {"name": "b"}}
         cache.put(key, payload)
-        assert cache.get(key) == payload
+        assert decoded(cache.get(key)) == payload
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 0
         assert stats["entries"] == 1 and stats["bytes"] > 0
@@ -171,57 +171,20 @@ class TestCacheStore:
             cache.put("ab" * 32, {"result": result})
         assert cache.stats()["entries"] == 0
 
-    def test_entry_decodes_parts_lazily_and_keeps_their_bytes(self, cache):
+    def test_get_returns_each_part_as_its_compact_json(self, cache):
         key = "ab" * 32
-        payload = {"result": {"status": "ok"}, "routed_board": {"name": "b"}}
+        payload = {
+            "result": {"status": "ok", "v": [0.1, {"w": None}]},
+            "routed_board": {"name": "caf\u00e9"},
+        }
         cache.put(key, payload)
         entry = cache.get(key)
-        assert "routed_board" in entry and "other" not in entry
         assert entry.encoded == {
             name: json.dumps(value, separators=(",", ":")).encode()
             for name, value in payload.items()
         }
-        assert entry["result"] == {"status": "ok"}
-        assert entry["result"] is entry["result"]  # read once
-        assert entry["result"].encoded == entry.encoded["result"]
-        assert entry["routed_board"].encoded == entry.encoded["routed_board"]
-        assert entry.get("absent") is None
-        with pytest.raises(TypeError):
-            entry["result"] = {}  # read-only
-        assert dict(entry) == payload and list(entry) == list(payload)
-
-    def test_object_part_decodes_on_first_read(self, cache, monkeypatch):
-        import copy
-        import pickle
-
-        key = "ab" * 32
-        value = {"status": "ok", "v": [0.1, {"w": None}]}
-        cache.put(key, {"result": value})
-        part = cache.get(key)["result"]
-        assert isinstance(part, dict) and isinstance(part, cache_mod.StoredObject)
-        loads = []
-        monkeypatch.setattr(
-            cache_mod, "json", type("J", (), {"loads": lambda raw: loads.append(raw)})
-        )
-        assert part.encoded == json.dumps(value, separators=(",", ":")).encode()
-        assert loads == []
-        monkeypatch.undo()
-        # The encoder, comparisons and copies all see the decoded object.
-        assert json.dumps(part, separators=(",", ":")).encode() == part.encoded
-        other = cache.get(key)["result"]
-        assert other == part == value and not (other != value)
-        assert len(part) == 2 and list(part) == ["status", "v"] and "v" in part
-        for clone in (part.copy(), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
-            assert type(clone) is dict and clone == value
-        for write in (
-            lambda p: p.__setitem__("x", 1),
-            lambda p: p.update(x=1),
-            lambda p: p.pop("v"),
-            lambda p: p.clear(),
-        ):
-            with pytest.raises(TypeError):
-                write(part)
-        assert part == value
+        assert entry.answer == {"status": "ok", "error": None, "board": ""}
+        assert entry == cache_mod.CacheEntry.of(payload)
 
     def test_absent_key_is_a_miss(self, cache):
         assert cache.get("cd" * 32) is None
@@ -244,11 +207,11 @@ class TestCacheStore:
         stats = cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
 
-    def test_overwrite_wins(self, cache):
+    def test_overwrite_wins(self, cache, decoded):
         key = "12" * 32
         cache.put(key, {"v": 1})
         cache.put(key, {"v": 2})
-        assert cache.get(key) == {"v": 2}
+        assert decoded(cache.get(key)) == {"v": 2}
         assert cache.stats()["entries"] == 1
 
     def test_clear(self, cache):
@@ -274,7 +237,7 @@ class TestCorruption:
             json.dumps(["a", "list"]).encode(),  # wrong shape
         ],
     )
-    def test_garbage_entry_is_miss_and_repaired(self, cache, garbage):
+    def test_garbage_entry_is_miss_and_repaired(self, cache, decoded, garbage):
         key = "56" * 32
         path = self._entry_path(cache, key)
         with open(path, "wb") as fh:
@@ -285,7 +248,7 @@ class TestCorruption:
         stats = cache.stats()
         assert stats["corrupt"] == 1 and stats["misses"] == 1
         cache.put(key, {"v": 2})
-        assert cache.get(key) == {"v": 2}
+        assert decoded(cache.get(key)) == {"v": 2}
 
     def test_wrong_key_in_document_is_corrupt(self, cache):
         # An entry renamed to another address must not serve under it.
@@ -313,7 +276,7 @@ class TestCorruption:
         with open(quarantined, "rb") as fh:
             assert fh.read() == tampered
 
-    def test_stale_format_entry_is_a_plain_miss(self, cache):
+    def test_stale_format_entry_is_a_plain_miss(self, cache, decoded):
         # A version-1 entry, written exactly as the format-1 writer did:
         # after an upgrade every entry of a store looks like this.  It is
         # deleted, not quarantined, and not counted as corrupt.
@@ -336,7 +299,7 @@ class TestCorruption:
         qdir = os.path.join(cache.cache_dir, QUARANTINE_DIR)
         assert not os.path.isdir(qdir) or not os.listdir(qdir)
         cache.put(key, {"v": 2})
-        assert cache.get(key) == {"v": 2}
+        assert decoded(cache.get(key)) == {"v": 2}
 
     def test_newer_format_entry_is_a_miss_left_in_place(self, cache):
         # Written by a newer daemon sharing the store: this one cannot
@@ -359,7 +322,7 @@ class TestCorruption:
         assert stats["corrupt"] == 0 and stats["quarantined"] == 0
 
     def test_stale_delete_spares_an_entry_renamed_in_after_the_read(
-        self, cache, monkeypatch
+        self, cache, decoded, monkeypatch
     ):
         # A writer publishes a current entry between this reader's read
         # of the old-format file and its delete: the new entry survives.
@@ -376,7 +339,7 @@ class TestCorruption:
         monkeypatch.setattr(ResultCache, "_drop_stale", drop_after_a_put)
         assert cache.get(key) is None
         monkeypatch.undo()
-        assert cache.get(key) == {"v": 2}
+        assert decoded(cache.get(key)) == {"v": 2}
         assert sorted(os.listdir(cache.cache_dir)) == [f"{key}.json"]
 
 
@@ -462,7 +425,7 @@ class TestConcurrency:
     """Two processes writing the same key: atomic rename wins, readers
     never observe a torn entry."""
 
-    def test_concurrent_writers_no_torn_reads(self, tmp_path):
+    def test_concurrent_writers_no_torn_reads(self, tmp_path, decoded):
         cache_dir = str(tmp_path / "c")
         cache = ResultCache(cache_dir)
         key = "bc" * 32
@@ -487,9 +450,10 @@ class TestConcurrency:
         observed = set()
         try:
             while any(p.poll() is None for p in writers):
-                payload = cache.get(key)
-                if payload is None:
+                entry = cache.get(key)
+                if entry is None:
                     continue
+                payload = decoded(entry)
                 # Any successfully-read payload must be complete: both
                 # identifying fields present and the padding intact.
                 if (
@@ -505,8 +469,7 @@ class TestConcurrency:
         assert torn == 0
         assert all(p.returncode == 0 for p in writers)
         # The file on disk is one writer's final, complete entry.
-        final = cache.get(key)
-        assert final is not None
+        final = decoded(cache.get(key))
         assert final["writer"] in (1, 2) and final["n"] == rounds - 1
         # Interleaving should have let the reader see both writers at
         # some point; corruption would have shown up as torn reads, so

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from repro.geometry import Point, Polygon, Polyline, rectangle
 from repro.model import Board, DesignRules, DifferentialPair, MatchGroup, Trace
+
+
+@pytest.fixture
+def decoded():
+    """Decodes a daemon envelope or a cache entry the way a client reads
+    its bytes: the stored parts either one carries come back as values."""
+    from repro.server.app import _json_body
+
+    return lambda value: json.loads(_json_body(getattr(value, "encoded", value)))
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ def torn_plan(**kwargs) -> FaultPlan:
 
 
 class TestCorruption:
-    def test_torn_write_quarantines_then_repopulates(self, tmp_path):
+    def test_torn_write_quarantines_then_repopulates(self, tmp_path, decoded):
         cache = ResultCache(str(tmp_path / "cache"))
         with activate(torn_plan(max_fires=1)):
             path = cache.put(KEY_A, PAYLOAD)
@@ -43,7 +43,7 @@ class TestCorruption:
         qdir = tmp_path / "cache" / QUARANTINE_DIR
         assert len(list(qdir.iterdir())) == 1  # ...with the bytes kept
         cache.put(KEY_A, PAYLOAD)  # plan max_fires exhausted: clean write
-        assert cache.get(KEY_A) == PAYLOAD
+        assert decoded(cache.get(KEY_A)) == PAYLOAD
         stats = cache.stats()
         assert stats["corrupt"] == 1
         assert stats["quarantined"] == 1
@@ -60,7 +60,7 @@ class TestCorruption:
         assert cache.get(KEY_A) is None
         assert cache.stats()["quarantined"] == 1
 
-    def test_read_garbage_corrupts_then_real_path_recovers(self, tmp_path):
+    def test_read_garbage_corrupts_then_real_path_recovers(self, tmp_path, decoded):
         cache = ResultCache(str(tmp_path / "cache"))
         cache.put(KEY_A, PAYLOAD)
         plan = FaultPlan(
@@ -71,7 +71,7 @@ class TestCorruption:
             assert cache.get(KEY_A) is None  # the injected bitrot read
         assert cache.stats()["corrupt"] == 1
         assert cache.put(KEY_A, PAYLOAD) is not None
-        assert cache.get(KEY_A) == PAYLOAD
+        assert decoded(cache.get(KEY_A)) == PAYLOAD
 
     def test_quarantined_files_survive_clear(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -86,7 +86,7 @@ class TestCorruption:
 
 class TestDegradedMode:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_enospc_degrades_instead_of_raising(self, tmp_path, seed):
+    def test_enospc_degrades_instead_of_raising(self, tmp_path, decoded, seed):
         cache = ResultCache(str(tmp_path / "cache"))
         plan = FaultPlan(
             "full-disk",
@@ -103,7 +103,7 @@ class TestDegradedMode:
         # Reads still serve; later puts are recorded no-ops even after
         # the plan is gone (degradation is sticky — the disk didn't fix
         # itself because the test block ended).
-        assert cache.get(KEY_A) == PAYLOAD
+        assert decoded(cache.get(KEY_A)) == PAYLOAD
         assert cache.put(KEY_B, PAYLOAD) is None
 
     def test_uncreatable_directory_degrades_at_init(self, tmp_path):

@@ -29,12 +29,12 @@ def payload():
 
 
 @pytest.mark.smoke
-def test_route_imported_board(app, payload):
+def test_route_imported_board(app, payload, decoded):
     status, envelope = app.route(payload)
     assert status == 200
     assert envelope["status"] == "ok"
     assert envelope["cache"] == "miss"
-    result = envelope["result"]
+    result = decoded(envelope)["result"]
     assert result["board"] == "demo_bus"
     # The run artifact keeps the ingestion provenance end to end.
     assert result["provenance"]["name"] == "imported"

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro import RoutingSession, SessionConfig, obs, scenarios
-from repro.cache import ResultCache, cache_key
+from repro.cache import CacheEntry, ResultCache, cache_key
 from repro.drc import check_board
 from repro.geometry import Point, Polyline
 from repro.io import board_to_dict, run_result_to_dict
@@ -258,7 +258,7 @@ class TestLayerSpans:
         result = RoutingSession(board, "fast").run()
         cache = ResultCache(str(tmp_path))
         with obs.trace("publish") as trace:
-            result_dict, routed = cache.publish("0" * 64, result, board)
+            entry = cache.publish("0" * 64, result, board)
         spans = trace.to_dict()["spans"]
         names = [s["name"] for s in spans]
         assert names.count("cache.encode") == 1
@@ -268,8 +268,9 @@ class TestLayerSpans:
         assert "cache.put" in names
         put = next(s for s in spans if s["name"] == "cache.put")
         assert encode["parent"] == put["parent"]
-        assert result_dict == run_result_to_dict(result)
-        assert routed == board_to_dict(board)
+        assert entry == CacheEntry.of(
+            {"result": run_result_to_dict(result), "routed_board": board_to_dict(board)}
+        )
 
 
 @pytest.mark.smoke

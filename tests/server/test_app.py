@@ -9,6 +9,7 @@ adapter, so :class:`TestContentLength` drives a live daemon with raw
 socket writes.
 """
 
+import http.client
 import json
 import socket
 
@@ -99,11 +100,11 @@ class TestRouteStatusMapping:
         assert second["result"] == first["result"]
         assert app.cache.stats()["hits"] == 1
 
-    def test_failed_is_422_with_verdict(self, app):
+    def test_failed_is_422_with_verdict(self, app, decoded):
         status, envelope = app.route(failing_payload())
         assert status == 422
         assert envelope["status"] == "failed"
-        assert envelope["result"]["board"] == "doomed"
+        assert decoded(envelope)["result"]["board"] == "doomed"
 
     def test_failed_verdict_is_cached(self, app):
         # failed is a deterministic verdict, same as ok: the second
@@ -132,14 +133,14 @@ class TestRouteStatusMapping:
         assert first["cache"] == "miss" and second["cache"] == "miss"
         assert app.cache.stats()["entries"] == 0
 
-    def test_return_board_round_trips_geometry(self, app):
+    def test_return_board_round_trips_geometry(self, app, decoded):
         payload = {
             "board": board_to_dict(good_board()),
             "preset": "fast",
             "return_board": True,
         }
         _, envelope = app.route(payload)
-        assert envelope["routed_board"]["name"] == "b0"
+        assert decoded(envelope)["routed_board"]["name"] == "b0"
         # Without the flag the (large) geometry stays out of the wire.
         _, envelope = app.route({k: payload[k] for k in ("board", "preset")})
         assert "routed_board" not in envelope
@@ -307,15 +308,15 @@ class TestPoisonedStage:
 
 @pytest.mark.smoke
 class TestResultEndpoint:
-    def test_cached_artifact_by_key(self, app):
+    def test_cached_artifact_by_key(self, app, decoded):
         _, routed = app.route(
             {"board": board_to_dict(good_board()), "preset": "fast"}
         )
         status, envelope = app.result(routed["key"])
         assert status == 200
         assert envelope["kind"] == "result_response"
-        assert envelope["result"] == routed["result"]
-        assert envelope["routed_board"]["name"] == "b0"
+        assert decoded(envelope)["result"] == decoded(routed)["result"]
+        assert decoded(envelope)["routed_board"]["name"] == "b0"
 
     def test_unknown_key_is_404(self, app):
         status, envelope = app.result("ab" * 32)
@@ -374,6 +375,8 @@ class TestWorkerClamp:
             app._request_workers({"workers": 0})
         with pytest.raises(RequestError):
             app._request_workers({"workers": "many"})
+        with pytest.raises(RequestError):
+            app._request_workers({"workers": True})
 
 
 class TestCorpusEvents:
@@ -479,3 +482,59 @@ class TestContentLength:
         assert len(body) < app_mod.MAX_BODY_BYTES
         status, envelope = raw_post(live_server, str(len(body)), body)
         assert status == 200 and envelope["status"] == "ok"
+
+class TestCorpusKnobs:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            '"seeds": "x"',
+            '"seeds": [0.5, true]',
+            '"seeds": [0, true]',
+            '"seeds": {"0": 0}',
+            '"gate": "abc"',
+            '"gate": NaN',
+            '"gate": 1e400',
+            '"gate": 1' + "0" * 400,
+            '"gate": true',
+            '"quick": "yes"',
+            '"quick": 1',
+            '"quick": null',
+            '"workers": true',
+            '"workers": 1.0',
+        ],
+        ids=[
+            "seeds-string",
+            "seeds-float-bool",
+            "seeds-bool",
+            "seeds-object",
+            "gate-string",
+            "gate-nan",
+            "gate-inf",
+            "gate-past-float",
+            "gate-bool",
+            "quick-string",
+            "quick-int",
+            "quick-null",
+            "workers-bool",
+            "workers-float",
+        ],
+    )
+    def test_malformed_knob_is_400_and_routes_nothing(
+        self, live_server, monkeypatch, knob
+    ):
+        import repro.scenarios as scenarios
+
+        def boom(**kwargs):
+            raise AssertionError("a malformed knob reached the sweep")
+
+        monkeypatch.setattr(scenarios, "run_corpus", boom)
+        body = ('{"scenarios": ["serpentine_bus"], ' + knob + "}").encode()
+        conn = http.client.HTTPConnection(live_server.host, live_server.port, timeout=10)
+        try:
+            conn.request("POST", "/corpus", body=body)
+            resp = conn.getresponse()
+            status, envelope = resp.status, json.loads(resp.read().splitlines()[0])
+        finally:
+            conn.close()
+        assert status == 400, envelope
+        assert envelope["error"]["type"] == "RequestError"

@@ -23,7 +23,7 @@ from repro import obs
 from repro.api import SessionConfig
 from repro.cache import cache_key
 from repro.faults import stable_report_bytes
-from repro.io import Encoded, board_to_dict, load_trace, route_response
+from repro.io import board_to_dict, load_trace, route_response
 from repro.server import RouterApp, make_http_server
 
 from test_app import failing_payload, good_board  # same-directory module
@@ -69,7 +69,7 @@ class TestHitBytes:
         ids=["ok", "failed"],
     )
     def test_hit_body_is_the_encoded_envelope(
-        self, server, make, http_status, return_board
+        self, server, decoded, make, http_status, return_board
     ):
         payload = make()
         if return_board:
@@ -79,10 +79,10 @@ class TestHitBytes:
         hit_status, hit, _ = post(server, body)
         assert miss_status == hit_status == http_status
 
-        entry = server.app.cache.get(json.loads(miss)["key"])
-        expected = route_response(json.loads(miss)["key"], "hit", entry["result"])
+        parts = decoded(server.app.cache.get(json.loads(miss)["key"]))
+        expected = route_response(json.loads(miss)["key"], "hit", parts["result"])
         if return_board:
-            expected["routed_board"] = entry["routed_board"]
+            expected["routed_board"] = parts["routed_board"]
         assert hit == compact(expected)
         # The miss answered with the bytes it stored: the two bodies
         # differ only in "cache".
@@ -90,7 +90,9 @@ class TestHitBytes:
         assert (b'"routed_board":' in hit) == return_board
 
     @pytest.mark.parametrize("return_board", [False, True])
-    def test_hit_decodes_no_part(self, tmp_path, no_part_decoding, return_board):
+    def test_hit_decodes_no_part(
+        self, tmp_path, no_part_decoding, decoded, return_board
+    ):
         app = RouterApp(str(tmp_path / "cache"))
         payload = dict(ok_payload(), return_board=return_board)
         _, miss = app.route(payload)
@@ -102,14 +104,12 @@ class TestHitBytes:
             b'"cache":"miss"', b'"cache":"hit"', 1
         )
         no_part_decoding.undo()
-        # In process the parts read as the dicts the miss encoded and
-        # stored, so the envelope still encodes as JSON.
+        # In process the parts ride as the bytes the miss encoded and
+        # stored, and the envelope writes them as compact JSON.
         for name in ("result", "routed_board") if return_board else ("result",):
-            assert isinstance(hit[name], Encoded)
-            assert hit[name].encoded == miss[name].encoded
-            assert hit[name] == miss[name]
+            assert type(hit[name]) is bytes and hit[name] == miss[name]
         assert app_mod._json_body(hit) == json.dumps(
-            hit, separators=(",", ":")
+            decoded(hit), separators=(",", ":")
         ).encode()
 
 
@@ -285,13 +285,18 @@ class TestEntryHeader:
         {},
         {"kind": "healthz_response", "ok": True, "uptime_s": 1.5, "x": None},
         {"name": "caf\u00e9 \u2192", "nested": {"b": [1, 2.0], "a": "\u00e9"}},
-        {"result": Encoded.of({"status": "ok", "v": [0.1, -2]}), "k": "v"},
+        {"result": b'{"status":"ok","v":[0.1,-2]}', "k": "v"},
     ],
-    ids=["empty", "scalars", "non-ascii", "encoded"],
+    ids=["empty", "scalars", "non-ascii", "bytes"],
 )
 def test_json_body_equals_json_dumps(payload):
+    # A bytes value is its compact JSON already, written as it is.
+    plain = {
+        name: json.loads(value) if isinstance(value, bytes) else value
+        for name, value in payload.items()
+    }
     assert app_mod._json_body(payload) == json.dumps(
-        payload, separators=(",", ":")
+        plain, separators=(",", ":")
     ).encode()
 
 
@@ -422,7 +427,9 @@ class TestNonObjectBoard:
         assert stats["cache"]["misses"] == 0
 
     @pytest.mark.parametrize("board", [[1, 2], "x", 7])
-    def test_batch_streams_its_crashed_line_and_goes_on(self, tmp_path, board):
+    def test_batch_streams_its_crashed_line_and_goes_on(
+        self, tmp_path, decoded, board
+    ):
         app = RouterApp(str(tmp_path / "cache"))
         boards = [board, board_to_dict(good_board("after"))]
         events = list(app.route_batch_events({"boards": boards, "preset": "fast"}))
@@ -437,7 +444,8 @@ class TestNonObjectBoard:
         assert "JSON object" in bad["error"]["message"]
         assert good["status"] == "ok" and good["cache"] == "miss"
         assert done["crashed"] == 1 and done["ok"] == 1
-        json.dumps(events)  # every line is NDJSON-encodable
+        for event in events:  # every line is NDJSON-encodable
+            decoded(event)
         _, stats = app.stats()
         assert stats["cache"]["misses"] == 1  # the valid board's alone
 
@@ -527,7 +535,7 @@ class TestMemoHitPath:
         self._unparsable(monkeypatch)
         assert post(server, body)[1] == memo_hit
 
-    def test_evicted_entry_parses_and_routes(self, tmp_path):
+    def test_evicted_entry_parses_and_routes(self, tmp_path, decoded):
         app = RouterApp(str(tmp_path / "cache"))
         body = json.dumps(ok_payload()).encode()
         _, miss = app.route(json.loads(body), body=body)
@@ -540,8 +548,8 @@ class TestMemoHitPath:
         assert status == 200 and again["cache"] == "miss"
         assert again["key"] == miss["key"]
         # Routed again: the same verdict, other wall-clock timings.
-        assert stable_report_bytes(again["result"]) == stable_report_bytes(
-            miss["result"]
+        assert stable_report_bytes(decoded(again)["result"]) == stable_report_bytes(
+            decoded(miss)["result"]
         )
         assert app.route(None, body=body)[1]["cache"] == "hit"
 
